@@ -2,13 +2,13 @@
 //!
 //! Three variants are measured at B ∈ {1, 32, 256}:
 //!
-//! * `per_row` — the seed hot path this PR replaces: one fresh tape, one
-//!   parameter binding and one `n × 1` forward pass per sample, running on
-//!   the portable scalar kernel ([`KernelMode::Portable`]) the seed shipped
-//!   with. This is the frozen baseline of the trajectory.
+//! * `per_row` — the seed hot path: one fresh tape, one parameter binding
+//!   and one one-row `forward_batch` (an `n × 1` pass) per sample, running
+//!   on the portable scalar kernel ([`KernelMode::Portable`]) the seed
+//!   shipped with. This is the frozen baseline of the trajectory.
 //! * `per_row_simd` — the same per-row loop on the auto-dispatched SIMD
 //!   kernels, isolating how much of the win is kernels alone.
-//! * `batched` — the new inference path: one `InferenceSession` (parameters
+//! * `batched` — the inference path: one `InferenceSession` (parameters
 //!   bound once), B rows stacked into matrix-level forward passes
 //!   (`score_errors` — validation scoring, which is what the pipeline's
 //!   verdict hot path runs), SIMD kernels. The seed per-row pass always ran
@@ -60,15 +60,16 @@ fn rows(n: usize, n_features: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The seed hot path: tape + binding + forward per row.
+/// The seed hot path: tape + binding + one-row forward pass per row.
 fn score_per_row(net: &DquagNetwork, batch: &[Vec<f32>]) -> f32 {
     let mut total = 0.0;
     for row in batch {
         let tape = Tape::new();
         let (params, graph) = net.bind(&tape);
         total += net
-            .forward_sample(&tape, &params, &graph, row)
-            .total_error();
+            .forward_batch(&tape, &params, &graph, std::slice::from_ref(row))
+            .detach()
+            .instance_errors()[0];
     }
     total
 }

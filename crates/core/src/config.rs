@@ -418,15 +418,10 @@ pub struct DquagConfig {
     pub oracle_sample_size: usize,
     /// Worker threads used during phase-2 validation (1 = sequential).
     pub validation_threads: usize,
-    /// Score rows through matrix-level batched forward passes (the fast
-    /// path). `false` falls back to one forward pass per row — kept for
-    /// equivalence testing and debugging; both paths produce identical
-    /// verdicts.
-    pub batched_inference: bool,
-    /// Rows stacked into one matrix-level forward pass when
-    /// [`DquagConfig::batched_inference`] is on. Larger batches amortise the
-    /// parameter binding and per-op overhead further but grow the transient
-    /// activation matrices linearly.
+    /// Rows stacked into one matrix-level forward pass during scoring,
+    /// calibration and repair; 1 scores every row alone. Larger batches
+    /// amortise the per-op overhead further but grow the transient activation
+    /// matrices linearly. Verdicts do not depend on it.
     pub inference_batch_size: usize,
     /// Streaming ingestion engine settings (queue, replicas, backpressure,
     /// deadlines) — consumed by `dquag-stream`.
@@ -463,7 +458,6 @@ impl Default for DquagConfig {
             feature_sigma: 5.0,
             oracle_sample_size: 100,
             validation_threads: 1,
-            batched_inference: true,
             inference_batch_size: 256,
             stream: StreamConfig::default(),
             source: SourceConfig::default(),
@@ -683,12 +677,6 @@ impl DquagConfigBuilder {
     /// Worker threads used during phase-2 validation.
     pub fn validation_threads(mut self, threads: usize) -> Self {
         self.config.validation_threads = threads;
-        self
-    }
-
-    /// Toggle matrix-level batched inference (on by default).
-    pub fn batched_inference(mut self, enabled: bool) -> Self {
-        self.config.batched_inference = enabled;
         self
     }
 
@@ -934,7 +922,6 @@ mod tests {
             .feature_sigma(3.0)
             .oracle_sample_size(50)
             .validation_threads(4)
-            .batched_inference(false)
             .inference_batch_size(64)
             .seed(9)
             .hidden_dim(12)
@@ -951,7 +938,6 @@ mod tests {
         assert!((c.feature_sigma - 3.0).abs() < 1e-9);
         assert_eq!(c.oracle_sample_size, 50);
         assert_eq!(c.validation_threads, 4);
-        assert!(!c.batched_inference);
         assert_eq!(c.inference_batch_size, 64);
         assert_eq!(c.seed, 9);
         assert_eq!(c.model.hidden_dim, 12);

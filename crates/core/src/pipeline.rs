@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// A flagged cell: the feature-level detection output of §3.2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -225,10 +226,7 @@ impl DquagValidator {
             let mut epoch_loss = 0.0;
             let mut n_batches = 0;
             for chunk in indices.chunks(config.batch_size.max(1)) {
-                let batch: Vec<Vec<f32>> = chunk
-                    .iter()
-                    .map(|&row| encoded_train.row(row).to_vec())
-                    .collect();
+                let batch: Vec<&[f32]> = chunk.iter().map(|&row| encoded_train.row(row)).collect();
                 let (loss, _) = network.train_batch(&batch, &mut optimizer);
                 epoch_loss += loss;
                 n_batches += 1;
@@ -244,13 +242,8 @@ impl DquagValidator {
         let calibration_rows: Vec<&[f32]> = (0..encoded_calibration.n_rows())
             .map(|row| encoded_calibration.row(row))
             .collect();
-        let calibration_batch = if config.batched_inference {
-            config.inference_batch_size.max(1)
-        } else {
-            1
-        };
         let calibration_errors: Vec<f32> = calibration_rows
-            .chunks(calibration_batch)
+            .chunks(config.inference_batch_size.max(1))
             .flat_map(|chunk| network.score_errors(&session, chunk).instance_errors())
             .collect();
         let threshold = percentile_f32(&calibration_errors, config.threshold_percentile);
@@ -378,14 +371,6 @@ impl DquagValidator {
         &self.config
     }
 
-    /// Toggle batched inference on an already-trained validator (defaults to
-    /// the training configuration). Both settings produce identical verdicts
-    /// — the toggle exists for equivalence testing and debugging.
-    pub fn with_batched_inference(mut self, enabled: bool) -> Self {
-        self.config.batched_inference = enabled;
-        self
-    }
-
     /// Attach a telemetry bundle: phase-2 calls time their graph-build,
     /// forward and verdict-assembly stages and count GNN forward passes into
     /// its registry. Without a bundle the hot path stays untouched.
@@ -498,28 +483,14 @@ impl DquagValidator {
         }
     }
 
-    /// Instance-level reconstruction errors for a dataframe (phase 2, step 1).
-    pub fn reconstruction_errors(&self, df: &DataFrame) -> Result<Vec<f32>> {
-        let encoded = self
-            .encoder
-            .transform(df)
-            .map_err(|e| CoreError::SchemaMismatch(e.to_string()))?;
-        let rows: Vec<Vec<f32>> = (0..encoded.n_rows())
-            .map(|r| encoded.row(r).to_vec())
-            .collect();
-        let flat = self.feature_errors_for_rows(&rows)?;
-        let stride = self.network.n_features().max(1);
-        Ok(flat.chunks(stride).map(instance_error).collect())
-    }
-
     /// Per-feature squared reconstruction errors for every row, flattened
     /// row-major with stride `n_features` — the phase-2 hot path. Rows are
     /// stacked into matrix-level forward passes of up to
-    /// `inference_batch_size` (or scored one by one when `batched_inference`
-    /// is off), on inference sessions that bind the parameters once per
-    /// worker instead of once per row. One flat buffer keeps memory at the
-    /// size of the encoded input instead of one allocation per row.
-    fn feature_errors_for_rows(&self, rows: &[Vec<f32>]) -> Result<Vec<f32>> {
+    /// `inference_batch_size` (1 scores every row alone), on inference
+    /// sessions that bind the parameters once per worker instead of once per
+    /// row. One flat buffer keeps memory at the size of the encoded input
+    /// instead of one allocation per row.
+    fn feature_errors_for_rows<R: AsRef<[f32]> + Sync>(&self, rows: &[R]) -> Result<Vec<f32>> {
         let stride = self.network.n_features();
         let mut results = vec![0.0f32; rows.len() * stride];
         let threads = self.config.validation_threads.max(1);
@@ -559,17 +530,12 @@ impl DquagValidator {
     /// The session is armed with this validator's self-checks; a health
     /// violation aborts scoring and surfaces as [`CoreError::Health`] —
     /// scores from a corrupt model are never handed upward.
-    fn score_rows_into(&self, rows: &[Vec<f32>], out: &mut [f32]) -> Result<()> {
+    fn score_rows_into<R: AsRef<[f32]>>(&self, rows: &[R], out: &mut [f32]) -> Result<()> {
         let stride = self.network.n_features();
-        let batch = if self.config.batched_inference {
-            self.config.inference_batch_size.max(1)
-        } else {
-            1
-        };
         let session = self.network.inference_session();
         self.arm_session(&session);
         let mut offset = 0;
-        for chunk in rows.chunks(batch) {
+        for chunk in rows.chunks(self.config.inference_batch_size.max(1)) {
             let len = chunk.len() * stride;
             let scores = self.network.score_errors(&session, chunk);
             if let Err(violation) = self.session_health(&session) {
@@ -590,9 +556,7 @@ impl DquagValidator {
             .encoder
             .transform(df)
             .map_err(|e| CoreError::SchemaMismatch(e.to_string()))?;
-        let rows: Vec<Vec<f32>> = (0..encoded.n_rows())
-            .map(|r| encoded.row(r).to_vec())
-            .collect();
+        let rows: Vec<&[f32]> = (0..encoded.n_rows()).map(|r| encoded.row(r)).collect();
         self.observe_stage(Stage::GraphBuild, build_started);
         let stride = self.network.n_features().max(1);
         let forward_started = std::time::Instant::now();
@@ -622,6 +586,7 @@ impl DquagValidator {
         // above — no second forward pass per flagged row.
         let mut cell_flags = Vec::new();
         for &row in &flagged_instances {
+            let flags_before = cell_flags.len();
             let feature_errors = &flat_feature_errors[row * stride..(row + 1) * stride];
             let mean = feature_errors.iter().sum::<f32>() / feature_errors.len().max(1) as f32;
             let variance = feature_errors
@@ -638,7 +603,7 @@ impl DquagValidator {
                     cell_flags.push(CellFlag { row, column, error });
                 }
             }
-            if !cell_flags.iter().any(|c| c.row == row) {
+            if cell_flags.len() == flags_before {
                 if let Some((column, &error)) = feature_errors
                     .iter()
                     .enumerate()
@@ -673,38 +638,28 @@ impl DquagValidator {
         let mut repaired = df.clone();
         // Collect the rows that actually need repairs, then run the repair
         // decoder over all of them in batched forward passes.
-        let targets: Vec<(usize, Vec<usize>)> = report
+        let mut cells_by_row: HashMap<usize, Vec<usize>> = HashMap::new();
+        for cell in &report.cell_flags {
+            cells_by_row.entry(cell.row).or_default().push(cell.column);
+        }
+        let targets: Vec<(usize, &[usize])> = report
             .flagged_instances
             .iter()
-            .map(|&row| {
-                let cells: Vec<usize> = report
-                    .cell_flags
-                    .iter()
-                    .filter(|c| c.row == row)
-                    .map(|c| c.column)
-                    .collect();
-                (row, cells)
-            })
-            .filter(|(_, cells)| !cells.is_empty())
+            .filter_map(|&row| cells_by_row.get(&row).map(|cells| (row, cells.as_slice())))
             .collect();
         let target_rows: Vec<&[f32]> = targets.iter().map(|&(row, _)| encoded.row(row)).collect();
 
         let session = self.network.inference_session();
         self.arm_session(&session);
-        let batch = if self.config.batched_inference {
-            self.config.inference_batch_size.max(1)
-        } else {
-            1
-        };
-        for (chunk_start, chunk) in target_rows.chunks(batch).enumerate() {
+        let batch = self.config.inference_batch_size.max(1);
+        for (chunk_targets, chunk) in targets.chunks(batch).zip(target_rows.chunks(batch)) {
             let scores = self.network.score_repairs(&session, chunk);
             self.session_health(&session)?;
-            for (offset, _) in chunk.iter().enumerate() {
-                let (row, cells) = &targets[chunk_start * batch + offset];
+            for (offset, &(row, cells)) in chunk_targets.iter().enumerate() {
                 let suggestions = scores.repair_values(offset);
                 for &column in cells {
                     let value: Value = self.encoder.decode_cell(column, suggestions[column])?;
-                    repaired.set_value(*row, column, value)?;
+                    repaired.set_value(row, column, value)?;
                 }
             }
         }
@@ -934,8 +889,8 @@ mod tests {
         let parallel = DquagValidator::train(&clean, &[], &parallel_cfg).unwrap();
 
         let batch = clean.split_at(200).unwrap().0;
-        let seq_errors = sequential.reconstruction_errors(&batch).unwrap();
-        let par_errors = parallel.reconstruction_errors(&batch).unwrap();
+        let seq_errors = sequential.validate(&batch).unwrap().instance_errors;
+        let par_errors = parallel.validate(&batch).unwrap().instance_errors;
         assert_eq!(seq_errors.len(), par_errors.len());
         for (a, b) in seq_errors.iter().zip(par_errors.iter()) {
             assert!(
@@ -945,14 +900,23 @@ mod tests {
         }
     }
 
+    /// The same fitted weights and threshold, scoring `rows` rows per
+    /// forward pass.
+    fn with_inference_batch_size(validator: &DquagValidator, rows: usize) -> DquagValidator {
+        let mut state = validator.export_state();
+        state.config.inference_batch_size = rows;
+        DquagValidator::from_state(state).unwrap()
+    }
+
     #[test]
-    fn batched_inference_matches_per_row_reports() {
-        // Equivalence gate at the pipeline level: the same trained validator
-        // with batching on vs off must produce identical reports — errors,
-        // flags, cell flags, dataset verdict — on clean and corrupted data.
+    fn inference_batch_size_does_not_change_reports() {
+        // Equivalence gate at the pipeline level: the same fitted weights
+        // scored 256 rows per pass vs one row per pass must produce
+        // identical reports — errors, flags, cell flags, dataset verdict — on
+        // clean and corrupted data.
         let (validator, clean) = trained_credit_validator();
-        let batched = validator.clone().with_batched_inference(true);
-        let per_row = validator.with_batched_inference(false);
+        let batched = with_inference_batch_size(&validator, 256);
+        let per_row = with_inference_batch_size(&validator, 1);
 
         let mut rng = dquag_datagen::rng(29);
         let mut dirty = dquag_datagen::sample_fraction(&clean, 0.3, &mut rng);

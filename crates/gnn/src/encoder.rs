@@ -215,16 +215,10 @@ impl Encoder {
         self.layers.len()
     }
 
-    /// Forward pass: per-sample node features `x ∈ R^{n × 1}` → embeddings
-    /// `Z ∈ R^{n × h}`.
-    pub fn forward(&self, params: &BoundParams, graph: &BoundGraph, x: &Var) -> Var {
-        self.forward_batch(params, graph, x, 1)
-    }
-
-    /// Batched forward pass: `batch` samples stacked vertically,
+    /// Forward pass over `batch` samples stacked vertically,
     /// `x ∈ R^{(B·n) × 1}` → embeddings `Z ∈ R^{(B·n) × h}`. Every layer
     /// confines message passing to its own `n`-row block, so block `b` of the
-    /// result equals `forward` of sample `b` alone.
+    /// result equals the `batch = 1` pass over sample `b` alone.
     pub fn forward_batch(
         &self,
         params: &BoundParams,
@@ -275,7 +269,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph_bound = ctx.bind(&tape);
         let x = tape.leaf(Matrix::col_vector(values), false);
-        encoder.forward(&bound, &graph_bound, &x).value()
+        encoder.forward_batch(&bound, &graph_bound, &x, 1).value()
     }
 
     #[test]
@@ -321,7 +315,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph_bound = ctx.bind(&tape);
         let x = tape.leaf(Matrix::col_vector(&[0.5, 0.5, 0.5, 0.5, 0.5]), false);
-        let z = enc.forward(&bound, &graph_bound, &x).value();
+        let z = enc.forward_batch(&bound, &graph_bound, &x, 1).value();
         assert_eq!(z.shape(), (5, 8));
     }
 

@@ -2,12 +2,10 @@
 //!
 //! Every layer registers its weights in a shared [`ParamStore`] at
 //! construction time and performs its forward pass against the
-//! [`BoundParams`]/[`BoundGraph`] views created for the current tape. Layers
-//! operate on node-feature matrices of shape `n_features × channels`, or —
-//! through each message-passing layer's `forward_batch` — on `B` samples
-//! stacked vertically into a `(B·n_features) × channels` matrix. The
-//! per-sample `forward` is the `batch = 1` case of the batched path, so the
-//! two can never drift apart.
+//! [`BoundParams`]/[`BoundGraph`] views created for the current tape. The
+//! message-passing layers have one forward pass, `forward_batch`, over `B`
+//! samples stacked vertically into a `(B·n_features) × channels` matrix; a
+//! single sample is the `batch = 1` case.
 
 use crate::context::BoundGraph;
 use crate::params::{BoundParams, ParamId, ParamStore};
@@ -179,15 +177,10 @@ impl GatLayer {
         self.out_dim
     }
 
-    /// Forward pass: `h (n × in) → n × out`.
-    pub fn forward(&self, params: &BoundParams, graph: &BoundGraph, h: &Var) -> Var {
-        self.forward_batch(params, graph, h, 1)
-    }
-
     /// Batched forward pass over `batch` vertically stacked samples:
     /// `h (B·n × in) → B·n × out`. Attention is computed per block — sample
     /// `b`'s nodes only attend within their own `n × n` grid — so the result
-    /// is bit-identical to `batch` independent [`GatLayer::forward`] calls.
+    /// is bit-identical to `batch` independent one-sample calls.
     pub fn forward_batch(
         &self,
         params: &BoundParams,
@@ -264,11 +257,6 @@ impl GinLayer {
         self.out_dim
     }
 
-    /// Forward pass: `h (n × in) → n × out`.
-    pub fn forward(&self, params: &BoundParams, graph: &BoundGraph, h: &Var) -> Var {
-        self.forward_batch(params, graph, h, 1)
-    }
-
     /// Batched forward pass over vertically stacked samples: the shared
     /// adjacency aggregates neighbours within each `n`-row block, the
     /// `(1 + ε)` self-term and the MLP are row-wise and batch transparently.
@@ -329,11 +317,6 @@ impl GcnLayer {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.linear.out_dim()
-    }
-
-    /// Forward pass: `h (n × in) → n × out`.
-    pub fn forward(&self, params: &BoundParams, graph: &BoundGraph, h: &Var) -> Var {
-        self.forward_batch(params, graph, h, 1)
     }
 
     /// Batched forward pass: the normalised adjacency propagates within each
@@ -421,7 +404,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph = ctx.bind(&tape);
         let x = node_features(&tape, &[0.1, 0.5, 0.9, 0.3]);
-        let out = gat.forward(&bound, &graph, &x);
+        let out = gat.forward_batch(&bound, &graph, &x, 1);
         assert_eq!(out.shape(), (4, 6));
         assert!(out.value().is_finite());
 
@@ -447,7 +430,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph = ctx.bind(&tape);
         let x = node_features(&tape, &[1.0, 2.0, 3.0, 4.0]);
-        let out = gin.forward(&bound, &graph, &x);
+        let out = gin.forward_batch(&bound, &graph, &x, 1);
         assert_eq!(out.shape(), (4, 4));
         assert!(out.value().is_finite());
     }
@@ -460,7 +443,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph = ctx.bind(&tape);
         let x = node_features(&tape, &[1.0, 0.0, 0.0, 0.0]);
-        let out = gcn.forward(&bound, &graph, &x);
+        let out = gcn.forward_batch(&bound, &graph, &x, 1);
         assert_eq!(out.shape(), (4, 3));
         assert_eq!(gcn.out_dim(), 3);
     }
@@ -482,7 +465,7 @@ mod tests {
             let bound = store.bind(&tape);
             let graph = ctx.bind(&tape);
             let x = node_features(&tape, values);
-            gcn.forward(&bound, &graph, &x).value()
+            gcn.forward_batch(&bound, &graph, &x, 1).value()
         };
         let base = run(&[0.2, 0.4, 0.6, 0.8]);
         let perturbed = run(&[5.0, 0.4, 0.6, 0.8]);
@@ -513,7 +496,7 @@ mod tests {
             let bound = store.bind(&tape);
             let graph = ctx.bind(&tape);
             let x = node_features(&tape, &input);
-            let z = gat.forward(&bound, &graph, &x);
+            let z = gat.forward_batch(&bound, &graph, &x, 1);
             let pred = head.forward(&bound, &z);
             let loss = pred.mse(&tape.constant(target.clone()));
             last_loss = loss.value().get(0, 0);

@@ -26,12 +26,14 @@
 //! feature graph built by `dquag-graph`. Layers therefore operate on
 //! `n_features × hidden` matrices via the `dquag-tensor` autograd tape.
 //!
-//! For inference, `B` samples are stacked vertically into one
-//! `(B·n_features) × hidden` matrix and pushed through the whole network in a
-//! single matrix-level forward pass ([`model::DquagNetwork::forward_batch`]),
-//! with parameters bound once per [`model::InferenceSession`] instead of once
-//! per sample. The batched and per-sample paths are held equivalent by the
-//! seeded randomized suite in `tests/batched_forward.rs`.
+//! The network has one forward pass, [`model::DquagNetwork::forward_batch`]:
+//! `B` samples are stacked vertically into one `(B·n_features) × hidden`
+//! matrix and pushed through the whole network in a single matrix-level pass.
+//! Scoring runs it on an [`model::InferenceSession`], which binds the
+//! parameters once; training runs it once per sample (`B = 1`) on a gradient
+//! tape. Message passing never crosses sample blocks, so a row scores the
+//! same alone or stacked; the seeded randomized suite in
+//! `tests/batched_forward.rs` holds the two within 1e-5.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,6 +52,5 @@ pub use encoder::{Encoder, EncoderKind};
 pub use health::{ActivationFault, HealthError};
 pub use model::{
     BatchOutput, BatchScores, DquagNetwork, InferenceSession, ModelConfig, MultiTaskLoss,
-    SampleOutput,
 };
 pub use params::{BoundParams, ParamId, ParamStore};

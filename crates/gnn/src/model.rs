@@ -63,49 +63,6 @@ impl ModelConfig {
     }
 }
 
-/// Output of a single-sample forward pass.
-#[derive(Debug, Clone)]
-pub struct SampleOutput {
-    /// The input node features (`n × 1`), kept for loss construction.
-    pub input: Var,
-    /// Validation-decoder reconstruction (`n × 1`).
-    pub reconstruction: Var,
-    /// Repair-decoder output (`n × 1`).
-    pub repair: Var,
-}
-
-impl SampleOutput {
-    /// Squared reconstruction error per feature (the per-feature error list
-    /// `e_i = [e_i1 … e_in]` of §3.2.1).
-    pub fn per_feature_errors(&self) -> Vec<f32> {
-        let x = self.input.value();
-        let r = self.reconstruction.value();
-        (0..x.rows())
-            .map(|i| {
-                let d = x.get(i, 0) - r.get(i, 0);
-                d * d
-            })
-            .collect()
-    }
-
-    /// Mean squared reconstruction error of the sample (the instance-level
-    /// reconstruction error `e_i`).
-    pub fn total_error(&self) -> f32 {
-        let errors = self.per_feature_errors();
-        if errors.is_empty() {
-            0.0
-        } else {
-            errors.iter().sum::<f32>() / errors.len() as f32
-        }
-    }
-
-    /// The repair decoder's proposed feature values.
-    pub fn repair_values(&self) -> Vec<f32> {
-        let r = self.repair.value();
-        (0..r.rows()).map(|i| r.get(i, 0)).collect()
-    }
-}
-
 /// Output of a batched forward pass: `B` samples stacked vertically into
 /// `(B·n) × 1` column matrices. Values still live on the forward tape; call
 /// [`BatchOutput::detach`] to lift them off before truncating the tape.
@@ -195,8 +152,8 @@ impl BatchScores {
         self.n_features
     }
 
-    /// Squared reconstruction error per feature of sample `i` — identical in
-    /// meaning to [`SampleOutput::per_feature_errors`].
+    /// Squared reconstruction error per feature of sample `i` (the
+    /// per-feature error list `e_i = [e_i1 … e_in]` of §3.2.1).
     pub fn per_feature_errors(&self, i: usize) -> Vec<f32> {
         self.errors[i * self.n_features..(i + 1) * self.n_features].to_vec()
     }
@@ -209,8 +166,8 @@ impl BatchScores {
         out.copy_from_slice(&self.errors);
     }
 
-    /// Mean squared reconstruction error of every sample, in batch order —
-    /// identical in meaning to [`SampleOutput::total_error`].
+    /// Mean squared reconstruction error of every sample, in batch order (the
+    /// instance-level reconstruction error `e_i`).
     pub fn instance_errors(&self) -> Vec<f32> {
         if self.n_features == 0 {
             return Vec::new();
@@ -345,12 +302,18 @@ pub struct MultiTaskLoss {
 }
 
 impl MultiTaskLoss {
-    /// Build the loss for a batch of forward outputs.
+    /// Build the loss for a batch of samples, each given as the one-row
+    /// forward output [`DquagNetwork::forward_batch`] produced for it.
     ///
     /// `weights[i]` is the normalcy weight `w_i` of sample `i` in the
     /// validation term; the repair term is always unweighted (the paper trains
     /// it directly towards the clean values).
-    pub fn batch_loss(&self, tape: &Tape, outputs: &[SampleOutput], weights: &[f32]) -> Var {
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch, a weight count that differs from the sample
+    /// count, or an output holding more than one sample.
+    pub fn batch_loss(&self, outputs: &[BatchOutput], weights: &[f32]) -> Var {
         assert_eq!(
             outputs.len(),
             weights.len(),
@@ -360,6 +323,7 @@ impl MultiTaskLoss {
         let n = outputs.len() as f32;
         let mut total: Option<Var> = None;
         for (out, &w) in outputs.iter().zip(weights.iter()) {
+            assert_eq!(out.batch_len(), 1, "one forward output per sample");
             let diff_val = out.reconstruction.sub(&out.input).square().mean();
             let diff_rep = out.repair.sub(&out.input).square().mean();
             let sample_loss = diff_val
@@ -370,7 +334,6 @@ impl MultiTaskLoss {
                 None => sample_loss,
             });
         }
-        let _ = tape; // the loss already lives on the callers' tape via the outputs
         total.expect("non-empty batch")
     }
 }
@@ -478,43 +441,12 @@ impl DquagNetwork {
         (self.params.bind(tape), self.context.bind(tape))
     }
 
-    /// Forward pass for one sample (encoded feature vector of length
-    /// `n_features`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len() != n_features` — callers always derive the
-    /// vector from the same schema the graph was built on.
-    pub fn forward_sample(
-        &self,
-        tape: &Tape,
-        params: &BoundParams,
-        graph: &BoundGraph,
-        features: &[f32],
-    ) -> SampleOutput {
-        assert_eq!(
-            features.len(),
-            self.n_features,
-            "expected {} features, got {}",
-            self.n_features,
-            features.len()
-        );
-        let input = tape.constant(Matrix::col_vector(features));
-        let z = self.encoder.forward(params, graph, &input);
-        let reconstruction = self.decoder.reconstruct(params, &z);
-        let repair = self.decoder.repair(params, &z);
-        SampleOutput {
-            input,
-            reconstruction,
-            repair,
-        }
-    }
-
-    /// Batched forward pass: `rows` samples stacked vertically into one
+    /// The network's forward pass: `rows` samples stacked vertically into one
     /// `(B·n) × 1` matrix, run through encoder, GNN layers and both decoders
-    /// exactly once. Block `b` of every output equals a
-    /// [`DquagNetwork::forward_sample`] of row `b` alone — the equivalence
-    /// suite in `tests/batched_forward.rs` holds the two paths together.
+    /// exactly once. Training, scoring and repair all go through it. Message
+    /// passing stays inside each sample's `n`-row block, so block `b` of every
+    /// output equals the one-row pass over row `b` alone — the equivalence
+    /// suite in `tests/batched_forward.rs` pins that.
     ///
     /// # Panics
     ///
@@ -735,45 +667,38 @@ impl DquagNetwork {
             .expect("stacked batch has B·n entries")
     }
 
-    /// Inference-only helper: per-feature squared reconstruction errors for a
-    /// sample. Creates a private tape, so it can be called from parallel
-    /// validation workers.
-    pub fn reconstruction_errors(&self, features: &[f32]) -> Vec<f32> {
-        let tape = Tape::new();
-        let (params, graph) = self.bind(&tape);
-        self.forward_sample(&tape, &params, &graph, features)
-            .per_feature_errors()
-    }
-
-    /// Inference-only helper: the repair decoder's proposed values for a
-    /// sample.
-    pub fn repair_values(&self, features: &[f32]) -> Vec<f32> {
-        let tape = Tape::new();
-        let (params, graph) = self.bind(&tape);
-        self.forward_sample(&tape, &params, &graph, features)
-            .repair_values()
-    }
-
     /// One optimisation step on a mini-batch of encoded samples.
+    ///
+    /// Every sample gets its own one-row [`DquagNetwork::forward_batch`] on a
+    /// shared gradient tape, and the loss sums the samples in batch order.
+    /// Fitted models depend on that op sequence bit for bit; `dquag-core`'s
+    /// `tests/fit_golden.rs` pins it.
     ///
     /// Returns `(total_loss, per_sample_errors)` where the errors are the
     /// *pre-update* instance reconstruction errors (used by the trainer to
     /// collect the error statistics of §3.1.4).
-    pub fn train_batch(&mut self, batch: &[Vec<f32>], optimizer: &mut Adam) -> (f32, Vec<f32>) {
+    pub fn train_batch<R: AsRef<[f32]>>(
+        &mut self,
+        batch: &[R],
+        optimizer: &mut Adam,
+    ) -> (f32, Vec<f32>) {
         assert!(!batch.is_empty(), "train_batch needs at least one sample");
         let tape = Tape::new();
         let (params, graph) = self.bind(&tape);
-        let outputs: Vec<SampleOutput> = batch
+        let outputs: Vec<BatchOutput> = batch
             .iter()
-            .map(|row| self.forward_sample(&tape, &params, &graph, row))
+            .map(|row| self.forward_batch(&tape, &params, &graph, std::slice::from_ref(row)))
             .collect();
-        let errors: Vec<f32> = outputs.iter().map(SampleOutput::total_error).collect();
+        let errors: Vec<f32> = outputs
+            .iter()
+            .flat_map(|out| out.detach().instance_errors())
+            .collect();
         let weights = normalcy_weights(&errors, self.config.weight_sharpness);
         let loss = MultiTaskLoss {
             alpha: self.config.alpha,
             beta: self.config.beta,
         }
-        .batch_loss(&tape, &outputs, &weights);
+        .batch_loss(&outputs, &weights);
         let loss_value = loss.value().get(0, 0);
         tape.backward(&loss);
         self.params.apply_gradients(&params, optimizer);
@@ -809,12 +734,14 @@ mod tests {
 
         let tape = Tape::new();
         let (params, graph) = net.bind(&tape);
-        let out = net.forward_sample(&tape, &params, &graph, &clean_sample(3));
+        let out = net.forward_batch(&tape, &params, &graph, &[clean_sample(3)]);
+        assert_eq!(out.batch_len(), 1);
         assert_eq!(out.reconstruction.shape(), (4, 1));
         assert_eq!(out.repair.shape(), (4, 1));
-        assert_eq!(out.per_feature_errors().len(), 4);
-        assert!(out.total_error().is_finite());
-        assert_eq!(out.repair_values().len(), 4);
+        let scores = out.detach();
+        assert_eq!(scores.per_feature_errors(0).len(), 4);
+        assert!(scores.instance_errors()[0].is_finite());
+        assert_eq!(scores.repair_values(0).len(), 4);
     }
 
     #[test]
@@ -823,7 +750,7 @@ mod tests {
         let net = DquagNetwork::new(&small_graph(), ModelConfig::small());
         let tape = Tape::new();
         let (params, graph) = net.bind(&tape);
-        net.forward_sample(&tape, &params, &graph, &[0.1, 0.2]);
+        net.forward_batch(&tape, &params, &graph, &[[0.1f32, 0.2]]);
     }
 
     #[test]
@@ -860,19 +787,18 @@ mod tests {
         for _ in 0..120 {
             net.train_batch(&batch, &mut adam);
         }
-        let clean_err: f32 = (0..10)
-            .map(|i| {
-                net.reconstruction_errors(&clean_sample(i))
-                    .iter()
-                    .sum::<f32>()
-            })
+        let session = net.inference_session();
+        let clean_rows: Vec<Vec<f32>> = (0..10).map(clean_sample).collect();
+        let clean_err = net
+            .score_errors(&session, &clean_rows)
+            .instance_errors()
+            .iter()
             .sum::<f32>()
             / 10.0;
         // violate the a/b dependency and push a value far out of range
-        let dirty_err: f32 = net
-            .reconstruction_errors(&[0.9, 0.9, 0.1, 3.0])
-            .iter()
-            .sum();
+        let dirty_err = net
+            .score_errors(&session, &[[0.9f32, 0.9, 0.1, 3.0]])
+            .instance_errors()[0];
         assert!(
             dirty_err > clean_err * 2.0,
             "dirty error {dirty_err} should clearly exceed clean error {clean_err}"
@@ -902,26 +828,26 @@ mod tests {
         let net = DquagNetwork::new(&small_graph(), ModelConfig::small());
         let tape = Tape::new();
         let (params, graph) = net.bind(&tape);
-        let out = net.forward_sample(&tape, &params, &graph, &clean_sample(1));
+        let out = net.forward_batch(&tape, &params, &graph, &[clean_sample(1)]);
         let only_val = MultiTaskLoss {
             alpha: 1.0,
             beta: 0.0,
         }
-        .batch_loss(&tape, std::slice::from_ref(&out), &[1.0])
+        .batch_loss(std::slice::from_ref(&out), &[1.0])
         .value()
         .get(0, 0);
         let only_rep = MultiTaskLoss {
             alpha: 0.0,
             beta: 1.0,
         }
-        .batch_loss(&tape, std::slice::from_ref(&out), &[1.0])
+        .batch_loss(std::slice::from_ref(&out), &[1.0])
         .value()
         .get(0, 0);
         let both = MultiTaskLoss {
             alpha: 1.0,
             beta: 1.0,
         }
-        .batch_loss(&tape, std::slice::from_ref(&out), &[1.0])
+        .batch_loss(std::slice::from_ref(&out), &[1.0])
         .value()
         .get(0, 0);
         assert!((both - (only_val + only_rep)).abs() < 1e-5);
@@ -1013,12 +939,18 @@ mod tests {
 
     #[test]
     fn inference_helpers_are_deterministic() {
+        // Fresh sessions reproduce each other, and the error-only and
+        // repair-only helpers return exactly the full pass's halves.
         let net = DquagNetwork::new(&small_graph(), ModelConfig::small());
-        let sample = clean_sample(4);
-        assert_eq!(
-            net.reconstruction_errors(&sample),
-            net.reconstruction_errors(&sample)
-        );
-        assert_eq!(net.repair_values(&sample), net.repair_values(&sample));
+        let rows: Vec<Vec<f32>> = (0..6).map(clean_sample).collect();
+        let (first, second) = (net.inference_session(), net.inference_session());
+        let full = net.score_matrix(&first, &rows);
+        let errors = full.instance_errors();
+        assert_eq!(errors, net.score_matrix(&second, &rows).instance_errors());
+        assert_eq!(errors, net.score_errors(&second, &rows).instance_errors());
+        let repairs = net.score_repairs(&second, &rows);
+        for i in 0..rows.len() {
+            assert_eq!(full.repair_values(i), repairs.repair_values(i));
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! Seeded randomized equivalence suite for batched inference.
 //!
 //! The batched matrix-level forward pass ([`DquagNetwork::score_matrix`])
-//! must be indistinguishable from the per-row reference path
-//! (`reconstruction_errors` / `repair_values`, one tape per sample): scores
-//! agree within 1e-5, flag decisions are identical, and the batched path's
-//! tape stays O(layers) regardless of the batch size. Random shapes and
-//! parameters across batch sizes {1, 2, 7, 64, 257}, including ragged final
-//! chunks and the empty batch.
+//! must be indistinguishable from scoring every row alone (a one-row
+//! `forward_batch` on a fresh tape, as training runs it): scores agree within
+//! 1e-5, flag decisions are identical, and the batched path's tape stays
+//! O(layers) regardless of the batch size. Random shapes and parameters
+//! across batch sizes {1, 2, 7, 64, 257}, including ragged final chunks and
+//! the empty batch.
 
-use dquag_gnn::{DquagNetwork, EncoderKind, ModelConfig};
+use dquag_gnn::{BatchScores, DquagNetwork, EncoderKind, ModelConfig};
 use dquag_graph::FeatureGraph;
 use dquag_tensor::optim::Adam;
 use dquag_tensor::Tape;
@@ -46,8 +46,16 @@ fn random_rows(rng: &mut StdRng, n_rows: usize, n_features: usize) -> Vec<Vec<f3
         .collect()
 }
 
+/// The per-row reference: one fresh tape, one binding and one one-row
+/// forward pass per sample.
+fn score_alone(net: &DquagNetwork, row: &[f32]) -> BatchScores {
+    let tape = Tape::new();
+    let (params, graph) = net.bind(&tape);
+    net.forward_batch(&tape, &params, &graph, &[row]).detach()
+}
+
 /// Assert that one batched `score_matrix` call over `rows` reproduces the
-/// per-row reference path: per-feature errors and repair values within
+/// per-row reference: per-feature errors and repair values within
 /// [`SCORE_TOL`], and identical flag decisions at a data-derived threshold.
 fn assert_equivalent(net: &DquagNetwork, rows: &[Vec<f32>], context: &str) {
     let session = net.inference_session();
@@ -62,7 +70,8 @@ fn assert_equivalent(net: &DquagNetwork, rows: &[Vec<f32>], context: &str) {
     let batched_errors = scores.instance_errors();
     let mut reference_errors = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let reference_features = net.reconstruction_errors(row);
+        let reference = score_alone(net, row);
+        let reference_features = reference.per_feature_errors(0);
         let batched_features = scores.per_feature_errors(i);
         assert_eq!(reference_features.len(), batched_features.len());
         for (f, (a, b)) in batched_features
@@ -87,7 +96,7 @@ fn assert_equivalent(net: &DquagNetwork, rows: &[Vec<f32>], context: &str) {
         );
         reference_errors.push(reference_error);
 
-        let reference_repair = net.repair_values(row);
+        let reference_repair = reference.repair_values(0);
         let batched_repair = scores.repair_values(i);
         for (f, (a, b)) in batched_repair
             .iter()

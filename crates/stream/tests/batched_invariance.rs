@@ -1,9 +1,8 @@
 //! Pipeline-level golden test for batched inference: fit once, validate the
 //! datagen error catalog through `ValidationSession` *and* the stream engine
-//! with batching on vs off, and assert identical `Verdict`s and
-//! `SessionSummary` counts. Extends the PR 2 replica-invariance pattern: like
-//! the replica count, matrix-level batching must be an implementation detail
-//! no consumer can observe.
+//! scoring 32 rows per forward pass vs one, and assert identical `Verdict`s
+//! and `SessionSummary` counts. Like the replica count, matrix-level batching
+//! must be an implementation detail no consumer can observe.
 
 use dquag_core::{DquagConfig, DquagValidator};
 use dquag_datagen::{inject_hidden, inject_ordinary, DatasetKind, HiddenError, OrdinaryError};
@@ -76,12 +75,16 @@ fn batching_is_invisible_through_session_and_stream_engine() {
         .build()
         .expect("configuration in range");
 
-    // Fit exactly once; both paths share the same weights and threshold.
+    // Fit exactly once; both paths share the same weights and threshold and
+    // differ only in the rows stacked into one forward pass.
     let trained = DquagValidator::train(&clean, &[], &config).expect("training succeeds");
     let backend = |batched: bool| {
-        Box::new(DquagBackend::from_trained(
-            trained.clone().with_batched_inference(batched),
-        ))
+        let mut state = trained.export_state();
+        if !batched {
+            state.config.inference_batch_size = 1;
+        }
+        let validator = DquagValidator::from_state(state).expect("state restores");
+        Box::new(DquagBackend::from_trained(validator))
     };
 
     // Path 1: the ValidationSession front-end.
