@@ -111,6 +111,18 @@ impl BaselineKind {
         }
     }
 
+    /// The backend name the validator registry files this baseline under.
+    pub fn key(&self) -> &'static str {
+        match self {
+            BaselineKind::DeequAuto => "deequ-auto",
+            BaselineKind::DeequExpert => "deequ-expert",
+            BaselineKind::TfdvAuto => "tfdv-auto",
+            BaselineKind::TfdvExpert => "tfdv-expert",
+            BaselineKind::Adqv => "adqv",
+            BaselineKind::Gate => "gate",
+        }
+    }
+
     /// Instantiate the corresponding (unfitted) validator.
     pub fn build(&self) -> Box<dyn BatchValidator> {
         match self {

@@ -11,10 +11,11 @@
 //! shrinks the sweep to smoke-test scale and skips the gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dquag_bench::harness::{fast_mode, write_bench_json};
 use dquag_faults::{run_campaign, CampaignConfig};
 
 fn bench_fault_campaign(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let config = if fast {
         CampaignConfig::quick()
     } else {
@@ -51,11 +52,7 @@ fn bench_fault_campaign(c: &mut Criterion) {
         );
     }
     let json = report.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_faults.json", &json);
 
     if !fast {
         assert_eq!(

@@ -23,6 +23,7 @@
 //! be stable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dquag_bench::harness::{fast_mode, median, write_bench_json};
 use dquag_gnn::{DquagNetwork, ModelConfig};
 use dquag_graph::FeatureGraph;
 use dquag_tensor::{set_kernel_mode, KernelMode, Tape};
@@ -81,13 +82,8 @@ fn one_pass(batch_rows: usize, mut run: impl FnMut()) -> f64 {
     batch_rows as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
 fn bench_inference(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let samples = if fast { 3 } else { 20 };
     let net = network();
 
@@ -202,11 +198,7 @@ fn bench_inference(c: &mut Criterion) {
         BATCH_SIZES.last().unwrap(),
         speedup_at_max,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_inference.json", &json);
     if !fast {
         assert!(
             speedup_at_max >= 3.0,

@@ -8,11 +8,12 @@
 //! Set `DQUAG_BENCH_FAST=1` to run a seconds-scale smoke variant (CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dquag_bench::harness::{fast_mode, median, write_bench_json};
 use dquag_core::DquagConfig;
 use dquag_datagen::DatasetKind;
 use dquag_persist::{load_validator, save_validator};
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -26,18 +27,13 @@ fn train_config(fast: bool) -> DquagConfig {
 }
 
 fn fit_dquag(clean: &DataFrame, fast: bool) -> Box<dyn Validator> {
-    let mut validator = build_validator(ValidatorKind::Dquag, &train_config(fast));
+    let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &train_config(fast)).unwrap();
     validator.fit(clean).expect("fitting succeeds");
     validator
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
 fn bench_model_persistence(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let (train_rows, samples, rounds) = if fast { (400, 10, 3) } else { (900, 10, 10) };
 
     let dir = std::env::temp_dir().join(format!("dquag-bench-persist-{}", std::process::id()));
@@ -101,11 +97,7 @@ fn bench_model_persistence(c: &mut Criterion) {
          \"persisted_load_first_verdict_ms\": {persisted_ms:.2},\n  \
          \"restart_speedup\": {speedup:.2}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persistence.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_persistence.json", &json);
     std::fs::remove_dir_all(&dir).ok();
 
     // Loading a fitted model must beat retraining one by a wide margin —

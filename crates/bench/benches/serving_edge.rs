@@ -11,12 +11,13 @@
 //! variant (CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dquag_bench::harness::{fast_mode, median, write_bench_json};
 use dquag_core::{DquagConfig, ServingConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
 use dquag_tabular::csv;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -26,7 +27,8 @@ const WORKERS: usize = 4;
 
 fn fitted_validator(train_rows: usize) -> Box<dyn Validator> {
     let clean = KIND.generate_clean(train_rows, 7);
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &DquagConfig::fast());
+    let mut validator =
+        build_spec(&ValidatorSpec::backend("deequ-auto"), &DquagConfig::fast()).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }
@@ -98,13 +100,8 @@ fn client(addr: SocketAddr, payloads: &[String]) {
     }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
 fn bench_serving_edge(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let (train_rows, batch_rows, n_batches, scaled_conns, samples, rounds) = if fast {
         (400, 40, 32, 32, 2, 1)
     } else {
@@ -181,11 +178,7 @@ fn bench_serving_edge(c: &mut Criterion) {
          \"throughput_ratio_scaled_vs_baseline\": {ratio:.4},\n  \
          \"conns_per_server_thread\": {conns_per_thread:.1}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_serving.json", &json);
     if !fast {
         assert!(
             conns_per_thread >= 4.0,

@@ -6,12 +6,13 @@
 //! Set `DQUAG_BENCH_FAST=1` to run a seconds-scale smoke variant (CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dquag_bench::harness::fast_mode;
 use dquag_core::DquagConfig;
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
 use dquag_tabular::csv;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -22,13 +23,14 @@ const KIND: DatasetKind = DatasetKind::NyTaxi;
 /// ingestion path, not model inference.
 fn fitted_validator(train_rows: usize) -> Box<dyn Validator> {
     let clean = KIND.generate_clean(train_rows, 7);
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &DquagConfig::fast());
+    let mut validator =
+        build_spec(&ValidatorSpec::backend("deequ-auto"), &DquagConfig::fast()).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }
 
 fn bench_source_ingest(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let (train_rows, batch_rows, n_batches, samples) = if fast {
         (400, 60, 8, 2)
     } else {

@@ -11,6 +11,7 @@
 //! Set `DQUAG_BENCH_FAST=1` to run a seconds-scale smoke variant (CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dquag_bench::harness::fast_mode;
 use dquag_core::{DquagConfig, DquagValidator};
 use dquag_datagen::datasets::nytaxi;
 use dquag_gnn::ModelConfig;
@@ -32,7 +33,7 @@ fn quick_config() -> DquagConfig {
 }
 
 fn bench_streaming(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let (train_rows, batch_rows, n_batches, samples) = if fast {
         (500, 60, 6, 2)
     } else {

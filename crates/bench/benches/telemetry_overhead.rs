@@ -19,6 +19,7 @@
 //! instead of biasing whichever ran during a slow window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dquag_bench::harness::{fast_mode, median, write_bench_json};
 use dquag_core::{DquagConfig, DquagValidator};
 use dquag_datagen::datasets::nytaxi;
 use dquag_gnn::ModelConfig;
@@ -112,13 +113,8 @@ fn one_pass(
     total_rows as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
 fn bench_telemetry_overhead(c: &mut Criterion) {
-    let fast = std::env::var_os("DQUAG_BENCH_FAST").is_some();
+    let fast = fast_mode();
     let (train_rows, batch_rows, n_batches, samples, rounds) = if fast {
         (500, 60, 6, 2, 3)
     } else {
@@ -206,14 +202,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
          \"series_count\": {}\n}}\n",
         data.registry().series_count()
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_observability.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_bench_json("BENCH_observability.json", &json);
     if !fast {
         assert!(
             ratio >= 0.97,

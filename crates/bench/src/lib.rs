@@ -23,16 +23,23 @@
 //! closer to the paper's; the default `quick` scale exercises the same code
 //! paths in a few minutes on a laptop. `--smoke` shrinks everything further
 //! and is what the harness tests use.
+//!
+//! Every method is named by its validator-registry key and evaluated from a
+//! `ValidatorSpec` ([`methods`]); [`paper_specs`] lists the seven the paper
+//! compares, in its table order. The Criterion benches share [`harness`]
+//! for fast mode, medians and the `BENCH_*.json` writer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
+pub mod harness;
 pub mod methods;
 pub mod scale;
 
-pub use dquag_validate::ValidatorKind;
-pub use methods::{evaluate_method, evaluate_method_streaming, fit_validator, MethodResult};
+pub use methods::{
+    evaluate_method, evaluate_method_streaming, fit_spec, paper_specs, MethodResult,
+};
 pub use scale::Scale;
 
 /// Render a simple aligned text table.

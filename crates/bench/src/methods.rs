@@ -2,23 +2,34 @@
 //! protocol.
 //!
 //! All seven configurations (DQuaG plus the six baseline profiles) go through
-//! the same [`dquag_validate::Validator`] trait: build via
-//! [`build_validator`], fit on the clean reference data, judge every batch.
-//! There is no per-backend dispatch here — the unified API is the whole
-//! point.
+//! the same [`dquag_validate::Validator`] trait: build from a
+//! [`ValidatorSpec`] via [`dquag_validate::build_spec`], fit on the clean
+//! reference data, judge every batch. There is no per-backend dispatch here —
+//! the unified API is the whole point.
 
+use dquag_baselines::BaselineKind;
 use dquag_core::metrics::DetectionMetrics;
 use dquag_core::DquagConfig;
 use dquag_datagen::Batch;
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 
-/// Result of evaluating one validator kind on a set of labelled batches.
+/// The seven validators the paper evaluates, in its table order: the six
+/// baseline profiles ([`BaselineKind::ALL`]), then DQuaG.
+pub fn paper_specs() -> Vec<ValidatorSpec> {
+    BaselineKind::ALL
+        .iter()
+        .map(|kind| ValidatorSpec::backend(kind.key()))
+        .chain([ValidatorSpec::backend("dquag")])
+        .collect()
+}
+
+/// Result of evaluating one validator on a set of labelled batches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodResult {
-    /// Label of the evaluated validator.
-    pub method: &'static str,
+    /// Name of the evaluated validator.
+    pub method: String,
     /// Confusion-matrix metrics over the batches.
     pub metrics: DetectionMetrics,
 }
@@ -35,34 +46,20 @@ impl MethodResult {
     }
 }
 
-/// Build a validator of `kind` and fit it on the clean reference data.
+/// Build the validator a spec tree declares (through the default registry)
+/// and fit it on the clean reference data. Ensembles, drift detectors and
+/// gated pairs evaluate through the same batch protocol as any single
+/// backend.
 ///
 /// Experiments that evaluate one dataset under several error conditions fit
 /// expensive validators once and hand them back to [`evaluate_method`] as
 /// `prefitted` (the paper trains DQuaG once per dataset as well).
-pub fn fit_validator(
-    kind: ValidatorKind,
-    clean: &DataFrame,
-    config: &DquagConfig,
-) -> Box<dyn Validator> {
-    let mut validator = build_validator(kind, config);
-    validator
-        .fit(clean)
-        .expect("fitting on generated clean data succeeds");
-    validator
-}
-
-/// Build the validator a spec tree declares (through the default registry)
-/// and fit it on the clean reference data — [`fit_validator`] for the open
-/// spec world: ensembles, drift detectors and gated pairs evaluate through
-/// the same batch protocol as any single backend.
 pub fn fit_spec(
-    spec: &dquag_validate::ValidatorSpec,
+    spec: &ValidatorSpec,
     clean: &DataFrame,
     config: &DquagConfig,
 ) -> Box<dyn Validator> {
-    let mut validator =
-        dquag_validate::build_spec(spec, config).expect("spec resolves against the registry");
+    let mut validator = build_spec(spec, config).expect("spec resolves against the registry");
     validator
         .fit(clean)
         .expect("fitting on generated clean data succeeds");
@@ -86,38 +83,39 @@ pub fn evaluate_fitted(validator: &dyn Validator, batches: &[Batch]) -> Detectio
     DetectionMetrics::from_predictions(&predictions, &labels)
 }
 
-/// Evaluate one validator kind: fit on the clean reference data (or reuse
-/// `prefitted`, which must be a fitted validator of the same kind) and
-/// classify every batch.
+/// Evaluate one validator spec: fit on the clean reference data (or reuse
+/// `prefitted`, which must be a fitted validator built from the same spec)
+/// and classify every batch.
 pub fn evaluate_method(
-    kind: ValidatorKind,
+    spec: &ValidatorSpec,
     clean: &DataFrame,
     batches: &[Batch],
     prefitted: Option<&dyn Validator>,
     config: &DquagConfig,
 ) -> MethodResult {
-    if let Some(v) = prefitted {
-        assert_eq!(
-            v.name(),
-            kind.label(),
-            "prefitted validator must match the evaluated kind"
-        );
-    }
     let owned;
     let validator: &dyn Validator = match prefitted {
-        Some(v) => v,
+        Some(v) => {
+            let expected = build_spec(spec, config).expect("spec resolves against the registry");
+            assert_eq!(
+                v.name(),
+                expected.name(),
+                "prefitted validator must match the evaluated spec"
+            );
+            v
+        }
         None => {
-            owned = fit_validator(kind, clean, config);
+            owned = fit_spec(spec, clean, config);
             &*owned
         }
     };
     MethodResult {
-        method: kind.label(),
+        method: validator.name().to_string(),
         metrics: evaluate_fitted(validator, batches),
     }
 }
 
-/// Evaluate one validator kind by driving every batch through the streaming
+/// Evaluate one validator spec by driving every batch through the streaming
 /// engine instead of the caller's thread: a producer submits the batches
 /// while the engine shards them across `config.stream.replicas` fitted
 /// replicas, and the re-sequenced verdict stream yields the predictions in
@@ -128,12 +126,13 @@ pub fn evaluate_method(
 /// capacity are honoured. Results are identical to [`evaluate_method`] —
 /// sharding is an implementation detail the metrics cannot see.
 pub fn evaluate_method_streaming(
-    kind: ValidatorKind,
+    spec: &ValidatorSpec,
     clean: &DataFrame,
     batches: &[Batch],
     config: &DquagConfig,
 ) -> MethodResult {
-    let validator = fit_validator(kind, clean, config);
+    let validator = fit_spec(spec, clean, config);
+    let method = validator.name().to_string();
     let (engine, ingest, verdicts) = StreamEngine::builder()
         .replicas(config.stream.replicas)
         .queue_capacity(config.stream.queue_capacity)
@@ -164,7 +163,7 @@ pub fn evaluate_method_streaming(
     engine.shutdown();
 
     MethodResult {
-        method: kind.label(),
+        method,
         metrics: DetectionMetrics::from_predictions(&predictions, &labels),
     }
 }
@@ -177,8 +176,12 @@ mod tests {
 
     #[test]
     fn all_kinds_are_listed_with_dquag_last() {
-        assert_eq!(ValidatorKind::ALL.len(), 7);
-        assert_eq!(ValidatorKind::ALL.last().unwrap().label(), "DQuaG");
+        let specs = paper_specs();
+        assert_eq!(specs.len(), 7);
+        for (spec, kind) in specs.iter().zip(BaselineKind::ALL) {
+            assert_eq!(*spec, ValidatorSpec::backend(kind.key()));
+        }
+        assert_eq!(specs.last(), Some(&ValidatorSpec::backend("dquag")));
     }
 
     #[test]
@@ -194,7 +197,7 @@ mod tests {
         };
         let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
         let result = evaluate_method(
-            ValidatorKind::DeequExpert,
+            &ValidatorSpec::backend("deequ-expert"),
             &clean,
             &batches,
             None,
@@ -207,7 +210,7 @@ mod tests {
 
     #[test]
     fn spec_evaluation_agrees_with_the_kind_path_and_composes() {
-        use dquag_validate::{ValidatorSpec, Voting};
+        use dquag_validate::Voting;
         let clean = DatasetKind::CreditCard.generate_clean(600, 23);
         let dirty = DatasetKind::CreditCard.generate_dirty(600, 24);
         let mut rng = dquag_datagen::rng(25);
@@ -220,11 +223,13 @@ mod tests {
         let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
         let config = Scale::Smoke.dquag_config();
 
-        // A backend leaf scores exactly like its legacy-kind counterpart.
-        let via_spec = fit_spec(&ValidatorSpec::backend("gate"), &clean, &config);
+        // Fitting and scoring by hand agrees with `evaluate_method`.
+        let gate = ValidatorSpec::backend("gate");
+        let via_spec = fit_spec(&gate, &clean, &config);
         let leaf_metrics = evaluate_fitted(&*via_spec, &batches);
-        let kind_result = evaluate_method(ValidatorKind::Gate, &clean, &batches, None, &config);
-        assert_eq!(leaf_metrics, kind_result.metrics);
+        let result = evaluate_method(&gate, &clean, &batches, None, &config);
+        assert_eq!(result.method, "Gate");
+        assert_eq!(leaf_metrics, result.metrics);
 
         // A composite spec runs through the very same protocol.
         let ensemble = fit_spec(
@@ -257,15 +262,10 @@ mod tests {
         };
         let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
         let config = Scale::Smoke.dquag_config();
-        let fitted = fit_validator(ValidatorKind::Gate, &clean, &config);
-        let reused = evaluate_method(
-            ValidatorKind::Gate,
-            &clean,
-            &batches,
-            Some(&*fitted),
-            &config,
-        );
-        let fresh = evaluate_method(ValidatorKind::Gate, &clean, &batches, None, &config);
+        let gate = ValidatorSpec::backend("gate");
+        let fitted = fit_spec(&gate, &clean, &config);
+        let reused = evaluate_method(&gate, &clean, &batches, Some(&*fitted), &config);
+        let fresh = evaluate_method(&gate, &clean, &batches, None, &config);
         assert_eq!(
             reused.metrics, fresh.metrics,
             "reuse must not change results"
@@ -287,8 +287,9 @@ mod tests {
         let mut config = Scale::Smoke.dquag_config();
         config.stream.replicas = 3;
 
-        let direct = evaluate_method(ValidatorKind::Gate, &clean, &batches, None, &config);
-        let streamed = evaluate_method_streaming(ValidatorKind::Gate, &clean, &batches, &config);
+        let gate = ValidatorSpec::backend("gate");
+        let direct = evaluate_method(&gate, &clean, &batches, None, &config);
+        let streamed = evaluate_method_streaming(&gate, &clean, &batches, &config);
         assert_eq!(
             direct.metrics, streamed.metrics,
             "the sharded engine must reproduce the direct path exactly"
@@ -300,7 +301,13 @@ mod tests {
     fn mismatched_prefitted_validator_is_rejected() {
         let clean = DatasetKind::CreditCard.generate_clean(600, 7);
         let config = Scale::Smoke.dquag_config();
-        let fitted = fit_validator(ValidatorKind::Gate, &clean, &config);
-        evaluate_method(ValidatorKind::Adqv, &clean, &[], Some(&*fitted), &config);
+        let fitted = fit_spec(&ValidatorSpec::backend("gate"), &clean, &config);
+        evaluate_method(
+            &ValidatorSpec::backend("adqv"),
+            &clean,
+            &[],
+            Some(&*fitted),
+            &config,
+        );
     }
 }

@@ -433,7 +433,8 @@ pub struct DquagConfig {
     /// recorder, structured-log emitter) — consumed by `dquag-telemetry`.
     pub telemetry: TelemetryConfig,
     /// The validator this deployment runs, as a declarative
-    /// [`ValidatorSpec`] tree built by the `dquag-validate` registry. The
+    /// [`ValidatorSpec`](crate::spec::ValidatorSpec) tree built by the
+    /// `dquag-validate` registry. The
     /// default is the plain DQuaG backend; ensembles, drift detectors and
     /// gated pairs compose here without any code change.
     pub validator: crate::spec::ValidatorSpec,

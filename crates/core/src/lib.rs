@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod atomic_write;
 mod config;
 mod error;
 mod pipeline;
@@ -51,6 +52,7 @@ mod pipeline;
 pub mod metrics;
 pub mod spec;
 
+pub use atomic_write::write_atomic;
 pub use config::{
     BackpressurePolicy, CheckpointConfig, DquagConfig, DquagConfigBuilder, ServingConfig,
     SourceConfig, StreamConfig, TelemetryConfig,
@@ -63,6 +65,9 @@ pub use pipeline::{
 // Re-exported so layers above `dquag-core` (validate, stream, faults) can
 // match on health violations without depending on `dquag-gnn` directly.
 pub use dquag_gnn::{ActivationFault, HealthError};
+/// The workspace's one FNV-1a, re-exported for the model-file envelope in
+/// `dquag-persist`, which checksums its payload text with it.
+pub use dquag_tensor::{fnv1a, FNV_OFFSET};
 pub use spec::{
     BackendSpec, DriftSpec, DriftTest, EnsembleSpec, EscalateWhen, GatedSpec, ValidatorSpec, Voting,
 };

@@ -402,7 +402,7 @@ impl DquagValidator {
     }
 
     /// Cheap integrity probe: re-hash the live parameters against the
-    /// checksum captured at fit time. [`Err(CoreError::Health)`] means some
+    /// checksum captured at fit time. An `Err(`[`CoreError::Health`]`)` means some
     /// weight changed since fitting — the caller should stop trusting this
     /// replica and rebuild it from persisted state.
     pub fn health_check(&self) -> Result<()> {

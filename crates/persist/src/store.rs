@@ -33,6 +33,7 @@
 //!   a cold refit over a crash.
 
 use crate::error::PersistError;
+use dquag_core::{fnv1a, write_atomic, FNV_OFFSET};
 use dquag_validate::{rebuild_validator, PersistedValidatorState, Validator};
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -57,23 +58,12 @@ struct ModelEnvelope {
     payload: serde_json::Value,
 }
 
-/// FNV-1a 64-bit over a byte stream — the same hash family the tensor crate
-/// uses for parameter checksums, applied here to the payload JSON text.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Serialise a payload value and checksum it. One code path for save and
 /// load keeps the two sides byte-identical by construction.
 fn payload_json_and_checksum(payload: &serde_json::Value) -> (String, String) {
     let json = serde_json::to_string(payload)
         .expect("serde_json::Value serialisation is infallible for tree values");
-    let checksum = format!("{:016x}", fnv1a(json.as_bytes()));
+    let checksum = format!("{:016x}", fnv1a(FNV_OFFSET, json.as_bytes()));
     (json, checksum)
 }
 
@@ -95,24 +85,7 @@ pub fn save_model(path: &Path, state: &PersistedValidatorState) -> Result<()> {
     };
     let json = serde_json::to_string(&envelope.to_value())
         .expect("envelope serialisation is infallible for tree values");
-
-    static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)
-                .map_err(|e| PersistError::Io(format!("creating {}: {e}", parent.display())))?;
-        }
-    }
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    fs::write(&tmp, &json)
-        .map_err(|e| PersistError::Io(format!("writing {}: {e}", tmp.display())))?;
-    fs::rename(&tmp, path)
-        .map_err(|e| PersistError::Io(format!("renaming {} into place: {e}", tmp.display())))?;
-    Ok(())
+    write_atomic(path, json).map_err(|e| PersistError::Io(e.to_string()))
 }
 
 /// Save a fitted validator to `path`, or fail with
@@ -540,5 +513,22 @@ mod tests {
             other => panic!("kind mismatch must fail Corrupt, got {other:?}"),
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn envelope_checksum_of_a_fixed_payload_is_pinned() {
+        // FNV-1a 64 of the payload text, recorded before the envelope and
+        // the tensor checksums shared one FNV-1a: model files saved then
+        // must still verify.
+        let payload: serde_json::Value = serde_json::from_str(
+            r#"{"kind": "dquag", "threshold": 0.161, "weights": [0.5, -0.0, 1e-7, -3], "note": "ünï"}"#,
+        )
+        .unwrap();
+        let (json, checksum) = payload_json_and_checksum(&payload);
+        assert_eq!(
+            json,
+            r#"{"kind":"dquag","note":"ünï","threshold":0.161,"weights":[0.5,-0.0,0.0000001,-3]}"#
+        );
+        assert_eq!(checksum, "65caf3404f5a0ab7");
     }
 }

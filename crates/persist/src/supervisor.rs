@@ -80,7 +80,8 @@ pub enum RefitOutcome {
 }
 
 /// Watches drift verdicts and closes the loop: reservoir → background refit
-/// → persist → hot swap. See the [module docs](self) for the data flow.
+/// → persist → hot swap. The header of `supervisor.rs` walks through the
+/// data flow.
 ///
 /// At most one refit is in flight at a time; further drift during a refit is
 /// counted but cannot start a second one, and a completed refit resets the

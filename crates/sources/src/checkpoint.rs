@@ -2,7 +2,7 @@
 //! atomically as JSON and restored on startup.
 
 use crate::SourceError;
-use dquag_core::ValidatorSpec;
+use dquag_core::{write_atomic, ValidatorSpec};
 use dquag_stream::StreamStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -153,23 +153,7 @@ impl Checkpoint {
     /// then a rename moves it into place. Last rename wins, and the file at
     /// `path` is always a complete document.
     pub fn save(&self, path: &Path) -> Result<(), SourceError> {
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)
-                    .map_err(|e| SourceError::Checkpoint(format!("creating {parent:?}: {e}")))?;
-            }
-        }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, self.to_json())
-            .map_err(|e| SourceError::Checkpoint(format!("writing {tmp:?}: {e}")))?;
-        fs::rename(&tmp, path)
-            .map_err(|e| SourceError::Checkpoint(format!("renaming {tmp:?} into place: {e}")))?;
-        Ok(())
+        write_atomic(path, self.to_json()).map_err(|e| SourceError::Checkpoint(e.to_string()))
     }
 
     /// Load a checkpoint, erroring on unreadable or corrupt files. Use

@@ -175,6 +175,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_ndjson_is_a_decode_error() {
+        // Each `[` costs the JSON parser a stack frame; the nesting limit
+        // must turn this into an error long before the stack runs out.
+        let hostile = "[".repeat(100_000);
+        let err = decode_batch(WireFormat::Ndjson, hostile.as_bytes(), &schema()).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn csv_and_ndjson_payloads_decode_identically() {
         let csv_payload = b"age,city\r\n31,Paris\r\n,Lyon";
         let ndjson_payload =

@@ -3,11 +3,11 @@
 //! itself is the durable record of what has been ingested.
 
 use crate::source::{PollOutcome, Source, SourceError, SourceSink};
+use dquag_core::write_atomic;
 use dquag_stream::SubmitOutcome;
 use dquag_tabular::{csv, Schema};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Schema version of the inbox journal, bumped on incompatible change.
 const JOURNAL_VERSION: u32 = 1;
@@ -15,10 +15,6 @@ const JOURNAL_VERSION: u32 = 1;
 /// The journal's file name inside the inbox directory (not `*.csv`, so the
 /// drop scan never sees it).
 const JOURNAL_FILE: &str = "inbox.journal.json";
-
-/// Distinguishes concurrent journal writers' temp files (same discipline
-/// as `checkpoint.rs`).
-static JOURNAL_WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Watches an inbox directory for `*.csv` drops (the Deequ-style batch
 /// arrival model), decodes each via `dquag-tabular`, delivers it to the
@@ -328,9 +324,8 @@ impl InboxJournal {
         self.persist()
     }
 
-    /// Atomic write: serialise to a unique temp name in the same
-    /// directory, then rename over the journal. Readers only ever see the
-    /// old or the new snapshot, never a torn one.
+    /// Atomic write ([`write_atomic`]): readers only ever see the old or
+    /// the new snapshot, never a torn one.
     fn persist(&self) -> Result<(), SourceError> {
         let state = JournalState {
             version: JOURNAL_VERSION,
@@ -338,15 +333,8 @@ impl InboxJournal {
         };
         let json = serde_json::to_string_pretty(&state)
             .map_err(|e| SourceError::Io(format!("encoding inbox journal: {e}")))?;
-        let tmp = self.path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            JOURNAL_WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, json)
-            .map_err(|e| SourceError::Io(format!("writing inbox journal {tmp:?}: {e}")))?;
-        fs::rename(&tmp, &self.path)
-            .map_err(|e| SourceError::Io(format!("publishing inbox journal {:?}: {e}", self.path)))
+        write_atomic(&self.path, json)
+            .map_err(|e| SourceError::Io(format!("publishing inbox journal: {e}")))
     }
 }
 
@@ -356,11 +344,7 @@ mod tests {
 
     #[test]
     fn journal_round_trips_and_sweeps() {
-        let dir = std::env::temp_dir().join(format!(
-            "dquag-journal-test-{}-{}",
-            std::process::id(),
-            JOURNAL_WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir = std::env::temp_dir().join(format!("dquag-journal-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
 
         let mut journal = InboxJournal::load(&dir).unwrap();

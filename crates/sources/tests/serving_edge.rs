@@ -11,7 +11,7 @@ use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, VerdictStream};
 use dquag_tabular::csv;
 use dquag_telemetry::{Telemetry, TelemetryOptions};
-use dquag_validate::{build_validator, Validator, ValidatorKind};
+use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ const KIND: DatasetKind = DatasetKind::HotelBooking;
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 11);
     let config = DquagConfig::fast();
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("deequ-auto"), &config).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }
@@ -356,6 +356,53 @@ fn malformed_content_length_is_a_400_naming_the_value() {
     runtime.shutdown().expect("runtime drains");
     let items: Vec<_> = verdicts.collect();
     assert!(items.is_empty(), "nothing reached the engine");
+    engine.shutdown();
+}
+
+#[test]
+fn deeply_nested_ndjson_gets_an_error_reply_and_serving_continues() {
+    // 100 000 `[` is 100 KB, far under the frame cap. Without a nesting
+    // limit the JSON parser recursed once per bracket and overflowed the
+    // stack, aborting the whole process.
+    let hostile = "[".repeat(100_000);
+    let valid = csv::to_csv_string(&KIND.generate_clean(20, 102));
+    let (_telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
+
+    // HTTP: a 400 naming the parse error, and the kept-alive socket still
+    // serves the next request.
+    let mut stream = connect(addr);
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let request = format!(
+        "POST /ingest HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\r\n{hostile}",
+        hostile.len()
+    );
+    let (head, body) = http_exchange(&mut stream, &mut reader, &request);
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    assert!(body.contains("recursion limit exceeded"), "{body}");
+    let (head, _) = http_exchange(&mut stream, &mut reader, &post_ingest_keep_alive(&valid));
+    assert!(head.starts_with("HTTP/1.1 202"), "{head}");
+    drop(stream);
+
+    // Raw protocol: an ERR line, then the same connection takes a batch.
+    let mut raw = connect(addr);
+    raw.write_all(format!("BATCH ndjson {}\n{hostile}", hostile.len()).as_bytes())
+        .expect("write");
+    let reply = read_reply_line(&mut raw);
+    assert!(reply.starts_with("ERR "), "{reply}");
+    assert!(reply.contains("recursion limit exceeded"), "{reply}");
+    raw.write_all(format!("BATCH csv {}\n{valid}", valid.len()).as_bytes())
+        .expect("write");
+    let reply = read_reply_line(&mut raw);
+    assert!(reply.starts_with("ACK "), "{reply}");
+    drop(raw);
+
+    runtime.shutdown().expect("runtime drains");
+    let items: Vec<_> = verdicts.collect();
+    assert_eq!(
+        items.len(),
+        2,
+        "only the well-formed batches reached the engine"
+    );
     engine.shutdown();
 }
 

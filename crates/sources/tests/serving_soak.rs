@@ -14,7 +14,7 @@ use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
 use dquag_tabular::csv;
 use dquag_telemetry::{Telemetry, TelemetryOptions};
-use dquag_validate::{build_validator, Validator, ValidatorKind, Verdict};
+use dquag_validate::{build_spec, Validator, ValidatorSpec, Verdict};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -31,7 +31,7 @@ const BATCHES_PER_CLIENT: usize = 16;
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 11);
     let config = DquagConfig::fast();
-    let mut validator = build_validator(ValidatorKind::DeequAuto, &config);
+    let mut validator = build_spec(&ValidatorSpec::backend("deequ-auto"), &config).unwrap();
     validator.fit(&clean).expect("fitting succeeds");
     validator
 }

@@ -51,13 +51,13 @@
 //! ```no_run
 //! use dquag_core::{BackpressurePolicy, DquagConfig};
 //! use dquag_stream::StreamEngine;
-//! use dquag_validate::{build_validator, ValidatorKind};
+//! use dquag_validate::build_spec;
 //! use std::time::Duration;
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //! # fn next_batch() -> dquag_tabular::DataFrame { unimplemented!() }
 //!
 //! let config = DquagConfig::builder().epochs(15).build().unwrap();
-//! let mut validator = build_validator(ValidatorKind::Dquag, &config);
+//! let mut validator = build_spec(&config.validator, &config).unwrap();
 //! validator.fit(&get_clean()).unwrap();
 //!
 //! let (engine, ingest, verdicts) = StreamEngine::builder()

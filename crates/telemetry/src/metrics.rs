@@ -234,7 +234,7 @@ struct Family {
 
 /// The process-wide registry every subsystem registers its series into.
 ///
-/// See the [module docs](self) for the locking story. Rendering walks the
+/// The header of `metrics.rs` tells the locking story. Rendering walks the
 /// registry under the registration mutex but only reads atomics, so a scrape
 /// never stalls a recording hot path.
 #[derive(Default)]

@@ -49,7 +49,7 @@ pub mod persist;
 
 pub use error::TensorError;
 pub use matrix::Matrix;
-pub use persist::{matrix_checksum, params_checksum};
+pub use persist::{fnv1a, matrix_checksum, params_checksum, FNV_OFFSET};
 pub use simd::{
     finite_guard_enabled, kernel_mode, set_finite_guard, set_kernel_mode, take_finite_guard_trip,
     GuardTrip, KernelMode,

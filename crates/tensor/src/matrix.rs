@@ -209,7 +209,7 @@ impl Matrix {
     // ------------------------------------------------------------------
 
     /// Matrix product `self · rhs`, through the runtime-dispatched kernel in
-    /// [`crate::simd`] (AVX2+FMA register tiles when the CPU has them, the
+    /// the `simd` module (AVX2+FMA register tiles when the CPU has them, the
     /// portable i-k-j loop otherwise).
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
@@ -708,7 +708,7 @@ impl Matrix {
 
     /// Row-wise softmax (each row sums to one). Numerically stabilised by
     /// subtracting the row maximum before exponentiation; the exponential is
-    /// [`fast_exp`] (≈1e-7 relative accuracy), which roughly halves softmax
+    /// `fast_exp` (≈1e-7 relative accuracy), which roughly halves softmax
     /// cost on the attention hot path.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();

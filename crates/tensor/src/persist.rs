@@ -9,7 +9,9 @@
 //! The same module provides the FNV-1a checksum the persisted-model format
 //! uses to fail closed on corrupted or hand-edited parameter files: the
 //! checksum covers each matrix's shape and the raw bit pattern of every
-//! element, so any single-bit flip in a weight changes it.
+//! element, so any single-bit flip in a weight changes it. The byte-wise
+//! [`fnv1a`] it folds with is the workspace's one FNV-1a; the model-file
+//! envelope in `dquag-persist` hashes its payload text with it too.
 
 use crate::Matrix;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -48,13 +50,16 @@ impl Deserialize for Matrix {
     }
 }
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+/// FNV-1a offset basis (64-bit): the state a fresh [`fnv1a`] hash starts
+/// from.
+pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x00000100000001b3;
 
-/// Fold a byte slice into a running FNV-1a hash.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Fold a byte slice into a running FNV-1a 64-bit hash. Start from
+/// [`FNV_OFFSET`]; `fnv1a(FNV_OFFSET, bytes)` is the textbook hash of
+/// `bytes`.
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);

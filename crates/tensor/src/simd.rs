@@ -63,7 +63,7 @@ pub struct GuardTrip {
 
 /// Enable or disable the kernel-epilogue finite guard (process-wide).
 ///
-/// When enabled, every product routed through [`dispatch`] scans its output
+/// When enabled, every product routed through the kernel dispatcher scans its output
 /// for NaN/Inf after the kernel returns and latches the first violation into
 /// a thread-local [`GuardTrip`]. The scan is `O(n·d)` against the kernel's
 /// `O(n·k·d)` work, so the cost is a small fraction of the product itself.

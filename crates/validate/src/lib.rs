@@ -17,8 +17,7 @@
 //!   named backend builders and a declarative, serde-round-trippable spec
 //!   tree: `Backend` leaves compose under `Ensemble` voting, `Drift`
 //!   detection and `Gated` escalation nodes, and downstream code
-//!   [`register`]s custom backends without touching this crate (the legacy
-//!   closed [`ValidatorKind`] + [`build_validator`] shim lowers onto it);
+//!   [`register`]s custom backends without touching this crate;
 //! * [`DriftValidator`] — a KS/PSI drift-detector backend: per-column
 //!   empirical-CDF and population-stability tests against the fitted
 //!   reference;
@@ -36,13 +35,13 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use dquag_validate::{build_validator, ValidationSession, ValidatorKind};
+//! use dquag_validate::{build_spec, ValidationSession, ValidatorSpec};
 //! use dquag_core::DquagConfig;
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //! # fn get_batches() -> Vec<dquag_tabular::DataFrame> { unimplemented!() }
 //!
 //! let config = DquagConfig::builder().epochs(15).build().unwrap();
-//! let validator = build_validator(ValidatorKind::Dquag, &config);
+//! let validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
 //! let mut session = ValidationSession::fit(validator, &get_clean())
 //!     .unwrap()
 //!     .with_threads(config.validation_threads);
@@ -72,9 +71,7 @@ pub use persist_state::{
     rebuild_validator, CategoricalProfileState, CategoryProportion, DriftColumnState, DriftState,
     EnsembleState, GatedState, NumericProfileState, PersistedValidatorState,
 };
-pub use registry::{
-    build_spec, build_validator, default_registry, BackendBuilder, ValidatorKind, ValidatorRegistry,
-};
+pub use registry::{build_spec, default_registry, BackendBuilder, ValidatorRegistry};
 pub use session::{SessionSummary, ValidationSession};
 pub use spec::{
     BackendSpec, DriftSpec, DriftTest, EnsembleSpec, EscalateWhen, GatedSpec, ValidatorSpec, Voting,

@@ -1,5 +1,4 @@
-//! The open backend registry: named builders, spec-tree construction, and
-//! the legacy [`ValidatorKind`] shim.
+//! The open backend registry: named builders and spec-tree construction.
 //!
 //! A [`ValidatorRegistry`] maps backend names to builder closures and turns
 //! declarative [`ValidatorSpec`] trees into boxed [`Validator`]s:
@@ -34,10 +33,8 @@ use crate::{Result, ValidateError, Validator};
 use dquag_baselines::BaselineKind;
 use dquag_core::spec::{normalize_backend_name, BackendSpec, DriftSpec, ValidatorSpec};
 use dquag_core::DquagConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 /// A builder closure turning a backend leaf plus the deployment
@@ -79,7 +76,7 @@ impl ValidatorRegistry {
         let mut registry = Self::new();
         registry.register("dquag", build_dquag);
         for kind in BaselineKind::ALL {
-            registry.register(baseline_key(kind), move |spec, _config| {
+            registry.register(kind.key(), move |spec, _config| {
                 reject_params(spec)?;
                 Ok(Box::new(BaselineBackend::new(kind)))
             });
@@ -159,11 +156,6 @@ impl ValidatorRegistry {
         }
     }
 
-    /// Build the validator a configuration declares (`config.validator`).
-    pub fn build_from_config(&self, config: &DquagConfig) -> Result<Box<dyn Validator>> {
-        self.build(&config.validator, config)
-    }
-
     fn unknown_backend(&self, name: &str) -> ValidateError {
         ValidateError::InvalidConfig(format!(
             "unknown validator backend `{name}`; registered backends: {}",
@@ -187,7 +179,7 @@ impl fmt::Debug for ValidatorRegistry {
 }
 
 /// The process-wide default registry (the paper backends plus `drift`),
-/// used by [`build_spec`] and the [`ValidatorKind`] shim.
+/// used by [`build_spec`].
 ///
 /// The default registry is immutable by design — process-global mutable
 /// state would make two deployments in one process fight over names. Code
@@ -207,9 +199,8 @@ pub fn build_spec(spec: &ValidatorSpec, config: &DquagConfig) -> Result<Box<dyn 
 /// configuration fields, and the amended configuration is range-checked.
 ///
 /// A leaf with *no* params adopts the caller's configuration as-is, without
-/// re-validating it — hand-assembled configurations behaved that way under
-/// the PR 1 factory (problems surface at `fit`, not at construction), and
-/// the infallible [`build_validator`] shim relies on it.
+/// re-validating it: a hand-assembled configuration surfaces its problems
+/// at `fit`, not at construction.
 fn build_dquag(spec: &BackendSpec, config: &DquagConfig) -> Result<Box<dyn Validator>> {
     if spec.params.is_empty() {
         return Ok(Box::new(DquagBackend::new(config.clone())));
@@ -288,168 +279,26 @@ fn param_usize(key: &str, value: f64) -> Result<usize> {
     Ok(value as usize)
 }
 
-/// Registry key for a baseline configuration.
-fn baseline_key(kind: BaselineKind) -> &'static str {
-    match kind {
-        BaselineKind::DeequAuto => "deequ-auto",
-        BaselineKind::DeequExpert => "deequ-expert",
-        BaselineKind::TfdvAuto => "tfdv-auto",
-        BaselineKind::TfdvExpert => "tfdv-expert",
-        BaselineKind::Adqv => "adqv",
-        BaselineKind::Gate => "gate",
-    }
-}
-
-/// Every validator configuration the paper evaluates.
-///
-/// **Deprecated shim**: the closed enum predates the open
-/// [`ValidatorRegistry`]; new code should build a [`ValidatorSpec`] instead
-/// (every variant lowers to a `Backend` leaf via
-/// `ValidatorSpec::from(kind)`). It stays for the paper-table call sites —
-/// iterating [`ValidatorKind::ALL`] in a fixed order is genuinely handy for
-/// experiments — and keeps PR 1–4 code compiling unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ValidatorKind {
-    /// Deequ with automatically suggested constraints.
-    DeequAuto,
-    /// Deequ with expert-tuned constraints.
-    DeequExpert,
-    /// TFDV with the inferred schema as-is.
-    TfdvAuto,
-    /// TFDV with an expert-tuned schema.
-    TfdvExpert,
-    /// ADQV's kNN-over-batch-statistics approach.
-    Adqv,
-    /// Gate's learned statistical tests.
-    Gate,
-    /// The paper's contribution: the DQuaG GNN pipeline.
-    Dquag,
-}
-
-impl ValidatorKind {
-    /// All kinds in the order the paper's tables list them: baselines first,
-    /// DQuaG last.
-    pub const ALL: [ValidatorKind; 7] = [
-        ValidatorKind::DeequAuto,
-        ValidatorKind::DeequExpert,
-        ValidatorKind::TfdvAuto,
-        ValidatorKind::TfdvExpert,
-        ValidatorKind::Adqv,
-        ValidatorKind::Gate,
-        ValidatorKind::Dquag,
-    ];
-
-    /// The display label used in experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ValidatorKind::Dquag => "DQuaG",
-            ValidatorKind::DeequAuto => "Deequ auto",
-            ValidatorKind::DeequExpert => "Deequ expert",
-            ValidatorKind::TfdvAuto => "TFDV auto",
-            ValidatorKind::TfdvExpert => "TFDV expert",
-            ValidatorKind::Adqv => "ADQV",
-            ValidatorKind::Gate => "Gate",
-        }
-    }
-
-    /// The canonical registry key this kind lowers to.
-    pub fn key(&self) -> &'static str {
-        match self {
-            ValidatorKind::Dquag => "dquag",
-            ValidatorKind::DeequAuto => "deequ-auto",
-            ValidatorKind::DeequExpert => "deequ-expert",
-            ValidatorKind::TfdvAuto => "tfdv-auto",
-            ValidatorKind::TfdvExpert => "tfdv-expert",
-            ValidatorKind::Adqv => "adqv",
-            ValidatorKind::Gate => "gate",
-        }
-    }
-
-    /// The underlying baseline configuration, for every kind but DQuaG.
-    pub fn baseline(&self) -> Option<BaselineKind> {
-        match self {
-            ValidatorKind::Dquag => None,
-            ValidatorKind::DeequAuto => Some(BaselineKind::DeequAuto),
-            ValidatorKind::DeequExpert => Some(BaselineKind::DeequExpert),
-            ValidatorKind::TfdvAuto => Some(BaselineKind::TfdvAuto),
-            ValidatorKind::TfdvExpert => Some(BaselineKind::TfdvExpert),
-            ValidatorKind::Adqv => Some(BaselineKind::Adqv),
-            ValidatorKind::Gate => Some(BaselineKind::Gate),
-        }
-    }
-}
-
-impl fmt::Display for ValidatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for ValidatorKind {
-    type Err = ValidateError;
-
-    /// Parse a display label or a compact CLI spelling (`dquag`,
-    /// `deequ-auto`, `tfdv_expert`, `gate`, …), case-insensitively. A miss
-    /// is a [`ValidateError::InvalidConfig`] listing the parseable kinds
-    /// and the registered backend names.
-    fn from_str(s: &str) -> Result<Self> {
-        let normalised = normalize_backend_name(s);
-        ValidatorKind::ALL
-            .into_iter()
-            .find(|kind| {
-                normalize_backend_name(kind.label()) == normalised
-                    || normalize_backend_name(kind.key()) == normalised
-            })
-            .ok_or_else(|| {
-                // Registry-only backends (`drift`, custom registrations) are
-                // deliberately listed apart: they are real names, but this
-                // legacy parser cannot produce them — they need a
-                // `ValidatorSpec`.
-                let kinds: Vec<&str> = ValidatorKind::ALL.iter().map(|k| k.key()).collect();
-                ValidateError::InvalidConfig(format!(
-                    "unknown validator kind `{s}`; known kinds: {}. Other registered \
-                     backends ({}) are reachable through a ValidatorSpec, not a kind",
-                    kinds.join(", "),
-                    default_registry().names().join(", ")
-                ))
-            })
-    }
-}
-
-/// Construct an unfitted validator of the given kind.
-///
-/// **Deprecated shim** over the open registry: lowers `kind` to its
-/// [`ValidatorSpec::Backend`] leaf and builds it through
-/// [`default_registry`]. New code should carry a [`ValidatorSpec`] and call
-/// [`build_spec`] (or own a [`ValidatorRegistry`]) instead.
-///
-/// `config` parameterises the DQuaG backend (epochs, architecture, threshold
-/// percentile, …); the baselines are self-configuring and ignore it. Every
-/// backend comes back behind the same `Box<dyn Validator>`, so callers fit
-/// and validate uniformly:
-///
-/// ```no_run
-/// # use dquag_validate::{build_validator, ValidatorKind};
-/// # use dquag_core::DquagConfig;
-/// # let clean = unimplemented!();
-/// for kind in ValidatorKind::ALL {
-///     let mut validator = build_validator(kind, &DquagConfig::default());
-///     validator.fit(&clean).unwrap();
-/// }
-/// ```
-pub fn build_validator(kind: ValidatorKind, config: &DquagConfig) -> Box<dyn Validator> {
-    default_registry()
-        .build(&ValidatorSpec::from(kind), config)
-        .expect("built-in kinds always resolve and carry no params")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn labels_match_paper_order() {
-        let labels: Vec<&str> = ValidatorKind::ALL.iter().map(|k| k.label()).collect();
+        let config = DquagConfig::fast();
+        // The paper's table order: the baselines, then DQuaG.
+        let keys = BaselineKind::ALL
+            .iter()
+            .map(BaselineKind::key)
+            .chain(["dquag"]);
+        let labels: Vec<String> = keys
+            .map(|key| {
+                build_spec(&ValidatorSpec::backend(key), &config)
+                    .unwrap()
+                    .name()
+                    .to_string()
+            })
+            .collect();
         assert_eq!(
             labels,
             vec![
@@ -466,79 +315,17 @@ mod tests {
 
     #[test]
     fn every_kind_builds_its_backend() {
-        for kind in ValidatorKind::ALL {
-            let validator = build_validator(kind, &dquag_core::DquagConfig::fast());
+        let config = DquagConfig::fast();
+        for kind in BaselineKind::ALL {
+            let validator = build_spec(&ValidatorSpec::backend(kind.key()), &config).unwrap();
             assert_eq!(validator.name(), kind.label());
             let caps = validator.capabilities();
-            assert_eq!(caps.cell_flags, kind == ValidatorKind::Dquag);
-            assert_eq!(caps.repair, kind == ValidatorKind::Dquag);
+            assert!(!caps.cell_flags && !caps.repair, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn kind_parsing_accepts_labels_and_cli_spellings() {
-        assert_eq!(
-            "DQuaG".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::Dquag
-        );
-        assert_eq!(
-            "dquag".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::Dquag
-        );
-        assert_eq!(
-            "deequ-auto".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::DeequAuto
-        );
-        assert_eq!(
-            "tfdv_expert".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::TfdvExpert
-        );
-        assert_eq!(
-            "GATE".parse::<ValidatorKind>().unwrap(),
-            ValidatorKind::Gate
-        );
-    }
-
-    #[test]
-    fn kind_parse_miss_lists_registered_backends() {
-        match "nope".parse::<ValidatorKind>() {
-            Err(ValidateError::InvalidConfig(msg)) => {
-                assert!(msg.contains("`nope`"), "got `{msg}`");
-                for name in ["dquag", "deequ-auto", "gate", "drift"] {
-                    assert!(msg.contains(name), "missing `{name}` in `{msg}`");
-                }
-            }
-            other => panic!("parse miss must be InvalidConfig, got {other:?}"),
-        }
-
-        // A registry-only backend name is a miss for the legacy parser, and
-        // the message must not present it as a retry candidate.
-        match "drift".parse::<ValidatorKind>() {
-            Err(ValidateError::InvalidConfig(msg)) => {
-                assert!(msg.contains("ValidatorSpec"), "got `{msg}`");
-                let kinds = msg
-                    .split("known kinds:")
-                    .nth(1)
-                    .and_then(|rest| rest.split('.').next())
-                    .expect("message names the known kinds");
-                assert!(!kinds.contains("drift"), "got `{msg}`");
-            }
-            other => panic!("`drift` is not a kind, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn kind_serde_round_trips() {
-        for kind in ValidatorKind::ALL {
-            let json = serde_json::to_string(&kind).unwrap();
-            let back: ValidatorKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(kind, back);
-        }
-    }
-
-    #[test]
-    fn display_matches_label() {
-        assert_eq!(ValidatorKind::Adqv.to_string(), "ADQV");
+        let dquag = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
+        assert_eq!(dquag.name(), "DQuaG");
+        let caps = dquag.capabilities();
+        assert!(caps.cell_flags && caps.repair);
     }
 
     #[test]
@@ -642,13 +429,13 @@ mod tests {
 
     #[test]
     fn build_validator_stays_infallible_on_hand_assembled_configs() {
-        // Regression: the PR 1 factory never failed at construction — bad
-        // configurations surfaced at `fit`. A param-free `dquag` leaf must
-        // keep that contract (the shim `expect`s on it), even when the
-        // caller hand-assembled an out-of-range configuration.
+        // A param-free `dquag` leaf takes the caller's configuration without
+        // validating it, even an out-of-range hand-assembled one: problems
+        // surface at `fit`, not at construction.
         let mut config = DquagConfig::fast();
         config.epochs = 0;
-        let validator = build_validator(ValidatorKind::Dquag, &config);
+        let validator = build_spec(&ValidatorSpec::backend("dquag"), &config)
+            .expect("a param-free leaf adopts the config as-is");
         assert_eq!(validator.name(), "DQuaG");
     }
 
@@ -664,15 +451,5 @@ mod tests {
 
         let bad = ValidatorSpec::backend_with("drift", [("bins".to_string(), 1.0)]);
         assert!(default_registry().build(&bad, &config).is_err());
-    }
-
-    #[test]
-    fn build_from_config_uses_the_declared_spec() {
-        let config = DquagConfig::builder()
-            .validator_spec(ValidatorSpec::drift())
-            .build()
-            .unwrap();
-        let built = default_registry().build_from_config(&config).unwrap();
-        assert_eq!(built.name(), "KS/PSI drift");
     }
 }

@@ -1,7 +1,7 @@
 //! [`ValidationSession`]: a fitted validator plus a stream of incoming
 //! batches.
 
-use crate::{build_validator, FitReport, Result, Validator, ValidatorKind, Verdict};
+use crate::{build_spec, FitReport, Result, Validator, Verdict};
 use dquag_core::DquagConfig;
 use dquag_tabular::DataFrame;
 use serde::{Deserialize, Serialize};
@@ -51,19 +51,20 @@ impl ValidationSession {
         }
     }
 
-    /// Build, fit and wrap a validator of `kind` in one call, honouring
+    /// Build the validator `config.validator` declares (`dquag` by
+    /// default), fit it and wrap it in one call, honouring
     /// `config.validation_threads` for bulk validation.
     ///
     /// Batch-level fan-out lives in the session, so the backend itself is
     /// built with a sequential row path — otherwise a parallel DQuaG backend
     /// under a parallel session would spawn `threads²` workers.
-    pub fn train(kind: ValidatorKind, config: &DquagConfig, clean: &DataFrame) -> Result<Self> {
+    pub fn train(config: &DquagConfig, clean: &DataFrame) -> Result<Self> {
         let mut backend_config = config.clone();
         if config.validation_threads > 1 {
             backend_config.validation_threads = 1;
         }
-        Ok(Self::fit(build_validator(kind, &backend_config), clean)?
-            .with_threads(config.validation_threads))
+        let validator = build_spec(&config.validator, &backend_config)?;
+        Ok(Self::fit(validator, clean)?.with_threads(config.validation_threads))
     }
 
     /// Use up to `threads` worker threads for bulk validation (`0` and `1`

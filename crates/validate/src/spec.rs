@@ -1,50 +1,13 @@
 //! Spec-tree construction helpers: re-exports of the `dquag-core` data
-//! model plus the [`ValidatorKind`] lowering.
+//! model.
 //!
 //! The [`ValidatorSpec`] *data model* lives in `dquag-core` so it can embed
 //! in `DquagConfig` and in source-layer checkpoints without a dependency
 //! cycle; this module is the `dquag-validate`-side front door. Everything a
 //! caller needs to author a spec — node types, voting policies, drift tests
-//! — is re-exported here, and the legacy closed [`ValidatorKind`] lowers
-//! into the open world via `From`.
+//! — is re-exported here.
 
 pub use dquag_core::spec::{
     normalize_backend_name, BackendSpec, DriftSpec, DriftTest, EnsembleSpec, EscalateWhen,
     GatedSpec, ValidatorSpec, Voting,
 };
-
-use crate::registry::ValidatorKind;
-
-/// Every legacy kind is exactly a backend leaf with no params — the shim
-/// that lets PR 1–4 call sites ride the open registry unchanged.
-impl From<ValidatorKind> for ValidatorSpec {
-    fn from(kind: ValidatorKind) -> Self {
-        ValidatorSpec::backend(kind.key())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_kind_lowers_to_its_backend_leaf() {
-        for kind in ValidatorKind::ALL {
-            let spec = ValidatorSpec::from(kind);
-            assert_eq!(spec, ValidatorSpec::backend(kind.key()));
-            spec.validated().expect("lowered specs are valid");
-        }
-    }
-
-    #[test]
-    fn lowered_specs_build_the_same_backend_as_the_legacy_factory() {
-        let config = dquag_core::DquagConfig::fast();
-        for kind in ValidatorKind::ALL {
-            let via_spec = crate::build_spec(&ValidatorSpec::from(kind), &config)
-                .expect("lowered spec builds");
-            let via_kind = crate::build_validator(kind, &config);
-            assert_eq!(via_spec.name(), via_kind.name());
-            assert_eq!(via_spec.capabilities(), via_kind.capabilities());
-        }
-    }
-}

@@ -75,8 +75,8 @@ impl From<CoreError> for ValidateError {
 /// same question — "is this incoming batch dirty?" — with different amounts
 /// of detail. This trait is the single seam they plug into: benches,
 /// examples, the [`crate::ValidationSession`] and future backends all program
-/// against `dyn Validator` and construct instances through
-/// [`crate::build_validator`].
+/// against `dyn Validator` and construct instances from a
+/// [`crate::ValidatorSpec`] through [`crate::build_spec`].
 ///
 /// Implementations must be `Send + Sync`: a fitted validator is immutable
 /// during validation, and the session fans batches out across threads.

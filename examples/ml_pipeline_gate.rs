@@ -14,7 +14,7 @@
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_hidden, inject_ordinary, DatasetKind, HiddenError, OrdinaryError};
 use dquag::tabular::DataFrame;
-use dquag::validate::{ValidationSession, ValidatorKind};
+use dquag::validate::ValidationSession;
 
 enum GateDecision {
     Admit,
@@ -49,8 +49,7 @@ fn main() {
 
     // One session owns the fitted validator for the whole week; its history
     // doubles as the gate's audit log.
-    let mut session =
-        ValidationSession::train(ValidatorKind::Dquag, &config, &clean).expect("training");
+    let mut session = ValidationSession::train(&config, &clean).expect("training");
 
     // Seven "daily" batches with different quality problems.
     let mut rng = dquag::datagen::rng(33);

@@ -18,7 +18,7 @@ use dquag::sources::{Checkpoint, DirWatcherSource, NetListenerSource, SourceRunt
 use dquag::stream::StreamEngine;
 use dquag::tabular::csv;
 use dquag::tabular::DataFrame;
-use dquag::validate::{build_validator, ValidatorKind};
+use dquag::validate::build_spec;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -71,7 +71,7 @@ fn main() {
         .build()
         .expect("configuration in range");
 
-    let mut validator = build_validator(ValidatorKind::Dquag, &config);
+    let mut validator = build_spec(&config.validator, &config).expect("DQuaG by default");
     let fit = validator.fit(&clean).expect("training succeeds");
     println!("fitted {} on {} rows", fit.validator, fit.n_rows);
 

@@ -16,7 +16,7 @@ use dquag::core::{BackpressurePolicy, DquagConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag::stream::StreamEngine;
 use dquag::tabular::DataFrame;
-use dquag::validate::{build_validator, ValidatorKind};
+use dquag::validate::build_spec;
 use std::time::Duration;
 
 const N_BATCHES: usize = 10;
@@ -63,7 +63,7 @@ fn main() {
         .build()
         .expect("configuration in range");
 
-    let mut validator = build_validator(ValidatorKind::Dquag, &config);
+    let mut validator = build_spec(&config.validator, &config).expect("DQuaG by default");
     let fit = validator.fit(&clean).expect("training succeeds");
     println!(
         "fitted {} on {} rows ({})",

@@ -46,7 +46,7 @@
 //! ```no_run
 //! use dquag::core::DquagConfig;
 //! use dquag::datagen::DatasetKind;
-//! use dquag::validate::{ValidationSession, ValidatorKind};
+//! use dquag::validate::ValidationSession;
 //!
 //! let clean = DatasetKind::CreditCard.generate_clean(5_000, 7);
 //! let config = DquagConfig::builder()
@@ -55,7 +55,8 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let mut session = ValidationSession::train(ValidatorKind::Dquag, &config, &clean).unwrap();
+//! // Builds and fits what `config.validator` declares: DQuaG by default.
+//! let mut session = ValidationSession::train(&config, &clean).unwrap();
 //! let incoming = DatasetKind::CreditCard.generate_dirty(1_000, 8);
 //! let verdict = session.push_batch(&incoming).unwrap();
 //! println!("dirty: {} ({:.1}% of instances flagged)", verdict.is_dirty, 100.0 * verdict.score);

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full DQuaG pipeline against the
 //! generated evaluation datasets and the baseline validators.
 
+use dquag::baselines::BaselineKind;
 use dquag::core::metrics::DetectionMetrics;
 use dquag::core::{DquagConfig, DquagValidator};
 use dquag::datagen::{
@@ -8,7 +9,7 @@ use dquag::datagen::{
     OrdinaryError,
 };
 use dquag::gnn::ModelConfig;
-use dquag::validate::{build_validator, ValidationSession, ValidatorKind};
+use dquag::validate::{build_spec, ValidationSession, ValidatorSpec};
 
 /// A small-but-real pipeline configuration used across these tests.
 fn test_config() -> DquagConfig {
@@ -125,8 +126,9 @@ fn dquag_beats_expert_rules_on_hidden_conflicts() {
     );
 
     // Expert-tuned Deequ and TFDV pass the conflicted batch…
-    for kind in [ValidatorKind::DeequExpert, ValidatorKind::TfdvExpert] {
-        let mut validator = build_validator(kind, &test_config());
+    for kind in [BaselineKind::DeequExpert, BaselineKind::TfdvExpert] {
+        let mut validator =
+            build_spec(&ValidatorSpec::backend(kind.key()), &test_config()).unwrap();
         validator.fit(&clean).expect("baseline fitting succeeds");
         assert!(
             !validator
@@ -222,18 +224,26 @@ fn all_validator_kinds_share_the_batch_protocol() {
     let labels: Vec<bool> = batches.iter().map(|b| b.is_dirty).collect();
     let frames: Vec<_> = batches.iter().map(|b| b.data.clone()).collect();
 
-    for validator_kind in ValidatorKind::ALL {
-        let mut session =
-            ValidationSession::train(validator_kind, &test_config(), &clean).expect("fit succeeds");
+    // The seven paper validators: the six baseline profiles, then DQuaG.
+    let keys = BaselineKind::ALL
+        .iter()
+        .map(BaselineKind::key)
+        .chain(["dquag"]);
+    for key in keys {
+        let config = DquagConfig {
+            validator: ValidatorSpec::backend(key),
+            ..test_config()
+        };
+        let mut session = ValidationSession::train(&config, &clean).expect("fit succeeds");
         let verdicts = session.push_batches(&frames).expect("same schema");
         let predictions: Vec<bool> = verdicts.iter().map(|v| v.is_dirty).collect();
         let metrics = DetectionMetrics::from_predictions(&predictions, &labels);
         assert!(
             metrics.accuracy() >= 0.0 && metrics.accuracy() <= 1.0,
-            "{validator_kind:?}"
+            "{key}"
         );
         assert_eq!(session.n_batches(), batches.len());
-        if validator_kind == ValidatorKind::Dquag {
+        if key == "dquag" {
             assert!(
                 metrics.recall() > 0.5,
                 "DQuaG should flag most dirty batches"
