@@ -1,44 +1,104 @@
-//! Criterion micro-benchmark: one training step on a mini-batch.
+//! One training step (`train_batch`: forward, backward, Adam) on a
+//! mini-batch of B ∈ {16, 64, 128} samples, on the default model (hidden 64,
+//! four GAT+GIN layers, both decoders) at 12 and 18 features — the widths
+//! of the CreditCard and NY Taxi feature graphs.
+//!
+//! Besides the criterion timings, samples/s per width and batch size go to
+//! `BENCH_training.json` in the workspace root. Each point is the median of
+//! timed steps on one network, after one warm-up step. Under
+//! `DQUAG_BENCH_FAST=1` the bench takes a few steps per point and only
+//! prints its report.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dquag_bench::harness::{fast_mode, median, write_bench_json};
 use dquag_gnn::{DquagNetwork, ModelConfig};
 use dquag_graph::FeatureGraph;
 use dquag_tensor::optim::Adam;
+use std::time::Instant;
+
+const BATCH_SIZES: [usize; 3] = [16, 64, 128];
+const WIDTHS: [usize; 2] = [12, 18];
 
 fn feature_graph(n: usize) -> FeatureGraph {
     let names: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
     let mut graph = FeatureGraph::new(names);
-    for i in 0..n.saturating_sub(1) {
-        graph.add_edge(i, i + 1).unwrap();
+    for i in 0..n {
+        graph.add_edge(i, (i + 1) % n).unwrap();
+        graph.add_edge(i, (i + 3) % n).unwrap();
     }
     graph
 }
 
-fn bench_train_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("train_batch");
-    group.sample_size(10);
-    for &batch_size in &[16usize, 64, 128] {
-        let graph = feature_graph(12);
-        let config = ModelConfig {
-            hidden_dim: 32,
-            n_layers: 4,
-            ..ModelConfig::default()
-        };
-        let batch: Vec<Vec<f32>> = (0..batch_size)
-            .map(|s| (0..12).map(|i| ((s + i) % 10) as f32 / 10.0).collect())
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(batch_size),
-            &batch,
-            |b, batch| {
-                let mut network = DquagNetwork::new(&graph, config);
-                let mut adam = Adam::with_learning_rate(0.01);
-                b.iter(|| network.train_batch(batch, &mut adam).0);
-            },
-        );
-    }
-    group.finish();
+fn network(n_features: usize) -> DquagNetwork {
+    DquagNetwork::new(&feature_graph(n_features), ModelConfig::default())
 }
 
-criterion_group!(benches, bench_train_batch);
+fn rows(n: usize, n_features: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| {
+            (0..n_features)
+                .map(|f| ((i * 31 + f * 7) % 97) as f32 / 97.0)
+                .collect()
+        })
+        .collect()
+}
+
+fn bench_training(c: &mut Criterion) {
+    let fast = fast_mode();
+    let mut group = c.benchmark_group("train_batch");
+    group.sample_size(if fast { 2 } else { 10 });
+    for &n_features in &WIDTHS {
+        for &batch_size in &BATCH_SIZES {
+            let batch = rows(batch_size, n_features);
+            group.throughput(Throughput::Elements(batch_size as u64));
+            group.bench_with_input(
+                BenchmarkId::new(format!("n{n_features}").as_str(), batch_size),
+                &batch,
+                |b, batch| {
+                    let mut net = network(n_features);
+                    let mut adam = Adam::with_learning_rate(0.01);
+                    b.iter(|| net.train_batch(batch, &mut adam).0);
+                },
+            );
+        }
+    }
+    group.finish();
+
+    let steps = if fast { 3 } else { 30 };
+    let mut lines = Vec::new();
+    for &n_features in &WIDTHS {
+        for &batch_size in &BATCH_SIZES {
+            let batch = rows(batch_size, n_features);
+            let mut net = network(n_features);
+            let mut adam = Adam::with_learning_rate(0.01);
+            net.train_batch(&batch, &mut adam);
+            let mut step_ms: Vec<f64> = (0..steps)
+                .map(|_| {
+                    let started = Instant::now();
+                    net.train_batch(&batch, &mut adam);
+                    started.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            let ms = median(&mut step_ms);
+            let samples_per_s = batch_size as f64 / (ms / 1e3);
+            println!(
+                "training n={n_features} B={batch_size}: {ms:.2} ms/step, \
+                 {samples_per_s:.0} samples/s"
+            );
+            lines.push(format!(
+                "    {{\"n_features\": {n_features}, \"batch_size\": {batch_size}, \
+                 \"step_ms\": {ms:.3}, \"samples_per_s\": {samples_per_s:.1}}}"
+            ));
+        }
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"training\",\n  \"hidden_dim\": 64,\n  \"n_layers\": 4,\n  \
+         \"encoder\": \"GAT+GIN\",\n  \"steps_per_point\": {steps},\n  \"fast_mode\": {fast},\n  \
+         \"results\": [\n{}\n  ]\n}}\n",
+        lines.join(",\n"),
+    );
+    write_bench_json("BENCH_training.json", &json);
+}
+
+criterion_group!(benches, bench_training);
 criterion_main!(benches);

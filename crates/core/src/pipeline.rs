@@ -700,6 +700,53 @@ mod tests {
         (validator, clean)
     }
 
+    /// The first 50 clean rows as CSV text with the raw text `token` in
+    /// `CNT_CHILDREN` of each `poisoned` row, decoded the way a served CSV
+    /// batch is.
+    fn csv_batch_with_raw_cell(clean: &DataFrame, poisoned: &[usize], token: &str) -> DataFrame {
+        const MARKER: f64 = 987_654_321.0;
+        let column = clean.schema().index_of("CNT_CHILDREN").expect("column");
+        let mut batch = clean.select_rows(&(0..50).collect::<Vec<_>>()).unwrap();
+        for &row in poisoned {
+            batch.set_value(row, column, Value::Number(MARKER)).unwrap();
+        }
+        let text = dquag_tabular::csv::to_csv_string(&batch).replace("987654321", token);
+        dquag_tabular::csv::from_csv_str(&text, clean.schema()).expect("the CSV decoder accepts it")
+    }
+
+    #[test]
+    fn non_finite_cells_are_flagged_not_reported_as_model_corruption() {
+        let (validator, clean) = trained_credit_validator();
+        let judge = |token: &str| {
+            let report = validator
+                .validate(&csv_batch_with_raw_cell(&clean, &[7], token))
+                .unwrap_or_else(|e| panic!("{token:?}: {e}"));
+            assert!(
+                report.instance_errors.iter().all(|e| e.is_finite()),
+                "{token:?}"
+            );
+            validator
+                .health_check()
+                .expect("the model itself is healthy");
+            report
+        };
+        // NaN reads as a missing cell, bit for bit.
+        assert_eq!(
+            judge("NaN").instance_errors[7].to_bits(),
+            judge("").instance_errors[7].to_bits()
+        );
+        // Everything else clamps far outside [0, 1] and gets flagged.
+        for token in ["inf", "-inf", "1e999", "1e39"] {
+            let report = judge(token);
+            assert!(
+                report.is_flagged(7),
+                "{token}: row 7 (error {}) must be flagged above {}",
+                report.instance_errors[7],
+                report.threshold
+            );
+        }
+    }
+
     #[test]
     fn training_produces_sane_artifacts() {
         let (validator, _) = trained_credit_validator();

@@ -2,13 +2,15 @@
 //! retired, counted and flight-recorded; with a rebuild source the engine
 //! hot-swaps a fresh validator in and retries the batch, so no batch is
 //! lost to — or judged by — a corrupted replica. Panicking validators are
-//! caught: the batch fails, the worker survives.
+//! caught: the batch fails, the worker survives. Bad input is not a health
+//! violation: a non-finite cell gets a verdict, not a quarantine.
 
-use dquag_core::{BackpressurePolicy, HealthError};
+use dquag_core::{BackpressurePolicy, DquagConfig, HealthError};
+use dquag_datagen::DatasetKind;
 use dquag_stream::{StreamEngine, StreamOutcome, SubmitOutcome};
 use dquag_tabular::{DataFrame, Field, Schema, Value};
 use dquag_telemetry::{Telemetry, TelemetryOptions};
-use dquag_validate::{Capabilities, FitReport, ValidateError, Validator, Verdict};
+use dquag_validate::{Capabilities, DquagBackend, FitReport, ValidateError, Validator, Verdict};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -256,4 +258,65 @@ fn panicking_validator_fails_the_batch_but_the_worker_survives() {
     let stats = engine.shutdown();
     assert_eq!(stats.emitted, 3);
     assert_eq!(stats.failed, 1);
+}
+
+#[test]
+fn non_finite_csv_cells_get_a_dirty_verdict_without_a_quarantine() {
+    let clean = DatasetKind::CreditCard.generate_clean(400, 5);
+    let mut backend = DquagBackend::new(DquagConfig::fast());
+    backend.fit(&clean).expect("fits");
+    let spare = backend.replicate().expect("DQuaG replicates");
+
+    // Five rows of a 50-row CSV batch carry a raw number the decoder
+    // accepts but no scaler range holds: 10% of rows, above the 6% line.
+    // `NaN` reads as a missing cell; the others clamp far out of range.
+    let column = clean.schema().index_of("CNT_CHILDREN").expect("column");
+    let tokens = ["NaN", "inf", "-inf", "1e999", "1e39"];
+    let poisoned = [3usize, 11, 19, 27, 35];
+    let mut frame = clean.select_rows(&(0..50).collect::<Vec<_>>()).unwrap();
+    for (i, &row) in poisoned.iter().enumerate() {
+        let marker = 987_654_300.0 + i as f64;
+        frame.set_value(row, column, Value::Number(marker)).unwrap();
+    }
+    let mut text = dquag_tabular::csv::to_csv_string(&frame);
+    for (i, token) in tokens.iter().enumerate() {
+        text = text.replace(&format!("9876543{:02}", i), token);
+    }
+    let batch = dquag_tabular::csv::from_csv_str(&text, clean.schema()).expect("decodes");
+
+    let telemetry = quiet_telemetry();
+    let (engine, ingest, mut verdicts) = StreamEngine::builder()
+        .replicas(1)
+        .queue_capacity(4)
+        .backpressure(BackpressurePolicy::Block)
+        .telemetry(Arc::clone(&telemetry))
+        .rebuild_source(move || spare.replicate())
+        .start(Box::new(backend))
+        .expect("engine starts");
+    ingest.submit(batch).expect("accepted");
+    drop(ingest);
+
+    let item = verdicts.recv().expect("outcome");
+    match &item.outcome {
+        StreamOutcome::Verdict(verdict) => {
+            assert!(verdict.is_dirty, "{verdict:?}");
+            let flagged = verdict.flagged_instances.as_ref().expect("row detail");
+            for row in &poisoned[1..] {
+                assert!(flagged.contains(row), "row {row} not in {flagged:?}");
+            }
+            let errors = verdict.instance_errors.as_ref().expect("row detail");
+            assert!(errors.iter().all(|e| e.is_finite()), "{errors:?}");
+        }
+        other => panic!("expected a verdict, got {other:?}"),
+    }
+    assert_eq!(
+        telemetry
+            .registry()
+            .counter("dquag_replica_quarantines_total", "")
+            .get(),
+        0
+    );
+    assert_eq!(engine.generation(), 0, "no rebuild happened");
+    let stats = engine.shutdown();
+    assert_eq!((stats.emitted, stats.failed), (1, 0));
 }

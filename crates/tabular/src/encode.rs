@@ -24,6 +24,12 @@ use std::collections::HashMap;
 /// Encoded value used for missing cells. Deliberately outside `[0, 1]`.
 pub const MISSING_SENTINEL: f32 = -0.5;
 
+/// Bound on the magnitude of an encoded numeric. Far outside `[0, 1]`, so a
+/// clamped value still stands out, yet small enough that the network's
+/// activations stay finite. Clean and injected data encode to within about
+/// ±17, so only raw values like `inf` or `1e39` ever reach it.
+const ENCODED_NUMERIC_BOUND: f64 = 1.0e6;
+
 /// A fitted label encoder for one categorical column.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LabelEncoder {
@@ -125,13 +131,25 @@ impl MinMaxScaler {
 
     /// Scale a raw value into the unit interval (values outside the fitted
     /// range land outside `[0, 1]`, which is intentional — see module docs).
+    ///
+    /// The result is always finite: `NaN` encodes as [`MISSING_SENTINEL`],
+    /// and anything else is clamped to ±10⁶, so `inf` or `1e39` is judged
+    /// as a bad value rather than poisoning the network's arithmetic. When
+    /// the fitted range itself overflows to infinity, an infinite value
+    /// scales to `inf / inf` and encodes as [`MISSING_SENTINEL`] too.
     pub fn transform(&self, value: f64) -> f32 {
+        if value.is_nan() {
+            return MISSING_SENTINEL;
+        }
         let range = self.max - self.min;
         if range.abs() < f64::EPSILON {
-            0.5
-        } else {
-            ((value - self.min) / range) as f32
+            return 0.5;
         }
+        let scaled = (value - self.min) / range;
+        if scaled.is_nan() {
+            return MISSING_SENTINEL;
+        }
+        scaled.clamp(-ENCODED_NUMERIC_BOUND, ENCODED_NUMERIC_BOUND) as f32
     }
 
     /// Map a normalised value back to the raw scale.
@@ -469,6 +487,27 @@ mod tests {
         assert!(out.get(0, 1) > 1.0, "unknown category must exceed 1.0");
         assert!(out.get(1, 0) > 1.0, "out-of-range numeric must exceed 1.0");
         assert_eq!(out.get(1, 1), MISSING_SENTINEL);
+    }
+
+    #[test]
+    fn non_finite_and_huge_numerics_encode_to_finite_values() {
+        let scaler = MinMaxScaler::fit([0.0, 10.0]);
+        assert_eq!(scaler.transform(f64::NAN), MISSING_SENTINEL);
+        assert_eq!(scaler.transform(f64::INFINITY), 1.0e6);
+        assert_eq!(scaler.transform(f64::NEG_INFINITY), -1.0e6);
+        assert_eq!(scaler.transform(1e39), 1.0e6, "beyond f32 range");
+        assert_eq!(scaler.transform(-1e39), -1.0e6);
+        assert_eq!(scaler.transform(5.0), 0.5);
+        assert_eq!(
+            scaler.transform(180.0),
+            18.0,
+            "out of range, below the bound"
+        );
+        // A range that overflows f64 turns an infinite cell into inf / inf.
+        let wide = MinMaxScaler::fit([-1e308, 1e308]);
+        assert_eq!(wide.transform(f64::INFINITY), MISSING_SENTINEL);
+        assert_eq!(wide.transform(f64::NEG_INFINITY), MISSING_SENTINEL);
+        assert!(wide.transform(1e308).is_finite());
     }
 
     #[test]

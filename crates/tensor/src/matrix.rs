@@ -234,11 +234,7 @@ impl Matrix {
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut out.data);
         out
     }
 
@@ -351,9 +347,11 @@ impl Matrix {
     /// Per-column sums as a `1 × cols` row vector.
     pub fn sum_cols(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.get(r, c);
+        if self.cols > 0 {
+            for row in self.data.chunks_exact(self.cols) {
+                for (o, &v) in out.data.iter_mut().zip(row) {
+                    *o += v;
+                }
             }
         }
         out
@@ -746,6 +744,22 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+/// Write the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst` (row-major `cols × rows`), scattering each source row into a
+/// column.
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "transpose source shape");
+    assert_eq!(dst.len(), rows * cols, "transpose destination shape");
+    if cols == 0 {
+        return;
+    }
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
     }
 }
 

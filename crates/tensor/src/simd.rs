@@ -9,14 +9,17 @@
 //!
 //! ## Determinism contract
 //!
-//! Every kernel computes `out[i][j]` as a fused-multiply-add chain over `k`
-//! in ascending order, and the code path for an element depends only on the
-//! operand *shapes* — never on which row tile or batch position the element
-//! landed in. Scalar remainders use [`f32::mul_add`], which rounds exactly
-//! like the vector FMA lanes. Consequently a row's result is bit-identical
-//! whether it is multiplied alone (`12 × k`) or as part of a stacked batch
-//! (`B·12 × k`) — the property the batched-inference equivalence suite
-//! pins down.
+//! Outside the `d == 1` dot path, every SIMD kernel computes `out[i][j]` as
+//! one fused-multiply-add chain over `k` in ascending order, starting from
+//! the bias (or zero) — exactly what a chain of [`f32::mul_add`] computes.
+//! Columns past the last full vector tile run in masked lanes of the same
+//! chain. The code path for an element depends only on the operand
+//! *shapes* — never on which row tile or batch position the element landed
+//! in. Consequently a row's result is bit-identical whether it is
+//! multiplied alone (`12 × k`) or as part of a stacked batch (`B·12 × k`) —
+//! the property the batched-inference equivalence suite pins down. The dot
+//! path sums vector lanes in a fixed order that depends only on `k`, and
+//! its `k` remainder uses [`f32::mul_add`].
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -27,6 +30,11 @@ use std::sync::OnceLock;
 /// `out = a · b (+ bias)` with `a` row-major `n × k`, `b` row-major
 /// `k × d`, `out` row-major `n × d` and an optional `1 × d` bias row folded
 /// into the accumulator initialisation. `out` is fully overwritten.
+///
+/// # Safety
+///
+/// The CPU must support the kernel's target features, and the slices must
+/// hold `n·d`, `n·k`, `k·d` and `d` elements — what `dispatch` asserts.
 type Kernel = unsafe fn(&mut [f32], &[f32], &[f32], Option<&[f32]>, bool, usize, usize, usize);
 
 /// Which matrix-multiply implementation [`crate::Matrix::matmul`] and the
@@ -228,6 +236,10 @@ fn dispatch(
 
 /// Portable fallback: the original i-k-j loop. The `a == 0.0` skip keeps
 /// sparse operands (adjacency matrices) cheap.
+///
+/// # Safety
+///
+/// As for [`Kernel`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn matmul_scalar(
     out: &mut [f32],
@@ -272,10 +284,14 @@ unsafe fn matmul_scalar(
 }
 
 /// AVX-512F microkernel: 8-row × 32-column register tiles (16 ZMM
-/// accumulators live across the whole `k` loop), 16-wide and scalar column
-/// tails, and the shared `d == 1` dot path. Per-element math is the same
-/// ascending-`k` FMA chain as the AVX2 kernel and the `mul_add` scalar
-/// tails, so tile membership never changes a result.
+/// accumulators live across the whole `k` loop), a 16-wide and a masked
+/// column tail, and the shared `d == 1` dot path. Per-element math is the
+/// same ascending-`k` FMA chain as the AVX2 kernel, so tile membership never
+/// changes a result.
+///
+/// # Safety
+///
+/// As for [`Kernel`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -400,16 +416,31 @@ unsafe fn row_tile_avx512<const R: usize>(
         }
         j += 16;
     }
-    for jj in j..d {
-        for r in 0..R {
-            let mut acc = match bias {
-                Some(bias) => bias[jj],
-                None => 0.0f32,
-            };
-            for kk in 0..k {
-                acc = a[(i + r) * k + kk].mul_add(b[kk * d + jj], acc);
+    if j < d {
+        // The last 1–15 columns run in masked lanes: masked-off lanes are
+        // neither read nor written, and each live lane is the same
+        // ascending-k FMA chain as a full tile's.
+        let mask: __mmask16 = (1 << (d - j)) - 1;
+        let init = match bias {
+            Some(bias) => _mm512_maskz_loadu_ps(mask, bias.as_ptr().add(j)),
+            None => _mm512_setzero_ps(),
+        };
+        let mut acc = [init; R];
+        for kk in 0..k {
+            let b0 = _mm512_maskz_loadu_ps(mask, b_ptr.add(kk * d + j));
+            for (r, slot) in acc.iter_mut().enumerate() {
+                let va = _mm512_set1_ps(*a_ptr.add((i + r) * k + kk));
+                *slot = _mm512_fmadd_ps(va, b0, *slot);
             }
-            out[(i + r) * d + jj] = if relu { acc.max(0.0) } else { acc };
+        }
+        if relu {
+            let zero = _mm512_setzero_ps();
+            for slot in acc.iter_mut() {
+                *slot = _mm512_max_ps(*slot, zero);
+            }
+        }
+        for (r, slot) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(out_ptr.add((i + r) * d + j), mask, *slot);
         }
     }
 }
@@ -459,9 +490,13 @@ unsafe fn dot_columns_avx512(
 }
 
 /// AVX2+FMA microkernel: 4-row × 16-column register tiles (8 YMM
-/// accumulators live across the whole `k` loop), an 8-wide column tail, a
-/// `mul_add` scalar tail, and a dedicated dot-product path for `d == 1`
-/// (attention projections and decoder heads).
+/// accumulators live across the whole `k` loop), an 8-wide and a masked
+/// column tail, and a dedicated dot-product path for `d == 1` (attention
+/// projections and decoder heads).
+///
+/// # Safety
+///
+/// As for [`Kernel`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -564,19 +599,37 @@ unsafe fn row_tile_avx2<const R: usize>(
         }
         j += 8;
     }
-    for jj in j..d {
-        for r in 0..R {
-            let mut acc = match bias {
-                Some(bias) => bias[jj],
-                None => 0.0f32,
-            };
-            for kk in 0..k {
-                acc = a[(i + r) * k + kk].mul_add(b[kk * d + jj], acc);
+    if j < d {
+        // The last 1–7 columns run in masked lanes, as in the AVX-512 tile.
+        let mask = _mm256_loadu_si256(AVX2_TAIL_MASK.as_ptr().add(8 - (d - j)) as *const __m256i);
+        let init = match bias {
+            Some(bias) => _mm256_maskload_ps(bias.as_ptr().add(j), mask),
+            None => _mm256_setzero_ps(),
+        };
+        let mut acc = [init; R];
+        for kk in 0..k {
+            let b0 = _mm256_maskload_ps(b_ptr.add(kk * d + j), mask);
+            for (r, slot) in acc.iter_mut().enumerate() {
+                let va = _mm256_set1_ps(*a_ptr.add((i + r) * k + kk));
+                *slot = _mm256_fmadd_ps(va, b0, *slot);
             }
-            out[(i + r) * d + jj] = if relu { acc.max(0.0) } else { acc };
+        }
+        if relu {
+            let zero = _mm256_setzero_ps();
+            for slot in acc.iter_mut() {
+                *slot = _mm256_max_ps(*slot, zero);
+            }
+        }
+        for (r, slot) in acc.iter().enumerate() {
+            _mm256_maskstore_ps(out_ptr.add((i + r) * d + j), mask, *slot);
         }
     }
 }
+
+/// Lane masks for the AVX2 column tail: the eight `i32`s starting at
+/// `8 - live` enable the first `live` lanes.
+#[cfg(target_arch = "x86_64")]
+static AVX2_TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
 /// `d == 1` path: each output element is a dot product of one `a` row with
 /// the contiguous column vector `b`. Vectorised over `k` with four
@@ -643,7 +696,7 @@ mod tests {
     #[test]
     fn dispatched_kernel_matches_reference_across_shapes() {
         // Shapes chosen to hit every code path: 16-wide tiles, 8-wide tails,
-        // scalar tails, row remainders, and the d == 1 dot path.
+        // masked column tails, row remainders, and the d == 1 dot path.
         for &(n, k, d) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 1),
@@ -668,6 +721,89 @@ mod tests {
                     (got - want).abs() <= 1e-3 * want.abs().max(1.0),
                     "({n}x{k})·({k}x{d}) element {idx}: {got} vs {want}"
                 );
+            }
+        }
+    }
+
+    /// The determinism contract, spelled out: the bias (or zero), then one
+    /// `mul_add` per `k` in ascending order, then the optional ReLU.
+    #[allow(clippy::too_many_arguments)]
+    fn fma_chain(
+        a: &[f32],
+        b: &[f32],
+        bias: Option<&[f32]>,
+        relu: bool,
+        n: usize,
+        k: usize,
+        d: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; n * d];
+        for i in 0..n {
+            for j in 0..d {
+                let mut acc = bias.map_or(0.0, |bias| bias[j]);
+                for kk in 0..k {
+                    acc = a[i * k + kk].mul_add(b[kk * d + j], acc);
+                }
+                out[i * d + j] = if relu { acc.max(0.0) } else { acc };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn simd_kernels_match_an_ascending_mul_add_chain_bit_for_bit() {
+        let mut kernels: Vec<(&str, Kernel)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                kernels.push(("avx512", matmul_avx512));
+            }
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                kernels.push(("avx2", matmul_avx2));
+            }
+        }
+        if kernels.is_empty() {
+            eprintln!("no SIMD kernel on this CPU; nothing to compare");
+            return;
+        }
+        // Backward-pass n × n products (12 and 18 features), full tiles,
+        // row remainders, every column-tail width and an odd k.
+        for &(n, k, d) in &[
+            (12usize, 64usize, 12usize),
+            (18, 64, 18),
+            (64, 12, 64),
+            (13, 7, 17),
+            (5, 3, 9),
+            (4, 33, 16),
+            (1, 64, 31),
+        ] {
+            let a: Vec<f32> = (0..n * k)
+                .map(|i| ((i * 37 + 11) % 23) as f32 * 0.17 - 1.5)
+                .collect();
+            let b: Vec<f32> = (0..k * d)
+                .map(|i| ((i * 29 + 3) % 19) as f32 * 0.21 - 1.7)
+                .collect();
+            let bias: Vec<f32> = (0..d).map(|j| (j % 7) as f32 * 0.3 - 0.95).collect();
+            for (name, kernel) in &kernels {
+                for bias in [None, Some(bias.as_slice())] {
+                    for relu in [false, true] {
+                        let mut out = vec![f32::NAN; n * d];
+                        // SAFETY: the kernel was listed only after its CPU
+                        // features were detected, and every buffer has the
+                        // shape the kernel indexes.
+                        unsafe { kernel(&mut out, &a, &b, bias, relu, n, k, d) };
+                        let want = fma_chain(&a, &b, bias, relu, n, k, d);
+                        for (idx, (got, want)) in out.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{name} ({n}x{k})·({k}x{d}) bias {} relu {relu} \
+                                 element {idx}: {got} vs {want}",
+                                bias.is_some()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

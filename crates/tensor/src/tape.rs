@@ -6,6 +6,13 @@
 //! and walks the nodes in reverse creation order, accumulating parent
 //! gradients according to each op's local derivative.
 //!
+//! Only leaves keep a gradient. A leaf created with `requires_grad` holds
+//! its gradient after [`Tape::backward`]; an op node passes its gradient
+//! on and releases it. An op node requires a gradient exactly when one of
+//! its parents does, so constants — graph operators, inputs, masks — and
+//! everything computed only from them never get one, and the walk skips
+//! them.
+//!
 //! A fresh tape is created for every training forward pass (one per
 //! mini-batch step), which keeps lifetimes trivial and memory bounded.
 //!
@@ -17,15 +24,17 @@
 //! baseline after every batch, instead of re-binding (and re-cloning) the
 //! parameters per sample.
 
-use crate::matrix::Matrix;
+use crate::matrix::{transpose_into, Matrix};
+use crate::simd::matmul_into;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Operation tag recorded for every tape node.
 ///
 /// Parent nodes are referenced by index into the tape. Constants required by
 /// the backward pass (scalars, slice bounds) are stored inline.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Leaf value (parameter or input); has no parents.
     Leaf,
@@ -100,7 +109,9 @@ enum Op {
 #[derive(Debug)]
 struct Node {
     value: Matrix,
+    /// Set by [`Tape::backward`] on leaves only.
     grad: Option<Matrix>,
+    /// Leaves: as created. Op nodes: whether any parent requires one.
     requires_grad: bool,
     op: Op,
 }
@@ -262,8 +273,10 @@ impl Tape {
     }
 
     /// Run the backward pass from `output`, which must be a `1 × 1` scalar
-    /// node (a loss). Gradients of all `requires_grad` nodes are accumulated
-    /// and can be read with [`Var::grad`].
+    /// node (a loss). Afterwards every `requires_grad` leaf the loss depends
+    /// on holds its gradient, read with [`Var::grad`]. Interior nodes release
+    /// their gradients as soon as they have passed them on, and nodes that
+    /// depend only on constants are skipped.
     ///
     /// # Panics
     ///
@@ -288,408 +301,516 @@ impl Tape {
         );
 
         let mut inner = self.inner.borrow_mut();
-        let n = inner.nodes.len();
         // Reset any gradients from a previous backward call on the same tape.
         for node in inner.nodes.iter_mut() {
             node.grad = None;
         }
-        inner.nodes[output.idx].grad = Some(Matrix::ones(1, 1));
-
-        for idx in (0..=output.idx.min(n - 1)).rev() {
-            let grad_out = match inner.nodes[idx].grad.clone() {
-                Some(g) => g,
-                None => continue,
-            };
-            let op = inner.nodes[idx].op.clone();
-            let value = inner.nodes[idx].value.clone();
-            match op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    let b_val = inner.nodes[b].value.clone();
-                    let da = grad_out
-                        .matmul(&b_val.transpose())
-                        .expect("matmul backward: dA shape");
-                    let db = a_val
-                        .transpose()
-                        .matmul(&grad_out)
-                        .expect("matmul backward: dB shape");
-                    accumulate(&mut inner.nodes, a, da);
-                    accumulate(&mut inner.nodes, b, db);
-                }
-                Op::Add(a, b) => {
-                    accumulate(&mut inner.nodes, a, grad_out.clone());
-                    accumulate(&mut inner.nodes, b, grad_out);
-                }
-                Op::Sub(a, b) => {
-                    accumulate(&mut inner.nodes, a, grad_out.clone());
-                    accumulate(&mut inner.nodes, b, grad_out.scale(-1.0));
-                }
-                Op::Mul(a, b) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    let b_val = inner.nodes[b].value.clone();
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out.hadamard(&b_val).expect("mul backward dA"),
-                    );
-                    accumulate(
-                        &mut inner.nodes,
-                        b,
-                        grad_out.hadamard(&a_val).expect("mul backward dB"),
-                    );
-                }
-                Op::AddRowBroadcast(a, row) => {
-                    accumulate(&mut inner.nodes, a, grad_out.clone());
-                    accumulate(&mut inner.nodes, row, grad_out.sum_cols());
-                }
-                Op::MulScalarBroadcast(a, s) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    let s_val = inner.nodes[s].value.get(0, 0);
-                    accumulate(&mut inner.nodes, a, grad_out.scale(s_val));
-                    let ds = grad_out
-                        .hadamard(&a_val)
-                        .expect("scalar mul backward")
-                        .sum();
-                    accumulate(&mut inner.nodes, s, Matrix::filled(1, 1, ds));
-                }
-                Op::AddScalarBroadcast(a, s) => {
-                    accumulate(&mut inner.nodes, a, grad_out.clone());
-                    accumulate(&mut inner.nodes, s, Matrix::filled(1, 1, grad_out.sum()));
-                }
-                Op::Scale(a, k) => {
-                    accumulate(&mut inner.nodes, a, grad_out.scale(k));
-                }
-                Op::Neg(a) => {
-                    accumulate(&mut inner.nodes, a, grad_out.scale(-1.0));
-                }
-                Op::Relu(a) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    let mask = a_val.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out.hadamard(&mask).expect("relu backward"),
-                    );
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    let mask = a_val.map(|v| if v > 0.0 { 1.0 } else { slope });
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out.hadamard(&mask).expect("leaky relu backward"),
-                    );
-                }
-                Op::Sigmoid(a) => {
-                    // value already holds σ(A)
-                    let ds = value.map(|s| s * (1.0 - s));
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out.hadamard(&ds).expect("sigmoid backward"),
-                    );
-                }
-                Op::Tanh(a) => {
-                    let dt = value.map(|t| 1.0 - t * t);
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out.hadamard(&dt).expect("tanh backward"),
-                    );
-                }
-                Op::Exp(a) => {
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out.hadamard(&value).expect("exp backward"),
-                    );
-                }
-                Op::Square(a) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        grad_out
-                            .hadamard(&a_val.scale(2.0))
-                            .expect("square backward"),
-                    );
-                }
-                Op::SoftmaxRows(a) => {
-                    // dA_i = s_i * (dC_i - Σ_j dC_j s_j) per row
-                    let s = &value;
-                    let mut da = Matrix::zeros(s.rows(), s.cols());
-                    for r in 0..s.rows() {
-                        let dot: f32 = (0..s.cols())
-                            .map(|c| grad_out.get(r, c) * s.get(r, c))
-                            .sum();
-                        for c in 0..s.cols() {
-                            da.set(r, c, s.get(r, c) * (grad_out.get(r, c) - dot));
-                        }
-                    }
-                    accumulate(&mut inner.nodes, a, da);
-                }
-                Op::Sum(a) => {
-                    let (r, c) = inner.nodes[a].value.shape();
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        Matrix::filled(r, c, grad_out.get(0, 0)),
-                    );
-                }
-                Op::Mean(a) => {
-                    let (r, c) = inner.nodes[a].value.shape();
-                    let n_elems = (r * c).max(1) as f32;
-                    accumulate(
-                        &mut inner.nodes,
-                        a,
-                        Matrix::filled(r, c, grad_out.get(0, 0) / n_elems),
-                    );
-                }
-                Op::SumRowsKeep(a) => {
-                    let (r, c) = inner.nodes[a].value.shape();
-                    let mut da = Matrix::zeros(r, c);
-                    for i in 0..r {
-                        let g = grad_out.get(i, 0);
-                        for j in 0..c {
-                            da.set(i, j, g);
-                        }
-                    }
-                    accumulate(&mut inner.nodes, a, da);
-                }
-                Op::Transpose(a) => {
-                    accumulate(&mut inner.nodes, a, grad_out.transpose());
-                }
-                Op::ConcatCols(a, b) => {
-                    let a_cols = inner.nodes[a].value.cols();
-                    let total = grad_out.cols();
-                    let da = grad_out
-                        .slice_cols(0, a_cols)
-                        .expect("concat_cols backward");
-                    let db = grad_out
-                        .slice_cols(a_cols, total)
-                        .expect("concat_cols backward");
-                    accumulate(&mut inner.nodes, a, da);
-                    accumulate(&mut inner.nodes, b, db);
-                }
-                Op::ConcatRows(a, b) => {
-                    let a_rows = inner.nodes[a].value.rows();
-                    let total = grad_out.rows();
-                    let da = grad_out
-                        .slice_rows(0, a_rows)
-                        .expect("concat_rows backward");
-                    let db = grad_out
-                        .slice_rows(a_rows, total)
-                        .expect("concat_rows backward");
-                    accumulate(&mut inner.nodes, a, da);
-                    accumulate(&mut inner.nodes, b, db);
-                }
-                Op::SliceCols(a, start, end) => {
-                    let (r, c) = inner.nodes[a].value.shape();
-                    let mut da = Matrix::zeros(r, c);
-                    for i in 0..r {
-                        for (offset, j) in (start..end).enumerate() {
-                            da.set(i, j, grad_out.get(i, offset));
-                        }
-                    }
-                    accumulate(&mut inner.nodes, a, da);
-                }
-                Op::SliceRows(a, start, end) => {
-                    let (r, c) = inner.nodes[a].value.shape();
-                    let mut da = Matrix::zeros(r, c);
-                    for (offset, i) in (start..end).enumerate() {
-                        for j in 0..c {
-                            da.set(i, j, grad_out.get(offset, j));
-                        }
-                    }
-                    accumulate(&mut inner.nodes, a, da);
-                }
-                Op::BlockMatMulRelu(a, b, blocks) => {
-                    // Gate by the rectifier (value holds the post-relu
-                    // output), then per-block matmul backward.
-                    let mask = value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    let gated = grad_out.hadamard(&mask).expect("relu gate shape");
-                    block_matmul_backward(&mut inner.nodes, a, b, blocks, &gated);
-                }
-                Op::BlockMatMul(a, b, blocks) => {
-                    block_matmul_backward(&mut inner.nodes, a, b, blocks, &grad_out);
-                }
-                Op::RepeatMatMul(a, b) => {
-                    // dA = Σ_b dC_b · B_bᵀ, dB_b = Aᵀ · dC_b.
-                    let a_val = inner.nodes[a].value.clone();
-                    let b_val = inner.nodes[b].value.clone();
-                    let blocks = b_val.rows() / a_val.cols();
-                    let p = a_val.rows();
-                    let k = a_val.cols();
-                    let d = b_val.cols();
-                    let a_t = a_val.transpose();
-                    let mut da = Matrix::zeros(p, k);
-                    let mut db = Matrix::zeros(b_val.rows(), d);
-                    for blk in 0..blocks {
-                        let g = grad_out
-                            .slice_rows(blk * p, (blk + 1) * p)
-                            .expect("repeat_matmul backward: grad block");
-                        let bb = b_val
-                            .slice_rows(blk * k, (blk + 1) * k)
-                            .expect("repeat_matmul backward: B block");
-                        da = da
-                            .add(&g.matmul(&bb.transpose()).expect("repeat_matmul dA shape"))
-                            .expect("repeat_matmul dA accumulation");
-                        let dbb = a_t.matmul(&g).expect("repeat_matmul dB shape");
-                        db.as_mut_slice()[blk * k * d..(blk + 1) * k * d]
-                            .copy_from_slice(dbb.as_slice());
-                    }
-                    accumulate(&mut inner.nodes, a, da);
-                    accumulate(&mut inner.nodes, b, db);
-                }
-                Op::BlockRowBroadcast(a, block) => {
-                    // out[b·n + i][j] = v[b·n + j] → dv[b·n + j] = Σ_i grad[b·n + i][j]
-                    let rows = inner.nodes[a].value.rows();
-                    let blocks = rows / block;
-                    let mut dv = Matrix::zeros(rows, 1);
-                    for b in 0..blocks {
-                        for i in 0..block {
-                            for j in 0..block {
-                                let acc = dv.get(b * block + j, 0) + grad_out.get(b * block + i, j);
-                                dv.set(b * block + j, 0, acc);
-                            }
-                        }
-                    }
-                    accumulate(&mut inner.nodes, a, dv);
-                }
-                Op::BlockAddBroadcast(a, m) => {
-                    accumulate(&mut inner.nodes, a, grad_out.clone());
-                    let (n, c) = inner.nodes[m].value.shape();
-                    let blocks = grad_out.rows() / n;
-                    let mut dm = Matrix::zeros(n, c);
-                    for b in 0..blocks {
-                        for i in 0..n {
-                            for j in 0..c {
-                                let acc = dm.get(i, j) + grad_out.get(b * n + i, j);
-                                dm.set(i, j, acc);
-                            }
-                        }
-                    }
-                    accumulate(&mut inner.nodes, m, dm);
-                }
-                Op::MatMulBias(a, w, bias) => {
-                    let a_val = inner.nodes[a].value.clone();
-                    let w_val = inner.nodes[w].value.clone();
-                    let da = grad_out
-                        .matmul(&w_val.transpose())
-                        .expect("matmul_bias backward: dA shape");
-                    let dw = a_val
-                        .transpose()
-                        .matmul(&grad_out)
-                        .expect("matmul_bias backward: dW shape");
-                    accumulate(&mut inner.nodes, a, da);
-                    accumulate(&mut inner.nodes, w, dw);
-                    accumulate(&mut inner.nodes, bias, grad_out.sum_cols());
-                }
-                Op::MatMulBiasRelu(a, w, bias) => {
-                    // Gate the incoming gradient by the rectifier first
-                    // (value holds the post-relu output), then it is plain
-                    // matmul-plus-bias backward.
-                    let mask = value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    let gated = grad_out.hadamard(&mask).expect("relu gate shape");
-                    let a_val = inner.nodes[a].value.clone();
-                    let w_val = inner.nodes[w].value.clone();
-                    let da = gated
-                        .matmul(&w_val.transpose())
-                        .expect("matmul_bias_relu backward: dA shape");
-                    let dw = a_val
-                        .transpose()
-                        .matmul(&gated)
-                        .expect("matmul_bias_relu backward: dW shape");
-                    accumulate(&mut inner.nodes, a, da);
-                    accumulate(&mut inner.nodes, w, dw);
-                    accumulate(&mut inner.nodes, bias, gated.sum_cols());
-                }
-                Op::AttentionLogits(src, dst, mask, slope, block) => {
-                    // out = leaky(src_i + dst_j) + mask_ij, per n-row block.
-                    let src_val = inner.nodes[src].value.clone();
-                    let dst_val = inner.nodes[dst].value.clone();
-                    let n = block;
-                    let blocks = src_val.rows() / n;
-                    let mut dsrc = Matrix::zeros(src_val.rows(), 1);
-                    let mut ddst = Matrix::zeros(dst_val.rows(), 1);
-                    let (mask_rows, mask_cols) = inner.nodes[mask].value.shape();
-                    let mut dmask = Matrix::zeros(mask_rows, mask_cols);
-                    for b in 0..blocks {
-                        for i in 0..n {
-                            let s = src_val.get(b * n + i, 0);
-                            for j in 0..n {
-                                let g = grad_out.get(b * n + i, j);
-                                let pre = s + dst_val.get(b * n + j, 0);
-                                let factor = if pre > 0.0 { 1.0 } else { slope };
-                                let gf = g * factor;
-                                dsrc.set(b * n + i, 0, dsrc.get(b * n + i, 0) + gf);
-                                ddst.set(b * n + j, 0, ddst.get(b * n + j, 0) + gf);
-                                dmask.set(i, j, dmask.get(i, j) + g);
-                            }
-                        }
-                    }
-                    accumulate(&mut inner.nodes, src, dsrc);
-                    accumulate(&mut inner.nodes, dst, ddst);
-                    accumulate(&mut inner.nodes, mask, dmask);
-                }
-                Op::ScaledAdd(a, b, s) => {
-                    let b_val = inner.nodes[b].value.clone();
-                    let s_val = inner.nodes[s].value.get(0, 0);
-                    accumulate(&mut inner.nodes, a, grad_out.clone());
-                    accumulate(&mut inner.nodes, b, grad_out.scale(s_val));
-                    let ds = grad_out
-                        .hadamard(&b_val)
-                        .expect("scaled_add backward")
-                        .sum();
-                    accumulate(&mut inner.nodes, s, Matrix::filled(1, 1, ds));
-                }
+        let mut walk = Walk {
+            nodes: &inner.nodes,
+            grads: vec![None; output.idx + 1],
+            leaf_transposes: HashMap::new(),
+            scratch: Vec::new(),
+        };
+        walk.grads[output.idx] = Some(Matrix::ones(1, 1));
+        let nodes = walk.nodes;
+        for idx in (0..=output.idx).rev() {
+            let node = &nodes[idx];
+            if matches!(node.op, Op::Leaf) || !node.requires_grad {
+                continue;
+            }
+            if let Some(grad) = walk.grads[idx].take() {
+                walk.propagate(&node.op, &node.value, grad);
+            }
+        }
+        let grads = walk.grads;
+        for (node, grad) in inner.nodes.iter_mut().zip(grads) {
+            if matches!(node.op, Op::Leaf) {
+                node.grad = grad;
             }
         }
     }
 }
 
-/// Backward pass shared by `BlockMatMul` and `BlockMatMulRelu`: per block,
-/// `dA_b = dC_b · B_bᵀ` and `dB_b = A_bᵀ · dC_b`.
-fn block_matmul_backward(nodes: &mut [Node], a: usize, b: usize, blocks: usize, grad_out: &Matrix) {
-    let a_val = nodes[a].value.clone();
-    let b_val = nodes[b].value.clone();
-    let p = a_val.rows() / blocks;
-    let k = a_val.cols();
-    let mut da = Matrix::zeros(a_val.rows(), a_val.cols());
-    let mut db = Matrix::zeros(b_val.rows(), b_val.cols());
-    for blk in 0..blocks {
-        let g = grad_out
-            .slice_rows(blk * p, (blk + 1) * p)
-            .expect("block_matmul backward: grad block");
-        let ab = a_val
-            .slice_rows(blk * p, (blk + 1) * p)
-            .expect("block_matmul backward: A block");
-        let bb = b_val
-            .slice_rows(blk * k, (blk + 1) * k)
-            .expect("block_matmul backward: B block");
-        let dab = g.matmul(&bb.transpose()).expect("block_matmul dA shape");
-        let dbb = ab.transpose().matmul(&g).expect("block_matmul dB shape");
-        da.as_mut_slice()[blk * p * k..(blk + 1) * p * k].copy_from_slice(dab.as_slice());
-        let d = b_val.cols();
-        db.as_mut_slice()[blk * k * d..(blk + 1) * k * d].copy_from_slice(dbb.as_slice());
-    }
-    accumulate(nodes, a, da);
-    accumulate(nodes, b, db);
+/// The state of one [`Tape::backward`] walk. Gradients live beside the
+/// nodes, so every operand value is borrowed, never cloned.
+struct Walk<'a> {
+    nodes: &'a [Node],
+    /// Gradient accumulator per node; an interior node's is taken when the
+    /// walk reaches it.
+    grads: Vec<Option<Matrix>>,
+    /// Transposes of leaf values (parameters), built at most once per
+    /// walk however many samples share the leaf.
+    leaf_transposes: HashMap<usize, Matrix>,
+    /// The transpose of the last non-leaf value [`Walk::transposed`] formed.
+    scratch: Vec<f32>,
 }
 
-/// Add `grad` into the gradient accumulator of node `idx` (creating it if
-/// absent). Constant nodes still receive gradients so that interior nodes can
-/// propagate; only leaves marked `requires_grad = false` simply never get
-/// read back.
-fn accumulate(nodes: &mut [Node], idx: usize, grad: Matrix) {
-    let node = &mut nodes[idx];
-    match &mut node.grad {
-        Some(existing) => {
-            *existing = existing.add(&grad).expect("gradient accumulation shape");
-        }
-        None => node.grad = Some(grad),
+impl<'a> Walk<'a> {
+    /// Whether node `idx` takes a gradient (some leaf it depends on does).
+    fn wants(&self, idx: usize) -> bool {
+        self.nodes[idx].requires_grad
     }
+
+    fn value(&self, idx: usize) -> &'a Matrix {
+        &self.nodes[idx].value
+    }
+
+    /// Add `grad` into node `idx`'s accumulator, taking ownership when it is
+    /// the first contribution.
+    fn add(&mut self, idx: usize, grad: Matrix) {
+        match &mut self.grads[idx] {
+            Some(existing) => {
+                assert_eq!(
+                    existing.shape(),
+                    grad.shape(),
+                    "gradient accumulation shape"
+                );
+                add_assign(existing.as_mut_slice(), grad.as_slice());
+            }
+            slot @ None => *slot = Some(grad),
+        }
+    }
+
+    /// The transpose of node `idx`'s value, row-major. A leaf's is cached
+    /// for the walk; any other value's goes to a scratch buffer that the
+    /// next call overwrites.
+    fn transposed(&mut self, idx: usize) -> &[f32] {
+        let value = self.value(idx);
+        if matches!(self.nodes[idx].op, Op::Leaf) {
+            return self
+                .leaf_transposes
+                .entry(idx)
+                .or_insert_with(|| value.transpose())
+                .as_slice();
+        }
+        self.scratch.resize(value.len(), 0.0);
+        transpose_into(
+            value.as_slice(),
+            value.rows(),
+            value.cols(),
+            &mut self.scratch,
+        );
+        &self.scratch
+    }
+
+    /// Pass `grad`, the gradient of a node with operation `op` and output
+    /// `value`, on to the parents that want one, in operand order.
+    fn propagate(&mut self, op: &Op, value: &Matrix, mut grad: Matrix) {
+        match *op {
+            Op::Leaf => unreachable!("leaves keep their gradient"),
+            Op::MatMul(a, b) => self.matmul_backward(a, b, &grad),
+            Op::Add(a, b) => {
+                if self.wants(a) {
+                    self.add(a, grad.clone());
+                }
+                if self.wants(b) {
+                    self.add(b, grad);
+                }
+            }
+            Op::Sub(a, b) => {
+                if self.wants(a) {
+                    self.add(a, grad.clone());
+                }
+                if self.wants(b) {
+                    self.add(b, grad.scale(-1.0));
+                }
+            }
+            Op::Mul(a, b) => {
+                if self.wants(a) {
+                    let da = grad.hadamard(self.value(b)).expect("mul backward dA");
+                    self.add(a, da);
+                }
+                if self.wants(b) {
+                    let db = grad.hadamard(self.value(a)).expect("mul backward dB");
+                    self.add(b, db);
+                }
+            }
+            Op::AddRowBroadcast(a, row) => {
+                let drow = self.wants(row).then(|| grad.sum_cols());
+                if self.wants(a) {
+                    self.add(a, grad);
+                }
+                if let Some(drow) = drow {
+                    self.add(row, drow);
+                }
+            }
+            Op::MulScalarBroadcast(a, s) => {
+                let ds = self.wants(s).then(|| sum_of_products(&grad, self.value(a)));
+                if self.wants(a) {
+                    let s_val = self.value(s).get(0, 0);
+                    grad.map_inplace(|v| v * s_val);
+                    self.add(a, grad);
+                }
+                if let Some(ds) = ds {
+                    self.add(s, Matrix::filled(1, 1, ds));
+                }
+            }
+            Op::AddScalarBroadcast(a, s) => {
+                let ds = self.wants(s).then(|| grad.sum());
+                if self.wants(a) {
+                    self.add(a, grad);
+                }
+                if let Some(ds) = ds {
+                    self.add(s, Matrix::filled(1, 1, ds));
+                }
+            }
+            // A unary node wants a gradient exactly when its parent does.
+            Op::Scale(a, k) => {
+                grad.map_inplace(|v| v * k);
+                self.add(a, grad);
+            }
+            Op::Neg(a) => self.add(a, grad.scale(-1.0)),
+            Op::Relu(a) => {
+                gate(&mut grad, self.value(a), 0.0);
+                self.add(a, grad);
+            }
+            Op::LeakyRelu(a, slope) => {
+                gate(&mut grad, self.value(a), slope);
+                self.add(a, grad);
+            }
+            Op::Sigmoid(a) => {
+                // value already holds σ(A)
+                scale_by(&mut grad, value, |s| s * (1.0 - s));
+                self.add(a, grad);
+            }
+            Op::Tanh(a) => {
+                scale_by(&mut grad, value, |t| 1.0 - t * t);
+                self.add(a, grad);
+            }
+            Op::Exp(a) => {
+                scale_by(&mut grad, value, |e| e);
+                self.add(a, grad);
+            }
+            Op::Square(a) => {
+                scale_by(&mut grad, self.value(a), |x| x * 2.0);
+                self.add(a, grad);
+            }
+            Op::SoftmaxRows(a) => {
+                // dA_i = s_i * (dC_i - Σ_j dC_j s_j) per row
+                let cols = value.cols();
+                if cols > 0 {
+                    let rows = grad.as_mut_slice().chunks_exact_mut(cols);
+                    for (g_row, s_row) in rows.zip(value.as_slice().chunks_exact(cols)) {
+                        let dot: f32 = g_row.iter().zip(s_row).map(|(g, s)| g * s).sum();
+                        for (g, &s) in g_row.iter_mut().zip(s_row) {
+                            *g = s * (*g - dot);
+                        }
+                    }
+                }
+                self.add(a, grad);
+            }
+            Op::Sum(a) => {
+                let (r, c) = self.value(a).shape();
+                self.add(a, Matrix::filled(r, c, grad.get(0, 0)));
+            }
+            Op::Mean(a) => {
+                let (r, c) = self.value(a).shape();
+                let n_elems = (r * c).max(1) as f32;
+                self.add(a, Matrix::filled(r, c, grad.get(0, 0) / n_elems));
+            }
+            Op::SumRowsKeep(a) => {
+                let (r, c) = self.value(a).shape();
+                self.add(a, Matrix::from_fn(r, c, |i, _| grad.get(i, 0)));
+            }
+            Op::Transpose(a) => self.add(a, grad.transpose()),
+            Op::ConcatCols(a, b) => {
+                let a_cols = self.value(a).cols();
+                if self.wants(a) {
+                    let da = grad.slice_cols(0, a_cols).expect("concat_cols backward");
+                    self.add(a, da);
+                }
+                if self.wants(b) {
+                    let db = grad
+                        .slice_cols(a_cols, grad.cols())
+                        .expect("concat_cols backward");
+                    self.add(b, db);
+                }
+            }
+            Op::ConcatRows(a, b) => {
+                let a_rows = self.value(a).rows();
+                if self.wants(a) {
+                    let da = grad.slice_rows(0, a_rows).expect("concat_rows backward");
+                    self.add(a, da);
+                }
+                if self.wants(b) {
+                    let db = grad
+                        .slice_rows(a_rows, grad.rows())
+                        .expect("concat_rows backward");
+                    self.add(b, db);
+                }
+            }
+            Op::SliceCols(a, start, end) => {
+                let (r, c) = self.value(a).shape();
+                let mut da = Matrix::zeros(r, c);
+                if c > 0 && end > start {
+                    let da_rows = da.as_mut_slice().chunks_exact_mut(c);
+                    for (da_row, g_row) in da_rows.zip(grad.as_slice().chunks_exact(end - start)) {
+                        da_row[start..end].copy_from_slice(g_row);
+                    }
+                }
+                self.add(a, da);
+            }
+            Op::SliceRows(a, start, end) => {
+                let (r, c) = self.value(a).shape();
+                let mut da = Matrix::zeros(r, c);
+                da.as_mut_slice()[start * c..end * c].copy_from_slice(grad.as_slice());
+                self.add(a, da);
+            }
+            Op::BlockMatMulRelu(a, b, blocks) => {
+                // Gate by the rectifier (value holds the post-relu output),
+                // then per-block matmul backward.
+                gate(&mut grad, value, 0.0);
+                self.block_matmul_backward(a, b, blocks, &grad);
+            }
+            Op::BlockMatMul(a, b, blocks) => self.block_matmul_backward(a, b, blocks, &grad),
+            Op::RepeatMatMul(a, b) => {
+                // dA = Σ_b dC_b · B_bᵀ, dB_b = Aᵀ · dC_b.
+                let (a_val, b_val) = (self.value(a), self.value(b));
+                let (p, k) = a_val.shape();
+                let d = b_val.cols();
+                let blocks = b_val.rows() / k;
+                let g = grad.as_slice();
+                if self.wants(a) {
+                    let mut da = Matrix::zeros(p, k);
+                    let mut b_t = vec![0.0; k * d];
+                    let mut product = Matrix::zeros(p, k);
+                    for blk in 0..blocks {
+                        let b_blk = &b_val.as_slice()[blk * k * d..(blk + 1) * k * d];
+                        transpose_into(b_blk, k, d, &mut b_t);
+                        let g_blk = &g[blk * p * d..(blk + 1) * p * d];
+                        matmul_into(product.as_mut_slice(), g_blk, &b_t, p, d, k);
+                        add_assign(da.as_mut_slice(), product.as_slice());
+                    }
+                    self.add(a, da);
+                }
+                if self.wants(b) {
+                    let mut db = Matrix::zeros(b_val.rows(), d);
+                    let a_t = self.transposed(a);
+                    for blk in 0..blocks {
+                        matmul_into(
+                            &mut db.as_mut_slice()[blk * k * d..(blk + 1) * k * d],
+                            a_t,
+                            &g[blk * p * d..(blk + 1) * p * d],
+                            k,
+                            p,
+                            d,
+                        );
+                    }
+                    self.add(b, db);
+                }
+            }
+            Op::BlockRowBroadcast(a, block) => {
+                // out[b·n + i][j] = v[b·n + j] → dv[b·n + j] = Σ_i grad[b·n + i][j]
+                let rows = self.value(a).rows();
+                let mut dv = Matrix::zeros(rows, 1);
+                if block > 0 {
+                    let dv_blocks = dv.as_mut_slice().chunks_exact_mut(block);
+                    for (dv_blk, g_blk) in
+                        dv_blocks.zip(grad.as_slice().chunks_exact(block * block))
+                    {
+                        for g_row in g_blk.chunks_exact(block) {
+                            for (acc, &g) in dv_blk.iter_mut().zip(g_row) {
+                                *acc += g;
+                            }
+                        }
+                    }
+                }
+                self.add(a, dv);
+            }
+            Op::BlockAddBroadcast(a, m) => {
+                let dm = self.wants(m).then(|| {
+                    let (n, c) = self.value(m).shape();
+                    let mut dm = Matrix::zeros(n, c);
+                    if n * c > 0 {
+                        for g_blk in grad.as_slice().chunks_exact(n * c) {
+                            add_assign(dm.as_mut_slice(), g_blk);
+                        }
+                    }
+                    dm
+                });
+                if self.wants(a) {
+                    self.add(a, grad);
+                }
+                if let Some(dm) = dm {
+                    self.add(m, dm);
+                }
+            }
+            Op::MatMulBias(a, w, bias) => {
+                self.matmul_backward(a, w, &grad);
+                if self.wants(bias) {
+                    self.add(bias, grad.sum_cols());
+                }
+            }
+            Op::MatMulBiasRelu(a, w, bias) => {
+                // Gate the incoming gradient by the rectifier first (value
+                // holds the post-relu output), then it is plain
+                // matmul-plus-bias backward.
+                gate(&mut grad, value, 0.0);
+                self.matmul_backward(a, w, &grad);
+                if self.wants(bias) {
+                    self.add(bias, grad.sum_cols());
+                }
+            }
+            Op::AttentionLogits(src, dst, mask, slope, n) => {
+                // out = leaky(src_i + dst_j) + mask_ij, per n-row block.
+                let (src_val, dst_val) = (self.value(src), self.value(dst));
+                let (src_v, dst_v) = (src_val.as_slice(), dst_val.as_slice());
+                let mut dsrc = self.wants(src).then(|| Matrix::zeros(src_val.rows(), 1));
+                let mut ddst = self.wants(dst).then(|| Matrix::zeros(dst_val.rows(), 1));
+                let mut dmask = self.wants(mask).then(|| Matrix::zeros(n, n));
+                for (row, g_row) in grad.as_slice().chunks_exact(n).enumerate() {
+                    let base = row - row % n;
+                    let i = row % n;
+                    for (j, &g) in g_row.iter().enumerate() {
+                        let pre = src_v[row] + dst_v[base + j];
+                        let gf = g * if pre > 0.0 { 1.0 } else { slope };
+                        if let Some(dsrc) = dsrc.as_mut() {
+                            dsrc.as_mut_slice()[row] += gf;
+                        }
+                        if let Some(ddst) = ddst.as_mut() {
+                            ddst.as_mut_slice()[base + j] += gf;
+                        }
+                        if let Some(dmask) = dmask.as_mut() {
+                            dmask.as_mut_slice()[i * n + j] += g;
+                        }
+                    }
+                }
+                for (idx, d) in [(src, dsrc), (dst, ddst), (mask, dmask)] {
+                    if let Some(d) = d {
+                        self.add(idx, d);
+                    }
+                }
+            }
+            Op::ScaledAdd(a, b, s) => {
+                let db = self.wants(b).then(|| grad.scale(self.value(s).get(0, 0)));
+                let ds = self.wants(s).then(|| sum_of_products(&grad, self.value(b)));
+                if self.wants(a) {
+                    self.add(a, grad);
+                }
+                if let Some(db) = db {
+                    self.add(b, db);
+                }
+                if let Some(ds) = ds {
+                    self.add(s, Matrix::filled(1, 1, ds));
+                }
+            }
+        }
+    }
+
+    /// `C = A · B`: `dA = dC · Bᵀ`, `dB = Aᵀ · dC`.
+    fn matmul_backward(&mut self, a: usize, b: usize, grad: &Matrix) {
+        let (n, k) = self.value(a).shape();
+        let d = grad.cols();
+        if self.wants(a) {
+            let mut da = Matrix::zeros(n, k);
+            matmul_into(
+                da.as_mut_slice(),
+                grad.as_slice(),
+                self.transposed(b),
+                n,
+                d,
+                k,
+            );
+            self.add(a, da);
+        }
+        if self.wants(b) {
+            let mut db = Matrix::zeros(k, d);
+            matmul_into(
+                db.as_mut_slice(),
+                self.transposed(a),
+                grad.as_slice(),
+                k,
+                n,
+                d,
+            );
+            self.add(b, db);
+        }
+    }
+
+    /// Backward pass shared by `BlockMatMul` and `BlockMatMulRelu`: per
+    /// block, `dA_b = dC_b · B_bᵀ` and `dB_b = A_bᵀ · dC_b`, written straight
+    /// into the block's rows.
+    fn block_matmul_backward(&mut self, a: usize, b: usize, blocks: usize, grad: &Matrix) {
+        let (a_val, b_val) = (self.value(a), self.value(b));
+        let p = a_val.rows() / blocks;
+        let k = a_val.cols();
+        let d = b_val.cols();
+        let g = grad.as_slice();
+        if self.wants(a) {
+            let mut da = Matrix::zeros(a_val.rows(), k);
+            let mut b_t = vec![0.0; k * d];
+            for blk in 0..blocks {
+                transpose_into(
+                    &b_val.as_slice()[blk * k * d..(blk + 1) * k * d],
+                    k,
+                    d,
+                    &mut b_t,
+                );
+                matmul_into(
+                    &mut da.as_mut_slice()[blk * p * k..(blk + 1) * p * k],
+                    &g[blk * p * d..(blk + 1) * p * d],
+                    &b_t,
+                    p,
+                    d,
+                    k,
+                );
+            }
+            self.add(a, da);
+        }
+        if self.wants(b) {
+            let mut db = Matrix::zeros(b_val.rows(), d);
+            let mut a_t = vec![0.0; p * k];
+            for blk in 0..blocks {
+                transpose_into(
+                    &a_val.as_slice()[blk * p * k..(blk + 1) * p * k],
+                    p,
+                    k,
+                    &mut a_t,
+                );
+                matmul_into(
+                    &mut db.as_mut_slice()[blk * k * d..(blk + 1) * k * d],
+                    &a_t,
+                    &g[blk * p * d..(blk + 1) * p * d],
+                    k,
+                    p,
+                    d,
+                );
+            }
+            self.add(b, db);
+        }
+    }
+}
+
+/// `dst += src`, element by element.
+fn add_assign(dst: &mut [f32], src: &[f32]) {
+    assert_eq!(dst.len(), src.len(), "gradient accumulation shape");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// Multiply each gradient element by 1 where `by` is positive and by
+/// `otherwise` elsewhere: the (leaky) rectifier's derivative.
+fn gate(grad: &mut Matrix, by: &Matrix, otherwise: f32) {
+    scale_by(grad, by, |v| if v > 0.0 { 1.0 } else { otherwise });
+}
+
+/// Multiply each gradient element by `f` of the matching element of `by`.
+fn scale_by(grad: &mut Matrix, by: &Matrix, f: impl Fn(f32) -> f32) {
+    assert_eq!(grad.shape(), by.shape(), "element-wise backward shape");
+    for (g, &v) in grad.as_mut_slice().iter_mut().zip(by.as_slice()) {
+        *g *= f(v);
+    }
+}
+
+/// `Σ a ∘ b`, summed in storage order.
+fn sum_of_products(a: &Matrix, b: &Matrix) -> f32 {
+    assert_eq!(a.shape(), b.shape(), "element-wise backward shape");
+    a.as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(x, y)| x * y)
+        .sum()
 }
 
 impl Var {
@@ -703,8 +824,12 @@ impl Var {
         self.tape.shape_of(self.idx)
     }
 
-    /// The accumulated gradient, if this node requires gradients and
-    /// [`Tape::backward`] has been run.
+    /// The accumulated gradient of a leaf created with `requires_grad`,
+    /// once [`Tape::backward`] has run and if the loss depends on it.
+    ///
+    /// Only leaves keep their gradients: an op node releases its gradient as
+    /// soon as the backward walk has passed it on, and a constant never gets
+    /// one, so both return `None`.
     pub fn grad(&self) -> Option<Matrix> {
         let inner = self.tape.inner.borrow();
         let node = &inner.nodes[self.idx];
@@ -740,7 +865,7 @@ impl Var {
     }
 
     fn unary(&self, op: Op, value: Matrix) -> Var {
-        let requires = self.tape.requires_grad(self.idx) || !matches!(op, Op::Leaf);
+        let requires = self.tape.requires_grad(self.idx);
         self.tape.push(value, requires, op)
     }
 
@@ -749,7 +874,8 @@ impl Var {
             Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
             "cannot combine Vars from different tapes"
         );
-        self.tape.push(value, true, op)
+        let requires = self.tape.requires_grad(self.idx) || self.tape.requires_grad(other.idx);
+        self.tape.push(value, requires, op)
     }
 
     /// Matrix product `self · rhs`.
@@ -970,7 +1096,10 @@ impl Var {
                 && Rc::ptr_eq(&self.tape.inner, &c.tape.inner),
             "cannot combine Vars from different tapes"
         );
-        self.tape.push(value, true, op)
+        let requires = [self.idx, b.idx, c.idx]
+            .into_iter()
+            .any(|idx| self.tape.requires_grad(idx));
+        self.tape.push(value, requires, op)
     }
 
     /// Fused dense layer `self · w + bias` (bias is `1 × d`, broadcast over
