@@ -20,10 +20,12 @@ use std::time::Instant;
 const KIND: DatasetKind = DatasetKind::CreditCard;
 
 fn train_config(fast: bool) -> DquagConfig {
-    DquagConfig::builder()
-        .epochs(if fast { 8 } else { 15 })
-        .build()
-        .expect("config in range")
+    DquagConfig {
+        epochs: if fast { 8 } else { 15 },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("config in range")
 }
 
 fn fit_dquag(clean: &DataFrame, fast: bool) -> Box<dyn Validator> {

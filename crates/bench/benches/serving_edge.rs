@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dquag_bench::harness::{fast_mode, median, write_bench_json};
-use dquag_core::{DquagConfig, ServingConfig};
+use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
@@ -47,20 +47,19 @@ fn run_arm(
         .queue_capacity(n_batches)
         .start(validator)
         .expect("engine starts");
-    let source = NetListenerSource::bind("127.0.0.1:0", KIND.schema())
-        .expect("loopback bind")
-        .with_serving(ServingConfig {
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(5),
+        serving: ServingConfig {
             workers: WORKERS,
             max_connections: conns + 8,
             ..ServingConfig::default()
-        });
+        },
+        ..SourceConfig::default()
+    };
+    let source = NetListenerSource::from_config(&config, KIND.schema()).expect("loopback bind");
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(5))
-        .build()
-        .expect("config in range");
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dquag_bench::harness::fast_mode;
-use dquag_core::DquagConfig;
+use dquag_core::{DquagConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
@@ -71,12 +71,12 @@ fn bench_source_ingest(c: &mut Criterion) {
             let source =
                 NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind");
             let addr = source.local_addr();
-            let config = DquagConfig::builder()
-                .source_poll_interval(Duration::from_millis(5))
-                .build()
-                .expect("config in range");
+            let config = SourceConfig {
+                poll_interval: Duration::from_millis(5),
+                ..SourceConfig::default()
+            };
             let runtime = SourceRuntime::builder()
-                .config(&config.source)
+                .config(&config)
                 .source(Box::new(source))
                 .start(ingest)
                 .expect("runtime starts");

@@ -208,7 +208,8 @@ pub mod table2 {
             let dirty = kind.generate_dirty(scale.dataset_rows(), 112);
             let batches = batches_for(&clean, &dirty, scale, 113);
             for encoder in EncoderKind::ALL {
-                let config = scale.dquag_config().with_encoder(encoder);
+                let mut config = scale.dquag_config();
+                config.model.encoder = encoder;
                 let validator = fit_spec(&dquag_spec(), &clean, &config);
                 let mut clean_rate = 0.0;
                 let mut dirty_rate = 0.0;

@@ -1,6 +1,7 @@
 //! Experiment scales: smoke (tests), quick (default) and full (paper-like).
 
 use dquag_core::DquagConfig;
+use dquag_gnn::ModelConfig;
 
 /// How much work each experiment does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,23 +55,39 @@ impl Scale {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let builder = match self {
-            Scale::Smoke => DquagConfig::builder()
-                .epochs(8)
-                .batch_size(64)
-                .hidden_dim(12)
-                .n_layers(2),
-            Scale::Quick => DquagConfig::builder()
-                .epochs(15)
-                .batch_size(128)
-                .hidden_dim(24)
-                .n_layers(4),
-            Scale::Full => DquagConfig::builder().epochs(30).batch_size(128),
+        let config = match self {
+            Scale::Smoke => DquagConfig {
+                model: ModelConfig {
+                    hidden_dim: 12,
+                    n_layers: 2,
+                    ..ModelConfig::default()
+                },
+                epochs: 8,
+                batch_size: 64,
+                ..DquagConfig::default()
+            },
+            Scale::Quick => DquagConfig {
+                model: ModelConfig {
+                    hidden_dim: 24,
+                    n_layers: 4,
+                    ..ModelConfig::default()
+                },
+                epochs: 15,
+                batch_size: 128,
+                ..DquagConfig::default()
+            },
+            Scale::Full => DquagConfig {
+                epochs: 30,
+                batch_size: 128,
+                ..DquagConfig::default()
+            },
         };
-        builder
-            .validation_threads(threads)
-            .build()
-            .expect("scale configurations are in range")
+        DquagConfig {
+            validation_threads: threads,
+            ..config
+        }
+        .validated()
+        .expect("scale configurations are in range")
     }
 
     /// Sample sizes for the Table 3 sweep.

@@ -1,6 +1,6 @@
 //! Pipeline configuration.
 
-use dquag_gnn::{EncoderKind, ModelConfig};
+use dquag_gnn::ModelConfig;
 use dquag_graph::FeatureGraph;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -391,6 +391,30 @@ impl TelemetryConfig {
 /// GAT+GIN encoder with hidden dimension 64, learning rate 0.01, batch size
 /// 128, a detection threshold at the 95th percentile of clean reconstruction
 /// errors and a dataset-level flagging factor of `n = 1.2`.
+///
+/// Every field is public: start from the paper defaults (or
+/// [`DquagConfig::fast`]), override what the deployment needs, and let
+/// [`DquagConfig::validated`] reject out-of-range values instead of silently
+/// training a broken pipeline.
+///
+/// ```
+/// use dquag_core::DquagConfig;
+///
+/// let mut config = DquagConfig {
+///     epochs: 15,
+///     validation_threads: 4,
+///     ..DquagConfig::default()
+/// };
+/// config.model.hidden_dim = 24;
+/// let config = config.validated().unwrap();
+/// assert_eq!(config.epochs, 15);
+///
+/// let out_of_range = DquagConfig {
+///     threshold_percentile: 1.5,
+///     ..DquagConfig::default()
+/// };
+/// assert!(out_of_range.validated().is_err());
+/// ```
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DquagConfig {
     /// Network architecture and loss weights.
@@ -418,10 +442,12 @@ pub struct DquagConfig {
     pub oracle_sample_size: usize,
     /// Worker threads used during phase-2 validation (1 = sequential).
     pub validation_threads: usize,
-    /// Rows stacked into one matrix-level forward pass during scoring,
-    /// calibration and repair; 1 scores every row alone. Larger batches
-    /// amortise the per-op overhead further but grow the transient activation
-    /// matrices linearly. Verdicts do not depend on it.
+    /// Rows handed to each `score_errors`/`score_repairs` call during
+    /// scoring, calibration and repair. The network splits every call into
+    /// equal cache-sized forward passes of at most
+    /// ⌊32768 / (features · hidden_dim)⌋ rows: 42 at 12 features and hidden
+    /// 64, so a 256-row call runs as 7 passes of at most 37 rows. 1 scores
+    /// every row alone. Verdicts do not depend on it.
     pub inference_batch_size: usize,
     /// Streaming ingestion engine settings (queue, replicas, backpressure,
     /// deadlines) — consumed by `dquag-stream`.
@@ -471,14 +497,6 @@ impl Default for DquagConfig {
 }
 
 impl DquagConfig {
-    /// Start building a configuration from the paper defaults, with range
-    /// validation at [`DquagConfigBuilder::build`].
-    pub fn builder() -> DquagConfigBuilder {
-        DquagConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// A reduced configuration for unit tests and quick demos: smaller
     /// network, fewer epochs, same decision rules.
     pub fn fast() -> Self {
@@ -494,21 +512,12 @@ impl DquagConfig {
         }
     }
 
-    /// The same configuration with a different encoder architecture — used by
-    /// the Table 2 ablation.
-    pub fn with_encoder(mut self, encoder: EncoderKind) -> Self {
-        self.model.encoder = encoder;
-        self
-    }
-
     /// The dataset-level error-rate threshold `5% × n`.
     pub fn dataset_error_rate_threshold(&self) -> f64 {
         (1.0 - self.threshold_percentile) * self.dataset_flag_factor
     }
 
     /// Validate every field's range, returning the offending field on error.
-    /// Called by [`DquagConfigBuilder::build`]; useful on hand-assembled
-    /// configurations too.
     pub fn validated(self) -> crate::Result<Self> {
         fn fail(msg: String) -> crate::Result<DquagConfig> {
             Err(crate::CoreError::InvalidConfig(msg))
@@ -571,312 +580,25 @@ impl DquagConfig {
                 self.model.hidden_dim, self.model.n_layers
             ));
         }
+        // A sharpness ≤ 0 is legal (it means an unweighted loss); a
+        // non-finite loss weight makes every training loss non-finite.
+        for (name, value) in [
+            ("model.alpha", self.model.alpha),
+            ("model.beta", self.model.beta),
+            ("model.weight_sharpness", self.model.weight_sharpness),
+        ] {
+            if !value.is_finite() {
+                return fail(format!("{name} must be finite, got {value}"));
+            }
+        }
         Ok(self)
-    }
-}
-
-/// Builder for [`DquagConfig`] with range validation.
-///
-/// The canonical construction path for user code: start from the paper
-/// defaults, override what the deployment needs, and let [`build`] reject
-/// out-of-range values instead of silently training a broken pipeline.
-///
-/// ```
-/// use dquag_core::DquagConfig;
-///
-/// let config = DquagConfig::builder()
-///     .epochs(15)
-///     .hidden_dim(24)
-///     .validation_threads(4)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.epochs, 15);
-/// assert!(DquagConfig::builder().threshold_percentile(1.5).build().is_err());
-/// ```
-///
-/// [`build`]: DquagConfigBuilder::build
-#[derive(Debug, Clone)]
-pub struct DquagConfigBuilder {
-    config: DquagConfig,
-}
-
-impl DquagConfigBuilder {
-    /// Replace the whole network architecture configuration.
-    pub fn model(mut self, model: ModelConfig) -> Self {
-        self.config.model = model;
-        self
-    }
-
-    /// Encoder hidden dimension (paper: 64).
-    pub fn hidden_dim(mut self, hidden_dim: usize) -> Self {
-        self.config.model.hidden_dim = hidden_dim;
-        self
-    }
-
-    /// Number of encoder layers (paper: 4).
-    pub fn n_layers(mut self, n_layers: usize) -> Self {
-        self.config.model.n_layers = n_layers;
-        self
-    }
-
-    /// Encoder architecture (paper: GAT+GIN).
-    pub fn encoder(mut self, encoder: EncoderKind) -> Self {
-        self.config.model.encoder = encoder;
-        self
-    }
-
-    /// Training epochs over the clean dataset.
-    pub fn epochs(mut self, epochs: usize) -> Self {
-        self.config.epochs = epochs;
-        self
-    }
-
-    /// Mini-batch size.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.config.batch_size = batch_size;
-        self
-    }
-
-    /// Adam learning rate.
-    pub fn learning_rate(mut self, learning_rate: f32) -> Self {
-        self.config.learning_rate = learning_rate;
-        self
-    }
-
-    /// Fraction of clean data held out for threshold calibration.
-    pub fn calibration_fraction(mut self, fraction: f64) -> Self {
-        self.config.calibration_fraction = fraction;
-        self
-    }
-
-    /// Percentile of clean reconstruction errors used as the detection
-    /// threshold (paper: 0.95).
-    pub fn threshold_percentile(mut self, percentile: f64) -> Self {
-        self.config.threshold_percentile = percentile;
-        self
-    }
-
-    /// Dataset-level flagging factor `n` (paper: 1.2).
-    pub fn dataset_flag_factor(mut self, factor: f64) -> Self {
-        self.config.dataset_flag_factor = factor;
-        self
-    }
-
-    /// Standard deviations above the mean feature error at which a feature
-    /// is flagged (paper: 5).
-    pub fn feature_sigma(mut self, sigma: f32) -> Self {
-        self.config.feature_sigma = sigma;
-        self
-    }
-
-    /// Rows sampled for feature-relationship inference (paper: 100).
-    pub fn oracle_sample_size(mut self, sample_size: usize) -> Self {
-        self.config.oracle_sample_size = sample_size;
-        self
-    }
-
-    /// Worker threads used during phase-2 validation.
-    pub fn validation_threads(mut self, threads: usize) -> Self {
-        self.config.validation_threads = threads;
-        self
-    }
-
-    /// Rows stacked into one batched forward pass.
-    pub fn inference_batch_size(mut self, rows: usize) -> Self {
-        self.config.inference_batch_size = rows;
-        self
-    }
-
-    /// Replace the whole streaming-engine configuration block.
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.config.stream = stream;
-        self
-    }
-
-    /// Capacity of the streaming engine's bounded ingestion queue.
-    pub fn stream_queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.stream.queue_capacity = capacity;
-        self
-    }
-
-    /// Number of data-parallel validator replicas in the streaming engine.
-    pub fn stream_replicas(mut self, replicas: usize) -> Self {
-        self.config.stream.replicas = replicas;
-        self
-    }
-
-    /// Producer-side behaviour when the streaming queue is full.
-    pub fn stream_backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.config.stream.backpressure = policy;
-        self
-    }
-
-    /// Per-batch validation budget in the streaming engine, measured from
-    /// submission.
-    pub fn stream_batch_deadline(mut self, deadline: Duration) -> Self {
-        self.config.stream.batch_deadline = Some(deadline);
-        self
-    }
-
-    /// Replace the whole source-adapter configuration block.
-    pub fn source(mut self, source: SourceConfig) -> Self {
-        self.config.source = source;
-        self
-    }
-
-    /// The validator this deployment runs, as a declarative spec tree (the
-    /// default is the plain `dquag` backend).
-    pub fn validator_spec(mut self, spec: crate::spec::ValidatorSpec) -> Self {
-        self.config.validator = spec;
-        self
-    }
-
-    /// Address the TCP/HTTP ingestion listener binds (port 0 = ephemeral).
-    pub fn source_bind_addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.source.bind_addr = addr.into();
-        self
-    }
-
-    /// How long an idle source sleeps between polls.
-    pub fn source_poll_interval(mut self, interval: Duration) -> Self {
-        self.config.source.poll_interval = interval;
-        self
-    }
-
-    /// Upper bound on one framed batch payload, in bytes.
-    pub fn source_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.config.source.max_frame_bytes = bytes;
-        self
-    }
-
-    /// Replace the whole serving-edge configuration block.
-    pub fn serving(mut self, serving: ServingConfig) -> Self {
-        self.config.source.serving = serving;
-        self
-    }
-
-    /// Worker threads multiplexing the listener's open connections.
-    pub fn serving_workers(mut self, workers: usize) -> Self {
-        self.config.source.serving.workers = workers;
-        self
-    }
-
-    /// Open-connection cap; accepts beyond it are refused with a fast
-    /// `503`/`REJECTED` reply.
-    pub fn serving_max_connections(mut self, max: usize) -> Self {
-        self.config.source.serving.max_connections = max;
-        self
-    }
-
-    /// Honor `Connection: keep-alive` on HTTP requests (on by default).
-    pub fn serving_keep_alive(mut self, keep_alive: bool) -> Self {
-        self.config.source.serving.keep_alive = keep_alive;
-        self
-    }
-
-    /// HTTP requests served on one kept-alive connection before recycling.
-    pub fn serving_max_requests_per_connection(mut self, max: usize) -> Self {
-        self.config.source.serving.max_requests_per_connection = max;
-        self
-    }
-
-    /// How long a connection may sit idle before the listener closes it.
-    pub fn serving_idle_timeout(mut self, timeout: Duration) -> Self {
-        self.config.source.serving.idle_timeout = timeout;
-        self
-    }
-
-    /// Enable durable checkpointing to this file.
-    pub fn checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.source.checkpoint.path = Some(path.into());
-        self
-    }
-
-    /// How often the background checkpointer persists a snapshot.
-    pub fn checkpoint_interval(mut self, interval: Duration) -> Self {
-        self.config.source.checkpoint.interval = interval;
-        self
-    }
-
-    /// Replace the whole observability configuration block.
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Master observability switch (on by default).
-    pub fn telemetry_enabled(mut self, enabled: bool) -> Self {
-        self.config.telemetry.enabled = enabled;
-        self
-    }
-
-    /// Ring-buffer capacity of the flight recorder.
-    pub fn flight_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.config.telemetry.flight_recorder_capacity = capacity;
-        self
-    }
-
-    /// Enable the periodic structured-log emitter at this interval.
-    pub fn telemetry_log_interval(mut self, interval: Duration) -> Self {
-        self.config.telemetry.log_interval = Some(interval);
-        self
-    }
-
-    /// Render the flight recorder to stderr on error-class events.
-    pub fn telemetry_dump_on_error(mut self, dump: bool) -> Self {
-        self.config.telemetry.dump_on_error = dump;
-        self
-    }
-
-    /// Enable the data-plane telemetry layer (per-column drift gauges and
-    /// the drift scoreboard). Off by default.
-    pub fn telemetry_data_enabled(mut self, enabled: bool) -> Self {
-        self.config.telemetry.data.enabled = enabled;
-        self
-    }
-
-    /// Gauge slots for the top-K drifting columns (default 8).
-    pub fn telemetry_data_top_k(mut self, top_k: usize) -> Self {
-        self.config.telemetry.data.top_k = top_k;
-        self
-    }
-
-    /// Restrict per-column drift gauges to these schema-declared columns.
-    pub fn telemetry_data_allowlist(
-        mut self,
-        columns: impl IntoIterator<Item = impl Into<String>>,
-    ) -> Self {
-        self.config.telemetry.data.allowlist = Some(columns.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Minimum wall-clock spacing between drift-gauge maintenance passes.
-    pub fn telemetry_data_min_emit_interval(mut self, interval: Duration) -> Self {
-        self.config.telemetry.data.min_emit_interval = Some(interval);
-        self
-    }
-
-    /// Random seed controlling initialisation and batch shuffling.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Bypass relationship inference and use this feature graph.
-    pub fn feature_graph_override(mut self, graph: FeatureGraph) -> Self {
-        self.config.feature_graph_override = Some(graph);
-        self
-    }
-
-    /// Validate every range and produce the configuration.
-    pub fn build(self) -> crate::Result<DquagConfig> {
-        self.config.validated()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dquag_gnn::EncoderKind;
 
     #[test]
     fn defaults_match_paper() {
@@ -906,153 +628,83 @@ mod tests {
     }
 
     #[test]
-    fn with_encoder_overrides_architecture() {
-        let c = DquagConfig::fast().with_encoder(EncoderKind::Gcn);
-        assert_eq!(c.model.encoder, EncoderKind::Gcn);
-    }
-
-    #[test]
-    fn builder_applies_every_setter() {
-        let c = DquagConfig::builder()
-            .epochs(7)
-            .batch_size(32)
-            .learning_rate(0.005)
-            .calibration_fraction(0.25)
-            .threshold_percentile(0.9)
-            .dataset_flag_factor(1.5)
-            .feature_sigma(3.0)
-            .oracle_sample_size(50)
-            .validation_threads(4)
-            .inference_batch_size(64)
-            .seed(9)
-            .hidden_dim(12)
-            .n_layers(3)
-            .encoder(EncoderKind::Gcn)
-            .build()
-            .expect("all values in range");
-        assert_eq!(c.epochs, 7);
-        assert_eq!(c.batch_size, 32);
-        assert!((c.learning_rate - 0.005).abs() < 1e-9);
-        assert!((c.calibration_fraction - 0.25).abs() < 1e-12);
-        assert!((c.threshold_percentile - 0.9).abs() < 1e-12);
-        assert!((c.dataset_flag_factor - 1.5).abs() < 1e-12);
-        assert!((c.feature_sigma - 3.0).abs() < 1e-9);
-        assert_eq!(c.oracle_sample_size, 50);
-        assert_eq!(c.validation_threads, 4);
-        assert_eq!(c.inference_batch_size, 64);
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.model.hidden_dim, 12);
-        assert_eq!(c.model.n_layers, 3);
-        assert_eq!(c.model.encoder, EncoderKind::Gcn);
-    }
-
-    #[test]
-    fn builder_rejects_out_of_range_values() {
+    fn validated_rejects_out_of_range_values() {
         use crate::CoreError;
-        let cases: Vec<(DquagConfigBuilder, &str)> = vec![
-            (DquagConfig::builder().epochs(0), "epochs"),
-            (DquagConfig::builder().batch_size(0), "batch_size"),
-            (DquagConfig::builder().learning_rate(0.0), "learning_rate"),
+        // Each case puts one field of the default configuration out of range.
+        type PutOutOfRange = fn(&mut DquagConfig);
+        let cases: [(PutOutOfRange, &str); 34] = [
+            (|c| c.epochs = 0, "epochs"),
+            (|c| c.batch_size = 0, "batch_size"),
+            (|c| c.learning_rate = 0.0, "learning_rate"),
+            (|c| c.learning_rate = f32::NAN, "learning_rate"),
+            (|c| c.calibration_fraction = 0.0, "calibration_fraction"),
+            (|c| c.calibration_fraction = 1.0, "calibration_fraction"),
+            (|c| c.threshold_percentile = 0.0, "threshold_percentile"),
+            (|c| c.threshold_percentile = 1.0, "threshold_percentile"),
+            (|c| c.threshold_percentile = 1.5, "threshold_percentile"),
+            (|c| c.dataset_flag_factor = 0.0, "dataset_flag_factor"),
+            (|c| c.feature_sigma = -1.0, "feature_sigma"),
+            (|c| c.oracle_sample_size = 1, "oracle_sample_size"),
+            (|c| c.validation_threads = 0, "validation_threads"),
+            (|c| c.inference_batch_size = 0, "inference_batch_size"),
+            (|c| c.stream.queue_capacity = 0, "queue_capacity"),
+            (|c| c.stream.replicas = 0, "replicas"),
             (
-                DquagConfig::builder().learning_rate(f32::NAN),
-                "learning_rate",
-            ),
-            (
-                DquagConfig::builder().calibration_fraction(0.0),
-                "calibration_fraction",
-            ),
-            (
-                DquagConfig::builder().calibration_fraction(1.0),
-                "calibration_fraction",
-            ),
-            (
-                DquagConfig::builder().threshold_percentile(0.0),
-                "threshold_percentile",
-            ),
-            (
-                DquagConfig::builder().threshold_percentile(1.0),
-                "threshold_percentile",
-            ),
-            (
-                DquagConfig::builder().threshold_percentile(1.5),
-                "threshold_percentile",
-            ),
-            (
-                DquagConfig::builder().dataset_flag_factor(0.0),
-                "dataset_flag_factor",
-            ),
-            (DquagConfig::builder().feature_sigma(-1.0), "feature_sigma"),
-            (
-                DquagConfig::builder().oracle_sample_size(1),
-                "oracle_sample_size",
-            ),
-            (
-                DquagConfig::builder().validation_threads(0),
-                "validation_threads",
-            ),
-            (
-                DquagConfig::builder().inference_batch_size(0),
-                "inference_batch_size",
-            ),
-            (
-                DquagConfig::builder().stream_queue_capacity(0),
-                "queue_capacity",
-            ),
-            (DquagConfig::builder().stream_replicas(0), "replicas"),
-            (
-                DquagConfig::builder().stream_batch_deadline(Duration::ZERO),
+                |c| c.stream.batch_deadline = Some(Duration::ZERO),
                 "batch_deadline",
             ),
             (
-                DquagConfig::builder().source_bind_addr("not an address"),
+                |c| c.source.bind_addr = "not an address".to_string(),
                 "bind_addr",
             ),
+            (|c| c.source.poll_interval = Duration::ZERO, "poll_interval"),
+            (|c| c.source.max_frame_bytes = 0, "max_frame_bytes"),
             (
-                DquagConfig::builder().source_poll_interval(Duration::ZERO),
-                "poll_interval",
-            ),
-            (
-                DquagConfig::builder().source_max_frame_bytes(0),
-                "max_frame_bytes",
-            ),
-            (
-                DquagConfig::builder().checkpoint_interval(Duration::ZERO),
+                |c| c.source.checkpoint.interval = Duration::ZERO,
                 "checkpoint.interval",
             ),
-            (DquagConfig::builder().serving_workers(0), "serving.workers"),
+            (|c| c.source.serving.workers = 0, "serving.workers"),
             (
-                DquagConfig::builder().serving_max_connections(0),
+                |c| c.source.serving.max_connections = 0,
                 "serving.max_connections",
             ),
             (
-                DquagConfig::builder().serving_max_requests_per_connection(0),
+                |c| c.source.serving.max_requests_per_connection = 0,
                 "serving.max_requests_per_connection",
             ),
             (
-                DquagConfig::builder().serving_idle_timeout(Duration::ZERO),
+                |c| c.source.serving.idle_timeout = Duration::ZERO,
                 "serving.idle_timeout",
             ),
             (
-                DquagConfig::builder().flight_recorder_capacity(0),
+                |c| c.telemetry.flight_recorder_capacity = 0,
                 "flight_recorder_capacity",
             ),
             (
-                DquagConfig::builder().telemetry_log_interval(Duration::ZERO),
+                |c| c.telemetry.log_interval = Some(Duration::ZERO),
                 "log_interval",
             ),
-            (DquagConfig::builder().telemetry_data_top_k(0), "data.top_k"),
+            (|c| c.telemetry.data.top_k = 0, "data.top_k"),
             (
-                DquagConfig::builder().telemetry_data_allowlist(Vec::<String>::new()),
+                |c| c.telemetry.data.allowlist = Some(Vec::new()),
                 "data.allowlist",
             ),
             (
-                DquagConfig::builder().telemetry_data_min_emit_interval(Duration::ZERO),
+                |c| c.telemetry.data.min_emit_interval = Some(Duration::ZERO),
                 "data.min_emit_interval",
             ),
-            (DquagConfig::builder().hidden_dim(0), "hidden_dim"),
+            (|c| c.model.hidden_dim = 0, "hidden_dim"),
+            (|c| c.model.alpha = f32::INFINITY, "model.alpha"),
+            (|c| c.model.beta = f32::NAN, "model.beta"),
+            (
+                |c| c.model.weight_sharpness = f32::NAN,
+                "model.weight_sharpness",
+            ),
         ];
-        for (builder, field) in cases {
-            match builder.build() {
+        for (put_out_of_range, field) in cases {
+            let mut config = DquagConfig::default();
+            put_out_of_range(&mut config);
+            match config.validated() {
                 Err(CoreError::InvalidConfig(msg)) => assert!(
                     msg.contains(field),
                     "error for {field} should name it, got `{msg}`"
@@ -1066,6 +718,10 @@ mod tests {
     fn validated_accepts_the_defaults() {
         assert!(DquagConfig::default().validated().is_ok());
         assert!(DquagConfig::fast().validated().is_ok());
+        // A sharpness of zero or below means an unweighted loss, not an error.
+        let mut unweighted = DquagConfig::default();
+        unweighted.model.weight_sharpness = 0.0;
+        assert!(unweighted.validated().is_ok());
     }
 
     #[test]
@@ -1078,16 +734,19 @@ mod tests {
             vec![ValidatorSpec::backend("dquag"), ValidatorSpec::drift()],
             Voting::Majority,
         );
-        let c = DquagConfig::builder()
-            .validator_spec(spec.clone())
-            .build()
-            .expect("spec in range");
-        assert_eq!(c.validator, spec);
+        DquagConfig {
+            validator: spec,
+            ..DquagConfig::default()
+        }
+        .validated()
+        .expect("spec in range");
 
         // Spec validation rides the config's: an empty ensemble is rejected.
-        let bad = DquagConfig::builder()
-            .validator_spec(ValidatorSpec::ensemble(vec![], Voting::Any))
-            .build();
+        let bad = DquagConfig {
+            validator: ValidatorSpec::ensemble(vec![], Voting::Any),
+            ..DquagConfig::default()
+        }
+        .validated();
         match bad {
             Err(crate::CoreError::InvalidConfig(msg)) => {
                 assert!(msg.contains("member"), "got `{msg}`")
@@ -1105,31 +764,18 @@ mod tests {
         assert_eq!(c.source.checkpoint.path, None);
         assert_eq!(c.source.checkpoint.interval, Duration::from_secs(5));
 
-        let c = DquagConfig::builder()
-            .source_bind_addr("127.0.0.1:7431")
-            .source_poll_interval(Duration::from_millis(25))
-            .source_max_frame_bytes(1024)
-            .checkpoint_path("/tmp/dquag.ckpt.json")
-            .checkpoint_interval(Duration::from_secs(1))
-            .build()
-            .expect("source values in range");
-        assert_eq!(c.source.bind_addr, "127.0.0.1:7431");
-        assert_eq!(c.source.poll_interval, Duration::from_millis(25));
-        assert_eq!(c.source.max_frame_bytes, 1024);
-        assert_eq!(
-            c.source.checkpoint.path.as_deref(),
-            Some(std::path::Path::new("/tmp/dquag.ckpt.json"))
-        );
-        assert_eq!(c.source.checkpoint.interval, Duration::from_secs(1));
-
-        let block = DquagConfig::builder()
-            .source(SourceConfig {
-                bind_addr: "0.0.0.0:9000".to_string(),
-                ..SourceConfig::default()
-            })
-            .build()
-            .expect("source block in range");
-        assert_eq!(block.source.bind_addr, "0.0.0.0:9000");
+        SourceConfig {
+            bind_addr: "127.0.0.1:7431".to_string(),
+            poll_interval: Duration::from_millis(25),
+            max_frame_bytes: 1024,
+            checkpoint: CheckpointConfig {
+                path: Some("/tmp/dquag.ckpt.json".into()),
+                interval: Duration::from_secs(1),
+            },
+            ..SourceConfig::default()
+        }
+        .validated()
+        .expect("source values in range");
     }
 
     #[test]
@@ -1141,34 +787,24 @@ mod tests {
         assert_eq!(c.source.serving.max_requests_per_connection, 1000);
         assert_eq!(c.source.serving.idle_timeout, Duration::from_secs(30));
 
-        let c = DquagConfig::builder()
-            .serving_workers(2)
-            .serving_max_connections(64)
-            .serving_keep_alive(false)
-            .serving_max_requests_per_connection(16)
-            .serving_idle_timeout(Duration::from_secs(5))
-            .build()
-            .expect("serving values in range");
-        assert_eq!(c.source.serving.workers, 2);
-        assert_eq!(c.source.serving.max_connections, 64);
-        assert!(!c.source.serving.keep_alive);
-        assert_eq!(c.source.serving.max_requests_per_connection, 16);
-        assert_eq!(c.source.serving.idle_timeout, Duration::from_secs(5));
-
-        let block = DquagConfig::builder()
-            .serving(ServingConfig {
-                workers: 1,
-                ..ServingConfig::default()
-            })
-            .build()
-            .expect("serving block in range");
-        assert_eq!(block.source.serving.workers, 1);
+        let source = SourceConfig {
+            serving: ServingConfig {
+                workers: 2,
+                max_connections: 64,
+                keep_alive: false,
+                max_requests_per_connection: 16,
+                idle_timeout: Duration::from_secs(5),
+            },
+            ..SourceConfig::default()
+        }
+        .validated()
+        .expect("serving values in range");
 
         // The serving block rides the source block's serde round trip.
-        let json = serde_json::to_string(&c.source).unwrap();
+        let json = serde_json::to_string(&source).unwrap();
         assert!(json.contains("max_connections"), "{json}");
         let back: SourceConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c.source);
+        assert_eq!(back, source);
     }
 
     #[test]
@@ -1179,33 +815,23 @@ mod tests {
         assert_eq!(c.telemetry.log_interval, None);
         assert!(c.telemetry.dump_on_error);
 
-        let c = DquagConfig::builder()
-            .flight_recorder_capacity(32)
-            .telemetry_log_interval(Duration::from_secs(10))
-            .telemetry_dump_on_error(false)
-            .build()
-            .expect("telemetry values in range");
-        assert_eq!(c.telemetry.flight_recorder_capacity, 32);
-        assert_eq!(c.telemetry.log_interval, Some(Duration::from_secs(10)));
-        assert!(!c.telemetry.dump_on_error);
+        let telemetry = TelemetryConfig {
+            flight_recorder_capacity: 32,
+            log_interval: Some(Duration::from_secs(10)),
+            dump_on_error: false,
+            ..TelemetryConfig::default()
+        }
+        .validated()
+        .expect("telemetry values in range");
 
         // The block builds the live bundle it describes — or nothing at all.
-        let bundle = c.telemetry.build().expect("enabled block builds a bundle");
+        let bundle = telemetry.build().expect("enabled block builds a bundle");
         assert_eq!(bundle.recorder().capacity(), 32);
-        let off = DquagConfig::builder()
-            .telemetry_enabled(false)
-            .build()
-            .expect("disabled block in range");
-        assert!(off.telemetry.build().is_none());
-
-        let block = DquagConfig::builder()
-            .telemetry(TelemetryConfig {
-                enabled: false,
-                ..TelemetryConfig::default()
-            })
-            .build()
-            .expect("telemetry block in range");
-        assert!(!block.telemetry.enabled);
+        let off = TelemetryConfig {
+            enabled: false,
+            ..TelemetryConfig::default()
+        };
+        assert!(off.build().is_none());
     }
 
     #[test]
@@ -1219,36 +845,34 @@ mod tests {
         let bundle = c.telemetry.build().expect("telemetry on by default");
         assert!(bundle.data().is_none());
 
-        let c = DquagConfig::builder()
-            .telemetry_data_enabled(true)
-            .telemetry_data_top_k(3)
-            .telemetry_data_min_emit_interval(Duration::from_millis(500))
-            .build()
-            .expect("data values in range");
-        assert!(c.telemetry.data.enabled);
-        assert_eq!(c.telemetry.data.top_k, 3);
-        assert_eq!(
-            c.telemetry.data.min_emit_interval,
-            Some(Duration::from_millis(500))
-        );
-        let bundle = c.telemetry.build().expect("bundle builds");
+        let data_on = |data: TelemetryDataConfig| {
+            TelemetryConfig {
+                data,
+                ..TelemetryConfig::default()
+            }
+            .validated()
+            .expect("data values in range")
+        };
+        let telemetry = data_on(TelemetryDataConfig {
+            enabled: true,
+            top_k: 3,
+            min_emit_interval: Some(Duration::from_millis(500)),
+            ..TelemetryDataConfig::default()
+        });
+        let bundle = telemetry.build().expect("bundle builds");
         assert!(bundle.data().is_some());
 
-        let c = DquagConfig::builder()
-            .telemetry_data_enabled(true)
-            .telemetry_data_allowlist(["age", "fare"])
-            .build()
-            .expect("allowlist in range");
-        assert_eq!(
-            c.telemetry.data.allowlist,
-            Some(vec!["age".to_string(), "fare".to_string()])
-        );
+        let telemetry = data_on(TelemetryDataConfig {
+            enabled: true,
+            allowlist: Some(vec!["age".to_string(), "fare".to_string()]),
+            ..TelemetryDataConfig::default()
+        });
 
         // The data block rides the config's serde round trip.
-        let json = serde_json::to_string(&c.telemetry).unwrap();
+        let json = serde_json::to_string(&telemetry).unwrap();
         assert!(json.contains("allowlist"), "{json}");
         let back: TelemetryConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c.telemetry);
+        assert_eq!(back, telemetry);
     }
 
     #[test]
@@ -1259,27 +883,21 @@ mod tests {
         assert_eq!(c.stream.backpressure, BackpressurePolicy::Block);
         assert_eq!(c.stream.batch_deadline, None);
 
-        let c = DquagConfig::builder()
-            .stream_queue_capacity(8)
-            .stream_replicas(4)
-            .stream_backpressure(BackpressurePolicy::Reject)
-            .stream_batch_deadline(Duration::from_millis(250))
-            .build()
-            .expect("stream values in range");
-        assert_eq!(c.stream.queue_capacity, 8);
-        assert_eq!(c.stream.replicas, 4);
-        assert_eq!(c.stream.backpressure, BackpressurePolicy::Reject);
-        assert_eq!(c.stream.batch_deadline, Some(Duration::from_millis(250)));
-
-        let block = DquagConfig::builder()
-            .stream(StreamConfig {
+        for stream in [
+            StreamConfig {
+                queue_capacity: 8,
+                replicas: 4,
+                backpressure: BackpressurePolicy::Reject,
+                batch_deadline: Some(Duration::from_millis(250)),
+            },
+            StreamConfig {
                 queue_capacity: 2,
                 replicas: 2,
                 backpressure: BackpressurePolicy::DropNewest,
                 batch_deadline: None,
-            })
-            .build()
-            .expect("stream block in range");
-        assert_eq!(block.stream.backpressure, BackpressurePolicy::DropNewest);
+            },
+        ] {
+            stream.validated().expect("stream values in range");
+        }
     }
 }

@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors surfaced by training, validation and repair.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
-    /// The clean training dataset is unusable (empty or too small).
+    /// The clean training dataset is unusable (empty or too small), or the
+    /// fit on it diverged to a non-finite loss or threshold.
     InvalidTrainingData(String),
     /// A dataframe handed to phase 2 does not match the training schema.
     SchemaMismatch(String),

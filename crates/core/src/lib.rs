@@ -54,8 +54,8 @@ pub mod spec;
 
 pub use atomic_write::write_atomic;
 pub use config::{
-    BackpressurePolicy, CheckpointConfig, DquagConfig, DquagConfigBuilder, ServingConfig,
-    SourceConfig, StreamConfig, TelemetryConfig,
+    BackpressurePolicy, CheckpointConfig, DquagConfig, ServingConfig, SourceConfig, StreamConfig,
+    TelemetryConfig, TelemetryDataConfig,
 };
 pub use error::CoreError;
 pub use pipeline::{

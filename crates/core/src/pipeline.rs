@@ -221,7 +221,7 @@ impl DquagValidator {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut epoch_losses = Vec::with_capacity(config.epochs);
         let mut indices: Vec<usize> = (0..encoded_train.n_rows()).collect();
-        for _ in 0..config.epochs {
+        for epoch in 0..config.epochs {
             indices.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut n_batches = 0;
@@ -231,7 +231,15 @@ impl DquagValidator {
                 epoch_loss += loss;
                 n_batches += 1;
             }
-            epoch_losses.push(epoch_loss / n_batches.max(1) as f32);
+            let epoch_loss = epoch_loss / n_batches.max(1) as f32;
+            // A diverged fit must never be calibrated, persisted or swapped
+            // into a live engine: its weights score nothing meaningful.
+            if !epoch_loss.is_finite() {
+                return Err(CoreError::InvalidTrainingData(format!(
+                    "training diverged: epoch {epoch} loss is {epoch_loss}"
+                )));
+            }
+            epoch_losses.push(epoch_loss);
         }
 
         // 5. Collect reconstruction-error statistics on the held-out clean
@@ -247,6 +255,11 @@ impl DquagValidator {
             .flat_map(|chunk| network.score_errors(&session, chunk).instance_errors())
             .collect();
         let threshold = percentile_f32(&calibration_errors, config.threshold_percentile);
+        if !threshold.is_finite() {
+            return Err(CoreError::InvalidTrainingData(format!(
+                "training diverged: calibrated threshold is {threshold}"
+            )));
+        }
 
         let summary = TrainingSummary {
             epoch_losses,
@@ -1033,6 +1046,30 @@ mod tests {
             validator.validate(&other),
             Err(CoreError::SchemaMismatch(_))
         ));
+    }
+
+    #[test]
+    fn diverged_fits_are_refused_not_returned() {
+        let clean = DatasetKind::CreditCard.generate_clean(300, 1);
+        let mut sharpness_nan = DquagConfig::fast();
+        sharpness_nan.model.weight_sharpness = f32::NAN;
+        let mut alpha_inf = DquagConfig::fast();
+        alpha_inf.model.alpha = f32::INFINITY;
+        let huge_step = DquagConfig {
+            learning_rate: 1e30,
+            ..DquagConfig::fast()
+        };
+        for config in [huge_step, sharpness_nan, alpha_inf] {
+            match DquagValidator::train(&clean, &[], &config) {
+                Err(CoreError::InvalidTrainingData(msg)) => {
+                    assert!(msg.contains("diverged"), "{msg}")
+                }
+                other => panic!(
+                    "a diverged fit must be refused, got threshold {:?}",
+                    other.map(|validator| validator.threshold())
+                ),
+            }
+        }
     }
 
     #[test]

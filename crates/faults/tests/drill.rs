@@ -31,7 +31,12 @@ fn unique_dir(tag: &str) -> PathBuf {
 }
 
 fn fitted_backend() -> DquagBackend {
-    let config = DquagConfig::builder().epochs(15).build().unwrap();
+    let config = DquagConfig {
+        epochs: 15,
+        ..DquagConfig::default()
+    }
+    .validated()
+    .unwrap();
     let clean = DatasetKind::CreditCard.generate_clean(900, 3);
     let mut backend = DquagBackend::new(config);
     backend.fit(&clean).expect("training succeeds");

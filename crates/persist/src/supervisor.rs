@@ -576,6 +576,59 @@ mod tests {
     }
 
     #[test]
+    fn diverged_refit_is_neither_persisted_nor_swapped() {
+        use dquag_core::DquagConfig;
+        use dquag_datagen::DatasetKind;
+        use dquag_validate::DquagBackend;
+        let dir = unique_dir("diverged");
+        let model_path = dir.join("refit.json");
+        let (engine, ingest, verdicts) = StreamEngineFixture::start();
+        let boot = fitted_drift();
+        // A step this large drives the weights to NaN in the first epoch.
+        let mut supervisor = RefitSupervisor::new(
+            engine.swap_handle(),
+            SupervisorConfig {
+                reservoir_capacity: 4,
+                patience: 1,
+                min_fit_rows: 1,
+                model_path: Some(model_path.clone()),
+            },
+            || {
+                Box::new(DquagBackend::new(DquagConfig {
+                    learning_rate: 1e30,
+                    ..DquagConfig::fast()
+                }))
+            },
+        );
+
+        // The boot model's verdicts drive the streak; the banked clean batch
+        // is what the candidate fits on.
+        let clean_verdict = boot.validate(&clean_batch(40)).unwrap();
+        supervisor.observe(
+            &DatasetKind::CreditCard.generate_clean(300, 7),
+            &clean_verdict,
+        );
+        let dirty_verdict = boot.validate(&shifted_batch(40)).unwrap();
+        assert!(supervisor.observe(&shifted_batch(40), &dirty_verdict));
+
+        let outcomes = supervisor.wait_idle();
+        assert!(
+            matches!(
+                outcomes.as_slice(),
+                [RefitOutcome::Failed { stage: "fit", .. }]
+            ),
+            "{outcomes:?}"
+        );
+        assert!(!model_path.exists(), "a diverged model is never persisted");
+        assert_eq!(engine.generation(), 0, "old model keeps serving");
+
+        drop(ingest);
+        drop(verdicts);
+        engine.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn refit_outcomes_are_visible_in_registry_and_flight_recorder() {
         use dquag_telemetry::TelemetryOptions;
         let telemetry = Telemetry::with_options(TelemetryOptions {

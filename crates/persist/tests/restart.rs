@@ -34,7 +34,12 @@ fn unique_dir(tag: &str) -> PathBuf {
 
 /// Train a small but real DQuaG validator (GNN and all) on clean traffic.
 fn fit_dquag(clean: &DataFrame) -> Box<dyn Validator> {
-    let config = DquagConfig::builder().epochs(15).build().unwrap();
+    let config = DquagConfig {
+        epochs: 15,
+        ..DquagConfig::default()
+    }
+    .validated()
+    .unwrap();
     let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
     validator.fit(clean).unwrap();
     validator

@@ -32,18 +32,26 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use dquag_core::DquagConfig;
+//! use dquag_core::{CheckpointConfig, DquagConfig, SourceConfig};
 //! use dquag_sources::{Checkpoint, DirWatcherSource, NetListenerSource, SourceRuntime};
 //! use dquag_stream::StreamEngine;
 //! use dquag_validate::build_spec;
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //!
 //! let clean = get_clean();
-//! let config = DquagConfig::builder()
-//!     .source_bind_addr("127.0.0.1:7431")
-//!     .checkpoint_path("state/dquag.ckpt.json")
-//!     .build()
-//!     .unwrap();
+//! let config = DquagConfig {
+//!     source: SourceConfig {
+//!         bind_addr: "127.0.0.1:7431".to_string(),
+//!         checkpoint: CheckpointConfig {
+//!             path: Some("state/dquag.ckpt.json".into()),
+//!             ..CheckpointConfig::default()
+//!         },
+//!         ..SourceConfig::default()
+//!     },
+//!     ..DquagConfig::default()
+//! }
+//! .validated()
+//! .unwrap();
 //! let mut validator = build_spec(&config.validator, &config).unwrap();
 //! validator.fit(&clean).unwrap();
 //!

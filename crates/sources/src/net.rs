@@ -169,19 +169,6 @@ impl NetListenerSource {
         self
     }
 
-    /// Override the per-frame payload cap.
-    pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
-        self
-    }
-
-    /// Override the serving-edge limits (worker pool size, connection cap,
-    /// keep-alive policy, idle timeout).
-    pub fn with_serving(mut self, serving: dquag_core::ServingConfig) -> Self {
-        self.serving = serving;
-        self
-    }
-
     /// Advertise the declarative spec of the validator behind this
     /// listener: `STATS` and `GET /stats` responses gain an `active_spec`
     /// key, so a monitoring client sees *what* is judging the traffic, not

@@ -3,7 +3,7 @@
 //! test proving a restarted engine resumes from the persisted checkpoint
 //! without reprocessing or skipping a batch.
 
-use dquag_core::DquagConfig;
+use dquag_core::{CheckpointConfig, DquagConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{Checkpoint, DirWatcherSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamStats};
@@ -145,12 +145,14 @@ fn run_incarnation(
     checkpoint_path: &Path,
     expect_items: usize,
 ) -> (Vec<usize>, StreamStats, Checkpoint) {
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .checkpoint_path(checkpoint_path)
-        .checkpoint_interval(Duration::from_millis(50))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        checkpoint: CheckpointConfig {
+            path: Some(checkpoint_path.to_path_buf()),
+            interval: Duration::from_millis(50),
+        },
+        ..SourceConfig::default()
+    };
 
     let restored = Checkpoint::recover(checkpoint_path).expect("no version rollback in this test");
     let mut engine_builder = StreamEngine::builder().queue_capacity(32);
@@ -162,7 +164,7 @@ fn run_incarnation(
         .expect("engine starts");
 
     let mut runtime_builder = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(DirWatcherSource::new(inbox, KIND.schema())));
     if let Some(checkpoint) = restored {
         runtime_builder = runtime_builder.restore(checkpoint);
@@ -242,16 +244,16 @@ fn watcher_quarantines_poison_files_and_keeps_the_feed_alive() {
     std::fs::write(inbox.join("bad.csv"), "this,is\nnot,matching,anything\n").unwrap();
     let good_sizes = drop_files(&inbox, 0, 2);
 
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
         .queue_capacity(8)
         .start(fitted_validator())
         .expect("engine starts");
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(DirWatcherSource::new(&inbox, KIND.schema())))
         .start(ingest)
         .expect("runtime starts");

@@ -7,7 +7,7 @@
 //! exact crash and asserts that across both process generations every
 //! file is delivered exactly once — zero replayed, zero skipped.
 
-use dquag_core::DquagConfig;
+use dquag_core::{DquagConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{DirWatcherSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
@@ -85,12 +85,12 @@ fn run_generation(
     if let Some(n) = crash_after {
         source = source.with_crash_between_journal_and_rename(n);
     }
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");

@@ -3,7 +3,7 @@
 //! replies must keep connections usable, and the `STATS` surfaces must
 //! serve the live engine statistics.
 
-use dquag_core::DquagConfig;
+use dquag_core::{DquagConfig, SourceConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_sources::NetListenerSource;
 use dquag_sources::SourceRuntime;
@@ -63,12 +63,12 @@ fn start_networked() -> (StreamEngine, VerdictStream, SourceRuntime, SocketAddr)
     let source =
         NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind succeeds");
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");
@@ -211,12 +211,12 @@ fn stats_surfaces_report_the_active_spec_and_checkpoints_record_it() {
         .expect("loopback bind succeeds")
         .with_spec(spec.clone());
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .spec(spec.clone())
         .start(ingest)
@@ -376,12 +376,12 @@ fn shutdown_interrupts_deliveries_blocked_on_a_full_engine() {
     let source =
         NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind succeeds");
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");

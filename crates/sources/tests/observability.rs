@@ -3,7 +3,7 @@
 //! Prometheus exposition covering the full pipeline (≥ 12 series), and the
 //! raw-protocol `METRICS` command's length-framed payload.
 
-use dquag_core::DquagConfig;
+use dquag_core::{DquagConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, VerdictStream};
@@ -49,12 +49,12 @@ fn start_observed() -> (
         .expect("loopback bind succeeds")
         .with_telemetry(Arc::clone(&telemetry));
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .telemetry(Arc::clone(&telemetry))
         .start(ingest)
@@ -390,12 +390,12 @@ fn start_drift_observed() -> (
         .expect("loopback bind succeeds")
         .with_telemetry(Arc::clone(&telemetry));
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .telemetry(Arc::clone(&telemetry))
         .start(ingest)
@@ -511,12 +511,12 @@ fn without_telemetry_the_surfaces_refuse_cleanly() {
     let source =
         NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind succeeds");
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        ..SourceConfig::default()
+    };
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");

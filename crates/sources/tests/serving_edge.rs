@@ -5,7 +5,7 @@
 //! shaped like HTTP versions stay raw, and a failed worker hand-off is
 //! survived instead of panicking the listener.
 
-use dquag_core::{DquagConfig, ServingConfig};
+use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, VerdictStream};
@@ -52,18 +52,18 @@ fn start_serving(
         .queue_capacity(64)
         .start(fitted_validator())
         .expect("engine starts");
-    let mut source = NetListenerSource::bind("127.0.0.1:0", KIND.schema())
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        serving,
+        ..SourceConfig::default()
+    };
+    let mut source = NetListenerSource::from_config(&config, KIND.schema())
         .expect("loopback bind succeeds")
-        .with_serving(serving)
         .with_telemetry(Arc::clone(&telemetry));
     source.inject_dispatch_failures(inject_dispatch_failures);
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");

@@ -8,7 +8,7 @@
 //! count, so it lives alone in its own test binary: sibling tests spawning
 //! engines would make `/proc/self/status` readings meaningless.
 
-use dquag_core::{DquagConfig, ServingConfig};
+use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
@@ -157,21 +157,21 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
         .queue_capacity(512)
         .start(fitted_validator())
         .expect("engine starts");
-    let source = NetListenerSource::bind("127.0.0.1:0", KIND.schema())
-        .expect("loopback bind succeeds")
-        .with_serving(ServingConfig {
+    let config = SourceConfig {
+        poll_interval: Duration::from_millis(10),
+        serving: ServingConfig {
             workers: WORKERS,
             max_connections: MAX_CONNECTIONS,
             ..ServingConfig::default()
-        })
+        },
+        ..SourceConfig::default()
+    };
+    let source = NetListenerSource::from_config(&config, KIND.schema())
+        .expect("loopback bind succeeds")
         .with_telemetry(Arc::clone(&telemetry));
     let addr = source.local_addr();
-    let config = DquagConfig::builder()
-        .source_poll_interval(Duration::from_millis(10))
-        .build()
-        .expect("config in range");
     let runtime = SourceRuntime::builder()
-        .config(&config.source)
+        .config(&config)
         .source(Box::new(source))
         .start(ingest)
         .expect("runtime starts");

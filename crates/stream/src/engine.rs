@@ -92,7 +92,7 @@ struct Shared {
     progress: Condvar,
     capacity: usize,
     policy: BackpressurePolicy,
-    default_budget: Option<Duration>,
+    budget: Option<Duration>,
     replicas: usize,
     /// Pre-registered telemetry handles; `None` means telemetry off and the
     /// hot path pays only this option check.
@@ -289,7 +289,7 @@ impl StreamEngineBuilder {
             progress: Condvar::new(),
             capacity: config.queue_capacity,
             policy: config.backpressure,
-            default_budget: config.batch_deadline,
+            budget: config.batch_deadline,
             replicas: config.replicas,
             metrics: self.telemetry.map(StreamMetrics::new),
             rebuild: self.rebuild,
@@ -779,24 +779,14 @@ pub struct IngestHandle {
 }
 
 impl IngestHandle {
-    /// Submit a batch under the engine's backpressure policy and default
+    /// Submit a batch under the engine's backpressure policy and batch
     /// deadline. When the engine is full — `queue_capacity + replicas`
     /// batches accepted but not yet emitted, whether they are queued,
     /// in-flight or waiting for the consumer — this blocks (`Block`),
     /// discards the batch (`DropNewest`) or refuses it (`Reject`); the
     /// returned [`SubmitOutcome`] says which happened.
     pub fn submit(&self, batch: DataFrame) -> Result<SubmitOutcome, EngineClosed> {
-        self.submit_inner(batch, self.shared.default_budget, None)
-    }
-
-    /// Submit with an explicit per-batch validation budget, overriding the
-    /// engine default.
-    pub fn submit_with_budget(
-        &self,
-        batch: DataFrame,
-        budget: Duration,
-    ) -> Result<SubmitOutcome, EngineClosed> {
-        self.submit_inner(batch, Some(budget), None)
+        self.submit_inner(batch, None)
     }
 
     /// Like [`submit`], but a `Block`ed producer gives up after `timeout`
@@ -809,13 +799,12 @@ impl IngestHandle {
         batch: DataFrame,
         timeout: Duration,
     ) -> Result<SubmitOutcome, EngineClosed> {
-        self.submit_inner(batch, self.shared.default_budget, Some(timeout))
+        self.submit_inner(batch, Some(timeout))
     }
 
     fn submit_inner(
         &self,
         batch: DataFrame,
-        budget: Option<Duration>,
         timeout: Option<Duration>,
     ) -> Result<SubmitOutcome, EngineClosed> {
         let shared = &*self.shared;
@@ -886,6 +875,7 @@ impl IngestHandle {
         let seq = st.next_seq;
         st.next_seq += 1;
         let now = Instant::now();
+        let budget = shared.budget;
         let deadline_at = budget.map(|b| now + b);
         st.pending.insert(
             seq,

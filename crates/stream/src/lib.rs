@@ -56,7 +56,12 @@
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //! # fn next_batch() -> dquag_tabular::DataFrame { unimplemented!() }
 //!
-//! let config = DquagConfig::builder().epochs(15).build().unwrap();
+//! let config = DquagConfig {
+//!     epochs: 15,
+//!     ..DquagConfig::default()
+//! }
+//! .validated()
+//! .unwrap();
 //! let mut validator = build_spec(&config.validator, &config).unwrap();
 //! validator.fit(&get_clean()).unwrap();
 //!

@@ -66,14 +66,15 @@ fn assert_same_verdicts(batched: &[Verdict], per_row: &[Verdict], context: &str)
 #[test]
 fn batching_is_invisible_through_session_and_stream_engine() {
     let (clean, batches) = catalog();
-    let config = DquagConfig::builder()
-        .epochs(10)
-        .batch_size(64)
-        .hidden_dim(12)
-        .n_layers(2)
-        .inference_batch_size(32) // smaller than a batch → ragged final chunks
-        .build()
-        .expect("configuration in range");
+    let mut config = DquagConfig {
+        epochs: 10,
+        batch_size: 64,
+        inference_batch_size: 32, // smaller than a batch → ragged final chunks
+        ..DquagConfig::default()
+    };
+    config.model.hidden_dim = 12;
+    config.model.n_layers = 2;
+    let config = config.validated().expect("configuration in range");
 
     // Fit exactly once; both paths share the same weights and threshold and
     // differ only in the rows stacked into one forward pass.

@@ -9,13 +9,14 @@ use dquag_validate::{build_spec, Capabilities, FitReport, Validator, ValidatorSp
 use std::time::Duration;
 
 fn test_config() -> DquagConfig {
-    DquagConfig::builder()
-        .epochs(10)
-        .batch_size(64)
-        .hidden_dim(12)
-        .n_layers(2)
-        .build()
-        .expect("configuration in range")
+    let mut config = DquagConfig {
+        epochs: 10,
+        batch_size: 64,
+        ..DquagConfig::default()
+    };
+    config.model.hidden_dim = 12;
+    config.model.n_layers = 2;
+    config.validated().expect("configuration in range")
 }
 
 /// Clean reference data plus a mixed clean/corrupted batch stream.

@@ -4,7 +4,7 @@
 //! happened, in what order" when a swap races a drain or a refit dies.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -177,7 +177,7 @@ impl std::fmt::Display for FlightEvent {
 pub struct FlightRecorder {
     inner: Mutex<VecDeque<FlightEvent>>,
     capacity: usize,
-    dump_on_error: AtomicBool,
+    dump_on_error: bool,
     dropped: AtomicU64,
 }
 
@@ -187,7 +187,7 @@ impl FlightRecorder {
         Self {
             inner: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
             capacity: capacity.max(1),
-            dump_on_error: AtomicBool::new(dump_on_error),
+            dump_on_error,
             dropped: AtomicU64::new(0),
         }
     }
@@ -196,7 +196,7 @@ impl FlightRecorder {
     /// error-class and `dump_on_error` is on, the full ring is dumped to
     /// stderr immediately.
     pub fn record(&self, uptime: Duration, kind: FlightEventKind) {
-        let dump = kind.is_error() && self.dump_on_error.load(Ordering::Relaxed);
+        let dump = kind.is_error() && self.dump_on_error;
         {
             let mut ring = self.inner.lock().expect("flight recorder poisoned");
             if ring.len() == self.capacity {
@@ -234,11 +234,6 @@ impl FlightRecorder {
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Enable or disable the automatic dump on error-class events.
-    pub fn set_dump_on_error(&self, on: bool) {
-        self.dump_on_error.store(on, Ordering::Relaxed);
     }
 
     /// The whole ring as a human-readable multi-line report.

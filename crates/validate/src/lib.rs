@@ -40,7 +40,12 @@
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //! # fn get_batches() -> Vec<dquag_tabular::DataFrame> { unimplemented!() }
 //!
-//! let config = DquagConfig::builder().epochs(15).build().unwrap();
+//! let config = DquagConfig {
+//!     epochs: 15,
+//!     ..DquagConfig::default()
+//! }
+//! .validated()
+//! .unwrap();
 //! let validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
 //! let mut session = ValidationSession::fit(validator, &get_clean())
 //!     .unwrap()

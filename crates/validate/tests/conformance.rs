@@ -20,13 +20,14 @@ use dquag_tabular::DataFrame;
 use dquag_validate::{build_spec, Capabilities, ValidateError, Validator, ValidatorSpec, Verdict};
 
 fn test_config() -> DquagConfig {
-    DquagConfig::builder()
-        .epochs(10)
-        .batch_size(64)
-        .hidden_dim(12)
-        .n_layers(2)
-        .build()
-        .expect("configuration in range")
+    let mut config = DquagConfig {
+        epochs: 10,
+        batch_size: 64,
+        ..DquagConfig::default()
+    };
+    config.model.hidden_dim = 12;
+    config.model.n_layers = 2;
+    config.validated().expect("configuration in range")
 }
 
 /// The seven paper validators in table order (the six baseline profiles,

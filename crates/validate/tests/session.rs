@@ -6,13 +6,14 @@ use dquag_tabular::DataFrame;
 use dquag_validate::{build_spec, ValidationSession, ValidatorSpec, Voting};
 
 fn test_config() -> DquagConfig {
-    DquagConfig::builder()
-        .epochs(10)
-        .batch_size(64)
-        .hidden_dim(12)
-        .n_layers(2)
-        .build()
-        .expect("configuration in range")
+    let mut config = DquagConfig {
+        epochs: 10,
+        batch_size: 64,
+        ..DquagConfig::default()
+    };
+    config.model.hidden_dim = 12;
+    config.model.n_layers = 2;
+    config.validated().expect("configuration in range")
 }
 
 /// A mixed stream: clean and corrupted hotel-booking batches.
@@ -43,14 +44,12 @@ fn parallel_multi_batch_validation_matches_sequential() {
     // Acceptance criterion of the API redesign: with validation_threads > 1
     // the session must produce verdicts identical to the sequential path.
     let (clean, batches) = batch_stream(6);
-    let config = DquagConfig::builder()
-        .epochs(10)
-        .batch_size(64)
-        .hidden_dim(12)
-        .n_layers(2)
-        .validation_threads(4)
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        validation_threads: 4,
+        ..test_config()
+    }
+    .validated()
+    .expect("configuration in range");
 
     let mut session = ValidationSession::train(&config, &clean).expect("training succeeds");
     assert_eq!(session.threads(), 4, "session honours validation_threads");
@@ -71,17 +70,19 @@ fn train_builds_the_validator_the_config_declares() {
     // `config.validator` picks what `train` fits: here an ensemble of two
     // baselines, which validates in bulk like any single backend.
     let (clean, batches) = batch_stream(4);
-    let config = DquagConfig::builder()
-        .validation_threads(2)
-        .validator_spec(ValidatorSpec::ensemble(
+    let config = DquagConfig {
+        validation_threads: 2,
+        validator: ValidatorSpec::ensemble(
             vec![
                 ValidatorSpec::backend("gate"),
                 ValidatorSpec::backend("adqv"),
             ],
             Voting::Any,
-        ))
-        .build()
-        .expect("configuration in range");
+        ),
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
 
     let mut session = ValidationSession::train(&config, &clean).expect("training succeeds");
     assert_eq!(session.validator().name(), "any(Gate, ADQV)");

@@ -14,7 +14,7 @@
 //! cargo run --release --example drift_observatory
 //! ```
 
-use dquag::core::DquagConfig;
+use dquag::core::{DquagConfig, SourceConfig, TelemetryConfig, TelemetryDataConfig};
 use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::StreamEngine;
 use dquag::tabular::{csv, DataFrame, Field, Schema, Value};
@@ -104,14 +104,25 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 fn main() {
     // The data layer is off by default; one config block turns it on and
     // budgets the gauges at 4 slots for a 16-column table.
-    let config = DquagConfig::builder()
-        .source_bind_addr("127.0.0.1:0")
-        .source_poll_interval(Duration::from_millis(20))
-        .flight_recorder_capacity(64)
-        .telemetry_data_enabled(true)
-        .telemetry_data_top_k(4)
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        source: SourceConfig {
+            bind_addr: "127.0.0.1:0".to_string(),
+            poll_interval: Duration::from_millis(20),
+            ..SourceConfig::default()
+        },
+        telemetry: TelemetryConfig {
+            flight_recorder_capacity: 64,
+            data: TelemetryDataConfig {
+                enabled: true,
+                top_k: 4,
+                ..TelemetryDataConfig::default()
+            },
+            ..TelemetryConfig::default()
+        },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
     let telemetry = config
         .telemetry
         .build()

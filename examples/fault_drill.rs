@@ -11,9 +11,10 @@
 //! cargo run --release --example fault_drill
 //! ```
 
-use dquag::core::DquagConfig;
+use dquag::core::{DquagConfig, SourceConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag::faults::{FaultHandle, FaultKind, FaultSite, FaultedValidator};
+use dquag::gnn::ModelConfig;
 use dquag::persist::{load_validator, save_validator};
 use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::{StreamEngine, StreamOutcome};
@@ -143,14 +144,22 @@ fn main() {
     std::fs::create_dir_all(&work_dir).expect("work dir");
     let model_path = work_dir.join("model.json");
 
-    let config = DquagConfig::builder()
-        .epochs(8)
-        .hidden_dim(12)
-        .n_layers(2)
-        .dataset_flag_factor(2.5)
-        .source_bind_addr("127.0.0.1:0")
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 12,
+            n_layers: 2,
+            ..ModelConfig::default()
+        },
+        epochs: 8,
+        dataset_flag_factor: 2.5,
+        source: SourceConfig {
+            bind_addr: "127.0.0.1:0".to_string(),
+            ..SourceConfig::default()
+        },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
 
     // Train once, persist: the file on disk is what the engine heals from.
     let clean = KIND.generate_clean(1_500, 51);

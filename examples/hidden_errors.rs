@@ -16,6 +16,7 @@
 
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_hidden, DatasetKind, HiddenError};
+use dquag::gnn::ModelConfig;
 use dquag::validate::{build_spec, ValidatorSpec};
 
 fn main() {
@@ -38,16 +39,19 @@ fn main() {
         &mut rng,
     );
 
-    let config = DquagConfig::builder()
-        .epochs(15)
-        .hidden_dim(24)
-        .validation_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 24,
+            ..ModelConfig::default()
+        },
+        epochs: 15,
+        validation_threads: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
 
     // Expert-tuned Deequ (the strongest rule-based comparison) and DQuaG,
     // built from their registry keys and fitted the same way.

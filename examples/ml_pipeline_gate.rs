@@ -13,6 +13,7 @@
 
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_hidden, inject_ordinary, DatasetKind, HiddenError, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::tabular::DataFrame;
 use dquag::validate::ValidationSession;
 
@@ -35,16 +36,19 @@ fn decide(error_rate: f64, threshold: f64) -> GateDecision {
 fn main() {
     let kind = DatasetKind::CreditCard;
     let clean = kind.generate_clean(4_000, 31);
-    let config = DquagConfig::builder()
-        .epochs(15)
-        .hidden_dim(24)
-        .validation_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 24,
+            ..ModelConfig::default()
+        },
+        epochs: 15,
+        validation_threads: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
     let gate_threshold = config.dataset_error_rate_threshold();
 
     // One session owns the fitted validator for the whole week; its history

@@ -12,8 +12,9 @@
 //! cargo run --release --example network_gate
 //! ```
 
-use dquag::core::DquagConfig;
+use dquag::core::{CheckpointConfig, DquagConfig, SourceConfig, StreamConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::sources::{Checkpoint, DirWatcherSource, NetListenerSource, SourceRuntime};
 use dquag::stream::StreamEngine;
 use dquag::tabular::csv;
@@ -55,21 +56,32 @@ fn main() {
 
     // A lighter-than-paper model keeps the example fast; the decision rules
     // are the paper's.
-    let config = DquagConfig::builder()
-        .epochs(8)
-        .hidden_dim(12)
-        .n_layers(2)
-        .stream_replicas(
-            std::thread::available_parallelism()
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 12,
+            n_layers: 2,
+            ..ModelConfig::default()
+        },
+        epochs: 8,
+        stream: StreamConfig {
+            replicas: std::thread::available_parallelism()
                 .map(|n| n.get().min(4))
                 .unwrap_or(1),
-        )
-        .source_bind_addr("127.0.0.1:0")
-        .source_poll_interval(Duration::from_millis(25))
-        .checkpoint_path(&checkpoint_path)
-        .checkpoint_interval(Duration::from_millis(500))
-        .build()
-        .expect("configuration in range");
+            ..StreamConfig::default()
+        },
+        source: SourceConfig {
+            bind_addr: "127.0.0.1:0".to_string(),
+            poll_interval: Duration::from_millis(25),
+            checkpoint: CheckpointConfig {
+                path: Some(checkpoint_path.clone()),
+                interval: Duration::from_millis(500),
+            },
+            ..SourceConfig::default()
+        },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
 
     let mut validator = build_spec(&config.validator, &config).expect("DQuaG by default");
     let fit = validator.fit(&clean).expect("training succeeds");

@@ -13,8 +13,9 @@
 //! cargo run --release --example observed_gate
 //! ```
 
-use dquag::core::DquagConfig;
+use dquag::core::{DquagConfig, SourceConfig, TelemetryConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::StreamEngine;
 use dquag::tabular::csv;
@@ -71,16 +72,27 @@ fn main() {
     // One config block describes the whole deployment, observability
     // included: a 64-event flight recorder and a periodic structured-log
     // emitter alongside the model and serving knobs.
-    let config = DquagConfig::builder()
-        .epochs(8)
-        .hidden_dim(12)
-        .n_layers(2)
-        .source_bind_addr("127.0.0.1:0")
-        .source_poll_interval(Duration::from_millis(25))
-        .flight_recorder_capacity(64)
-        .telemetry_log_interval(Duration::from_millis(400))
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 12,
+            n_layers: 2,
+            ..ModelConfig::default()
+        },
+        epochs: 8,
+        source: SourceConfig {
+            bind_addr: "127.0.0.1:0".to_string(),
+            poll_interval: Duration::from_millis(25),
+            ..SourceConfig::default()
+        },
+        telemetry: TelemetryConfig {
+            flight_recorder_capacity: 64,
+            log_interval: Some(Duration::from_millis(400)),
+            ..TelemetryConfig::default()
+        },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
     let telemetry = config
         .telemetry
         .build()

@@ -10,6 +10,7 @@
 
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::validate::{build_spec, ValidationSession, ValidatorSpec};
 
 fn main() {
@@ -41,21 +42,24 @@ fn main() {
         &mut rng,
     );
 
-    // 3. Configure the pipeline through the validated builder (a
+    // 3. Configure the pipeline with a range-checked config (a
     //    lighter-than-paper setting keeps the example fast) and train DQuaG
     //    behind the unified `Validator` API. Swapping the `"dquag"` key for
     //    any baseline's (`"gate"`, `"deequ-expert"`, …) changes nothing else
     //    in this program.
-    let config = DquagConfig::builder()
-        .epochs(15)
-        .hidden_dim(24)
-        .validation_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-        .build()
-        .expect("configuration in range");
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 24,
+            ..ModelConfig::default()
+        },
+        epochs: 15,
+        validation_threads: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
     let validator =
         build_spec(&ValidatorSpec::backend("dquag"), &config).expect("dquag is built in");
     let mut session = ValidationSession::fit(validator, &clean)

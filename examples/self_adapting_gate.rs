@@ -11,8 +11,9 @@
 //! ```
 
 use dquag::core::spec::{ValidatorSpec, Voting};
-use dquag::core::DquagConfig;
+use dquag::core::{DquagConfig, SourceConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::persist::{
     registry_with_persistence, save_validator, RefitOutcome, RefitSupervisor, SupervisorConfig,
     PERSISTED_DQUAG,
@@ -78,17 +79,25 @@ fn main() {
         vec![ValidatorSpec::backend("dquag"), ValidatorSpec::drift()],
         Voting::Any,
     );
-    let config = DquagConfig::builder()
-        .epochs(8)
-        .hidden_dim(12)
-        .n_layers(2)
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 12,
+            n_layers: 2,
+            ..ModelConfig::default()
+        },
+        epochs: 8,
         // The small model's clean error rate hovers near the paper's n=1.2
         // gate; a wider factor keeps the example's clean/drifted split crisp.
-        .dataset_flag_factor(2.5)
-        .source_bind_addr("127.0.0.1:0")
-        .source_poll_interval(Duration::from_millis(25))
-        .build()
-        .expect("configuration in range");
+        dataset_flag_factor: 2.5,
+        source: SourceConfig {
+            bind_addr: "127.0.0.1:0".to_string(),
+            poll_interval: Duration::from_millis(25),
+            ..SourceConfig::default()
+        },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
 
     // ── Act 1: train once, persist the fitted model ─────────────────────
     let clean = KIND.generate_clean(1_500, 51);

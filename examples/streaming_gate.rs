@@ -12,8 +12,9 @@
 //! cargo run --release --example streaming_gate
 //! ```
 
-use dquag::core::{BackpressurePolicy, DquagConfig};
+use dquag::core::{BackpressurePolicy, DquagConfig, StreamConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::stream::StreamEngine;
 use dquag::tabular::DataFrame;
 use dquag::validate::build_spec;
@@ -48,20 +49,25 @@ fn main() {
 
     // A lighter-than-paper model keeps the example fast; the decision rules
     // are the paper's.
-    let config = DquagConfig::builder()
-        .epochs(8)
-        .hidden_dim(12)
-        .n_layers(2)
-        .stream_replicas(
-            std::thread::available_parallelism()
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 12,
+            n_layers: 2,
+            ..ModelConfig::default()
+        },
+        epochs: 8,
+        stream: StreamConfig {
+            replicas: std::thread::available_parallelism()
                 .map(|n| n.get().min(4))
                 .unwrap_or(1),
-        )
-        .stream_queue_capacity(4)
-        .stream_backpressure(BackpressurePolicy::Block)
-        .stream_batch_deadline(Duration::from_secs(30))
-        .build()
-        .expect("configuration in range");
+            queue_capacity: 4,
+            backpressure: BackpressurePolicy::Block,
+            batch_deadline: Some(Duration::from_secs(30)),
+        },
+        ..DquagConfig::default()
+    }
+    .validated()
+    .expect("configuration in range");
 
     let mut validator = build_spec(&config.validator, &config).expect("DQuaG by default");
     let fit = validator.fit(&clean).expect("training succeeds");

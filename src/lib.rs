@@ -49,11 +49,13 @@
 //! use dquag::validate::ValidationSession;
 //!
 //! let clean = DatasetKind::CreditCard.generate_clean(5_000, 7);
-//! let config = DquagConfig::builder()
-//!     .epochs(15)
-//!     .validation_threads(4)
-//!     .build()
-//!     .unwrap();
+//! let config = DquagConfig {
+//!     epochs: 15,
+//!     validation_threads: 4,
+//!     ..DquagConfig::default()
+//! }
+//! .validated()
+//! .unwrap();
 //!
 //! // Builds and fits what `config.validator` declares: DQuaG by default.
 //! let mut session = ValidationSession::train(&config, &clean).unwrap();
