@@ -1,15 +1,16 @@
 //! Observability overhead: end-to-end streaming rows/s with the full
-//! telemetry bundle attached (engine counters + gauges + latency histogram,
-//! queue-wait/emit stage spans, validator graph-build/forward/verdict spans,
-//! GNN forward-pass counters, flight recorder) versus the same pipeline with
-//! telemetry off — plus a third arm with the per-column data layer on
-//! (drift gauges, scoreboard, crossing detection) fed by a KS/PSI drift
-//! node riding in an ensemble next to the GNN backend.
+//! telemetry bundle attached (engine counters + gauges + latency histogram
+//! exported, queue-wait/emit stage spans, validator graph-build/forward/
+//! verdict spans, GNN forward-pass counters, flight recorder) versus the
+//! same pipeline with telemetry off — plus a third arm with the per-column
+//! data layer on (drift gauges, scoreboard, crossing detection) fed by a
+//! KS/PSI drift node riding in an ensemble next to the GNN backend.
 //!
-//! The instrumented hot path is one `Option` check plus a handful of relaxed
-//! atomics per batch (the data layer adds one mutex'd scoreboard pass per
-//! batch), so the measured overhead must stay under 3% for both telemetry
-//! arms. Besides the criterion timings, rows/s for all variants go to
+//! The off arm keeps the engine's counters, gauges and latency histogram:
+//! the engine reads its `StreamStats` from them, so it always counts. The
+//! bundle adds a few `Option` checks, stage spans and relaxed atomics per
+//! batch (the data layer adds one mutex'd scoreboard pass per batch), so
+//! the measured overhead must stay under 3% for both telemetry arms. Besides the criterion timings, rows/s for all variants go to
 //! `BENCH_observability.json` in the workspace root; the <3% acceptance gate
 //! is asserted in full runs (skipped under `DQUAG_BENCH_FAST=1`, whose
 //! sample counts are too small to be stable).

@@ -203,23 +203,29 @@ impl NetListenerSource {
         self.dispatch_failures = n;
     }
 
-    /// Hand a connection to the least-loaded worker.
-    fn dispatch(&mut self, conn: Conn) -> Result<(), String> {
+    /// Hand a connection to the least-loaded worker. A failed hand-off
+    /// gives the connection back with the reason, so the caller can record
+    /// the failure before the socket closes.
+    fn dispatch(&mut self, conn: Conn) -> Result<(), Box<(Conn, &'static str)>> {
         if self.dispatch_failures > 0 {
             self.dispatch_failures -= 1;
-            return Err("injected dispatch failure".to_string());
+            return Err(Box::new((conn, "injected dispatch failure")));
         }
-        let pool = self.pool.as_ref().ok_or("worker pool not running")?;
-        let worker = pool
+        let Some(pool) = self.pool.as_ref() else {
+            return Err(Box::new((conn, "worker pool not running")));
+        };
+        let Some(worker) = pool
             .workers
             .iter()
             .min_by_key(|w| w.owned.load(Ordering::Relaxed))
-            .ok_or("worker pool is empty")?;
-        worker
-            .inbox
-            .lock()
-            .map_err(|_| "worker inbox poisoned".to_string())?
-            .push(conn);
+        else {
+            return Err(Box::new((conn, "worker pool is empty")));
+        };
+        let Ok(mut inbox) = worker.inbox.lock() else {
+            return Err(Box::new((conn, "worker inbox poisoned")));
+        };
+        inbox.push(conn);
+        drop(inbox);
         worker.owned.fetch_add(1, Ordering::Relaxed);
         worker.wake.wake();
         Ok(())
@@ -339,7 +345,8 @@ impl Source for NetListenerSource {
                         continue;
                     }
                     counts.open.fetch_add(1, Ordering::Relaxed);
-                    if let Err(reason) = self.dispatch(Conn::new(stream)) {
+                    if let Err(failed) = self.dispatch(Conn::new(stream)) {
+                        let (conn, reason) = *failed;
                         // Fail soft: losing one socket must not take down
                         // the listener (the old code panicked here).
                         counts.open.fetch_sub(1, Ordering::Relaxed);
@@ -350,6 +357,9 @@ impl Source for NetListenerSource {
                                 message: format!("connection hand-off failed: {reason}"),
                             });
                         }
+                        // Close only once the failure is on record: a peer
+                        // that sees EOF finds it counted.
+                        drop(conn);
                         continue;
                     }
                     if let Some(metrics) = &shared.metrics {

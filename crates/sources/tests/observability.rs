@@ -6,7 +6,7 @@
 use dquag_core::{DquagConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
-use dquag_stream::{StreamEngine, VerdictStream};
+use dquag_stream::{StreamEngine, StreamStats, VerdictStream};
 use dquag_tabular::{csv, DataFrame, Field, Schema, Value};
 use dquag_telemetry::{DataTelemetryOptions, Telemetry, TelemetryOptions};
 use dquag_validate::{build_spec, DriftSpec, DriftValidator, Validator, ValidatorSpec};
@@ -144,19 +144,41 @@ fn parse_prometheus(text: &str) -> (BTreeSet<String>, BTreeSet<String>) {
     (families, series)
 }
 
+fn post_frame(addr: SocketAddr, batch: &DataFrame) {
+    let body = csv::to_csv_string(batch);
+    let response = http_request(
+        addr,
+        &format!(
+            "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(response.starts_with("HTTP/1.1 202"), "{response}");
+}
+
 fn post_batches(addr: SocketAddr, n: usize) {
     for i in 0..n {
-        let batch = KIND.generate_clean(30, 700 + i as u64);
-        let body = csv::to_csv_string(&batch);
-        let response = http_request(
-            addr,
-            &format!(
-                "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            ),
-        );
-        assert!(response.starts_with("HTTP/1.1 202"), "{response}");
+        post_frame(addr, &KIND.generate_clean(30, 700 + i as u64));
     }
+}
+
+/// `GET path`, asserting a `200`; returns the body.
+fn get_body(addr: SocketAddr, path: &str) -> String {
+    let response = http_request(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"));
+    let (status, _headers, body) = parse_response(&response);
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    body.to_string()
+}
+
+/// Every sample line of a scrape, as identifier → value.
+fn samples(body: &str) -> BTreeMap<String, f64> {
+    body.lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            let (identifier, value) = line.rsplit_once(' ').expect("sample line");
+            (identifier.to_string(), value.parse().expect("value"))
+        })
+        .collect()
 }
 
 #[test]
@@ -289,20 +311,7 @@ fn every_histogram_family_has_inf_bucket_equal_to_count() {
         verdicts.recv().expect("verdict arrives");
     }
 
-    let response = http_request(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
-    let (status, _headers, body) = parse_response(&response);
-    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-
-    // identifier → value, for every sample line in the scrape.
-    let mut samples: BTreeMap<String, f64> = BTreeMap::new();
-    for line in body.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (identifier, value) = line.rsplit_once(' ').expect("sample line");
-        samples.insert(identifier.to_string(), value.parse().expect("value"));
-    }
-
+    let samples = samples(&get_body(addr, "/metrics"));
     let mut histograms_checked = 0;
     for (identifier, inf_value) in &samples {
         let Some(bucket_at) = identifier.find("_bucket{") else {
@@ -337,6 +346,43 @@ fn every_histogram_family_has_inf_bucket_equal_to_count() {
         histograms_checked >= 3,
         "expected ≥ 3 histogram series, checked {histograms_checked}"
     );
+
+    runtime.shutdown().expect("runtime drains");
+    drop(verdicts);
+    engine.shutdown();
+}
+
+/// `GET /stats` reads the engine's counters from the series `GET /metrics`
+/// renders, so once every verdict is in the two surfaces agree.
+#[test]
+fn stats_and_metrics_report_the_same_counts() {
+    let (_telemetry, engine, mut verdicts, runtime, addr) = start_observed();
+    post_batches(addr, 2);
+    for i in 0..2 {
+        post_frame(addr, &KIND.generate_dirty(30, 800 + i));
+    }
+    for _ in 0..4 {
+        verdicts.recv().expect("verdict arrives");
+    }
+
+    let stats: StreamStats = serde_json::from_str(&get_body(addr, "/stats")).expect("stats");
+    let samples = samples(&get_body(addr, "/metrics"));
+    let series = |identifier: &str| samples[identifier] as u64;
+    assert_eq!(stats.emitted, 4);
+    assert!(stats.dirty > 0, "the dirty batches were flagged: {stats}");
+    let counts = (
+        stats.submitted,
+        stats.emitted,
+        stats.rows_validated,
+        stats.dirty,
+    );
+    let exported = (
+        series("dquag_stream_batches_submitted_total"),
+        series("dquag_stream_batches_emitted_total"),
+        series("dquag_stream_rows_validated_total"),
+        series("dquag_verdict_outcomes_total{outcome=\"dirty\"}"),
+    );
+    assert_eq!(counts, exported);
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);

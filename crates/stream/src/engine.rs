@@ -3,7 +3,7 @@
 
 use crate::metrics::StreamMetrics;
 use crate::outcome::{EngineClosed, StreamItem, StreamOutcome, SubmitOutcome};
-use crate::stats::{StatsInner, StreamStats};
+use crate::stats::StreamStats;
 use dquag_core::{BackpressurePolicy, DquagConfig, StreamConfig};
 use dquag_tabular::DataFrame;
 use dquag_telemetry::{FlightEventKind, Stage, Telemetry};
@@ -67,7 +67,6 @@ struct State {
     /// accepted batch is judged by exactly one generation and the
     /// generation is monotone in submission order.
     generation: u64,
-    stats: StatsInner,
 }
 
 impl State {
@@ -94,9 +93,10 @@ struct Shared {
     policy: BackpressurePolicy,
     budget: Option<Duration>,
     replicas: usize,
-    /// Pre-registered telemetry handles; `None` means telemetry off and the
-    /// hot path pays only this option check.
-    metrics: Option<StreamMetrics>,
+    /// The engine's counters; every count `StreamStats` reads is bumped
+    /// under the state lock. Stage spans and flight events are recorded
+    /// only when a telemetry bundle is attached.
+    metrics: StreamMetrics,
     /// How to build a fresh, known-good validator when a replica fails a
     /// health self-check (typically: reload the last persisted envelope).
     /// `None` means a quarantined replica's batch simply fails.
@@ -125,19 +125,40 @@ impl Shared {
         st.closed = true;
         drop(st);
         if first_close {
-            if let Some(metrics) = &self.metrics {
-                metrics.event(FlightEventKind::EngineClosed);
-            }
+            self.metrics.event(FlightEventKind::EngineClosed);
         }
         self.not_empty.notify_all();
         self.not_full.notify_all();
         self.progress.notify_all();
     }
 
+    /// Read the statistics under the state lock, which also guards every
+    /// bump of the counts they hold.
     fn snapshot(&self) -> StreamStats {
         let st = self.lock();
-        st.stats
+        self.metrics
             .snapshot(st.queue.len(), st.in_flight, self.replicas)
+    }
+
+    /// Count a batch lost to backpressure, release the state lock, then
+    /// journal the loss.
+    fn lose(
+        &self,
+        st: MutexGuard<'_, State>,
+        outcome: SubmitOutcome,
+    ) -> Result<SubmitOutcome, EngineClosed> {
+        let (counter, policy) = match outcome {
+            SubmitOutcome::Dropped => (&self.metrics.drops_drop_newest, "drop_newest"),
+            SubmitOutcome::Rejected => (&self.metrics.drops_reject, "reject"),
+            SubmitOutcome::TimedOut => (&self.metrics.drops_timeout, "timeout"),
+            SubmitOutcome::Enqueued(_) => unreachable!("an enqueued batch is not lost"),
+        };
+        counter.inc();
+        drop(st);
+        self.metrics.event(FlightEventKind::BackpressureDrop {
+            policy: policy.into(),
+        });
+        Ok(outcome)
     }
 }
 
@@ -201,18 +222,24 @@ impl StreamEngineBuilder {
     /// Resume the engine's statistics from a persisted snapshot (typically
     /// the `stats` block of a `dquag-sources` checkpoint), so a restarted
     /// deployment's cumulative counters and uptime continue instead of
-    /// resetting to zero. Live quantities — queue depth, in-flight count,
-    /// the latency percentile window — start fresh.
+    /// resetting to zero. Live quantities — queue depth, in-flight count and
+    /// the latency percentiles — start fresh, and the engine's series count
+    /// only its own batches.
     pub fn restore_stats(mut self, stats: StreamStats) -> Self {
         self.restored = Some(stats);
         self
     }
 
-    /// Attach a telemetry bundle: the engine registers its counters, gauges
-    /// and latency histogram, times the `queue_wait`/`emit` stages, and logs
-    /// lifecycle events (start, swaps, drops, deadline misses, close) in the
-    /// flight recorder. Without this the engine exports nothing and pays
-    /// nothing — every instrumentation point is one `Option` check.
+    /// Attach a telemetry bundle. The engine always counts: without a
+    /// bundle its counters, gauges and latency histogram live in a registry
+    /// of its own. The bundle adds export (its counters join the bundle's
+    /// registry), times the `queue_wait`/`emit` stages, and logs lifecycle
+    /// events (start, swaps, drops, deadline misses, close) in the flight
+    /// recorder.
+    ///
+    /// [`StreamStats`] are read back from these series, so give each engine
+    /// whose stats you read its own bundle: two engines sharing one would
+    /// count into the same counters.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -278,11 +305,6 @@ impl StreamEngineBuilder {
                 producers: 1,
                 closed: false,
                 generation: 0,
-                stats: self
-                    .restored
-                    .as_ref()
-                    .map(StatsInner::restored)
-                    .unwrap_or_else(StatsInner::new),
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -291,14 +313,12 @@ impl StreamEngineBuilder {
             policy: config.backpressure,
             budget: config.batch_deadline,
             replicas: config.replicas,
-            metrics: self.telemetry.map(StreamMetrics::new),
+            metrics: StreamMetrics::new(self.telemetry, self.restored),
             rebuild: self.rebuild,
         });
-        if let Some(metrics) = &shared.metrics {
-            metrics.event(FlightEventKind::EngineStarted {
-                replicas: config.replicas,
-            });
-        }
+        shared.metrics.event(FlightEventKind::EngineStarted {
+            replicas: config.replicas,
+        });
 
         // The worker list exists before the workers do: each worker carries
         // a handle to it so a quarantine-triggered rebuild can spawn the
@@ -368,10 +388,8 @@ fn worker_loop(
                     // No not_full notify: a pop moves the batch from queued
                     // to in-flight, leaving the outstanding total unchanged.
                     st.in_flight += 1;
-                    if let Some(metrics) = &shared.metrics {
-                        metrics.stage(Stage::QueueWait, job.submitted_at.elapsed());
-                        metrics.set_occupancy(st.queue.len(), st.in_flight);
-                    }
+                    shared.metrics.stage(Stage::QueueWait, job.submitted_at);
+                    shared.metrics.set_occupancy(st.queue.len(), st.in_flight);
                     break Some(job);
                 }
                 // Exit only once nothing is in flight either: an in-flight
@@ -455,22 +473,15 @@ fn worker_loop(
                 retried: true,
                 ..job
             });
-            if let Some(metrics) = &shared.metrics {
-                metrics.set_occupancy(st.queue.len(), st.in_flight);
-            }
+            shared.metrics.set_occupancy(st.queue.len(), st.in_flight);
             drop(st);
             shared.not_empty.notify_one();
             continue;
         };
         if validated {
-            st.stats.rows_validated += n_rows as u64;
-            if let Some(metrics) = &shared.metrics {
-                metrics.rows_validated.add(n_rows as u64);
-            }
+            shared.metrics.rows_validated.add(n_rows as u64);
         }
-        if let Some(metrics) = &shared.metrics {
-            metrics.set_occupancy(st.queue.len(), st.in_flight);
-        }
+        shared.metrics.set_occupancy(st.queue.len(), st.in_flight);
         let mut late_seq = None;
         if job.seq >= st.next_emit {
             st.pending.remove(&job.seq);
@@ -486,7 +497,7 @@ fn worker_loop(
         } else {
             // The consumer already reported this seq as deadline-exceeded;
             // discarding it frees an outstanding slot.
-            st.stats.late_discarded += 1;
+            shared.metrics.late_discarded.inc();
             late_seq = Some(job.seq);
             shared.not_full.notify_one();
         }
@@ -495,9 +506,8 @@ fn worker_loop(
         // zeroes it.
         let wake_drainers = st.closed && st.in_flight == 0;
         drop(st);
-        if let (Some(seq), Some(metrics)) = (late_seq, &shared.metrics) {
-            metrics.late_discarded.inc();
-            metrics.event(FlightEventKind::LateDiscard { seq });
+        if let Some(seq) = late_seq {
+            shared.metrics.event(FlightEventKind::LateDiscard { seq });
         }
         if wake_drainers {
             shared.not_empty.notify_all();
@@ -506,16 +516,14 @@ fn worker_loop(
     }
 }
 
-/// Record a replica quarantine in telemetry: counter plus an error-class
-/// flight-recorder event (which dumps the ring when `dump_on_error` is on).
+/// Record a replica quarantine: counter plus an error-class flight-recorder
+/// event (which dumps the ring when `dump_on_error` is on).
 fn quarantine_replica(shared: &Shared, generation: u64, reason: &str) {
-    if let Some(metrics) = &shared.metrics {
-        metrics.replica_quarantines.inc();
-        metrics.event(FlightEventKind::ReplicaQuarantined {
-            generation,
-            reason: reason.to_string(),
-        });
-    }
+    shared.metrics.replica_quarantines.inc();
+    shared.metrics.event(FlightEventKind::ReplicaQuarantined {
+        generation,
+        reason: reason.to_string(),
+    });
 }
 
 /// After a health quarantine, try to put a healthy generation in charge and
@@ -597,8 +605,8 @@ fn swap_validator_impl(
 ) -> Result<u64, EngineClosed> {
     // The incoming validator inherits the engine's telemetry bundle, just
     // like the one handed to `start`; replicas inherit through `replicate`.
-    if let Some(metrics) = &shared.metrics {
-        validator.attach_telemetry(metrics.telemetry());
+    if let Some(telemetry) = &shared.metrics.telemetry {
+        validator.attach_telemetry(telemetry);
     }
     // Build the replica set before touching any lock: replication is pure.
     let primary: Arc<dyn Validator> = Arc::from(validator);
@@ -618,10 +626,10 @@ fn swap_validator_impl(
         st.generation += 1;
         st.generation
     };
-    if let Some(metrics) = &shared.metrics {
-        metrics.generation.set(generation as f64);
-        metrics.event(FlightEventKind::SwapGeneration { generation });
-    }
+    shared.metrics.generation.set(generation as f64);
+    shared
+        .metrics
+        .event(FlightEventKind::SwapGeneration { generation });
     // Wake retiring workers parked on the empty-queue condvar so they
     // notice the new generation and exit.
     shared.not_empty.notify_all();
@@ -814,28 +822,8 @@ impl IngestHandle {
         }
         if shared.is_full(&st) {
             match shared.policy {
-                BackpressurePolicy::DropNewest => {
-                    st.stats.dropped += 1;
-                    drop(st);
-                    if let Some(metrics) = &shared.metrics {
-                        metrics.drops_drop_newest.inc();
-                        metrics.event(FlightEventKind::BackpressureDrop {
-                            policy: "drop_newest".into(),
-                        });
-                    }
-                    return Ok(SubmitOutcome::Dropped);
-                }
-                BackpressurePolicy::Reject => {
-                    st.stats.rejected += 1;
-                    drop(st);
-                    if let Some(metrics) = &shared.metrics {
-                        metrics.drops_reject.inc();
-                        metrics.event(FlightEventKind::BackpressureDrop {
-                            policy: "reject".into(),
-                        });
-                    }
-                    return Ok(SubmitOutcome::Rejected);
-                }
+                BackpressurePolicy::DropNewest => return shared.lose(st, SubmitOutcome::Dropped),
+                BackpressurePolicy::Reject => return shared.lose(st, SubmitOutcome::Rejected),
                 BackpressurePolicy::Block => {
                     let give_up_at = timeout.map(|t| Instant::now() + t);
                     while shared.is_full(&st) && !st.closed {
@@ -843,15 +831,7 @@ impl IngestHandle {
                             Some(give_up_at) => {
                                 let now = Instant::now();
                                 if now >= give_up_at {
-                                    st.stats.timed_out += 1;
-                                    drop(st);
-                                    if let Some(metrics) = &shared.metrics {
-                                        metrics.drops_timeout.inc();
-                                        metrics.event(FlightEventKind::BackpressureDrop {
-                                            policy: "timeout".into(),
-                                        });
-                                    }
-                                    return Ok(SubmitOutcome::TimedOut);
+                                    return shared.lose(st, SubmitOutcome::TimedOut);
                                 }
                                 shared
                                     .not_full
@@ -894,11 +874,8 @@ impl IngestHandle {
             budget,
             retried: false,
         });
-        st.stats.submitted += 1;
-        if let Some(metrics) = &shared.metrics {
-            metrics.submitted.inc();
-            metrics.set_occupancy(st.queue.len(), st.in_flight);
-        }
+        shared.metrics.submitted.inc();
+        shared.metrics.set_occupancy(st.queue.len(), st.in_flight);
         drop(st);
         shared.not_empty.notify_one();
         // The consumer tracks the deadline of the next seq to emit, so it
@@ -968,11 +945,8 @@ impl VerdictStream {
             if let Some(done) = st.done.remove(&seq) {
                 st.next_emit += 1;
                 let latency = done.submitted_at.elapsed();
-                Self::count_emission(&mut st, &done.outcome, latency);
-                if let Some(metrics) = &shared.metrics {
-                    metrics.stage(Stage::Emit, done.finished_at.elapsed());
-                    Self::count_emission_metrics(metrics, seq, &done.outcome, latency);
-                }
+                shared.metrics.count_emission(seq, &done.outcome, latency);
+                shared.metrics.stage(Stage::Emit, done.finished_at);
                 // Emission frees an outstanding slot — a blocked producer can
                 // move again (backpressure is end to end, consumer included).
                 shared.not_full.notify_one();
@@ -1005,10 +979,7 @@ impl VerdictStream {
                         budget: meta.budget.expect("a deadline implies a budget"),
                         waited,
                     };
-                    Self::count_emission(&mut st, &outcome, waited);
-                    if let Some(metrics) = &shared.metrics {
-                        Self::count_emission_metrics(metrics, seq, &outcome, waited);
-                    }
+                    shared.metrics.count_emission(seq, &outcome, waited);
                     return Some(StreamItem {
                         seq,
                         n_rows: meta.n_rows,
@@ -1031,57 +1002,6 @@ impl VerdictStream {
                 }
             }
         }
-    }
-
-    fn count_emission(st: &mut State, outcome: &StreamOutcome, latency: Duration) {
-        st.stats.emitted += 1;
-        match outcome {
-            StreamOutcome::Verdict(verdict) => {
-                if verdict.is_dirty {
-                    st.stats.dirty += 1;
-                }
-            }
-            StreamOutcome::DeadlineExceeded { .. } => st.stats.deadline_exceeded += 1,
-            StreamOutcome::Failed(_) => st.stats.failed += 1,
-        }
-        st.stats.record_latency(latency);
-    }
-
-    /// Mirror of [`count_emission`](Self::count_emission) into the shared
-    /// registry; deadline misses also land in the flight recorder.
-    fn count_emission_metrics(
-        metrics: &StreamMetrics,
-        seq: u64,
-        outcome: &StreamOutcome,
-        latency: Duration,
-    ) {
-        metrics.emitted.inc();
-        metrics.latency.record(latency);
-        match outcome {
-            StreamOutcome::Verdict(verdict) => {
-                metrics.record_score(verdict.score);
-                if verdict.is_dirty {
-                    metrics.dirty.inc();
-                    metrics.verdict_dirty.inc();
-                } else {
-                    metrics.verdict_clean.inc();
-                }
-            }
-            StreamOutcome::DeadlineExceeded { .. } => {
-                metrics.deadline_missed.inc();
-                metrics.verdict_deadline.inc();
-                metrics.event(FlightEventKind::DeadlineMiss { seq });
-            }
-            StreamOutcome::Failed(_) => {
-                metrics.failed.inc();
-                metrics.verdict_failed.inc();
-            }
-        }
-    }
-
-    /// Snapshot the live statistics.
-    pub fn stats(&self) -> StreamStats {
-        self.shared.snapshot()
     }
 }
 

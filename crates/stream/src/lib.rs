@@ -41,7 +41,8 @@
 //!   same way ([`StreamOutcome::Failed`], worker survives).
 //! * **Live statistics** — [`StreamStats`] (throughput, queue depth,
 //!   in-flight count, dirty rate, drops, p50/p99 latency) snapshotable from
-//!   any handle while the engine runs.
+//!   any handle while the engine runs, read from the same counters the
+//!   engine exports as telemetry series.
 //! * **Graceful shutdown** — closing ingestion drains every accepted batch;
 //!   [`StreamEngine::shutdown`] joins the workers and returns the final
 //!   stats. No accepted batch is ever lost.

@@ -1,16 +1,18 @@
 //! Live operational statistics of a running [`crate::StreamEngine`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
-use std::time::{Duration, Instant};
-
-/// How many recent per-batch latencies the percentile window keeps.
-const LATENCY_WINDOW: usize = 4096;
+use std::time::Duration;
 
 /// A point-in-time snapshot of a running engine, taken with
 /// [`crate::StreamEngine::stats`] (or from either handle) without pausing
 /// the workers.
+///
+/// Every count is read from one of the engine's telemetry series, named in
+/// its field doc, so `GET /stats` and `GET /metrics` report the same
+/// numbers. An engine resumed with
+/// [`restore_stats`](crate::StreamEngineBuilder::restore_stats) adds the
+/// restored counts and uptime on top of its own series.
 ///
 /// Serde-serialisable: the same JSON shape is used by durable checkpoints
 /// (`dquag-sources`) and by wire responses (the network listener's `STATS`
@@ -18,38 +20,55 @@ const LATENCY_WINDOW: usize = 4096;
 /// format everywhere.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamStats {
-    /// Batches accepted into the queue so far.
+    /// Batches accepted into the queue so far
+    /// (`dquag_stream_batches_submitted_total`).
     pub submitted: u64,
-    /// Batches discarded by the `DropNewest` policy.
+    /// Batches discarded by the `DropNewest` policy
+    /// (`dquag_stream_drops_total{policy="drop_newest"}`).
     pub dropped: u64,
-    /// Submissions refused by the `Reject` policy.
+    /// Submissions refused by the `Reject` policy
+    /// (`dquag_stream_drops_total{policy="reject"}`).
     pub rejected: u64,
-    /// `submit_timeout` calls that gave up waiting for a slot.
+    /// `submit_timeout` calls that gave up waiting for a slot
+    /// (`dquag_stream_drops_total{policy="timeout"}`).
     pub timed_out: u64,
-    /// Outcomes emitted on the verdict stream so far.
+    /// Outcomes emitted on the verdict stream so far
+    /// (`dquag_stream_batches_emitted_total`).
     pub emitted: u64,
-    /// Emitted outcomes whose verdict judged the batch dirty.
+    /// Emitted outcomes whose verdict judged the batch dirty
+    /// (`dquag_verdict_outcomes_total{outcome="dirty"}`).
     pub dirty: u64,
-    /// Emitted outcomes where the backend errored.
+    /// Emitted outcomes where the backend errored
+    /// (`dquag_verdict_outcomes_total{outcome="failed"}`).
     pub failed: u64,
-    /// Emitted outcomes that missed their validation deadline.
+    /// Emitted outcomes that missed their validation deadline
+    /// (`dquag_verdict_outcomes_total{outcome="deadline_exceeded"}`).
     pub deadline_exceeded: u64,
     /// Verdicts that arrived after their batch had already been reported as
-    /// deadline-exceeded (wasted work, discarded).
+    /// deadline-exceeded (wasted work, discarded;
+    /// `dquag_stream_late_discarded_total`).
     pub late_discarded: u64,
     /// Batches currently waiting in the ingestion queue.
     pub queue_depth: usize,
     /// Batches currently being validated by a worker.
     pub in_flight: usize,
-    /// Rows of all batches that completed validation.
+    /// Rows of all batches that completed validation
+    /// (`dquag_stream_rows_validated_total`).
     pub rows_validated: u64,
     /// Validated rows per second of engine uptime.
     pub rows_per_sec: f64,
-    /// Median submission-to-emission latency over the recent window.
+    /// Median submission-to-emission latency over every batch this engine
+    /// has emitted, reconstructed from `dquag_stream_batch_latency_seconds`
+    /// to within one bucket (≤ 25%). Zero until the first emission; a
+    /// restored engine's percentiles cover only its own batches.
     pub p50_latency: Duration,
-    /// 99th-percentile submission-to-emission latency over the recent window.
+    /// 99th-percentile submission-to-emission latency, over the same
+    /// batches and to the same accuracy as [`p50_latency`].
+    ///
+    /// [`p50_latency`]: StreamStats::p50_latency
     pub p99_latency: Duration,
-    /// Time since the engine started.
+    /// Time since the engine started, plus the uptime of the snapshot it
+    /// was restored from.
     pub uptime: Duration,
     /// Number of validator replicas (worker threads).
     pub replicas: usize,
@@ -110,137 +129,30 @@ impl fmt::Display for StreamStats {
     }
 }
 
-/// Mutable counters living under the engine mutex.
-#[derive(Debug)]
-pub(crate) struct StatsInner {
-    pub submitted: u64,
-    pub dropped: u64,
-    pub rejected: u64,
-    pub timed_out: u64,
-    pub emitted: u64,
-    pub dirty: u64,
-    pub failed: u64,
-    pub deadline_exceeded: u64,
-    pub late_discarded: u64,
-    pub rows_validated: u64,
-    /// Recent per-batch latencies in seconds, oldest first, capped at
-    /// [`LATENCY_WINDOW`] so long-running engines stay bounded.
-    latencies: VecDeque<f64>,
-    started_at: Instant,
-    /// Uptime accumulated by previous incarnations of this engine, restored
-    /// from a checkpoint. Zero for a fresh engine.
-    prior_uptime: Duration,
-}
-
-impl StatsInner {
-    pub fn new() -> Self {
-        Self {
-            submitted: 0,
-            dropped: 0,
-            rejected: 0,
-            timed_out: 0,
-            emitted: 0,
-            dirty: 0,
-            failed: 0,
-            deadline_exceeded: 0,
-            late_discarded: 0,
-            rows_validated: 0,
-            latencies: VecDeque::new(),
-            started_at: Instant::now(),
-            prior_uptime: Duration::ZERO,
-        }
-    }
-
-    /// Resume counters from a persisted snapshot so a restarted engine's
-    /// statistics continue where the previous incarnation left off.
-    ///
-    /// Cumulative counters (submitted, emitted, rows, drops, …) and the
-    /// accumulated uptime carry over; purely live quantities — queue depth,
-    /// in-flight count, the recent-latency percentile window — restart
-    /// empty, since they describe the previous process, not this one.
-    pub fn restored(stats: &StreamStats) -> Self {
-        Self {
-            submitted: stats.submitted,
-            dropped: stats.dropped,
-            rejected: stats.rejected,
-            timed_out: stats.timed_out,
-            emitted: stats.emitted,
-            dirty: stats.dirty,
-            failed: stats.failed,
-            deadline_exceeded: stats.deadline_exceeded,
-            late_discarded: stats.late_discarded,
-            rows_validated: stats.rows_validated,
-            latencies: VecDeque::new(),
-            started_at: Instant::now(),
-            prior_uptime: stats.uptime,
-        }
-    }
-
-    pub fn record_latency(&mut self, latency: Duration) {
-        if self.latencies.len() == LATENCY_WINDOW {
-            self.latencies.pop_front();
-        }
-        self.latencies.push_back(latency.as_secs_f64());
-    }
-
-    pub fn snapshot(&self, queue_depth: usize, in_flight: usize, replicas: usize) -> StreamStats {
-        let uptime = self.prior_uptime + self.started_at.elapsed();
-        let mut sorted: Vec<f64> = self.latencies.iter().copied().collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let percentile = |q: f64| -> Duration {
-            if sorted.is_empty() {
-                return Duration::ZERO;
-            }
-            let index = ((sorted.len() - 1) as f64 * q).round() as usize;
-            Duration::from_secs_f64(sorted[index])
-        };
-        StreamStats {
-            submitted: self.submitted,
-            dropped: self.dropped,
-            rejected: self.rejected,
-            timed_out: self.timed_out,
-            emitted: self.emitted,
-            dirty: self.dirty,
-            failed: self.failed,
-            deadline_exceeded: self.deadline_exceeded,
-            late_discarded: self.late_discarded,
-            queue_depth,
-            in_flight,
-            rows_validated: self.rows_validated,
-            rows_per_sec: if uptime.is_zero() {
-                0.0
-            } else {
-                self.rows_validated as f64 / uptime.as_secs_f64()
-            },
-            p50_latency: percentile(0.50),
-            p99_latency: percentile(0.99),
-            uptime,
-            replicas,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::StreamMetrics;
 
     #[test]
     fn percentiles_over_recorded_latencies() {
-        let mut inner = StatsInner::new();
+        let metrics = StreamMetrics::new(None, None);
         for ms in 1..=100u64 {
-            inner.record_latency(Duration::from_millis(ms));
+            metrics.latency.record(Duration::from_millis(ms));
         }
-        inner.emitted = 100;
-        inner.dirty = 25;
-        let stats = inner.snapshot(3, 2, 4);
+        metrics.emitted.add(100);
+        metrics.verdict_dirty.add(25);
+        let stats = metrics.snapshot(3, 2, 4);
         assert_eq!(stats.queue_depth, 3);
         assert_eq!(stats.in_flight, 2);
         assert_eq!(stats.replicas, 4);
         assert!((stats.dirty_rate() - 0.25).abs() < 1e-12);
-        // 1..=100 ms: the median rounds to ~50-51 ms, p99 to ~99-100 ms.
-        assert!(stats.p50_latency >= Duration::from_millis(49));
-        assert!(stats.p50_latency <= Duration::from_millis(52));
-        assert!(stats.p99_latency >= Duration::from_millis(98));
+        // 1..=100 ms: the median is ~50 ms and p99 ~99 ms, each
+        // reconstructed to within one histogram bucket (≤ 25%).
+        let p50 = stats.p50_latency.as_secs_f64();
+        let p99 = stats.p99_latency.as_secs_f64();
+        assert!((p50 - 0.050).abs() / 0.050 <= 0.25, "p50 {p50}");
+        assert!((p99 - 0.099).abs() / 0.099 <= 0.25, "p99 {p99}");
         let line = stats.to_string();
         assert!(line.contains("100 emitted"));
         assert!(line.contains("25 dirty"));
@@ -248,7 +160,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_all_zero() {
-        let stats = StatsInner::new().snapshot(0, 0, 1);
+        let stats = StreamMetrics::new(None, None).snapshot(0, 0, 1);
         assert_eq!(stats.emitted, 0);
         assert_eq!(stats.dirty_rate(), 0.0);
         assert_eq!(stats.p50_latency, Duration::ZERO);
@@ -256,25 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn latency_window_is_bounded() {
-        let mut inner = StatsInner::new();
-        for _ in 0..(LATENCY_WINDOW + 100) {
-            inner.record_latency(Duration::from_millis(1));
-        }
-        assert_eq!(inner.latencies.len(), LATENCY_WINDOW);
-    }
-
-    #[test]
     fn restored_counters_continue_and_live_state_resets() {
-        let mut first = StatsInner::new();
-        first.submitted = 10;
-        first.emitted = 9;
-        first.dirty = 3;
-        first.rows_validated = 900;
-        first.record_latency(Duration::from_millis(40));
+        let first = StreamMetrics::new(None, None);
+        first.submitted.add(10);
+        first.emitted.add(9);
+        first.verdict_dirty.add(3);
+        first.rows_validated.add(900);
+        first.latency.record(Duration::from_millis(40));
         let snapshot = first.snapshot(2, 1, 4);
 
-        let resumed = StatsInner::restored(&snapshot);
+        let resumed = StreamMetrics::new(None, Some(snapshot.clone()));
         let after = resumed.snapshot(0, 0, 4);
         assert_eq!(after.submitted, 10);
         assert_eq!(after.emitted, 9);
@@ -289,16 +192,16 @@ mod tests {
 
     #[test]
     fn snapshot_serde_round_trips() {
-        let mut inner = StatsInner::new();
+        let metrics = StreamMetrics::new(None, None);
         for ms in [3u64, 17, 250] {
-            inner.record_latency(Duration::from_millis(ms));
+            metrics.latency.record(Duration::from_millis(ms));
         }
-        inner.submitted = 7;
-        inner.emitted = 5;
-        inner.dirty = 2;
-        inner.deadline_exceeded = 1;
-        inner.rows_validated = 421;
-        let stats = inner.snapshot(1, 2, 3);
+        metrics.submitted.add(7);
+        metrics.emitted.add(5);
+        metrics.verdict_dirty.add(2);
+        metrics.verdict_deadline.inc();
+        metrics.rows_validated.add(421);
+        let stats = metrics.snapshot(1, 2, 3);
         let json = serde_json::to_string(&stats).unwrap();
         let back: StreamStats = serde_json::from_str(&json).unwrap();
         // rows_per_sec and the latency percentiles survive only to f64/ns
@@ -318,7 +221,7 @@ mod tests {
         // A snapshot from a live engine is always finite, but stats can also
         // arrive from a checkpoint or be built by tooling with zero uptime —
         // Display must print zeros, never `NaN`/`inf`.
-        let mut stats = StatsInner::new().snapshot(0, 0, 1);
+        let mut stats = StreamMetrics::new(None, None).snapshot(0, 0, 1);
         assert_eq!(stats.emitted, 0);
         stats.rows_per_sec = f64::NAN;
         let line = stats.to_string();
@@ -334,11 +237,11 @@ mod tests {
 
     #[test]
     fn display_mentions_losses_only_when_present() {
-        let mut inner = StatsInner::new();
-        assert!(!inner.snapshot(0, 0, 1).to_string().contains("dropped"));
-        inner.dropped = 2;
-        inner.deadline_exceeded = 1;
-        let line = inner.snapshot(0, 0, 1).to_string();
+        let metrics = StreamMetrics::new(None, None);
+        assert!(!metrics.snapshot(0, 0, 1).to_string().contains("dropped"));
+        metrics.drops_drop_newest.add(2);
+        metrics.verdict_deadline.inc();
+        let line = metrics.snapshot(0, 0, 1).to_string();
         assert!(line.contains("2 dropped"));
         assert!(line.contains("1 deadline-exceeded"));
     }

@@ -119,11 +119,9 @@ fn ensemble_spec_verdicts_are_invariant_across_session_and_sharded_engine() {
     let parsed: ValidatorSpec = serde_json::from_str(SPEC_JSON).expect("spec JSON parses");
     assert_eq!(parsed, in_code_spec(), "JSON and in-code trees agree");
 
-    // Path 1: parallel ValidationSession over the parsed spec.
+    // Path 1: ValidationSession over the parsed spec.
     let session_validator = build_spec(&parsed, &config).expect("spec builds");
-    let mut session = ValidationSession::fit(session_validator, &clean)
-        .expect("fit succeeds")
-        .with_threads(2);
+    let mut session = ValidationSession::fit(session_validator, &clean).expect("fit succeeds");
     let session_verdicts: Vec<Verdict> = session
         .push_batches(&batches)
         .expect("validation succeeds")

@@ -16,10 +16,12 @@
 //!   for environments without a scraper.
 //!
 //! The design rule throughout: registration and scrapes take a mutex,
-//! recording on the hot path is relaxed atomics only. A pipeline built
-//! without telemetry pays nothing — every integration point is an
-//! `Option<Arc<Telemetry>>` checked once per batch, which the
-//! `telemetry_overhead` bench holds to <3% throughput cost.
+//! recording on the hot path is relaxed atomics only. The stream engine
+//! always counts, because its statistics are read from its own series;
+//! every other integration point is an `Option<Arc<Telemetry>>` checked
+//! once per batch. Attaching a bundle adds export, stage spans and flight
+//! events, which the `telemetry_overhead` bench holds to <3% throughput
+//! cost.
 //!
 //! ```
 //! use dquag_telemetry::{Stage, Telemetry};

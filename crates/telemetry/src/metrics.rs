@@ -152,23 +152,28 @@ impl Histogram {
     /// the bucket holding the rank-`⌊q·(n−1)⌉` observation and return its
     /// midpoint. Exact to one bucket width (≤ 25% of the value) by
     /// construction. Zero when nothing has been recorded.
+    ///
+    /// `n` is the sum of the buckets as loaded, not [`count`](Self::count):
+    /// a racing recorder bumps its bucket before the count, so ranking
+    /// within the loaded buckets keeps the rank inside them.
     pub fn percentile(&self, q: f64) -> Duration {
-        let n = self.count();
+        let counts: [u64; N_BUCKETS] =
+            std::array::from_fn(|index| self.counts[index].load(Ordering::Relaxed));
+        let n: u64 = counts.iter().sum();
         if n == 0 {
             return Duration::ZERO;
         }
         let rank = ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
         let mut seen = 0u64;
-        for (index, bucket) in self.counts.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen > rank {
-                let (lower, upper) = Self::bucket_bounds(index);
-                return Duration::from_nanos(lower.midpoint(upper));
-            }
-        }
-        // Racing recorders can leave `count` ahead of the bucket sum for an
-        // instant; fall back to the largest non-empty bucket.
-        Duration::from_nanos(u64::MAX)
+        let index = counts
+            .iter()
+            .position(|&count| {
+                seen += count;
+                seen > rank
+            })
+            .expect("rank < n, the sum of the buckets");
+        let (lower, upper) = Self::bucket_bounds(index);
+        Duration::from_nanos(lower.midpoint(upper))
     }
 
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs, the
@@ -578,6 +583,22 @@ mod tests {
         assert!((p99 - 0.99).abs() / 0.99 < 0.25, "p99 {p99}");
         assert!(h.percentile(0.0) <= h.percentile(1.0));
         assert_eq!(Histogram::new().percentile(0.5), Duration::ZERO);
+    }
+
+    #[test]
+    fn percentile_ranks_within_the_loaded_buckets() {
+        // A reader can see `count` ahead of the buckets while a recorder is
+        // mid-`record`; the rank must still land in a recorded bucket.
+        let h = Histogram::new();
+        for ms in [1u64, 5, 40] {
+            h.record(Duration::from_millis(ms));
+        }
+        h.count.fetch_add(3, Ordering::Relaxed);
+        let (lower, upper) = Histogram::bucket_for(40_000_000);
+        assert_eq!(
+            h.percentile(1.0),
+            Duration::from_nanos(lower.midpoint(upper))
+        );
     }
 
     #[test]

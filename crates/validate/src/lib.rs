@@ -25,9 +25,9 @@
 //!   fit, validate and [`replicate`] *compositionally*, so the streaming
 //!   engine shards any spec tree unchanged;
 //! * [`ValidationSession`] — owns a fitted validator and streams incoming
-//!   batches: `push_batch`/iterator ingestion, verdict history, rolling
-//!   error rate, and parallel multi-batch validation honouring
-//!   `DquagConfig::validation_threads`.
+//!   batches: `push_batch`/iterator ingestion, verdict history and rolling
+//!   error rate. It judges batches one after another; a DQuaG backend
+//!   splits each batch's rows across `DquagConfig::validation_threads`.
 //!
 //! [`register`]: ValidatorRegistry::register
 //! [`replicate`]: Validator::replicate
@@ -47,9 +47,7 @@
 //! .validated()
 //! .unwrap();
 //! let validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
-//! let mut session = ValidationSession::fit(validator, &get_clean())
-//!     .unwrap()
-//!     .with_threads(config.validation_threads);
+//! let mut session = ValidationSession::fit(validator, &get_clean()).unwrap();
 //! for verdict in session.push_batches(&get_batches()).unwrap() {
 //!     println!("{}: dirty={} score={:.4}", verdict.validator, verdict.is_dirty, verdict.score);
 //! }

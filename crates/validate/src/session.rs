@@ -13,18 +13,18 @@ use std::fmt;
 /// continuously (daily exports, upstream pipelines) and each one must be
 /// judged against the clean reference distribution. The session owns the
 /// fitted validator, ingests batches one at a time ([`push_batch`]) or in
-/// bulk ([`push_batches`], [`push_stream`]), keeps the verdict history, and
-/// fans bulk validation out across worker threads
-/// ([`with_threads`] — typically `DquagConfig::validation_threads`).
+/// bulk ([`push_batches`], [`push_stream`]) and keeps the verdict history.
+///
+/// Batches are judged one after another. To use more cores, split each
+/// batch's rows across threads with `DquagConfig::validation_threads`, or
+/// spread batches across the replicas of a `dquag-stream` engine.
 ///
 /// [`push_batch`]: ValidationSession::push_batch
 /// [`push_batches`]: ValidationSession::push_batches
 /// [`push_stream`]: ValidationSession::push_stream
-/// [`with_threads`]: ValidationSession::with_threads
 pub struct ValidationSession {
     validator: Box<dyn Validator>,
     fit_report: Option<FitReport>,
-    threads: usize,
     history: Vec<Verdict>,
 }
 
@@ -36,7 +36,6 @@ impl ValidationSession {
         Ok(Self {
             validator,
             fit_report: Some(fit_report),
-            threads: 1,
             history: Vec::new(),
         })
     }
@@ -46,37 +45,15 @@ impl ValidationSession {
         Self {
             validator,
             fit_report: None,
-            threads: 1,
             history: Vec::new(),
         }
     }
 
     /// Build the validator `config.validator` declares (`dquag` by
-    /// default), fit it and wrap it in one call, honouring
-    /// `config.validation_threads` for bulk validation.
-    ///
-    /// Batch-level fan-out lives in the session, so the backend itself is
-    /// built with a sequential row path — otherwise a parallel DQuaG backend
-    /// under a parallel session would spawn `threads²` workers.
+    /// default) exactly as `config` configures it, fit it and wrap it in one
+    /// call.
     pub fn train(config: &DquagConfig, clean: &DataFrame) -> Result<Self> {
-        let mut backend_config = config.clone();
-        if config.validation_threads > 1 {
-            backend_config.validation_threads = 1;
-        }
-        let validator = build_spec(&config.validator, &backend_config)?;
-        Ok(Self::fit(validator, clean)?.with_threads(config.validation_threads))
-    }
-
-    /// Use up to `threads` worker threads for bulk validation (`0` and `1`
-    /// both mean sequential).
-    ///
-    /// When wrapping a hand-built backend that parallelises internally (a
-    /// `DquagBackend` with `validation_threads > 1`), keep one of the two
-    /// levels sequential; [`ValidationSession::train`] does this
-    /// automatically.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        Self::fit(build_spec(&config.validator, config)?, clean)
     }
 
     /// The wrapped validator.
@@ -89,11 +66,6 @@ impl ValidationSession {
         self.fit_report.as_ref()
     }
 
-    /// Number of worker threads used for bulk validation.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Validate one incoming batch and record the verdict.
     pub fn push_batch(&mut self, batch: &DataFrame) -> Result<&Verdict> {
         let verdict = self.validator.validate(batch)?;
@@ -101,14 +73,9 @@ impl ValidationSession {
         Ok(self.history.last().expect("just pushed"))
     }
 
-    /// Validate a slice of batches — in parallel when the session has more
-    /// than one worker thread — record the verdicts in input order, and
+    /// Validate a slice of batches, record the verdicts in input order, and
     /// return them as a slice of the history (no copies; instance-level
-    /// verdicts can be large).
-    ///
-    /// Verdicts are identical to the sequential path: the validator is
-    /// immutable during validation, each batch is independent, and results
-    /// are written back by input index.
+    /// verdicts can be large). Nothing is recorded when any batch fails.
     pub fn push_batches(&mut self, batches: &[DataFrame]) -> Result<&[Verdict]> {
         let verdicts = self.validate_batches(batches)?;
         let start = self.history.len();
@@ -116,8 +83,8 @@ impl ValidationSession {
         Ok(&self.history[start..])
     }
 
-    /// Drain an iterator of batches through the session (collects, then
-    /// validates in bulk so the thread pool is used).
+    /// Drain an iterator of batches through the session, like
+    /// [`push_batches`](Self::push_batches).
     pub fn push_stream<I>(&mut self, stream: I) -> Result<&[Verdict]>
     where
         I: IntoIterator<Item = DataFrame>,
@@ -128,30 +95,7 @@ impl ValidationSession {
 
     /// Validate a slice of batches without recording them in the history.
     pub fn validate_batches(&self, batches: &[DataFrame]) -> Result<Vec<Verdict>> {
-        let threads = self.threads.clamp(1, batches.len().max(1));
-        if threads == 1 {
-            return batches.iter().map(|b| self.validator.validate(b)).collect();
-        }
-
-        let validator: &dyn Validator = &*self.validator;
-        let chunk_size = batches.len().div_ceil(threads);
-        let mut slots: Vec<Option<Result<Verdict>>> = Vec::new();
-        slots.resize_with(batches.len(), || None);
-        std::thread::scope(|scope| {
-            for (batch_chunk, slot_chunk) in
-                batches.chunks(chunk_size).zip(slots.chunks_mut(chunk_size))
-            {
-                scope.spawn(move || {
-                    for (batch, slot) in batch_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        *slot = Some(validator.validate(batch));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every slot is filled by its worker"))
-            .collect()
+        batches.iter().map(|b| self.validator.validate(b)).collect()
     }
 
     /// All verdicts recorded so far, oldest first.
@@ -240,68 +184,6 @@ impl fmt::Display for SessionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Capabilities, ValidateError};
-
-    /// Minimal stub backend: fitting records nothing, validating always says
-    /// clean. Enough to exercise the session plumbing without training.
-    struct StubValidator {
-        fitted: bool,
-    }
-
-    impl Validator for StubValidator {
-        fn name(&self) -> &str {
-            "Stub"
-        }
-
-        fn capabilities(&self) -> Capabilities {
-            Capabilities::dataset_level()
-        }
-
-        fn fit(&mut self, clean: &DataFrame) -> Result<FitReport> {
-            self.fitted = true;
-            Ok(FitReport {
-                validator: self.name().to_string(),
-                n_rows: clean.n_rows(),
-                n_columns: clean.n_cols(),
-                threshold: None,
-                n_parameters: None,
-                notes: vec![],
-            })
-        }
-
-        fn validate(&self, batch: &DataFrame) -> Result<Verdict> {
-            if !self.fitted {
-                return Err(ValidateError::NotFitted(self.name().to_string()));
-            }
-            Ok(Verdict::dataset_level(
-                self.name(),
-                false,
-                0.0,
-                batch.n_rows(),
-                vec![],
-            ))
-        }
-    }
-
-    #[test]
-    fn with_threads_zero_is_clamped_to_sequential() {
-        // Regression test: `with_threads(0)` must not produce a session whose
-        // bulk validation spawns zero workers (and therefore validates
-        // nothing); 0 is clamped to 1 like the `DquagConfig` error path
-        // demands for `validation_threads == 0`.
-        let session = ValidationSession::from_fitted(Box::new(StubValidator { fitted: true }))
-            .with_threads(0);
-        assert_eq!(session.threads(), 1);
-
-        let batches: Vec<DataFrame> = Vec::new();
-        assert_eq!(
-            session
-                .validate_batches(&batches)
-                .expect("no batches")
-                .len(),
-            0
-        );
-    }
 
     #[test]
     fn summary_display_is_one_line() {

@@ -5,7 +5,7 @@
 //! deserialising it back must yield an equal tree, and building both copies
 //! through the registry must yield validators that — fitted on the same
 //! clean reference — produce **identical verdicts** on every batch, whether
-//! validated directly or through a parallel [`ValidationSession`].
+//! validated directly or through a [`ValidationSession`].
 //!
 //! A seeded randomized generator explores the spec grammar (backend leaves,
 //! drift nodes with random thresholds, ensembles under every voting policy,
@@ -183,12 +183,10 @@ fn acceptance_spec_json_builds_fits_and_matches_the_in_code_copy() {
     let (clean, batches) = fixtures();
     let config = DquagConfig::fast();
 
-    // Copy A judges through a parallel ValidationSession, copy B directly;
-    // the verdict streams must be identical.
+    // Copy A judges through a ValidationSession, copy B directly; the
+    // verdict streams must be identical.
     let session_copy = build_spec(&parsed, &config).expect("parsed spec builds");
-    let mut session = ValidationSession::fit(session_copy, &clean)
-        .expect("fit succeeds")
-        .with_threads(2);
+    let mut session = ValidationSession::fit(session_copy, &clean).expect("fit succeeds");
     let session_verdicts: Vec<_> = session
         .push_batches(&batches)
         .expect("validation succeeds")

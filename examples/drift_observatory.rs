@@ -3,7 +3,7 @@
 //!
 //! The cardinality policy is the point of this example. The table has 16
 //! numeric columns, but the bundle's data layer is budgeted at 4 gauge
-//! slots (`telemetry_data_top_k(4)`), so a Prometheus scrape stays small
+//! slots (`telemetry.data.top_k = 4`), so a Prometheus scrape stays small
 //! no matter how wide the schema grows — while the in-memory scoreboard
 //! served by `GET /drift` still ranks every column. Two columns (`price`
 //! and `latency`) are pushed off-profile mid-run; the gauges, the

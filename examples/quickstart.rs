@@ -62,9 +62,7 @@ fn main() {
     .expect("configuration in range");
     let validator =
         build_spec(&ValidatorSpec::backend("dquag"), &config).expect("dquag is built in");
-    let mut session = ValidationSession::fit(validator, &clean)
-        .expect("training succeeds")
-        .with_threads(config.validation_threads);
+    let mut session = ValidationSession::fit(validator, &clean).expect("training succeeds");
     let fit = session
         .fit_report()
         .expect("session fitted the validator")
