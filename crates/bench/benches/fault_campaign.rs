@@ -7,36 +7,20 @@
 //! The acceptance gate (full runs only): with self-checks on, **zero**
 //! silently-wrong verdicts across the whole sweep — every corruption at a
 //! flip rate of 1e-4 and above is caught by the parameter checksum or the
-//! NaN/Inf guards before a wrong verdict escapes. `DQUAG_BENCH_FAST=1`
-//! shrinks the sweep to smoke-test scale and skips the gate.
+//! NaN/Inf guards before a wrong verdict escapes. Only a full run that
+//! passes the gate writes the file. `DQUAG_BENCH_FAST=1` shrinks the sweep
+//! to smoke-test scale, skips the gate and only prints the report.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dquag_bench::harness::{fast_mode, write_bench_json};
 use dquag_faults::{run_campaign, CampaignConfig};
 
-fn bench_fault_campaign(c: &mut Criterion) {
+fn main() {
     let fast = fast_mode();
     let config = if fast {
         CampaignConfig::quick()
     } else {
         CampaignConfig::full()
     };
-
-    // The timed portion is one quick campaign cell's worth of work; the
-    // interesting output is the report below, not the wall clock.
-    let mut group = c.benchmark_group("fault_campaign");
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::new("fault_campaign", "quick_cell"), |b| {
-        let mut one_cell = CampaignConfig::quick();
-        one_cell.sites.truncate(1);
-        one_cell.flip_rates.truncate(1);
-        one_cell.trials = 1;
-        one_cell.n_batches = 2;
-        one_cell.epochs = 3;
-        one_cell.train_rows = 200;
-        b.iter(|| run_campaign(&one_cell));
-    });
-    group.finish();
 
     let report = run_campaign(&config);
     for cell in &report.cells {
@@ -51,8 +35,6 @@ fn bench_fault_campaign(c: &mut Criterion) {
             cell.checked_silent_wrong,
         );
     }
-    let json = report.to_json();
-    write_bench_json("BENCH_faults.json", &json);
 
     if !fast {
         assert_eq!(
@@ -72,7 +54,5 @@ fn bench_fault_campaign(c: &mut Criterion) {
             "the campaign flipped no weights at all"
         );
     }
+    write_bench_json("BENCH_faults.json", &report.to_json());
 }
-
-criterion_group!(benches, bench_fault_campaign);
-criterion_main!(benches);

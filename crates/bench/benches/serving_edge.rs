@@ -6,12 +6,12 @@
 //! socket, so its sustainable concurrent-connection count *was* its thread
 //! count. The worker pool must hold many times that connection count on
 //! the same fixed threads at equal throughput; the acceptance gate below
-//! asserts both. The trajectory lands in `BENCH_serving.json` in the
-//! workspace root. Set `DQUAG_BENCH_FAST=1` for a seconds-scale smoke
-//! variant (CI).
+//! asserts both. The two arms alternate which runs first each round
+//! (`harness::interleave`). A full run that passes the gate writes the
+//! trajectory to `BENCH_serving.json` in the workspace root. Set
+//! `DQUAG_BENCH_FAST=1` for a seconds-scale smoke variant (CI).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dquag_bench::harness::{fast_mode, median, write_bench_json};
+use dquag_bench::harness::{fast_mode, interleave, median, median_ratio, write_bench_json};
 use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
@@ -99,12 +99,12 @@ fn client(addr: SocketAddr, payloads: &[String]) {
     }
 }
 
-fn bench_serving_edge(c: &mut Criterion) {
+fn main() {
     let fast = fast_mode();
-    let (train_rows, batch_rows, n_batches, scaled_conns, samples, rounds) = if fast {
-        (400, 40, 32, 32, 2, 1)
+    let (train_rows, batch_rows, n_batches, scaled_conns, rounds) = if fast {
+        (400, 40, 32, 32, 1)
     } else {
-        (1_000, 100, 256, 128, 10, 5)
+        (1_000, 100, 256, 128, 5)
     };
     let baseline_conns = WORKERS;
     let total_rows = (n_batches * batch_rows) as u64;
@@ -112,51 +112,17 @@ fn bench_serving_edge(c: &mut Criterion) {
     let payloads: Vec<String> = (0..n_batches)
         .map(|i| csv::to_csv_string(&KIND.generate_clean(batch_rows, 100 + i as u64)))
         .collect();
-
-    let mut group = c.benchmark_group("serving_edge");
-    group.sample_size(samples);
-    group.throughput(Throughput::Elements(total_rows));
-    for conns in [baseline_conns, scaled_conns] {
-        group.bench_with_input(
-            BenchmarkId::new("open_conns", conns),
-            &conns,
-            |b, &conns| {
-                b.iter(|| run_arm(fitted_validator(train_rows), &payloads, conns, total_rows));
-            },
-        );
-    }
-    group.finish();
+    let arm = |conns: usize| run_arm(fitted_validator(train_rows), &payloads, conns, total_rows);
 
     // Record the trajectory and gate on interleaved medians.
-    run_arm(
-        fitted_validator(train_rows),
-        &payloads,
-        baseline_conns,
-        total_rows,
-    ); // warm-up
-    let mut baseline_samples = Vec::with_capacity(rounds);
-    let mut scaled_samples = Vec::with_capacity(rounds);
-    let mut ratio_samples = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let baseline = run_arm(
-            fitted_validator(train_rows),
-            &payloads,
-            baseline_conns,
-            total_rows,
-        );
-        let scaled = run_arm(
-            fitted_validator(train_rows),
-            &payloads,
-            scaled_conns,
-            total_rows,
-        );
-        baseline_samples.push(baseline);
-        scaled_samples.push(scaled);
-        ratio_samples.push(scaled / baseline.max(1e-9));
-    }
-    let baseline = median(&mut baseline_samples);
-    let scaled = median(&mut scaled_samples);
-    let ratio = median(&mut ratio_samples);
+    arm(baseline_conns); // warm-up
+    let [baseline_samples, scaled_samples] = interleave(
+        rounds,
+        [&mut || arm(baseline_conns), &mut || arm(scaled_conns)],
+    );
+    let baseline = median(&baseline_samples);
+    let scaled = median(&scaled_samples);
+    let ratio = median_ratio(&scaled_samples, &baseline_samples);
     // The pool serves the listener with WORKERS + 1 threads (workers plus
     // the accepting supervisor); thread-per-connection needed one *per
     // open socket*.
@@ -167,17 +133,6 @@ fn bench_serving_edge(c: &mut Criterion) {
          {scaled_conns} conns {scaled:.0} rows/s (ratio {ratio:.3}), \
          {conns_per_thread:.1} connections per server thread"
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"serving_edge\",\n  \"fast_mode\": {fast},\n  \
-         \"workers\": {WORKERS},\n  \"server_threads\": {server_threads},\n  \
-         \"batch_rows\": {batch_rows},\n  \"n_batches\": {n_batches},\n  \
-         \"baseline_conns\": {baseline_conns},\n  \"scaled_conns\": {scaled_conns},\n  \
-         \"baseline_rows_per_s\": {baseline:.1},\n  \"scaled_rows_per_s\": {scaled:.1},\n  \
-         \"throughput_ratio_scaled_vs_baseline\": {ratio:.4},\n  \
-         \"conns_per_server_thread\": {conns_per_thread:.1}\n}}\n"
-    );
-    write_bench_json("BENCH_serving.json", &json);
     if !fast {
         assert!(
             conns_per_thread >= 4.0,
@@ -190,7 +145,15 @@ fn bench_serving_edge(c: &mut Criterion) {
              the {baseline_conns}-connection baseline, got ratio {ratio:.3}"
         );
     }
-}
 
-criterion_group!(benches, bench_serving_edge);
-criterion_main!(benches);
+    let json = format!(
+        "{{\n  \"bench\": \"serving_edge\",\n  \"fast_mode\": {fast},\n  \
+         \"workers\": {WORKERS},\n  \"server_threads\": {server_threads},\n  \
+         \"batch_rows\": {batch_rows},\n  \"n_batches\": {n_batches},\n  \
+         \"baseline_conns\": {baseline_conns},\n  \"scaled_conns\": {scaled_conns},\n  \
+         \"baseline_rows_per_s\": {baseline:.1},\n  \"scaled_rows_per_s\": {scaled:.1},\n  \
+         \"throughput_ratio_scaled_vs_baseline\": {ratio:.4},\n  \
+         \"conns_per_server_thread\": {conns_per_thread:.1}\n}}\n"
+    );
+    write_bench_json("BENCH_serving.json", &json);
+}

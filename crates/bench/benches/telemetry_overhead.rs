@@ -10,20 +10,22 @@
 //! the engine reads its `StreamStats` from them, so it always counts. The
 //! bundle adds a few `Option` checks, stage spans and relaxed atomics per
 //! batch (the data layer adds one mutex'd scoreboard pass per batch), so
-//! the measured overhead must stay under 3% for both telemetry arms. Besides the criterion timings, rows/s for all variants go to
-//! `BENCH_observability.json` in the workspace root; the <3% acceptance gate
-//! is asserted in full runs (skipped under `DQUAG_BENCH_FAST=1`, whose
-//! sample counts are too small to be stable).
+//! the measured overhead must stay under 3% for both telemetry arms. The
+//! <3% acceptance gate is asserted in full runs (skipped under
+//! `DQUAG_BENCH_FAST=1`, whose sample counts are too small to be stable),
+//! and only a full run that passes it writes rows/s for all variants to
+//! `BENCH_observability.json` in the workspace root.
 //!
-//! Rounds are interleaved and summarised by the median of per-round ratios,
-//! so scheduler noise on small shared runners hits every variant equally
-//! instead of biasing whichever ran during a slow window.
+//! Rounds are interleaved, with the arm order rotating each round
+//! (`harness::interleave`), and summarised by the median of per-round
+//! ratios, so scheduler noise on small shared runners hits every variant
+//! equally instead of biasing whichever ran during a slow window.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dquag_bench::harness::{fast_mode, median, write_bench_json};
-use dquag_core::{DquagConfig, DquagValidator};
+use dquag_bench::harness::{
+    fast_mode, interleave, median, median_ratio, quick_config, write_bench_json,
+};
+use dquag_core::DquagValidator;
 use dquag_datagen::datasets::nytaxi;
-use dquag_gnn::ModelConfig;
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
 use dquag_telemetry::{DataTelemetryOptions, Telemetry, TelemetryOptions};
@@ -32,19 +34,6 @@ use dquag_validate::{
 };
 use std::sync::Arc;
 use std::time::Instant;
-
-fn quick_config() -> DquagConfig {
-    DquagConfig {
-        epochs: 6,
-        batch_size: 64,
-        model: ModelConfig {
-            hidden_dim: 24,
-            n_layers: 4,
-            ..ModelConfig::default()
-        },
-        ..DquagConfig::default()
-    }
-}
 
 fn quiet_bundle() -> Arc<Telemetry> {
     Telemetry::with_options(TelemetryOptions {
@@ -114,12 +103,12 @@ fn one_pass(
     total_rows as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-fn bench_telemetry_overhead(c: &mut Criterion) {
+fn main() {
     let fast = fast_mode();
-    let (train_rows, batch_rows, n_batches, samples, rounds) = if fast {
-        (500, 60, 6, 2, 3)
+    let (train_rows, batch_rows, n_batches, rounds) = if fast {
+        (500, 60, 6, 3)
     } else {
-        (1_500, 250, 24, 10, 21)
+        (1_500, 250, 24, 21)
     };
     let total_rows = n_batches * batch_rows;
 
@@ -133,77 +122,30 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let bundle = quiet_bundle();
     let data = data_bundle();
 
-    let mut group = c.benchmark_group("telemetry_overhead");
-    group.sample_size(samples);
-    group.throughput(Throughput::Elements(total_rows as u64));
-    group.bench_with_input(
-        BenchmarkId::new("telemetry", "off"),
-        &batches,
-        |b, batches| {
-            b.iter(|| run_pipeline(&trained, &drift, batches, None));
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("telemetry", "on"),
-        &batches,
-        |b, batches| {
-            b.iter(|| run_pipeline(&trained, &drift, batches, Some(&bundle)));
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("telemetry", "data_on"),
-        &batches,
-        |b, batches| {
-            b.iter(|| run_pipeline(&trained, &drift, batches, Some(&data)));
-        },
-    );
-    group.finish();
-
     // Record the trajectory and gate the overhead on interleaved medians.
     one_pass(&trained, &drift, &batches, total_rows, None); // warm-up
     one_pass(&trained, &drift, &batches, total_rows, Some(&bundle));
-    let mut off_samples = Vec::with_capacity(rounds);
-    let mut on_samples = Vec::with_capacity(rounds);
-    let mut data_samples = Vec::with_capacity(rounds);
-    let mut ratio_samples = Vec::with_capacity(rounds);
-    let mut data_ratio_samples = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let off = one_pass(&trained, &drift, &batches, total_rows, None);
-        let on = one_pass(&trained, &drift, &batches, total_rows, Some(&bundle));
-        let data_on = one_pass(&trained, &drift, &batches, total_rows, Some(&data));
-        off_samples.push(off);
-        on_samples.push(on);
-        data_samples.push(data_on);
-        ratio_samples.push(on / off.max(1e-9));
-        data_ratio_samples.push(data_on / off.max(1e-9));
-    }
-    let off = median(&mut off_samples);
-    let on = median(&mut on_samples);
-    let data_on = median(&mut data_samples);
-    let ratio = median(&mut ratio_samples);
-    let data_ratio = median(&mut data_ratio_samples);
+    let [off_samples, on_samples, data_samples] = interleave(
+        rounds,
+        [
+            &mut || one_pass(&trained, &drift, &batches, total_rows, None),
+            &mut || one_pass(&trained, &drift, &batches, total_rows, Some(&bundle)),
+            &mut || one_pass(&trained, &drift, &batches, total_rows, Some(&data)),
+        ],
+    );
+    let off = median(&off_samples);
+    let on = median(&on_samples);
+    let data_on = median(&data_samples);
+    let ratio = median_ratio(&on_samples, &off_samples);
+    let data_ratio = median_ratio(&data_samples, &off_samples);
     let overhead_pct = 100.0 * (1.0 - ratio);
     let data_overhead_pct = 100.0 * (1.0 - data_ratio);
+    let series_count = data.registry().series_count();
     println!(
         "telemetry_overhead: off {off:.0} rows/s, on {on:.0} rows/s \
          ({overhead_pct:+.2}%), data on {data_on:.0} rows/s \
-         ({data_overhead_pct:+.2}%, {} series live)",
-        data.registry().series_count()
+         ({data_overhead_pct:+.2}%, {series_count} series live)"
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"telemetry_overhead\",\n  \"fast_mode\": {fast},\n  \
-         \"batch_rows\": {batch_rows},\n  \"n_batches\": {n_batches},\n  \
-         \"off_rows_per_s\": {off:.1},\n  \"on_rows_per_s\": {on:.1},\n  \
-         \"data_on_rows_per_s\": {data_on:.1},\n  \
-         \"throughput_ratio_on_vs_off\": {ratio:.4},\n  \
-         \"throughput_ratio_data_on_vs_off\": {data_ratio:.4},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"data_overhead_pct\": {data_overhead_pct:.2},\n  \
-         \"series_count\": {}\n}}\n",
-        data.registry().series_count()
-    );
-    write_bench_json("BENCH_observability.json", &json);
     if !fast {
         assert!(
             ratio >= 0.97,
@@ -216,7 +158,17 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
              got {data_overhead_pct:.2}% overhead"
         );
     }
-}
 
-criterion_group!(benches, bench_telemetry_overhead);
-criterion_main!(benches);
+    let json = format!(
+        "{{\n  \"bench\": \"telemetry_overhead\",\n  \"fast_mode\": {fast},\n  \
+         \"batch_rows\": {batch_rows},\n  \"n_batches\": {n_batches},\n  \
+         \"off_rows_per_s\": {off:.1},\n  \"on_rows_per_s\": {on:.1},\n  \
+         \"data_on_rows_per_s\": {data_on:.1},\n  \
+         \"throughput_ratio_on_vs_off\": {ratio:.4},\n  \
+         \"throughput_ratio_data_on_vs_off\": {data_ratio:.4},\n  \
+         \"overhead_pct\": {overhead_pct:.2},\n  \
+         \"data_overhead_pct\": {data_overhead_pct:.2},\n  \
+         \"series_count\": {series_count}\n}}\n"
+    );
+    write_bench_json("BENCH_observability.json", &json);
+}

@@ -3,67 +3,25 @@
 //! four GAT+GIN layers, both decoders) at 12 and 18 features — the widths
 //! of the CreditCard and NY Taxi feature graphs.
 //!
-//! Besides the criterion timings, samples/s per width and batch size go to
-//! `BENCH_training.json` in the workspace root. Each point is the median of
-//! timed steps on one network, after one warm-up step. Under
-//! `DQUAG_BENCH_FAST=1` the bench takes a few steps per point and only
-//! prints its report.
+//! Samples/s per width and batch size go to `BENCH_training.json` in the
+//! workspace root. Each point is the median of timed steps on one network,
+//! after one warm-up step. Under `DQUAG_BENCH_FAST=1` the bench takes a few
+//! steps per point and only prints its report.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dquag_bench::harness::{fast_mode, median, write_bench_json};
+use dquag_bench::harness::{fast_mode, feature_graph, median, rows, write_bench_json};
 use dquag_gnn::{DquagNetwork, ModelConfig};
-use dquag_graph::FeatureGraph;
 use dquag_tensor::optim::Adam;
 use std::time::Instant;
 
 const BATCH_SIZES: [usize; 3] = [16, 64, 128];
 const WIDTHS: [usize; 2] = [12, 18];
 
-fn feature_graph(n: usize) -> FeatureGraph {
-    let names: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
-    let mut graph = FeatureGraph::new(names);
-    for i in 0..n {
-        graph.add_edge(i, (i + 1) % n).unwrap();
-        graph.add_edge(i, (i + 3) % n).unwrap();
-    }
-    graph
-}
-
 fn network(n_features: usize) -> DquagNetwork {
     DquagNetwork::new(&feature_graph(n_features), ModelConfig::default())
 }
 
-fn rows(n: usize, n_features: usize) -> Vec<Vec<f32>> {
-    (0..n)
-        .map(|i| {
-            (0..n_features)
-                .map(|f| ((i * 31 + f * 7) % 97) as f32 / 97.0)
-                .collect()
-        })
-        .collect()
-}
-
-fn bench_training(c: &mut Criterion) {
+fn main() {
     let fast = fast_mode();
-    let mut group = c.benchmark_group("train_batch");
-    group.sample_size(if fast { 2 } else { 10 });
-    for &n_features in &WIDTHS {
-        for &batch_size in &BATCH_SIZES {
-            let batch = rows(batch_size, n_features);
-            group.throughput(Throughput::Elements(batch_size as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("n{n_features}").as_str(), batch_size),
-                &batch,
-                |b, batch| {
-                    let mut net = network(n_features);
-                    let mut adam = Adam::with_learning_rate(0.01);
-                    b.iter(|| net.train_batch(batch, &mut adam).0);
-                },
-            );
-        }
-    }
-    group.finish();
-
     let steps = if fast { 3 } else { 30 };
     let mut lines = Vec::new();
     for &n_features in &WIDTHS {
@@ -72,14 +30,14 @@ fn bench_training(c: &mut Criterion) {
             let mut net = network(n_features);
             let mut adam = Adam::with_learning_rate(0.01);
             net.train_batch(&batch, &mut adam);
-            let mut step_ms: Vec<f64> = (0..steps)
+            let step_ms: Vec<f64> = (0..steps)
                 .map(|_| {
                     let started = Instant::now();
                     net.train_batch(&batch, &mut adam);
                     started.elapsed().as_secs_f64() * 1e3
                 })
                 .collect();
-            let ms = median(&mut step_ms);
+            let ms = median(&step_ms);
             let samples_per_s = batch_size as f64 / (ms / 1e3);
             println!(
                 "training n={n_features} B={batch_size}: {ms:.2} ms/step, \
@@ -99,6 +57,3 @@ fn bench_training(c: &mut Criterion) {
     );
     write_bench_json("BENCH_training.json", &json);
 }
-
-criterion_group!(benches, bench_training);
-criterion_main!(benches);

@@ -1,4 +1,5 @@
-//! Run the DESIGN.md ablations (feature graph, weighted loss, threshold).
+//! Run the design ablations of `experiments::ablations` (feature graph,
+//! weighted loss, threshold).
 use dquag_bench::{experiments::ablations, Scale};
 
 fn main() {

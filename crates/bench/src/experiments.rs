@@ -1,5 +1,5 @@
 //! The experiment implementations, one sub-module per table/figure of the
-//! paper's evaluation (§4) plus the DESIGN.md ablations.
+//! paper's evaluation (§4) plus the design ablations ([`ablations`]).
 
 use crate::methods::{evaluate_method, fit_spec, paper_specs};
 use crate::render_table;
@@ -566,7 +566,7 @@ pub mod repair_eval {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations called out in DESIGN.md
+// Design ablations
 // ---------------------------------------------------------------------------
 
 /// Design ablations: feature-graph quality, weighted validation loss and

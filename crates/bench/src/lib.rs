@@ -1,7 +1,7 @@
 //! # dquag-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the paper's
-//! evaluation (§4), plus shared plumbing for the Criterion micro-benchmarks.
+//! evaluation (§4), plus shared plumbing for the benches under `benches/`.
 //!
 //! Each experiment lives in [`experiments`] and is exposed both as a library
 //! function (returning structured rows, so the integration tests can assert
@@ -16,7 +16,7 @@
 //! | `figure3` | Figure 3 — accuracy on datasets with real-world errors (Airbnb, Bicycle, App) |
 //! | `figure4` | Figure 4 — validation time vs data size and dimensionality (NY Taxi) |
 //! | `repair_eval` | §4.6 — error rate before/after repair |
-//! | `ablations` | DESIGN.md ablations — feature graph, weighted loss, threshold |
+//! | `ablations` | design ablations ([`experiments::ablations`]) — feature graph, weighted loss, threshold |
 //! | `reproduce_all` | all of the above, in sequence |
 //!
 //! Every binary accepts `--full` (or `DQUAG_SCALE=full`) to run at a scale
@@ -26,8 +26,8 @@
 //!
 //! Every method is named by its validator-registry key and evaluated from a
 //! `ValidatorSpec` ([`methods`]); [`paper_specs`] lists the seven the paper
-//! compares, in its table order. The Criterion benches share [`harness`]
-//! for fast mode, medians and the `BENCH_*.json` writer.
+//! compares, in its table order. The benches share [`harness`] for fast
+//! mode, interleaved timing rounds, medians and the `BENCH_*.json` writer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -12,7 +12,7 @@
 //!    data and any known future data;
 //! 2. a knowledge-based feature graph is built over the columns
 //!    (`dquag-graph`; the ChatGPT-4 oracle of the paper is replaced by a
-//!    statistical relationship oracle — see DESIGN.md);
+//!    statistical relationship oracle — see [`dquag_graph::knowledge`]);
 //! 3. the GAT+GIN encoder and the dual decoders (`dquag-gnn`) are trained
 //!    with Adam on the multi-task loss `α·L_validation + β·L_repair`;
 //! 4. the reconstruction errors of (held-out) clean instances are collected

@@ -11,7 +11,7 @@
 //! `DAYS_BIRTH`, `DAYS_EMPLOYED`, `customer_type`, `adults`, `babies`) and a
 //! correlated generative process, so that the cross-feature dependencies the
 //! GNN must learn — and the hidden conflicts the evaluation injects — exist in
-//! the data. See DESIGN.md §4 for the substitution rationale.
+//! the data.
 //!
 //! Two families of datasets mirror the paper's §4.1.1:
 //!
