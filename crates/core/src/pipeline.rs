@@ -48,16 +48,21 @@ impl ValidationReport {
     /// Build a report, enforcing the invariant [`Self::is_flagged`] relies
     /// on: `flagged_instances` is sorted ascending and deduplicated here, so
     /// lookups stay correct whatever order the caller produced.
-    /// `error_rate` is derived from the flagged count.
+    /// `error_rate` is derived from the flagged count. Both lists are shrunk
+    /// to their length: a verdict keeps them for as long as its consumer
+    /// does, and a list grown by pushes holds up to as much spare capacity
+    /// as entries.
     pub fn new(
         instance_errors: Vec<f32>,
         mut flagged_instances: Vec<usize>,
-        cell_flags: Vec<CellFlag>,
+        mut cell_flags: Vec<CellFlag>,
         dataset_is_dirty: bool,
         threshold: f32,
     ) -> Self {
         flagged_instances.sort_unstable();
         flagged_instances.dedup();
+        flagged_instances.shrink_to_fit();
+        cell_flags.shrink_to_fit();
         let error_rate = if instance_errors.is_empty() {
             0.0
         } else {
@@ -1095,6 +1100,22 @@ mod tests {
             assert!(!report.is_flagged(row), "row {row} must not be found");
         }
         assert!((report.error_rate - 3.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dirty_report_lists_hold_no_spare_capacity() {
+        let mut flagged = Vec::with_capacity(64);
+        flagged.extend([3, 1, 3]);
+        let mut cells = Vec::with_capacity(64);
+        cells.push(CellFlag {
+            row: 1,
+            column: 0,
+            error: 0.9,
+        });
+        let report = ValidationReport::new(vec![0.1, 0.9, 0.2, 0.8], flagged, cells, true, 0.5);
+        assert_eq!(report.flagged_instances, vec![1, 3]);
+        assert_eq!(report.flagged_instances.capacity(), 2);
+        assert_eq!(report.cell_flags.capacity(), 1);
     }
 
     #[test]

@@ -685,10 +685,21 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Fused `self + s · rhs` for a scalar `s` — one pass instead of a scale
-    /// pass plus an add pass.
+    /// Fused `self + s · rhs` for a scalar `s`: one pass, and one rounding
+    /// per element (`rhs.mul_add(s, self)`). The pass runs on the
+    /// dispatched elementwise kernel, a vectorised hardware FMA where the CPU
+    /// has one, which rounds exactly as the portable `fmaf` call does.
     pub fn scaled_add(&self, rhs: &Matrix, s: f32) -> Result<Matrix> {
-        self.zip_with(rhs, "scaled_add", |a, b| b.mul_add(s, a))
+        if self.shape() != rhs.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op: "scaled_add",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        crate::simd::scaled_add_into(&mut out.data, &self.data, &rhs.data, s);
+        Ok(out)
     }
 
     /// Stack `times` copies of `self` vertically.
@@ -704,42 +715,39 @@ impl Matrix {
         }
     }
 
-    /// Row-wise softmax (each row sums to one). Numerically stabilised by
-    /// subtracting the row maximum before exponentiation; the exponential is
-    /// `fast_exp` (≈1e-7 relative accuracy), which roughly halves softmax
-    /// cost on the attention hot path.
+    /// Row-wise softmax (each row sums to one), in three passes: shift each
+    /// row by its maximum, exponentiate the whole matrix at once with
+    /// `fast_exp` (≈1e-7 relative accuracy) on the dispatched elementwise
+    /// kernel, then divide each row by its sum, accumulated in column order.
+    /// Every element gets the same operations as a one-row-at-a-time loop,
+    /// so the result does not depend on the kernel or on the row count.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
-        for r in 0..self.rows {
+        if self.cols == 0 {
+            return out;
+        }
+        for row in out.data.chunks_exact_mut(self.cols) {
             // A NaN or +∞ logit admits no meaningful distribution. The max
             // fold below silently skips NaN and `denom > 0.0` is false for a
             // NaN denominator, so without this check a poisoned row would
             // leak *unnormalised* — finite but wrong — exp values. Propagate
-            // NaN across the row instead. (−∞ is well-defined: exp → 0.)
-            if self
-                .row(r)
-                .iter()
-                .any(|v| v.is_nan() || *v == f32::INFINITY)
-            {
-                for c in 0..self.cols {
-                    out.set(r, c, f32::NAN);
-                }
+            // NaN across the row instead: it stays NaN through the exp and
+            // skips the division. (−∞ is well-defined: exp → 0.)
+            if row.iter().any(|v| v.is_nan() || *v == f32::INFINITY) {
+                row.fill(f32::NAN);
                 continue;
             }
-            let row_max = self
-                .row(r)
-                .iter()
-                .copied()
-                .fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0;
-            for c in 0..self.cols {
-                let e = fast_exp(self.get(r, c) - row_max);
-                out.set(r, c, e);
-                denom += e;
+            let row_max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            for v in row.iter_mut() {
+                *v -= row_max;
             }
+        }
+        crate::simd::exp_in_place(&mut out.data);
+        for row in out.data.chunks_exact_mut(self.cols) {
+            let denom = row.iter().fold(0.0, |acc, &e| acc + e);
             if denom > 0.0 {
-                for c in 0..self.cols {
-                    out.set(r, c, out.get(r, c) / denom);
+                for v in row.iter_mut() {
+                    *v /= denom;
                 }
             }
         }
@@ -761,40 +769,6 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
             dst[c * rows + r] = v;
         }
     }
-}
-
-/// Fast `e^x`: range reduction `x = n·ln2 + r` with a hi/lo split of `ln 2`,
-/// a degree-6 Taylor polynomial for `e^r` on `|r| ≤ ln2/2`, and an exponent
-/// rebuild via the float bit layout. Relative accuracy ≈ 1e-7 — two orders
-/// of magnitude inside the 1e-5 score-equivalence budget — at a fraction of
-/// the libm call cost. Inputs below the `f32` underflow range return 0
-/// (exactly what masked attention logits need).
-#[inline]
-fn fast_exp(x: f32) -> f32 {
-    if x.is_nan() {
-        // Without this, NaN slips past both range guards (every comparison
-        // with NaN is false) into the exponent rebuild, which would turn it
-        // into an arbitrary *finite* value. Propagate it like `exp` does.
-        return f32::NAN;
-    }
-    if x < -87.0 {
-        return 0.0;
-    }
-    if x > 88.0 {
-        return f32::INFINITY;
-    }
-    const INV_LN2: f32 = std::f32::consts::LOG2_E;
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    let n = (x * INV_LN2).round();
-    let r = (x - n * LN2_HI) - n * LN2_LO;
-    // e^r via Horner; |r| ≤ 0.3466 keeps the degree-6 truncation ≈ 1e-8.
-    let p = 1.0
-        + r * (1.0
-            + r * (0.5
-                + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0))))));
-    let scale = f32::from_bits(((n as i32 + 127) << 23) as u32);
-    scale * p
 }
 
 impl fmt::Debug for Matrix {
@@ -825,6 +799,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::fast_exp;
 
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5

@@ -1,11 +1,19 @@
-//! Runtime-dispatched dense matrix-multiply kernels.
+//! Runtime-dispatched dense kernels: matrix products and the elementwise
+//! passes of the GNN forward.
 //!
 //! Rust's default x86-64 target only assumes SSE2, which caps the naive
-//! auto-vectorised matmul well below what the hardware can do. This module
-//! detects AVX2+FMA at runtime (once, cached) and routes every matrix
-//! product — plain, per-block and repeated-block — through a register-tiled
-//! microkernel when available, falling back to the original portable loop
-//! otherwise.
+//! auto-vectorised matmul well below what the hardware can do and leaves
+//! [`f32::mul_add`] and [`f32::round`] as one libm call per element. This
+//! module detects AVX2+FMA and AVX-512F at runtime (once, cached) and routes
+//! every matrix product — plain, per-block and repeated-block — through a
+//! register-tiled microkernel when available, falling back to the original
+//! portable loop otherwise. The same detection picks the elementwise kernels
+//! (`scaled_add_into`, `exp_in_place` and the finite guard's magnitude max):
+//! each is one `#[inline(always)]` scalar body, compiled once for the
+//! baseline target and once inside an `avx2,fma` twin, where the compiler
+//! vectorises the loop and lowers `mul_add` and `round` to single
+//! instructions. [`KernelMode::Portable`] runs the portable loop and the
+//! plain bodies.
 //!
 //! ## Determinism contract
 //!
@@ -20,6 +28,13 @@
 //! the property the batched-inference equivalence suite pins down. The dot
 //! path sums vector lanes in a fixed order that depends only on `k`, and
 //! its `k` remainder uses [`f32::mul_add`].
+//!
+//! An elementwise kernel does, for every element, the same IEEE-754
+//! operations as its scalar body, in the same order: a hardware FMA rounds
+//! as `fmaf` does, vector rounding rounds half away from zero as `roundf`
+//! does, and Rust never contracts a separate multiply and add. Both
+//! compilations therefore return the same bits for every input, whatever
+//! the element's position or the slice's length.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -37,20 +52,41 @@ use std::sync::OnceLock;
 /// hold `n·d`, `n·k`, `k·d` and `d` elements — what `dispatch` asserts.
 type Kernel = unsafe fn(&mut [f32], &[f32], &[f32], Option<&[f32]>, bool, usize, usize, usize);
 
-/// Which matrix-multiply implementation [`crate::Matrix::matmul`] and the
-/// block variants use.
+/// The kernels one CPU runs: the matrix product and the elementwise ops,
+/// chosen together by one detection.
+#[derive(Clone, Copy)]
+struct Kernels {
+    matmul: Kernel,
+    /// `out[i] = b[i].mul_add(s, a[i])`; slices of equal length.
+    scaled_add: unsafe fn(&mut [f32], &[f32], &[f32], f32),
+    /// `v = fast_exp(v)` for every element.
+    exp: unsafe fn(&mut [f32]),
+    /// The largest `bits & 0x7FFF_FFFF` over the slice, or 0 when empty.
+    max_magnitude: unsafe fn(&[f32]) -> u32,
+}
+
+/// The portable loop and the plain elementwise bodies, which
+/// [`KernelMode::Portable`] selects on every CPU.
+static PORTABLE: Kernels = Kernels {
+    matmul: matmul_scalar,
+    scaled_add: scaled_add_body,
+    exp: exp_body,
+    max_magnitude: max_magnitude_body,
+};
+
+/// Which kernels [`crate::Matrix`]'s products and elementwise ops use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Pick the fastest kernel the CPU supports (the default).
+    /// Pick the fastest kernels the CPU supports (the default).
     Auto,
-    /// Force the portable scalar loop — the seed implementation. Useful for
+    /// Force the portable scalar loops — the seed implementation. Useful for
     /// bit-stable cross-platform comparisons and as the frozen baseline in
     /// before/after benchmarks.
     Portable,
 }
 
 static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-static KERNEL: OnceLock<Kernel> = OnceLock::new();
+static DETECTED: OnceLock<Kernels> = OnceLock::new();
 static FINITE_GUARD: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
@@ -93,7 +129,7 @@ pub fn take_finite_guard_trip() -> Option<GuardTrip> {
     GUARD_TRIP.with(|slot| slot.take())
 }
 
-/// Select the matmul kernel globally (process-wide). Intended for benchmarks
+/// Select the kernels globally (process-wide). Intended for benchmarks
 /// and numerical A/B comparisons; concurrent matrix users observe the switch
 /// at their next operation, so don't flip it while other threads compute.
 pub fn set_kernel_mode(mode: KernelMode) {
@@ -114,17 +150,34 @@ pub fn kernel_mode() -> KernelMode {
     }
 }
 
-fn detect() -> Kernel {
+fn detect() -> Kernels {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx512f") {
-            return matmul_avx512;
-        }
+        let mut kernels = PORTABLE;
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return matmul_avx2;
+            kernels = Kernels {
+                matmul: matmul_avx2,
+                scaled_add: scaled_add_avx2,
+                exp: exp_avx2,
+                max_magnitude: max_magnitude_avx2,
+            };
         }
+        if is_x86_feature_detected!("avx512f") {
+            kernels.matmul = matmul_avx512;
+        }
+        kernels
     }
-    matmul_scalar
+    #[cfg(not(target_arch = "x86_64"))]
+    PORTABLE
+}
+
+/// The kernels the current [`KernelMode`] selects.
+fn kernels() -> &'static Kernels {
+    if KERNEL_MODE.load(Ordering::Relaxed) == 1 {
+        &PORTABLE
+    } else {
+        DETECTED.get_or_init(detect)
+    }
 }
 
 /// Dense product `out = a · b`; the single entry point used by
@@ -194,26 +247,20 @@ fn dispatch(
     assert_eq!(out.len(), n * d, "output buffer shape");
     assert_eq!(a.len(), n * k, "lhs shape");
     assert_eq!(b.len(), k * d, "rhs shape");
-    let kernel = if KERNEL_MODE.load(Ordering::Relaxed) == 1 {
-        matmul_scalar
-    } else {
-        *KERNEL.get_or_init(detect)
-    };
+    let kernels = kernels();
     // SAFETY: `detect` selects a SIMD kernel only after confirming CPU
     // support, and the slice-length assertions above establish the bounds
     // every kernel relies on.
-    unsafe { kernel(out, a, b, bias, relu, n, k, d) }
+    unsafe { (kernels.matmul)(out, a, b, bias, relu, n, k, d) }
     if FINITE_GUARD.load(Ordering::Relaxed) {
         // Branch-free detection pass: a float is non-finite iff its
         // magnitude bits reach the exponent-all-ones pattern, so a u32
         // max-reduction over `bits & !sign` finds "any NaN/Inf?" without an
-        // early exit — the loop autovectorizes, keeping the guard a small
-        // fraction of the kernel's O(n·k·d) even for thin products. The
-        // element search runs only on the rare trip path.
+        // early exit. The element search runs only on the rare trip path.
         const INF_BITS: u32 = 0x7F80_0000;
-        let worst = out
-            .iter()
-            .fold(0u32, |acc, v| acc.max(v.to_bits() & 0x7FFF_FFFF));
+        // SAFETY: `detect` selects the AVX2 twin only after confirming CPU
+        // support; the plain body has no precondition.
+        let worst = unsafe { (kernels.max_magnitude)(out) };
         if worst >= INF_BITS {
             let index = out
                 .iter()
@@ -231,6 +278,120 @@ fn dispatch(
                 }
             });
         }
+    }
+}
+
+/// Fused `out[i] = a[i] + s · b[i]` with one rounding per element
+/// ([`f32::mul_add`]) — GIN's `(1 + ε)·h + Σ h_j` combine.
+pub(crate) fn scaled_add_into(out: &mut [f32], a: &[f32], b: &[f32], s: f32) {
+    assert!(
+        a.len() == out.len() && b.len() == out.len(),
+        "scaled_add operand lengths"
+    );
+    // SAFETY: `detect` selects the AVX2 twin only after confirming CPU
+    // support; the plain body has no precondition.
+    unsafe { (kernels().scaled_add)(out, a, b, s) }
+}
+
+/// Replace every element `v` with [`fast_exp`]`(v)`.
+pub(crate) fn exp_in_place(values: &mut [f32]) {
+    // SAFETY: as for `scaled_add_into`.
+    unsafe { (kernels().exp)(values) }
+}
+
+#[inline(always)]
+fn scaled_add_body(out: &mut [f32], a: &[f32], b: &[f32], s: f32) {
+    for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+        *o = b.mul_add(s, a);
+    }
+}
+
+#[inline(always)]
+fn exp_body(values: &mut [f32]) {
+    for v in values {
+        *v = fast_exp(*v);
+    }
+}
+
+#[inline(always)]
+fn max_magnitude_body(values: &[f32]) -> u32 {
+    values
+        .iter()
+        .fold(0u32, |acc, v| acc.max(v.to_bits() & 0x7FFF_FFFF))
+}
+
+/// [`scaled_add_body`] compiled with AVX2 and FMA enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn scaled_add_avx2(out: &mut [f32], a: &[f32], b: &[f32], s: f32) {
+    scaled_add_body(out, a, b, s)
+}
+
+/// [`exp_body`] compiled with AVX2 and FMA enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_avx2(values: &mut [f32]) {
+    exp_body(values)
+}
+
+/// [`max_magnitude_body`] compiled with AVX2 and FMA enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn max_magnitude_avx2(values: &[f32]) -> u32 {
+    max_magnitude_body(values)
+}
+
+/// Fast `e^x`: range reduction `x = n·ln2 + r` with a hi/lo split of `ln 2`,
+/// a degree-6 Taylor polynomial for `e^r` on `|r| ≤ ln2/2`, and an exponent
+/// rebuild via the float bit layout. Relative accuracy ≈ 1e-7 — two orders
+/// of magnitude inside the 1e-5 score-equivalence budget — at a fraction of
+/// the libm call cost. Inputs below the `f32` underflow range return 0
+/// (exactly what masked attention logits need).
+#[inline(always)]
+pub(crate) fn fast_exp(x: f32) -> f32 {
+    const INV_LN2: f32 = std::f32::consts::LOG2_E;
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    let n = (x * INV_LN2).round();
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    // e^r via Horner; |r| ≤ 0.3466 keeps the degree-6 truncation ≈ 1e-8.
+    let p = 1.0
+        + r * (1.0
+            + r * (0.5
+                + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0))))));
+    // Exponent rebuild `2^n` without a float-to-int cast, which would not
+    // vectorise: adding 1.5·2²³ puts the integral `n` in the low mantissa
+    // bits, exactly for |n| < 2²². That covers every `n` whose result the
+    // selects below keep; the others only need to wrap, not overflow.
+    const SHIFTER: f32 = 12_582_912.0;
+    let biased = (n + SHIFTER)
+        .to_bits()
+        .wrapping_sub(SHIFTER.to_bits())
+        .wrapping_add(127);
+    let e = f32::from_bits(biased << 23) * p;
+    // Selects, not early returns, so a loop over a slice vectorises. NaN is
+    // tested first: it fails both range comparisons, and the rebuild would
+    // turn it into an arbitrary value. Propagate it like `exp` does.
+    if x.is_nan() {
+        f32::NAN
+    } else if x < -87.0 {
+        0.0
+    } else if x > 88.0 {
+        f32::INFINITY
+    } else {
+        e
     }
 }
 
@@ -834,6 +995,75 @@ mod tests {
         set_finite_guard(false);
         matmul_into(&mut out, &poisoned, &b, 2, 2, 2);
         assert_eq!(take_finite_guard_trip(), None);
+    }
+
+    /// Every 4099th `f32` bit pattern (about a million, NaNs and infinities
+    /// included): the AVX2 twin of the exp pass must return the plain
+    /// body's bits for each. All 2³² inputs match too, but that sweep takes
+    /// minutes.
+    #[test]
+    fn exp_kernels_agree_bit_for_bit_on_a_strided_sweep() {
+        let inputs: Vec<f32> = (0..=u32::MAX)
+            .step_by(4099)
+            .map(f32::from_bits)
+            .chain([
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -0.0,
+                0.0,
+                -87.0,
+                88.0,
+            ])
+            .collect();
+        let mut plain = inputs.clone();
+        let mut dispatched = inputs.clone();
+        // SAFETY: `detect` lists a SIMD kernel only after confirming CPU
+        // support; the plain body has no precondition.
+        unsafe {
+            (PORTABLE.exp)(&mut plain);
+            (DETECTED.get_or_init(detect).exp)(&mut dispatched);
+        }
+        for ((x, want), got) in inputs.iter().zip(&plain).zip(&dispatched) {
+            assert_eq!(got.to_bits(), want.to_bits(), "exp({:#010x})", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn max_magnitude_kernels_agree_on_every_length() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.5,
+            -f32::MAX,
+            f32::MIN_POSITIVE,
+            -1e-45,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for len in 0..=67usize {
+            for start in 0..specials.len() {
+                // The specials plus one ordinary value, visited with a stride
+                // coprime to their count: across starts, every special
+                // lands in every lane.
+                let values: Vec<f32> = (0..len)
+                    .map(|i| match (start + i * 7) % (specials.len() + 1) {
+                        j if j == specials.len() => i as f32 * 0.25 - 3.0,
+                        j => specials[j],
+                    })
+                    .collect();
+                // SAFETY: as in the exp sweep.
+                let (want, got) = unsafe {
+                    (
+                        (PORTABLE.max_magnitude)(&values),
+                        (DETECTED.get_or_init(detect).max_magnitude)(&values),
+                    )
+                };
+                assert_eq!(got, want, "len {len} start {start}");
+            }
+        }
     }
 
     #[test]
