@@ -46,12 +46,12 @@ impl DualDecoder {
 
     /// Validation decoder: reconstruct the input features, `Z (n × h) → n × 1`.
     pub fn reconstruct(&self, params: &BoundParams, z: &Var) -> Var {
-        self.validation.forward(params, z)
+        self.validation.forward(params, z, false)
     }
 
     /// Repair decoder: propose corrected feature values, `Z (n × h) → n × 1`.
     pub fn repair(&self, params: &BoundParams, z: &Var) -> Var {
-        self.repair.forward(params, z)
+        self.repair.forward(params, z, false)
     }
 }
 
@@ -99,7 +99,9 @@ mod tests {
 
         let loss = decoder
             .reconstruct(&bound, &z)
-            .mse(&tape.constant(target.clone()));
+            .sub(&tape.constant(target.clone()))
+            .square()
+            .mean();
         tape.backward(&loss);
         store.apply_gradients(&bound, &mut adam);
 

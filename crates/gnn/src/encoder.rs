@@ -63,27 +63,12 @@ impl AnyLayer {
         graph: &BoundGraph,
         h: &Var,
         batch: usize,
+        relu: bool,
     ) -> Var {
         match self {
-            AnyLayer::Gat(l) => l.forward_batch(params, graph, h, batch),
-            AnyLayer::Gin(l) => l.forward_batch(params, graph, h, batch),
-            AnyLayer::Gcn(l) => l.forward_batch(params, graph, h, batch),
-        }
-    }
-
-    /// Forward pass with the inter-layer ReLU fused into the layer's final
-    /// kernel pass.
-    fn forward_batch_relu(
-        &self,
-        params: &BoundParams,
-        graph: &BoundGraph,
-        h: &Var,
-        batch: usize,
-    ) -> Var {
-        match self {
-            AnyLayer::Gat(l) => l.forward_batch_relu(params, graph, h, batch),
-            AnyLayer::Gin(l) => l.forward_batch_relu(params, graph, h, batch),
-            AnyLayer::Gcn(l) => l.forward_batch_relu(params, graph, h, batch),
+            AnyLayer::Gat(l) => l.forward_batch(params, graph, h, batch, relu),
+            AnyLayer::Gin(l) => l.forward_batch(params, graph, h, batch, relu),
+            AnyLayer::Gcn(l) => l.forward_batch(params, graph, h, batch, relu),
         }
     }
 }
@@ -229,17 +214,13 @@ impl Encoder {
         if let Some(path) = &self.graph2vec {
             let structural = x.tape().constant(path.structural.tile_rows(batch));
             let features = x.concat_cols(&structural);
-            return path.mlp.forward_relu(params, &features);
+            return path.mlp.forward(params, &features, true);
         }
         let mut h = x.clone();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = if i != last {
-                // inter-layer ReLU fused into the layer's last kernel pass
-                layer.forward_batch_relu(params, graph, &h, batch)
-            } else {
-                layer.forward_batch(params, graph, &h, batch)
-            };
+            // inter-layer ReLU fused into the layer's last kernel pass
+            h = layer.forward_batch(params, graph, &h, batch, i != last);
         }
         h
     }

@@ -2,10 +2,12 @@
 //!
 //! Every layer registers its weights in a shared [`ParamStore`] at
 //! construction time and performs its forward pass against the
-//! [`BoundParams`]/[`BoundGraph`] views created for the current tape. The
-//! message-passing layers have one forward pass, `forward_batch`, over `B`
-//! samples stacked vertically into a `(B·n_features) × channels` matrix; a
-//! single sample is the `batch = 1` case.
+//! [`BoundParams`]/[`BoundGraph`] views created for the current tape. Each
+//! layer has one forward pass. The message-passing layers' `forward_batch`
+//! runs over `B` samples stacked vertically into a
+//! `(B·n_features) × channels` matrix; a single sample is the `batch = 1`
+//! case. Every forward takes a `relu` flag that folds a trailing ReLU into
+//! the layer's last kernel pass.
 
 use crate::context::BoundGraph;
 use crate::params::{BoundParams, ParamId, ParamStore};
@@ -74,16 +76,10 @@ impl Linear {
         self.out_dim
     }
 
-    /// Forward pass: `x (r × in) → r × out`, as one fused
-    /// matmul-plus-bias kernel pass.
-    pub fn forward(&self, params: &BoundParams, x: &Var) -> Var {
-        x.matmul_bias(params.var(self.weight), params.var(self.bias))
-    }
-
-    /// Forward pass with a fused ReLU epilogue: `relu(x · W + b)` in one
-    /// kernel pass.
-    pub fn forward_relu(&self, params: &BoundParams, x: &Var) -> Var {
-        x.matmul_bias_relu(params.var(self.weight), params.var(self.bias))
+    /// Forward pass: `x (r × in) → r × out`, `x · W + b` rectified when
+    /// `relu` is set, as one fused kernel pass.
+    pub fn forward(&self, params: &BoundParams, x: &Var, relu: bool) -> Var {
+        x.matmul_bias(params.var(self.weight), params.var(self.bias), relu)
     }
 }
 
@@ -116,18 +112,11 @@ impl Mlp {
         self.second.out_dim()
     }
 
-    /// Forward pass with a ReLU after the first layer (fused into the first
-    /// layer's kernel pass).
-    pub fn forward(&self, params: &BoundParams, x: &Var) -> Var {
+    /// Forward pass with a ReLU after the first layer, and after the second
+    /// when `relu` is set; each is fused into its layer's kernel pass.
+    pub fn forward(&self, params: &BoundParams, x: &Var, relu: bool) -> Var {
         self.second
-            .forward(params, &self.first.forward_relu(params, x))
-    }
-
-    /// Forward pass with ReLUs after both layers, each fused into its
-    /// layer's kernel pass.
-    pub fn forward_relu(&self, params: &BoundParams, x: &Var) -> Var {
-        self.second
-            .forward_relu(params, &self.first.forward_relu(params, x))
+            .forward(params, &self.first.forward(params, x, true), relu)
     }
 }
 
@@ -178,16 +167,31 @@ impl GatLayer {
     }
 
     /// Batched forward pass over `batch` vertically stacked samples:
-    /// `h (B·n × in) → B·n × out`. Attention is computed per block — sample
-    /// `b`'s nodes only attend within their own `n × n` grid — so the result
-    /// is bit-identical to `batch` independent one-sample calls.
+    /// `h (B·n × in) → B·n × out`, rectified when `relu` is set (the
+    /// rectifier rides the attention-mixing kernel's store epilogue).
+    /// Attention is computed per block — sample `b`'s nodes only attend
+    /// within their own `n × n` grid — so the result is bit-identical to
+    /// `batch` independent one-sample calls.
     pub fn forward_batch(
         &self,
         params: &BoundParams,
         graph: &BoundGraph,
         h: &Var,
         batch: usize,
+        relu: bool,
     ) -> Var {
+        let (hw, attention) = self.project_and_attend(params, graph, h);
+        attention.block_matmul(&hw, batch, relu)
+    }
+
+    /// The attention matrix itself (useful for interpretability tests).
+    pub fn attention(&self, params: &BoundParams, graph: &BoundGraph, h: &Var) -> Var {
+        self.project_and_attend(params, graph, h).1
+    }
+
+    /// The projected features `h·W` and the per-block attention grids over
+    /// them.
+    fn project_and_attend(&self, params: &BoundParams, graph: &BoundGraph, h: &Var) -> (Var, Var) {
         let hw = h.matmul(params.var(self.weight)); // B·n × out
         let src = hw.matmul(params.var(self.attn_src)); // B·n × 1
         let dst = hw.matmul(params.var(self.attn_dst)); // B·n × 1
@@ -195,34 +199,7 @@ impl GatLayer {
         // One fused pass builds the per-block n × n logit grids:
         // logits[b·n + i][j] = leaky(src[b·n + i] + dst[b·n + j]) + mask[i][j]
         let logits = src.attention_logits(&dst, &graph.attention_mask, GAT_LEAKY_SLOPE);
-        let attention = logits.softmax_rows(); // rows sum to 1 over N(i) ∪ {i}
-        attention.block_matmul(&hw, batch)
-    }
-
-    /// [`GatLayer::forward_batch`] with a fused trailing ReLU — the
-    /// inter-layer activation rides the attention-mixing kernel's store
-    /// epilogue instead of a separate pass.
-    pub fn forward_batch_relu(
-        &self,
-        params: &BoundParams,
-        graph: &BoundGraph,
-        h: &Var,
-        batch: usize,
-    ) -> Var {
-        let hw = h.matmul(params.var(self.weight));
-        let src = hw.matmul(params.var(self.attn_src));
-        let dst = hw.matmul(params.var(self.attn_dst));
-        let logits = src.attention_logits(&dst, &graph.attention_mask, GAT_LEAKY_SLOPE);
-        logits.softmax_rows().block_matmul_relu(&hw, batch)
-    }
-
-    /// The attention matrix itself (useful for interpretability tests).
-    pub fn attention(&self, params: &BoundParams, graph: &BoundGraph, h: &Var) -> Var {
-        let hw = h.matmul(params.var(self.weight));
-        let src = hw.matmul(params.var(self.attn_src));
-        let dst = hw.matmul(params.var(self.attn_dst));
-        src.attention_logits(&dst, &graph.attention_mask, GAT_LEAKY_SLOPE)
-            .softmax_rows()
+        (hw, logits.softmax_rows()) // rows sum to 1 over N(i) ∪ {i}
     }
 }
 
@@ -260,36 +237,22 @@ impl GinLayer {
     /// Batched forward pass over vertically stacked samples: the shared
     /// adjacency aggregates neighbours within each `n`-row block, the
     /// `(1 + ε)` self-term and the MLP are row-wise and batch transparently.
+    /// The MLP's output is rectified when `relu` is set.
     pub fn forward_batch(
         &self,
         params: &BoundParams,
         graph: &BoundGraph,
         h: &Var,
         _batch: usize,
+        relu: bool,
     ) -> Var {
         let neighbour_sum = graph.adjacency.repeat_matmul(h); // B·n × in
-                                                              // (1 + ε)·h — ε is a learnable scalar initialised to zero,
-                                                              // folded into the aggregation as one fused pass.
+                                                              // (1 + ε)·h — ε is a learnable scalar initialised to zero, folded
+                                                              // into the aggregation as one fused pass.
         let one = h.tape().constant(Matrix::ones(1, 1));
         let scale = params.var(self.epsilon).add(&one);
         self.mlp
-            .forward(params, &neighbour_sum.scaled_add(h, &scale))
-    }
-
-    /// [`GinLayer::forward_batch`] with a fused trailing ReLU on the MLP's
-    /// output layer.
-    pub fn forward_batch_relu(
-        &self,
-        params: &BoundParams,
-        graph: &BoundGraph,
-        h: &Var,
-        _batch: usize,
-    ) -> Var {
-        let neighbour_sum = graph.adjacency.repeat_matmul(h);
-        let one = h.tape().constant(Matrix::ones(1, 1));
-        let scale = params.var(self.epsilon).add(&one);
-        self.mlp
-            .forward_relu(params, &neighbour_sum.scaled_add(h, &scale))
+            .forward(params, &neighbour_sum.scaled_add(h, &scale), relu)
     }
 }
 
@@ -320,28 +283,18 @@ impl GcnLayer {
     }
 
     /// Batched forward pass: the normalised adjacency propagates within each
-    /// `n`-row block, the dense layer is row-wise.
+    /// `n`-row block, the dense layer is row-wise and rectifies its output
+    /// when `relu` is set.
     pub fn forward_batch(
         &self,
         params: &BoundParams,
         graph: &BoundGraph,
         h: &Var,
         _batch: usize,
+        relu: bool,
     ) -> Var {
         self.linear
-            .forward(params, &graph.gcn_adjacency.repeat_matmul(h))
-    }
-
-    /// [`GcnLayer::forward_batch`] with a fused trailing ReLU.
-    pub fn forward_batch_relu(
-        &self,
-        params: &BoundParams,
-        graph: &BoundGraph,
-        h: &Var,
-        _batch: usize,
-    ) -> Var {
-        self.linear
-            .forward_relu(params, &graph.gcn_adjacency.repeat_matmul(h))
+            .forward(params, &graph.gcn_adjacency.repeat_matmul(h), relu)
     }
 }
 
@@ -387,9 +340,9 @@ mod tests {
         let tape = Tape::new();
         let bound = store.bind(&tape);
         let x = tape.leaf(Matrix::ones(4, 3), false);
-        let y = linear.forward(&bound, &x);
+        let y = linear.forward(&bound, &x, false);
         assert_eq!(y.shape(), (4, 5));
-        let z = mlp.forward(&bound, &y);
+        let z = mlp.forward(&bound, &y, false);
         assert_eq!(z.shape(), (4, 2));
         assert!(z.value().is_finite());
     }
@@ -404,7 +357,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph = ctx.bind(&tape);
         let x = node_features(&tape, &[0.1, 0.5, 0.9, 0.3]);
-        let out = gat.forward_batch(&bound, &graph, &x, 1);
+        let out = gat.forward_batch(&bound, &graph, &x, 1, false);
         assert_eq!(out.shape(), (4, 6));
         assert!(out.value().is_finite());
 
@@ -430,7 +383,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph = ctx.bind(&tape);
         let x = node_features(&tape, &[1.0, 2.0, 3.0, 4.0]);
-        let out = gin.forward_batch(&bound, &graph, &x, 1);
+        let out = gin.forward_batch(&bound, &graph, &x, 1, false);
         assert_eq!(out.shape(), (4, 4));
         assert!(out.value().is_finite());
     }
@@ -443,7 +396,7 @@ mod tests {
         let bound = store.bind(&tape);
         let graph = ctx.bind(&tape);
         let x = node_features(&tape, &[1.0, 0.0, 0.0, 0.0]);
-        let out = gcn.forward_batch(&bound, &graph, &x, 1);
+        let out = gcn.forward_batch(&bound, &graph, &x, 1, false);
         assert_eq!(out.shape(), (4, 3));
         assert_eq!(gcn.out_dim(), 3);
     }
@@ -465,7 +418,7 @@ mod tests {
             let bound = store.bind(&tape);
             let graph = ctx.bind(&tape);
             let x = node_features(&tape, values);
-            gcn.forward_batch(&bound, &graph, &x, 1).value()
+            gcn.forward_batch(&bound, &graph, &x, 1, false).value()
         };
         let base = run(&[0.2, 0.4, 0.6, 0.8]);
         let perturbed = run(&[5.0, 0.4, 0.6, 0.8]);
@@ -496,9 +449,9 @@ mod tests {
             let bound = store.bind(&tape);
             let graph = ctx.bind(&tape);
             let x = node_features(&tape, &input);
-            let z = gat.forward_batch(&bound, &graph, &x, 1);
-            let pred = head.forward(&bound, &z);
-            let loss = pred.mse(&tape.constant(target.clone()));
+            let z = gat.forward_batch(&bound, &graph, &x, 1, false);
+            let pred = head.forward(&bound, &z, false);
+            let loss = pred.sub(&tape.constant(target.clone())).square().mean();
             last_loss = loss.value().get(0, 0);
             first_loss.get_or_insert(last_loss);
             tape.backward(&loss);

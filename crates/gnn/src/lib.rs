@@ -30,10 +30,10 @@
 //! `B` samples are stacked vertically into one `(B·n_features) × hidden`
 //! matrix and pushed through the whole network in a single matrix-level pass.
 //! Scoring runs it on an [`model::InferenceSession`], which binds the
-//! parameters once; training runs it once per sample (`B = 1`) on a gradient
+//! parameters once; training runs it once per sample (`B = 1`) on a fresh
 //! tape. Message passing never crosses sample blocks, so a row scores the
 //! same alone or stacked; the seeded randomized suite in
-//! `tests/batched_forward.rs` holds the two within 1e-5.
+//! `tests/batched_forward.rs` holds the two bit for bit.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -184,14 +184,15 @@ impl BatchScores {
     }
 }
 
-/// A reusable inference context: a no-grad tape with the network parameters
-/// and graph constants bound exactly once.
+/// A reusable inference context: a tape with the network parameters and
+/// graph constants bound exactly once.
 ///
 /// Binding clones every parameter matrix onto the tape; doing that per sample
 /// used to dominate the phase-2 hot path. A session hoists the binding: each
-/// [`DquagNetwork::score_matrix`] call appends O(layers) value-only nodes for
-/// the forward pass and rewinds the tape to the bound baseline afterwards, so
-/// the session never grows across batches.
+/// [`DquagNetwork::score_matrix`] call runs the same forward pass training
+/// does, appending O(layers) nodes per tile, reads the outputs and rewinds
+/// the tape to the bound baseline, so the session never grows across
+/// batches. No backward pass runs on it.
 ///
 /// Sessions are single-threaded (the tape is `Rc`-based); parallel validation
 /// workers each create their own from a shared `&DquagNetwork`.
@@ -474,12 +475,11 @@ impl DquagNetwork {
         }
     }
 
-    /// Open a reusable inference session: a no-grad tape with parameters and
-    /// graph constants bound once, for use with
-    /// [`DquagNetwork::score_matrix`].
+    /// Open a reusable inference session: a tape with parameters and graph
+    /// constants bound once, for use with [`DquagNetwork::score_matrix`].
     pub fn inference_session(&self) -> InferenceSession {
         dquag_tensor::tune_allocator_for_inference();
-        let tape = Tape::no_grad();
+        let tape = Tape::new();
         let (params, graph) = self.bind(&tape);
         let base_len = tape.len();
         InferenceSession {

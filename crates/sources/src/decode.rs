@@ -187,6 +187,19 @@ mod tests {
     }
 
     #[test]
+    fn unpaired_surrogate_escapes_are_decode_errors() {
+        // A high surrogate followed by an escape that is not a low surrogate
+        // is a decode error: no panic on overflowing arithmetic, no made-up
+        // character.
+        for second in ["0041", "E000"] {
+            let line = format!("{{\"age\": 1, \"city\": \"{0}uD800{0}u{second}\"}}", '\\');
+            let err = decode_batch(WireFormat::Ndjson, line.as_bytes(), &schema()).unwrap_err();
+            assert!(matches!(err, SourceError::Decode(_)), "{err}");
+            assert!(err.to_string().contains("surrogate"), "{err}");
+        }
+    }
+
+    #[test]
     fn csv_and_ndjson_payloads_decode_identically() {
         let csv_payload = b"age,city\r\n31,Paris\r\n,Lyon";
         let ndjson_payload =

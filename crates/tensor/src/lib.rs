@@ -8,17 +8,19 @@
 //! deep-learning stack ships graph-neural-network layers, so this crate
 //! provides the minimal substrate the GNN crate needs:
 //!
-//! * [`Matrix`] — a dense row-major `f32` matrix with the usual linear-algebra
-//!   and element-wise operations.
-//! * [`Tape`] / [`Var`] — a define-by-run reverse-mode autodiff tape. Every
-//!   differentiable operation appends a node; [`Tape::backward`] walks the
-//!   nodes in reverse and accumulates gradients.
-//! * [`optim`] — Adam and SGD optimizers operating on raw parameter matrices.
+//! * [`Matrix`] — a dense row-major `f32` matrix with the linear-algebra,
+//!   element-wise and fused kernels the network runs.
+//! * [`Tape`] / [`Var`] — a define-by-run reverse-mode autodiff tape over
+//!   exactly the ops of the DQuaG network. Every op appends a node;
+//!   [`Tape::backward`] walks the nodes in reverse and accumulates
+//!   gradients. Training and inference run the same forward pass on it.
+//! * [`optim`] — the Adam optimizer, operating on raw parameter matrices.
 //! * [`init`] — Xavier/Glorot and He initialisation used by the GNN layers.
 //!
 //! The design intentionally supports only rank-2 tensors: DQuaG's feature
-//! graphs have tens of nodes, so every forward pass works on small `n × h`
-//! matrices and batches are handled by iterating samples.
+//! graphs have tens of nodes, so a sample is a small `n × h` matrix, and a
+//! batch of `B` samples is `B` such blocks stacked vertically into one
+//! `(B·n) × h` matrix that the block-aware ops keep apart.
 //!
 //! ## Example
 //!

@@ -47,15 +47,6 @@ impl Matrix {
         }
     }
 
-    /// Create the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Build a matrix from a flat row-major vector.
     ///
     /// Returns an error if `data.len() != rows * cols`.
@@ -157,18 +148,6 @@ impl Matrix {
         self.data[row * self.cols + col]
     }
 
-    /// Fallible element read.
-    pub fn try_get(&self, row: usize, col: usize) -> Result<f32> {
-        if row >= self.rows || col >= self.cols {
-            return Err(TensorError::IndexOutOfBounds {
-                row,
-                col,
-                shape: self.shape(),
-            });
-        }
-        Ok(self.data[row * self.cols + col])
-    }
-
     /// Write the element at `(row, col)`. Panics if out of bounds.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: f32) {
@@ -197,11 +176,6 @@ impl Matrix {
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copy one column into a new `Vec`.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -248,12 +222,8 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
-    /// Add a `1 × cols` row vector to every row.
+    /// Add a `1 × cols` row vector to every row — the unfused reference
+    /// for [`Matrix::matmul_bias`]'s bias epilogue.
     pub fn add_row_broadcast(&self, row: &Matrix) -> Result<Matrix> {
         if row.rows != 1 || row.cols != self.cols {
             return Err(TensorError::ShapeMismatch {
@@ -335,15 +305,6 @@ impl Matrix {
         }
     }
 
-    /// Per-row sums as an `rows × 1` column vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
-        }
-        out
-    }
-
     /// Per-column sums as a `1 × cols` row vector.
     pub fn sum_cols(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
@@ -370,16 +331,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Index of the maximum element in a given row.
-    pub fn argmax_row(&self, row: usize) -> usize {
-        let r = self.row(row);
-        r.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 
     /// True if no element is NaN or infinite.
@@ -420,24 +371,6 @@ impl Matrix {
             out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(rhs.row(r));
         }
         Ok(out)
-    }
-
-    /// Concatenate vertically (`self` on top, `rhs` below).
-    pub fn concat_rows(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "concat_rows",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&rhs.data);
-        Ok(Matrix {
-            rows: self.rows + rhs.rows,
-            cols: self.cols,
-            data,
-        })
     }
 
     /// Copy a contiguous column range `[start, end)` into a new matrix.
@@ -485,18 +418,9 @@ impl Matrix {
 
     /// Per-block matrix product: `self` is `B` stacked `p × k` blocks, `rhs`
     /// is `B` stacked `k × d` blocks, and `out_b = self_b · rhs_b` giving `B`
-    /// stacked `p × d` blocks.
-    pub fn block_matmul(&self, rhs: &Matrix, blocks: usize) -> Result<Matrix> {
-        self.block_matmul_impl(rhs, blocks, false)
-    }
-
-    /// Per-block matrix product with a fused ReLU epilogue:
-    /// `out_b = relu(self_b · rhs_b)` at no extra pass over the output.
-    pub fn block_matmul_relu(&self, rhs: &Matrix, blocks: usize) -> Result<Matrix> {
-        self.block_matmul_impl(rhs, blocks, true)
-    }
-
-    fn block_matmul_impl(&self, rhs: &Matrix, blocks: usize, relu: bool) -> Result<Matrix> {
+    /// stacked `p × d` blocks, rectified when `relu` is set (in the kernel's
+    /// store epilogue, at no extra pass over the output).
+    pub fn block_matmul(&self, rhs: &Matrix, blocks: usize, relu: bool) -> Result<Matrix> {
         let compatible = blocks > 0
             && self.rows.is_multiple_of(blocks)
             && rhs.rows.is_multiple_of(blocks)
@@ -560,7 +484,9 @@ impl Matrix {
     /// `B` stacked `n × 1` blocks, the output is `B` stacked `n × n` blocks
     /// with `out[b·n + i][j] = self[b·n + j]` — every row of block `b` is that
     /// block's segment transposed. This is the batched form of
-    /// `v.matmul(ones_row).transpose()`.
+    /// `v.matmul(ones_row).transpose()`, and with
+    /// [`Matrix::block_add_broadcast`] the unfused reference for
+    /// [`Matrix::attention_logits`].
     pub fn block_row_broadcast(&self, block: usize) -> Result<Matrix> {
         if self.cols != 1 || block == 0 || !self.rows.is_multiple_of(block) {
             return Err(TensorError::ShapeMismatch {
@@ -602,9 +528,10 @@ impl Matrix {
     }
 
     /// Fused dense layer: `self · w + bias` with `bias` broadcast over rows,
-    /// accumulated inside the matmul kernel so the bias add costs no extra
-    /// pass over the output.
-    pub fn matmul_bias(&self, w: &Matrix, bias: &Matrix) -> Result<Matrix> {
+    /// rectified when `relu` is set. The bias add and the rectifier ride the
+    /// matmul kernel's store epilogue, so neither costs a pass over the
+    /// output.
+    pub fn matmul_bias(&self, w: &Matrix, bias: &Matrix, relu: bool) -> Result<Matrix> {
         if self.cols != w.rows || bias.rows != 1 || bias.cols != w.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_bias",
@@ -618,30 +545,7 @@ impl Matrix {
             &self.data,
             &w.data,
             &bias.data,
-            self.rows,
-            self.cols,
-            w.cols,
-        );
-        Ok(out)
-    }
-
-    /// Fused dense layer plus activation: `relu(self · w + bias)`, with both
-    /// the bias add and the rectifier folded into the matmul kernel's store
-    /// epilogue.
-    pub fn matmul_bias_relu(&self, w: &Matrix, bias: &Matrix) -> Result<Matrix> {
-        if self.cols != w.rows || bias.rows != 1 || bias.cols != w.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_bias_relu",
-                lhs: self.shape(),
-                rhs: w.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, w.cols);
-        crate::simd::matmul_bias_relu_into(
-            &mut out.data,
-            &self.data,
-            &w.data,
-            &bias.data,
+            relu,
             self.rows,
             self.cols,
             w.cols,
@@ -806,14 +710,10 @@ mod tests {
     }
 
     #[test]
-    fn zeros_ones_filled_identity() {
+    fn zeros_ones_filled() {
         assert_eq!(Matrix::zeros(2, 3).sum(), 0.0);
         assert_eq!(Matrix::ones(2, 3).sum(), 6.0);
         assert_eq!(Matrix::filled(2, 2, 2.5).sum(), 10.0);
-        let i = Matrix::identity(3);
-        assert_eq!(i.sum(), 3.0);
-        assert_eq!(i.get(1, 1), 1.0);
-        assert_eq!(i.get(0, 1), 0.0);
     }
 
     #[test]
@@ -836,7 +736,7 @@ mod tests {
         assert_eq!(r.shape(), (1, 3));
         let c = Matrix::col_vector(&[1.0, 2.0, 3.0]);
         assert_eq!(c.shape(), (3, 1));
-        assert_eq!(c.col(0), vec![1.0, 2.0, 3.0]);
+        assert_eq!(c.as_slice(), r.as_slice());
     }
 
     #[test]
@@ -863,7 +763,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f32);
-        let i = Matrix::identity(3);
+        let i = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
     }
@@ -883,10 +783,6 @@ mod tests {
         let b = Matrix::from_rows(vec![vec![3.0, 5.0]]);
         assert_eq!(a.add(&b).unwrap(), Matrix::from_rows(vec![vec![4.0, 7.0]]));
         assert_eq!(b.sub(&a).unwrap(), Matrix::from_rows(vec![vec![2.0, 3.0]]));
-        assert_eq!(
-            a.hadamard(&b).unwrap(),
-            Matrix::from_rows(vec![vec![3.0, 10.0]])
-        );
         assert_eq!(a.scale(2.0), Matrix::from_rows(vec![vec![2.0, 4.0]]));
     }
 
@@ -896,7 +792,6 @@ mod tests {
         let b = Matrix::zeros(2, 1);
         assert!(a.add(&b).is_err());
         assert!(a.sub(&b).is_err());
-        assert!(a.hadamard(&b).is_err());
     }
 
     #[test]
@@ -917,7 +812,6 @@ mod tests {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert!(close(m.sum(), 10.0));
         assert!(close(m.mean(), 2.5));
-        assert_eq!(m.sum_rows(), Matrix::col_vector(&[3.0, 7.0]));
         assert_eq!(m.sum_cols(), Matrix::row_vector(&[4.0, 6.0]));
         assert_eq!(m.max(), Some(4.0));
         assert_eq!(m.min(), Some(1.0));
@@ -934,22 +828,12 @@ mod tests {
     }
 
     #[test]
-    fn argmax_row_picks_largest() {
-        let m = Matrix::from_rows(vec![vec![0.1, 0.9, 0.3], vec![5.0, 1.0, 2.0]]);
-        assert_eq!(m.argmax_row(0), 1);
-        assert_eq!(m.argmax_row(1), 0);
-    }
-
-    #[test]
-    fn concat_cols_and_rows() {
+    fn concat_cols_joins_rows_side_by_side() {
         let a = Matrix::from_rows(vec![vec![1.0], vec![2.0]]);
         let b = Matrix::from_rows(vec![vec![3.0], vec![4.0]]);
         let h = a.concat_cols(&b).unwrap();
         assert_eq!(h, Matrix::from_rows(vec![vec![1.0, 3.0], vec![2.0, 4.0]]));
-        let v = a.concat_rows(&b).unwrap();
-        assert_eq!(v, Matrix::col_vector(&[1.0, 2.0, 3.0, 4.0]));
         assert!(a.concat_cols(&Matrix::zeros(3, 1)).is_err());
-        assert!(a.concat_rows(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
@@ -1039,11 +923,13 @@ mod tests {
         let a = Matrix::from_fn(5, 3, |r, c| (r as f32 - c as f32) * 0.4);
         let w = Matrix::from_fn(3, 7, |r, c| ((r + c) % 5) as f32 * 0.3 - 0.5);
         let bias = Matrix::from_fn(1, 7, |_, c| c as f32 * 0.05);
-        let fused = a.matmul_bias(&w, &bias).unwrap();
         let unfused = a.matmul(&w).unwrap().add_row_broadcast(&bias).unwrap();
+        let fused = a.matmul_bias(&w, &bias, false).unwrap();
         assert!(fused.max_abs_diff(&unfused) < 1e-5);
-        assert!(a.matmul_bias(&w, &Matrix::zeros(1, 3)).is_err());
-        assert!(a.matmul_bias(&Matrix::zeros(4, 7), &bias).is_err());
+        let rectified = a.matmul_bias(&w, &bias, true).unwrap();
+        assert!(rectified.max_abs_diff(&unfused.map(|v| v.max(0.0))) < 1e-5);
+        assert!(a.matmul_bias(&w, &Matrix::zeros(1, 3), false).is_err());
+        assert!(a.matmul_bias(&Matrix::zeros(4, 7), &bias, true).is_err());
     }
 
     #[test]
@@ -1082,13 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_bounds() {
-        let m = Matrix::zeros(2, 2);
-        assert!(m.try_get(1, 1).is_ok());
-        assert!(m.try_get(2, 0).is_err());
-    }
-
-    #[test]
     fn max_abs_diff_detects_shape_and_values() {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::filled(2, 2, 0.5);
@@ -1100,7 +979,8 @@ mod tests {
     fn block_matmul_matches_per_block_matmul() {
         let a = Matrix::from_fn(6, 2, |r, c| (r * 2 + c) as f32 * 0.5 - 1.0); // 3 blocks of 2x2
         let b = Matrix::from_fn(6, 3, |r, c| (r + c) as f32 * 0.25); // 3 blocks of 2x3
-        let out = a.block_matmul(&b, 3).unwrap();
+        let out = a.block_matmul(&b, 3, false).unwrap();
+        let rectified = a.block_matmul(&b, 3, true).unwrap();
         assert_eq!(out.shape(), (6, 3));
         for blk in 0..3 {
             let ab = a.slice_rows(blk * 2, (blk + 1) * 2).unwrap();
@@ -1108,16 +988,21 @@ mod tests {
             let expected = ab.matmul(&bb).unwrap();
             let got = out.slice_rows(blk * 2, (blk + 1) * 2).unwrap();
             assert_eq!(got, expected, "block {blk} must match a plain matmul");
+            let got = rectified.slice_rows(blk * 2, (blk + 1) * 2).unwrap();
+            assert_eq!(got, expected.map(|v| v.max(0.0)), "rectified block {blk}");
         }
         // one block degenerates to a plain matmul, bit for bit
         assert_eq!(
-            a.block_matmul(&Matrix::from_fn(2, 4, |r, c| (r * c) as f32), 1)
+            a.block_matmul(&Matrix::from_fn(2, 4, |r, c| (r * c) as f32), 1, false)
                 .unwrap(),
             a.matmul(&Matrix::from_fn(2, 4, |r, c| (r * c) as f32))
                 .unwrap()
         );
-        assert!(a.block_matmul(&b, 4).is_err(), "6 rows don't split into 4");
-        assert!(a.block_matmul(&Matrix::zeros(9, 3), 3).is_err());
+        assert!(
+            a.block_matmul(&b, 4, false).is_err(),
+            "6 rows don't split into 4"
+        );
+        assert!(a.block_matmul(&Matrix::zeros(9, 3), 3, true).is_err());
     }
 
     #[test]

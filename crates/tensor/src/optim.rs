@@ -1,82 +1,50 @@
-//! Optimizers: Adam (used by the paper) and plain SGD (for tests/ablations).
+//! The Adam optimizer, as the paper trains with it.
 //!
-//! The optimizers operate on raw parameter matrices paired with externally
+//! The optimizer operates on raw parameter matrices paired with externally
 //! computed gradients. The GNN crate owns the parameters; after each backward
 //! pass it collects `(param, grad)` pairs and hands them to the optimizer in
 //! a stable order (state is keyed by position, so the caller must always pass
-//! parameters in the same order — the `ParamSet` abstraction in `dquag-gnn`
-//! guarantees this).
+//! parameters in the same order — the `ParamStore` in `dquag-gnn` guarantees
+//! this).
 
 use crate::Matrix;
 
-/// Configuration shared by the optimizers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OptimizerConfig {
-    /// Learning rate. The paper uses `0.01`.
-    pub learning_rate: f32,
-    /// Adam β₁.
-    pub beta1: f32,
-    /// Adam β₂.
-    pub beta2: f32,
-    /// Adam ε.
-    pub epsilon: f32,
-    /// L2 weight decay (0 disables it).
-    pub weight_decay: f32,
-    /// Gradient-norm clipping threshold (0 disables clipping).
-    pub grad_clip: f32,
-}
+/// Adam β₁.
+const BETA1: f32 = 0.9;
+/// Adam β₂.
+const BETA2: f32 = 0.999;
+/// Adam ε.
+const EPSILON: f32 = 1e-8;
+/// Each gradient is rescaled to at most this Frobenius norm before the
+/// update.
+const GRAD_CLIP: f32 = 5.0;
 
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        Self {
-            learning_rate: 0.01,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            weight_decay: 0.0,
-            grad_clip: 5.0,
-        }
-    }
-}
-
-/// Adam optimizer (Kingma & Ba, 2015) with optional weight decay and gradient
-/// clipping. State (first/second moments) is allocated lazily on the first
-/// step and keyed by parameter position.
+/// Adam optimizer (Kingma & Ba, 2015) with per-parameter gradient clipping.
+/// State (first/second moments) is allocated lazily on the first step and
+/// keyed by parameter position.
 #[derive(Debug, Clone)]
 pub struct Adam {
-    config: OptimizerConfig,
+    learning_rate: f32,
     first_moments: Vec<Matrix>,
     second_moments: Vec<Matrix>,
     step_count: u64,
 }
 
 impl Adam {
-    /// Create an Adam optimizer with the given configuration.
-    pub fn new(config: OptimizerConfig) -> Self {
+    /// Create an Adam optimizer with the given learning rate (the paper
+    /// uses 0.01).
+    pub fn with_learning_rate(learning_rate: f32) -> Self {
         Self {
-            config,
+            learning_rate,
             first_moments: Vec::new(),
             second_moments: Vec::new(),
             step_count: 0,
         }
     }
 
-    /// Create an Adam optimizer with the paper's defaults (lr = 0.01).
-    pub fn with_learning_rate(learning_rate: f32) -> Self {
-        Self::new(OptimizerConfig {
-            learning_rate,
-            ..OptimizerConfig::default()
-        })
-    }
-
     /// Number of update steps taken so far.
     pub fn steps(&self) -> u64 {
         self.step_count
-    }
-
-    /// The optimizer configuration.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.config
     }
 
     /// Apply one Adam update.
@@ -93,25 +61,24 @@ impl Adam {
         self.ensure_state(params);
         self.step_count += 1;
         let t = self.step_count as f32;
-        let cfg = self.config;
-        let bias1 = 1.0 - cfg.beta1.powf(t);
-        let bias2 = 1.0 - cfg.beta2.powf(t);
+        let bias1 = 1.0 - BETA1.powf(t);
+        let bias2 = 1.0 - BETA2.powf(t);
 
         for (i, (param, grad)) in params.iter_mut().zip(grads.iter()).enumerate() {
             let Some(grad) = grad else { continue };
             debug_assert_eq!(param.shape(), grad.shape(), "param/grad shape mismatch");
-            let grad = preprocess_grad(param, grad, &cfg);
+            let grad = clip(grad);
             let m = &mut self.first_moments[i];
             let v = &mut self.second_moments[i];
             for j in 0..grad.len() {
                 let g = grad.as_slice()[j];
-                let mj = cfg.beta1 * m.as_slice()[j] + (1.0 - cfg.beta1) * g;
-                let vj = cfg.beta2 * v.as_slice()[j] + (1.0 - cfg.beta2) * g * g;
+                let mj = BETA1 * m.as_slice()[j] + (1.0 - BETA1) * g;
+                let vj = BETA2 * v.as_slice()[j] + (1.0 - BETA2) * g * g;
                 m.as_mut_slice()[j] = mj;
                 v.as_mut_slice()[j] = vj;
                 let m_hat = mj / bias1;
                 let v_hat = vj / bias2;
-                param.as_mut_slice()[j] -= cfg.learning_rate * m_hat / (v_hat.sqrt() + cfg.epsilon);
+                param.as_mut_slice()[j] -= self.learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
             }
         }
     }
@@ -127,55 +94,13 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent, used as an ablation and in tests where
-/// convergence behaviour must be easy to reason about.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    config: OptimizerConfig,
-}
-
-impl Sgd {
-    /// Create an SGD optimizer with the given learning rate.
-    pub fn new(learning_rate: f32) -> Self {
-        Self {
-            config: OptimizerConfig {
-                learning_rate,
-                ..OptimizerConfig::default()
-            },
-        }
-    }
-
-    /// Apply one SGD update; see [`Adam::step`] for the calling convention.
-    pub fn step(&mut self, params: &mut [&mut Matrix], grads: &[Option<Matrix>]) {
-        assert_eq!(
-            params.len(),
-            grads.len(),
-            "Sgd::step: params and grads length mismatch"
-        );
-        for (param, grad) in params.iter_mut().zip(grads.iter()) {
-            let Some(grad) = grad else { continue };
-            let grad = preprocess_grad(param, grad, &self.config);
-            for j in 0..grad.len() {
-                param.as_mut_slice()[j] -= self.config.learning_rate * grad.as_slice()[j];
-            }
-        }
-    }
-}
-
-/// Apply weight decay and gradient clipping before the main update rule.
-fn preprocess_grad(param: &Matrix, grad: &Matrix, cfg: &OptimizerConfig) -> Matrix {
+/// `grad`, rescaled to Frobenius norm [`GRAD_CLIP`] if it is longer.
+fn clip(grad: &Matrix) -> Matrix {
     let mut g = grad.clone();
-    if cfg.weight_decay > 0.0 {
-        for j in 0..g.len() {
-            g.as_mut_slice()[j] += cfg.weight_decay * param.as_slice()[j];
-        }
-    }
-    if cfg.grad_clip > 0.0 {
-        let norm = g.frobenius_norm();
-        if norm > cfg.grad_clip {
-            let scale = cfg.grad_clip / norm;
-            g.map_inplace(|v| v * scale);
-        }
+    let norm = g.frobenius_norm();
+    if norm > GRAD_CLIP {
+        let scale = GRAD_CLIP / norm;
+        g.map_inplace(|v| v * scale);
     }
     g
 }
@@ -185,39 +110,29 @@ mod tests {
     use super::*;
     use crate::Tape;
 
-    /// Minimise f(w) = mean((x·w − y)²) — a tiny linear regression — and check
-    /// the optimizer actually converges to the analytic solution.
-    fn converge(mut do_step: impl FnMut(&mut Matrix, Option<Matrix>)) -> Matrix {
+    #[test]
+    fn adam_converges_on_linear_regression() {
+        // Minimise f(w) = mean((x·w − y)²) — a tiny linear regression — and
+        // check the optimizer reaches the analytic solution.
         let x = Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
         let y = Matrix::from_rows(vec![vec![2.0], vec![-3.0], vec![-1.0]]);
         let mut w = Matrix::zeros(2, 1);
+        let mut adam = Adam::with_learning_rate(0.05);
         for _ in 0..400 {
             let tape = Tape::new();
             let wv = tape.leaf(w.clone(), true);
-            let xv = tape.constant(x.clone());
-            let yv = tape.constant(y.clone());
-            let loss = xv.matmul(&wv).mse(&yv);
+            let loss = tape
+                .constant(x.clone())
+                .matmul(&wv)
+                .sub(&tape.constant(y.clone()))
+                .square()
+                .mean();
             tape.backward(&loss);
-            do_step(&mut w, wv.grad());
+            adam.step(&mut [&mut w], &[wv.grad()]);
         }
-        w
-    }
-
-    #[test]
-    fn adam_converges_on_linear_regression() {
-        let mut adam = Adam::with_learning_rate(0.05);
-        let w = converge(|w, g| adam.step(&mut [w], &[g]));
         assert!((w.get(0, 0) - 2.0).abs() < 0.05, "w0 = {}", w.get(0, 0));
         assert!((w.get(1, 0) + 3.0).abs() < 0.05, "w1 = {}", w.get(1, 0));
         assert!(adam.steps() > 0);
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_regression() {
-        let mut sgd = Sgd::new(0.2);
-        let w = converge(|w, g| sgd.step(&mut [w], &[g]));
-        assert!((w.get(0, 0) - 2.0).abs() < 0.1);
-        assert!((w.get(1, 0) + 3.0).abs() < 0.1);
     }
 
     #[test]
@@ -231,25 +146,10 @@ mod tests {
 
     #[test]
     fn gradient_clipping_bounds_update() {
-        let cfg = OptimizerConfig {
-            learning_rate: 1.0,
-            grad_clip: 1.0,
-            ..OptimizerConfig::default()
-        };
         let huge = Matrix::filled(4, 4, 1e6);
-        let clipped = preprocess_grad(&Matrix::zeros(4, 4), &huge, &cfg);
-        assert!((clipped.frobenius_norm() - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn weight_decay_pulls_towards_zero() {
-        let cfg = OptimizerConfig {
-            weight_decay: 0.1,
-            grad_clip: 0.0,
-            ..OptimizerConfig::default()
-        };
-        let g = preprocess_grad(&Matrix::filled(1, 1, 2.0), &Matrix::zeros(1, 1), &cfg);
-        assert!((g.get(0, 0) - 0.2).abs() < 1e-6);
+        assert!((clip(&huge).frobenius_norm() - GRAD_CLIP).abs() < 1e-3);
+        let small = Matrix::filled(2, 2, 0.5);
+        assert_eq!(clip(&small), small, "short gradients pass unchanged");
     }
 
     #[test]
@@ -258,12 +158,5 @@ mod tests {
         let mut adam = Adam::with_learning_rate(0.1);
         let mut p = Matrix::zeros(1, 1);
         adam.step(&mut [&mut p], &[]);
-    }
-
-    #[test]
-    fn default_config_matches_paper() {
-        let cfg = OptimizerConfig::default();
-        assert!((cfg.learning_rate - 0.01).abs() < 1e-9);
-        assert!((cfg.beta1 - 0.9).abs() < 1e-9);
     }
 }

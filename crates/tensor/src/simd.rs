@@ -201,36 +201,24 @@ pub(crate) fn matmul_opts_into(
     dispatch(out, a, b, None, relu, n, k, d)
 }
 
-/// Fused `out = a · b + bias` (bias broadcast over rows): the dense-layer
-/// fast path; shares kernels — and therefore per-element rounding — with
-/// [`matmul_into`].
+/// Fused `out = a · b + bias` (bias broadcast over rows), rectified when
+/// `relu` is set: the dense-layer fast path. The bias initialises the
+/// accumulators and the rectifier is applied in the store epilogue, so
+/// neither costs a pass over the output; shares kernels — and therefore
+/// per-element rounding — with [`matmul_into`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_bias_into(
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
     bias: &[f32],
+    relu: bool,
     n: usize,
     k: usize,
     d: usize,
 ) {
     assert_eq!(bias.len(), d, "bias shape");
-    dispatch(out, a, b, Some(bias), false, n, k, d)
-}
-
-/// Fused `out = relu(a · b + bias)`: the dense-layer-plus-activation path.
-/// The rectifier is applied in the store epilogue, so the activation costs
-/// no extra pass over the output.
-pub(crate) fn matmul_bias_relu_into(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    n: usize,
-    k: usize,
-    d: usize,
-) {
-    assert_eq!(bias.len(), d, "bias shape");
-    dispatch(out, a, b, Some(bias), true, n, k, d)
+    dispatch(out, a, b, Some(bias), relu, n, k, d)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -355,9 +343,8 @@ unsafe fn max_magnitude_avx2(values: &[f32]) -> u32 {
 
 /// Fast `e^x`: range reduction `x = n·ln2 + r` with a hi/lo split of `ln 2`,
 /// a degree-6 Taylor polynomial for `e^r` on `|r| ≤ ln2/2`, and an exponent
-/// rebuild via the float bit layout. Relative accuracy ≈ 1e-7 — two orders
-/// of magnitude inside the 1e-5 score-equivalence budget — at a fraction of
-/// the libm call cost. Inputs below the `f32` underflow range return 0
+/// rebuild via the float bit layout. Relative accuracy ≈ 1e-7 at a fraction
+/// of the libm call cost. Inputs below the `f32` underflow range return 0
 /// (exactly what masked attention logits need).
 #[inline(always)]
 pub(crate) fn fast_exp(x: f32) -> f32 {

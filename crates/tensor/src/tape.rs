@@ -6,6 +6,11 @@
 //! and walks the nodes in reverse creation order, accumulating parent
 //! gradients according to each op's local derivative.
 //!
+//! The ops are exactly the ones the DQuaG network runs: its dense, GAT, GIN
+//! and GCN layers, Graph2Vec's feature concatenation and the multi-task
+//! loss. The dense layer and GAT's aggregation take a `relu` flag that
+//! folds the rectifier into the product's store epilogue.
+//!
 //! Only leaves keep a gradient. A leaf created with `requires_grad` holds
 //! its gradient after [`Tape::backward`]; an op node passes its gradient
 //! on and releases it. An op node requires a gradient exactly when one of
@@ -13,16 +18,11 @@
 //! everything computed only from them never get one, and the walk skips
 //! them.
 //!
-//! A fresh tape is created for every training forward pass (one per
-//! mini-batch step), which keeps lifetimes trivial and memory bounded.
-//!
-//! For inference there is a second mode: a tape created with
-//! [`Tape::no_grad`] records every operation result as a plain constant leaf
-//! — no op tag, no parent indices, no gradient slot — so the backward graph
-//! is never materialised. Combined with [`Tape::truncate`], a long-lived
-//! inference tape can bind model parameters once and be rewound to that
-//! baseline after every batch, instead of re-binding (and re-cloning) the
-//! parameters per sample.
+//! Training creates a fresh tape for every mini-batch step, which keeps
+//! lifetimes trivial and memory bounded. Inference runs the same forward
+//! pass on the same kind of tape: it binds the model parameters once, and
+//! [`Tape::truncate`] rewinds the tape to that baseline after every batch
+//! instead of re-binding (and re-cloning) the parameters per sample.
 
 use crate::matrix::{transpose_into, Matrix};
 use crate::simd::matmul_into;
@@ -33,7 +33,8 @@ use std::rc::Rc;
 /// Operation tag recorded for every tape node.
 ///
 /// Parent nodes are referenced by index into the tape. Constants required by
-/// the backward pass (scalars, slice bounds) are stored inline.
+/// the backward pass (scalars, block counts, the `relu` flag) are stored
+/// inline.
 #[derive(Debug)]
 enum Op {
     /// Leaf value (parameter or input); has no parents.
@@ -44,62 +45,24 @@ enum Op {
     Add(usize, usize),
     /// `C = A - B` (same shape)
     Sub(usize, usize),
-    /// `C = A ∘ B` element-wise
-    Mul(usize, usize),
-    /// `C = A + row` where `row` is `1 × cols`, broadcast over rows
-    AddRowBroadcast(usize, usize),
-    /// `C = A * s` where `s` is a `1 × 1` tape node, broadcast to every element
-    MulScalarBroadcast(usize, usize),
-    /// `C = A + s` where `s` is a `1 × 1` tape node, broadcast to every element
-    AddScalarBroadcast(usize, usize),
     /// `C = k · A` for a constant scalar `k`
     Scale(usize, f32),
-    /// `C = -A`
-    Neg(usize),
-    /// `C = max(A, 0)`
-    Relu(usize),
-    /// `C = A if A > 0 else slope · A`
-    LeakyRelu(usize, f32),
-    /// `C = σ(A)`
-    Sigmoid(usize),
-    /// `C = tanh(A)`
-    Tanh(usize),
-    /// `C = exp(A)`
-    Exp(usize),
     /// `C = A²` element-wise
     Square(usize),
     /// Row-wise softmax
     SoftmaxRows(usize),
-    /// Scalar sum of all elements (`1 × 1` output)
-    Sum(usize),
     /// Scalar mean of all elements (`1 × 1` output)
     Mean(usize),
-    /// Per-row sums (`rows × 1` output)
-    SumRowsKeep(usize),
-    /// Transpose
-    Transpose(usize),
     /// Horizontal concatenation `[A | B]`
     ConcatCols(usize, usize),
-    /// Vertical concatenation
-    ConcatRows(usize, usize),
-    /// Column slice `A[:, start..end]`
-    SliceCols(usize, usize, usize),
-    /// Row slice `A[start..end, :]`
-    SliceRows(usize, usize, usize),
-    /// Per-block product over `B` stacked blocks: `C_b = A_b · B_b`
-    BlockMatMul(usize, usize, usize),
-    /// Per-block product with fused activation: `C_b = relu(A_b · B_b)`
-    BlockMatMulRelu(usize, usize, usize),
+    /// Per-block product over `B` stacked blocks, `C_b = A_b · B_b`,
+    /// rectified when the flag is set
+    BlockMatMul(usize, usize, usize, bool),
     /// One operator applied to every block: `C_b = A · B_b`
     RepeatMatMul(usize, usize),
-    /// Block-wise transposed broadcast of a stacked column vector
-    BlockRowBroadcast(usize, usize),
-    /// `C = A + tile(M)`: one `n × c` matrix added to every `n`-row block
-    BlockAddBroadcast(usize, usize),
-    /// Fused dense layer `C = A · W + row(bias)`
-    MatMulBias(usize, usize, usize),
-    /// Fused dense layer with activation `C = relu(A · W + row(bias))`
-    MatMulBiasRelu(usize, usize, usize),
+    /// Fused dense layer `C = A · W + row(bias)`, rectified when the flag
+    /// is set
+    MatMulBias(usize, usize, usize, bool),
     /// Fused batched GAT logits: `leaky(src_i + dst_j) + mask` per block
     AttentionLogits(usize, usize, usize, f32, usize),
     /// Fused `C = A + s · B` for a `1 × 1` scalar node `s`
@@ -116,21 +79,6 @@ struct Node {
     op: Op,
 }
 
-#[derive(Debug)]
-struct TapeInner {
-    nodes: Vec<Node>,
-    grad_enabled: bool,
-}
-
-impl Default for TapeInner {
-    fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            grad_enabled: true,
-        }
-    }
-}
-
 /// A reverse-mode autodiff tape.
 ///
 /// Cheap to clone (reference-counted); all [`Var`]s created from a tape share
@@ -138,7 +86,7 @@ impl Default for TapeInner {
 /// thread owns its own tape and model replica.
 #[derive(Clone, Default)]
 pub struct Tape {
-    inner: Rc<RefCell<TapeInner>>,
+    nodes: Rc<RefCell<Vec<Node>>>,
 }
 
 /// A handle to a node on a [`Tape`].
@@ -170,33 +118,6 @@ impl Tape {
         Self::default()
     }
 
-    /// Create an empty inference tape: every operation still evaluates its
-    /// value, but the result is recorded as a plain constant leaf — no op
-    /// tag, no parent links, no gradient slot. [`Tape::backward`] is
-    /// unavailable; [`Tape::n_backward_nodes`] stays zero.
-    pub fn no_grad() -> Self {
-        let tape = Self::default();
-        tape.inner.borrow_mut().grad_enabled = false;
-        tape
-    }
-
-    /// True when this tape records the backward graph (the default); false
-    /// for tapes created with [`Tape::no_grad`].
-    pub fn is_grad_enabled(&self) -> bool {
-        self.inner.borrow().grad_enabled
-    }
-
-    /// Number of nodes carrying backward information (a non-leaf op). Always
-    /// zero on a [`Tape::no_grad`] tape.
-    pub fn n_backward_nodes(&self) -> usize {
-        self.inner
-            .borrow()
-            .nodes
-            .iter()
-            .filter(|node| !matches!(node.op, Op::Leaf))
-            .count()
-    }
-
     /// Drop every node recorded after the first `len` — the tape-reuse
     /// primitive: bind parameters once, note [`Tape::len`], run a forward
     /// pass, read the outputs, truncate back.
@@ -207,18 +128,18 @@ impl Tape {
     /// the truncation point are invalidated; reading them panics on the
     /// out-of-bounds node index.
     pub fn truncate(&self, len: usize) {
-        let mut inner = self.inner.borrow_mut();
+        let mut nodes = self.nodes.borrow_mut();
         assert!(
-            len <= inner.nodes.len(),
+            len <= nodes.len(),
             "Tape::truncate({len}) beyond the current {} nodes",
-            inner.nodes.len()
+            nodes.len()
         );
-        inner.nodes.truncate(len);
+        nodes.truncate(len);
     }
 
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.borrow().nodes.len()
+        self.nodes.borrow().len()
     }
 
     /// True if no node has been recorded.
@@ -240,15 +161,8 @@ impl Tape {
     }
 
     fn push(&self, value: Matrix, requires_grad: bool, op: Op) -> Var {
-        let mut inner = self.inner.borrow_mut();
-        let (requires_grad, op) = if inner.grad_enabled {
-            (requires_grad, op)
-        } else {
-            // Inference mode: keep the value (downstream ops read it) but
-            // drop the backward metadata.
-            (false, Op::Leaf)
-        };
-        inner.nodes.push(Node {
+        let mut nodes = self.nodes.borrow_mut();
+        nodes.push(Node {
             value,
             grad: None,
             requires_grad,
@@ -256,20 +170,20 @@ impl Tape {
         });
         Var {
             tape: self.clone(),
-            idx: inner.nodes.len() - 1,
+            idx: nodes.len() - 1,
         }
     }
 
     fn value_of(&self, idx: usize) -> Matrix {
-        self.inner.borrow().nodes[idx].value.clone()
+        self.nodes.borrow()[idx].value.clone()
     }
 
     fn shape_of(&self, idx: usize) -> (usize, usize) {
-        self.inner.borrow().nodes[idx].value.shape()
+        self.nodes.borrow()[idx].value.shape()
     }
 
     fn requires_grad(&self, idx: usize) -> bool {
-        self.inner.borrow().nodes[idx].requires_grad
+        self.nodes.borrow()[idx].requires_grad
     }
 
     /// Run the backward pass from `output`, which must be a `1 × 1` scalar
@@ -280,16 +194,11 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `output` is not a scalar node, belongs to another tape, or
-    /// the tape was created with [`Tape::no_grad`].
+    /// Panics if `output` is not a scalar node or belongs to another tape.
     pub fn backward(&self, output: &Var) {
         assert!(
-            Rc::ptr_eq(&self.inner, &output.tape.inner),
+            Rc::ptr_eq(&self.nodes, &output.tape.nodes),
             "backward called with a Var from a different tape"
-        );
-        assert!(
-            self.is_grad_enabled(),
-            "backward called on a no-grad (inference) tape"
         );
         let out_shape = self.shape_of(output.idx);
         assert_eq!(
@@ -300,21 +209,21 @@ impl Tape {
             out_shape.1
         );
 
-        let mut inner = self.inner.borrow_mut();
+        let mut nodes = self.nodes.borrow_mut();
         // Reset any gradients from a previous backward call on the same tape.
-        for node in inner.nodes.iter_mut() {
+        for node in nodes.iter_mut() {
             node.grad = None;
         }
         let mut walk = Walk {
-            nodes: &inner.nodes,
+            nodes: nodes.as_slice(),
             grads: vec![None; output.idx + 1],
             leaf_transposes: HashMap::new(),
             scratch: Vec::new(),
         };
         walk.grads[output.idx] = Some(Matrix::ones(1, 1));
-        let nodes = walk.nodes;
+        let recorded = walk.nodes;
         for idx in (0..=output.idx).rev() {
-            let node = &nodes[idx];
+            let node = &recorded[idx];
             if matches!(node.op, Op::Leaf) || !node.requires_grad {
                 continue;
             }
@@ -323,7 +232,7 @@ impl Tape {
             }
         }
         let grads = walk.grads;
-        for (node, grad) in inner.nodes.iter_mut().zip(grads) {
+        for (node, grad) in nodes.iter_mut().zip(grads) {
             if matches!(node.op, Op::Leaf) {
                 node.grad = grad;
             }
@@ -415,70 +324,9 @@ impl<'a> Walk<'a> {
                     self.add(b, grad.scale(-1.0));
                 }
             }
-            Op::Mul(a, b) => {
-                if self.wants(a) {
-                    let da = grad.hadamard(self.value(b)).expect("mul backward dA");
-                    self.add(a, da);
-                }
-                if self.wants(b) {
-                    let db = grad.hadamard(self.value(a)).expect("mul backward dB");
-                    self.add(b, db);
-                }
-            }
-            Op::AddRowBroadcast(a, row) => {
-                let drow = self.wants(row).then(|| grad.sum_cols());
-                if self.wants(a) {
-                    self.add(a, grad);
-                }
-                if let Some(drow) = drow {
-                    self.add(row, drow);
-                }
-            }
-            Op::MulScalarBroadcast(a, s) => {
-                let ds = self.wants(s).then(|| sum_of_products(&grad, self.value(a)));
-                if self.wants(a) {
-                    let s_val = self.value(s).get(0, 0);
-                    grad.map_inplace(|v| v * s_val);
-                    self.add(a, grad);
-                }
-                if let Some(ds) = ds {
-                    self.add(s, Matrix::filled(1, 1, ds));
-                }
-            }
-            Op::AddScalarBroadcast(a, s) => {
-                let ds = self.wants(s).then(|| grad.sum());
-                if self.wants(a) {
-                    self.add(a, grad);
-                }
-                if let Some(ds) = ds {
-                    self.add(s, Matrix::filled(1, 1, ds));
-                }
-            }
             // A unary node wants a gradient exactly when its parent does.
             Op::Scale(a, k) => {
                 grad.map_inplace(|v| v * k);
-                self.add(a, grad);
-            }
-            Op::Neg(a) => self.add(a, grad.scale(-1.0)),
-            Op::Relu(a) => {
-                gate(&mut grad, self.value(a), 0.0);
-                self.add(a, grad);
-            }
-            Op::LeakyRelu(a, slope) => {
-                gate(&mut grad, self.value(a), slope);
-                self.add(a, grad);
-            }
-            Op::Sigmoid(a) => {
-                // value already holds σ(A)
-                scale_by(&mut grad, value, |s| s * (1.0 - s));
-                self.add(a, grad);
-            }
-            Op::Tanh(a) => {
-                scale_by(&mut grad, value, |t| 1.0 - t * t);
-                self.add(a, grad);
-            }
-            Op::Exp(a) => {
-                scale_by(&mut grad, value, |e| e);
                 self.add(a, grad);
             }
             Op::Square(a) => {
@@ -499,20 +347,11 @@ impl<'a> Walk<'a> {
                 }
                 self.add(a, grad);
             }
-            Op::Sum(a) => {
-                let (r, c) = self.value(a).shape();
-                self.add(a, Matrix::filled(r, c, grad.get(0, 0)));
-            }
             Op::Mean(a) => {
                 let (r, c) = self.value(a).shape();
                 let n_elems = (r * c).max(1) as f32;
                 self.add(a, Matrix::filled(r, c, grad.get(0, 0) / n_elems));
             }
-            Op::SumRowsKeep(a) => {
-                let (r, c) = self.value(a).shape();
-                self.add(a, Matrix::from_fn(r, c, |i, _| grad.get(i, 0)));
-            }
-            Op::Transpose(a) => self.add(a, grad.transpose()),
             Op::ConcatCols(a, b) => {
                 let a_cols = self.value(a).cols();
                 if self.wants(a) {
@@ -526,43 +365,12 @@ impl<'a> Walk<'a> {
                     self.add(b, db);
                 }
             }
-            Op::ConcatRows(a, b) => {
-                let a_rows = self.value(a).rows();
-                if self.wants(a) {
-                    let da = grad.slice_rows(0, a_rows).expect("concat_rows backward");
-                    self.add(a, da);
+            Op::BlockMatMul(a, b, blocks, relu) => {
+                if relu {
+                    gate(&mut grad, value);
                 }
-                if self.wants(b) {
-                    let db = grad
-                        .slice_rows(a_rows, grad.rows())
-                        .expect("concat_rows backward");
-                    self.add(b, db);
-                }
-            }
-            Op::SliceCols(a, start, end) => {
-                let (r, c) = self.value(a).shape();
-                let mut da = Matrix::zeros(r, c);
-                if c > 0 && end > start {
-                    let da_rows = da.as_mut_slice().chunks_exact_mut(c);
-                    for (da_row, g_row) in da_rows.zip(grad.as_slice().chunks_exact(end - start)) {
-                        da_row[start..end].copy_from_slice(g_row);
-                    }
-                }
-                self.add(a, da);
-            }
-            Op::SliceRows(a, start, end) => {
-                let (r, c) = self.value(a).shape();
-                let mut da = Matrix::zeros(r, c);
-                da.as_mut_slice()[start * c..end * c].copy_from_slice(grad.as_slice());
-                self.add(a, da);
-            }
-            Op::BlockMatMulRelu(a, b, blocks) => {
-                // Gate by the rectifier (value holds the post-relu output),
-                // then per-block matmul backward.
-                gate(&mut grad, value, 0.0);
                 self.block_matmul_backward(a, b, blocks, &grad);
             }
-            Op::BlockMatMul(a, b, blocks) => self.block_matmul_backward(a, b, blocks, &grad),
             Op::RepeatMatMul(a, b) => {
                 // dA = Σ_b dC_b · B_bᵀ, dB_b = Aᵀ · dC_b.
                 let (a_val, b_val) = (self.value(a), self.value(b));
@@ -599,53 +407,10 @@ impl<'a> Walk<'a> {
                     self.add(b, db);
                 }
             }
-            Op::BlockRowBroadcast(a, block) => {
-                // out[b·n + i][j] = v[b·n + j] → dv[b·n + j] = Σ_i grad[b·n + i][j]
-                let rows = self.value(a).rows();
-                let mut dv = Matrix::zeros(rows, 1);
-                if block > 0 {
-                    let dv_blocks = dv.as_mut_slice().chunks_exact_mut(block);
-                    for (dv_blk, g_blk) in
-                        dv_blocks.zip(grad.as_slice().chunks_exact(block * block))
-                    {
-                        for g_row in g_blk.chunks_exact(block) {
-                            for (acc, &g) in dv_blk.iter_mut().zip(g_row) {
-                                *acc += g;
-                            }
-                        }
-                    }
+            Op::MatMulBias(a, w, bias, relu) => {
+                if relu {
+                    gate(&mut grad, value);
                 }
-                self.add(a, dv);
-            }
-            Op::BlockAddBroadcast(a, m) => {
-                let dm = self.wants(m).then(|| {
-                    let (n, c) = self.value(m).shape();
-                    let mut dm = Matrix::zeros(n, c);
-                    if n * c > 0 {
-                        for g_blk in grad.as_slice().chunks_exact(n * c) {
-                            add_assign(dm.as_mut_slice(), g_blk);
-                        }
-                    }
-                    dm
-                });
-                if self.wants(a) {
-                    self.add(a, grad);
-                }
-                if let Some(dm) = dm {
-                    self.add(m, dm);
-                }
-            }
-            Op::MatMulBias(a, w, bias) => {
-                self.matmul_backward(a, w, &grad);
-                if self.wants(bias) {
-                    self.add(bias, grad.sum_cols());
-                }
-            }
-            Op::MatMulBiasRelu(a, w, bias) => {
-                // Gate the incoming gradient by the rectifier first (value
-                // holds the post-relu output), then it is plain
-                // matmul-plus-bias backward.
-                gate(&mut grad, value, 0.0);
                 self.matmul_backward(a, w, &grad);
                 if self.wants(bias) {
                     self.add(bias, grad.sum_cols());
@@ -727,9 +492,8 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Backward pass shared by `BlockMatMul` and `BlockMatMulRelu`: per
-    /// block, `dA_b = dC_b · B_bᵀ` and `dB_b = A_bᵀ · dC_b`, written straight
-    /// into the block's rows.
+    /// `BlockMatMul` backward: per block, `dA_b = dC_b · B_bᵀ` and
+    /// `dB_b = A_bᵀ · dC_b`, written straight into the block's rows.
     fn block_matmul_backward(&mut self, a: usize, b: usize, blocks: usize, grad: &Matrix) {
         let (a_val, b_val) = (self.value(a), self.value(b));
         let p = a_val.rows() / blocks;
@@ -789,10 +553,10 @@ fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Multiply each gradient element by 1 where `by` is positive and by
-/// `otherwise` elsewhere: the (leaky) rectifier's derivative.
-fn gate(grad: &mut Matrix, by: &Matrix, otherwise: f32) {
-    scale_by(grad, by, |v| if v > 0.0 { 1.0 } else { otherwise });
+/// Multiply each gradient element by 1 where the rectified output `out` is
+/// positive and by 0 elsewhere: the rectifier's derivative.
+fn gate(grad: &mut Matrix, out: &Matrix) {
+    scale_by(grad, out, |v| if v > 0.0 { 1.0 } else { 0.0 });
 }
 
 /// Multiply each gradient element by `f` of the matching element of `by`.
@@ -831,8 +595,8 @@ impl Var {
     /// soon as the backward walk has passed it on, and a constant never gets
     /// one, so both return `None`.
     pub fn grad(&self) -> Option<Matrix> {
-        let inner = self.tape.inner.borrow();
-        let node = &inner.nodes[self.idx];
+        let nodes = self.tape.nodes.borrow();
+        let node = &nodes[self.idx];
         if node.requires_grad {
             node.grad.clone()
         } else {
@@ -849,19 +613,19 @@ impl Var {
     /// tape. Forward ops are value-read hot paths, so they borrow instead of
     /// going through [`Var::value`].
     fn with_value<R>(&self, f: impl FnOnce(&Matrix) -> R) -> R {
-        let inner = self.tape.inner.borrow();
-        f(&inner.nodes[self.idx].value)
+        let nodes = self.tape.nodes.borrow();
+        f(&nodes[self.idx].value)
     }
 
     /// Evaluate `f` against two node values under one borrow (both operands
     /// must live on the same tape).
     fn with_values<R>(&self, other: &Var, f: impl FnOnce(&Matrix, &Matrix) -> R) -> R {
         assert!(
-            Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
+            Rc::ptr_eq(&self.tape.nodes, &other.tape.nodes),
             "cannot combine Vars from different tapes"
         );
-        let inner = self.tape.inner.borrow();
-        f(&inner.nodes[self.idx].value, &inner.nodes[other.idx].value)
+        let nodes = self.tape.nodes.borrow();
+        f(&nodes[self.idx].value, &nodes[other.idx].value)
     }
 
     fn unary(&self, op: Op, value: Matrix) -> Var {
@@ -871,10 +635,22 @@ impl Var {
 
     fn binary(&self, other: &Var, op: Op, value: Matrix) -> Var {
         assert!(
-            Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
+            Rc::ptr_eq(&self.tape.nodes, &other.tape.nodes),
             "cannot combine Vars from different tapes"
         );
         let requires = self.tape.requires_grad(self.idx) || self.tape.requires_grad(other.idx);
+        self.tape.push(value, requires, op)
+    }
+
+    fn ternary(&self, b: &Var, c: &Var, op: Op, value: Matrix) -> Var {
+        assert!(
+            Rc::ptr_eq(&self.tape.nodes, &b.tape.nodes)
+                && Rc::ptr_eq(&self.tape.nodes, &c.tape.nodes),
+            "cannot combine Vars from different tapes"
+        );
+        let requires = [self.idx, b.idx, c.idx]
+            .into_iter()
+            .any(|idx| self.tape.requires_grad(idx));
         self.tape.push(value, requires, op)
     }
 
@@ -896,78 +672,10 @@ impl Var {
         self.binary(rhs, Op::Sub(self.idx, rhs.idx), value)
     }
 
-    /// Element-wise product.
-    pub fn mul(&self, rhs: &Var) -> Var {
-        let value = self.with_values(rhs, |a, b| a.hadamard(b).expect("Var::mul shape mismatch"));
-        self.binary(rhs, Op::Mul(self.idx, rhs.idx), value)
-    }
-
-    /// Add a `1 × cols` bias row to every row.
-    pub fn add_row_broadcast(&self, row: &Var) -> Var {
-        let value = self.with_values(row, |a, r| {
-            a.add_row_broadcast(r)
-                .expect("Var::add_row_broadcast shape mismatch")
-        });
-        self.binary(row, Op::AddRowBroadcast(self.idx, row.idx), value)
-    }
-
-    /// Multiply every element by a `1 × 1` scalar variable.
-    pub fn mul_scalar_var(&self, scalar: &Var) -> Var {
-        assert_eq!(scalar.shape(), (1, 1), "mul_scalar_var expects a 1x1 Var");
-        let value = self.with_values(scalar, |a, s| a.scale(s.get(0, 0)));
-        self.binary(scalar, Op::MulScalarBroadcast(self.idx, scalar.idx), value)
-    }
-
-    /// Add a `1 × 1` scalar variable to every element.
-    pub fn add_scalar_var(&self, scalar: &Var) -> Var {
-        assert_eq!(scalar.shape(), (1, 1), "add_scalar_var expects a 1x1 Var");
-        let value = self.with_values(scalar, |a, s| {
-            let shift = s.get(0, 0);
-            a.map(|v| v + shift)
-        });
-        self.binary(scalar, Op::AddScalarBroadcast(self.idx, scalar.idx), value)
-    }
-
     /// Multiply every element by a constant scalar.
     pub fn scale(&self, k: f32) -> Var {
         let value = self.with_value(|a| a.scale(k));
         self.unary(Op::Scale(self.idx, k), value)
-    }
-
-    /// Negate every element.
-    pub fn neg(&self) -> Var {
-        let value = self.with_value(|a| a.scale(-1.0));
-        self.unary(Op::Neg(self.idx), value)
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Var {
-        let value = self.with_value(|a| a.map(|v| v.max(0.0)));
-        self.unary(Op::Relu(self.idx), value)
-    }
-
-    /// Leaky rectified linear unit with the given negative slope.
-    pub fn leaky_relu(&self, slope: f32) -> Var {
-        let value = self.with_value(|a| a.map(|v| if v > 0.0 { v } else { slope * v }));
-        self.unary(Op::LeakyRelu(self.idx, slope), value)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Var {
-        let value = self.with_value(|a| a.map(|v| 1.0 / (1.0 + (-v).exp())));
-        self.unary(Op::Sigmoid(self.idx), value)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Var {
-        let value = self.with_value(|a| a.map(f32::tanh));
-        self.unary(Op::Tanh(self.idx), value)
-    }
-
-    /// Element-wise exponential.
-    pub fn exp(&self) -> Var {
-        let value = self.with_value(|a| a.map(f32::exp));
-        self.unary(Op::Exp(self.idx), value)
     }
 
     /// Element-wise square.
@@ -982,28 +690,10 @@ impl Var {
         self.unary(Op::SoftmaxRows(self.idx), value)
     }
 
-    /// Sum of all elements as a `1 × 1` node.
-    pub fn sum(&self) -> Var {
-        let value = Matrix::filled(1, 1, self.with_value(Matrix::sum));
-        self.unary(Op::Sum(self.idx), value)
-    }
-
     /// Mean of all elements as a `1 × 1` node.
     pub fn mean(&self) -> Var {
         let value = Matrix::filled(1, 1, self.with_value(Matrix::mean));
         self.unary(Op::Mean(self.idx), value)
-    }
-
-    /// Per-row sums as an `rows × 1` node.
-    pub fn sum_rows_keep(&self) -> Var {
-        let value = self.with_value(Matrix::sum_rows);
-        self.unary(Op::SumRowsKeep(self.idx), value)
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Var {
-        let value = self.with_value(Matrix::transpose);
-        self.unary(Op::Transpose(self.idx), value)
     }
 
     /// Horizontal concatenation `[self | rhs]`.
@@ -1014,50 +704,15 @@ impl Var {
         self.binary(rhs, Op::ConcatCols(self.idx, rhs.idx), value)
     }
 
-    /// Vertical concatenation.
-    pub fn concat_rows(&self, rhs: &Var) -> Var {
+    /// Per-block matrix product over `blocks` vertically stacked block pairs,
+    /// `out_b = self_b · rhs_b`, rectified when `relu` is set (see
+    /// [`Matrix::block_matmul`]).
+    pub fn block_matmul(&self, rhs: &Var, blocks: usize, relu: bool) -> Var {
         let value = self.with_values(rhs, |a, b| {
-            a.concat_rows(b).expect("Var::concat_rows shape mismatch")
-        });
-        self.binary(rhs, Op::ConcatRows(self.idx, rhs.idx), value)
-    }
-
-    /// Column slice `self[:, start..end]`.
-    pub fn slice_cols(&self, start: usize, end: usize) -> Var {
-        let value = self.with_value(|a| {
-            a.slice_cols(start, end)
-                .expect("Var::slice_cols out of bounds")
-        });
-        self.unary(Op::SliceCols(self.idx, start, end), value)
-    }
-
-    /// Row slice `self[start..end, :]`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Var {
-        let value = self.with_value(|a| {
-            a.slice_rows(start, end)
-                .expect("Var::slice_rows out of bounds")
-        });
-        self.unary(Op::SliceRows(self.idx, start, end), value)
-    }
-
-    /// Per-block matrix product over `blocks` vertically stacked block pairs:
-    /// `out_b = self_b · rhs_b` (see [`Matrix::block_matmul`]).
-    pub fn block_matmul(&self, rhs: &Var, blocks: usize) -> Var {
-        let value = self.with_values(rhs, |a, b| {
-            a.block_matmul(b, blocks)
+            a.block_matmul(b, blocks, relu)
                 .expect("Var::block_matmul shape mismatch")
         });
-        self.binary(rhs, Op::BlockMatMul(self.idx, rhs.idx, blocks), value)
-    }
-
-    /// Per-block matrix product with a fused ReLU epilogue:
-    /// `out_b = relu(self_b · rhs_b)` (see [`Matrix::block_matmul_relu`]).
-    pub fn block_matmul_relu(&self, rhs: &Var, blocks: usize) -> Var {
-        let value = self.with_values(rhs, |a, b| {
-            a.block_matmul_relu(b, blocks)
-                .expect("Var::block_matmul_relu shape mismatch")
-        });
-        self.binary(rhs, Op::BlockMatMulRelu(self.idx, rhs.idx, blocks), value)
+        self.binary(rhs, Op::BlockMatMul(self.idx, rhs.idx, blocks, relu), value)
     }
 
     /// Apply `self` (one `p × k` block) to every `k`-row block of `rhs`:
@@ -1070,65 +725,20 @@ impl Var {
         self.binary(rhs, Op::RepeatMatMul(self.idx, rhs.idx), value)
     }
 
-    /// Block-wise transposed broadcast of a stacked column vector (see
-    /// [`Matrix::block_row_broadcast`]).
-    pub fn block_row_broadcast(&self, block: usize) -> Var {
-        let value = self.with_value(|a| {
-            a.block_row_broadcast(block)
-                .expect("Var::block_row_broadcast shape mismatch")
-        });
-        self.unary(Op::BlockRowBroadcast(self.idx, block), value)
-    }
-
-    /// Add one `n × c` matrix to every `n`-row block of `self` (see
-    /// [`Matrix::block_add_broadcast`]).
-    pub fn block_add_broadcast(&self, m: &Var) -> Var {
-        let value = self.with_values(m, |a, b| {
-            a.block_add_broadcast(b)
-                .expect("Var::block_add_broadcast shape mismatch")
-        });
-        self.binary(m, Op::BlockAddBroadcast(self.idx, m.idx), value)
-    }
-
-    fn ternary(&self, b: &Var, c: &Var, op: Op, value: Matrix) -> Var {
-        assert!(
-            Rc::ptr_eq(&self.tape.inner, &b.tape.inner)
-                && Rc::ptr_eq(&self.tape.inner, &c.tape.inner),
-            "cannot combine Vars from different tapes"
-        );
-        let requires = [self.idx, b.idx, c.idx]
-            .into_iter()
-            .any(|idx| self.tape.requires_grad(idx));
-        self.tape.push(value, requires, op)
-    }
-
     /// Fused dense layer `self · w + bias` (bias is `1 × d`, broadcast over
-    /// rows); one kernel pass instead of a matmul followed by a broadcast
-    /// add (see [`Matrix::matmul_bias`]).
-    pub fn matmul_bias(&self, w: &Var, bias: &Var) -> Var {
+    /// rows), rectified when `relu` is set: one kernel pass with the bias
+    /// and the rectifier in its store epilogue (see [`Matrix::matmul_bias`]).
+    pub fn matmul_bias(&self, w: &Var, bias: &Var, relu: bool) -> Var {
         let value = self.with_values(w, |a, wv| {
             bias.with_value(|bv| {
-                a.matmul_bias(wv, bv)
+                a.matmul_bias(wv, bv, relu)
                     .expect("Var::matmul_bias shape mismatch")
-            })
-        });
-        self.ternary(w, bias, Op::MatMulBias(self.idx, w.idx, bias.idx), value)
-    }
-
-    /// Fused dense layer plus activation `relu(self · w + bias)` — the
-    /// rectifier rides in the kernel's store epilogue (see
-    /// [`Matrix::matmul_bias_relu`]).
-    pub fn matmul_bias_relu(&self, w: &Var, bias: &Var) -> Var {
-        let value = self.with_values(w, |a, wv| {
-            bias.with_value(|bv| {
-                a.matmul_bias_relu(wv, bv)
-                    .expect("Var::matmul_bias_relu shape mismatch")
             })
         });
         self.ternary(
             w,
             bias,
-            Op::MatMulBiasRelu(self.idx, w.idx, bias.idx),
+            Op::MatMulBias(self.idx, w.idx, bias.idx, relu),
             value,
         )
     }
@@ -1169,11 +779,6 @@ impl Var {
             value,
         )
     }
-
-    /// Mean-squared error against a target variable: `mean((self − target)²)`.
-    pub fn mse(&self, target: &Var) -> Var {
-        self.sub(target).square().mean()
-    }
 }
 
 #[cfg(test)]
@@ -1213,6 +818,16 @@ mod tests {
         );
     }
 
+    /// A scalar loss whose gradient at every element of `out` is nonzero,
+    /// clamped elements included, so a missing rectifier gate shows: a
+    /// weighted mean of `out`'s columns plus the mean square.
+    fn readout(t: &Tape, out: &Var) -> Var {
+        let mix = Matrix::from_fn(out.shape().1, 1, |r, _| 0.5 - 0.3 * r as f32);
+        out.matmul(&t.constant(mix))
+            .mean()
+            .add(&out.square().mean())
+    }
+
     #[test]
     fn scalar_chain_rule() {
         // loss = mean((x * 3)²) for scalar x=2 → loss = 36, dloss/dx = 2*6*3 = 36
@@ -1237,33 +852,39 @@ mod tests {
 
     #[test]
     fn add_sub_mul_gradients() {
+        // `scale` is the tape's one element-wise multiply
         grad_check(Matrix::from_rows(vec![vec![0.2, 0.4, -0.8]]), |t, p| {
             let c = t.constant(Matrix::from_rows(vec![vec![1.0, -2.0, 0.5]]));
-            p.add(&c).mul(&c).sub(&p.scale(0.3)).square().mean()
+            p.add(&c).scale(1.5).sub(&p.scale(0.3)).square().mean()
         });
     }
 
     #[test]
     fn activation_gradients() {
-        grad_check(
-            Matrix::from_rows(vec![vec![0.3, -0.6], vec![1.2, -1.5]]),
-            |_, p| p.sigmoid().square().mean(),
-        );
-        grad_check(
-            Matrix::from_rows(vec![vec![0.3, -0.6], vec![1.2, -1.5]]),
-            |_, p| p.tanh().square().mean(),
-        );
-        grad_check(
-            Matrix::from_rows(vec![vec![0.3, -0.6], vec![1.2, -1.5]]),
-            |_, p| p.leaky_relu(0.2).square().mean(),
-        );
-        grad_check(
-            Matrix::from_rows(vec![vec![0.31, -0.62], vec![1.2, -1.5]]),
-            |_, p| p.relu().square().mean(),
-        );
-        grad_check(Matrix::from_rows(vec![vec![0.3, -0.6]]), |_, p| {
-            p.exp().mean()
-        });
+        // The rectifier epilogue passes the gradient exactly where its
+        // output is positive and blocks it elsewhere: with loss = mean(out),
+        // each bias entry's gradient counts its column's positive outputs.
+        let tape = Tape::new();
+        let x = tape.constant(Matrix::from_rows(vec![
+            vec![1.0, -1.0],
+            vec![-2.0, 0.5],
+            vec![0.5, 2.0],
+        ]));
+        let w = tape.constant(Matrix::from_rows(vec![
+            vec![1.0, -1.0, 0.25],
+            vec![0.5, 1.0, -1.0],
+        ]));
+        let bias = tape.leaf(Matrix::from_rows(vec![vec![0.1, 0.2, -0.3]]), true);
+        for relu in [false, true] {
+            let out = x.matmul_bias(&w, &bias, relu);
+            tape.backward(&out.mean());
+            let out = out.value();
+            let grad = bias.grad().unwrap();
+            for c in 0..3 {
+                let passed = (0..3).filter(|&r| !relu || out.get(r, c) > 0.0).count();
+                assert_close(grad.get(0, c), passed as f32 / 9.0, 1e-6);
+            }
+        }
     }
 
     #[test]
@@ -1281,43 +902,22 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_gradients() {
-        grad_check(Matrix::from_rows(vec![vec![0.1, -0.4, 0.9]]), |t, p| {
-            let x = t.constant(Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.1));
-            x.add_row_broadcast(p).square().mean()
-        });
-    }
-
-    #[test]
-    fn scalar_var_broadcast_gradients() {
-        grad_check(Matrix::filled(1, 1, 0.7), |t, p| {
-            let x = t.constant(Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.2));
-            x.mul_scalar_var(p).square().mean()
-        });
-        grad_check(Matrix::filled(1, 1, -0.3), |t, p| {
-            let x = t.constant(Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.2));
-            x.add_scalar_var(p).square().mean()
-        });
-    }
-
-    #[test]
     fn structural_op_gradients() {
+        // concat_cols hands each side back its own columns; distinct column
+        // weights make a misrouted column show.
+        let weights = |t: &Tape| t.constant(Matrix::from_fn(6, 1, |r, _| 0.3 * r as f32 - 0.7));
         grad_check(
             Matrix::from_fn(3, 4, |r, c| (r as f32 - c as f32) * 0.3),
             |t, p| {
                 let other = t.constant(Matrix::from_fn(3, 2, |r, c| (r + c) as f32 * 0.1));
-                p.slice_cols(1, 3)
-                    .concat_cols(&other)
-                    .transpose()
-                    .square()
-                    .mean()
+                p.concat_cols(&other).matmul(&weights(t)).square().mean()
             },
         );
         grad_check(
-            Matrix::from_fn(4, 2, |r, c| (r + c) as f32 * 0.25),
+            Matrix::from_fn(3, 2, |r, c| (r + c) as f32 * 0.1),
             |t, p| {
-                let other = t.constant(Matrix::from_fn(2, 2, |r, c| (r * c) as f32 * 0.5));
-                p.slice_rows(1, 3).concat_rows(&other).square().mean()
+                let other = t.constant(Matrix::from_fn(3, 4, |r, c| (r as f32 - c as f32) * 0.3));
+                other.concat_cols(p).matmul(&weights(t)).square().mean()
             },
         );
     }
@@ -1325,26 +925,13 @@ mod tests {
     #[test]
     fn reduction_gradients() {
         grad_check(
-            Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4),
-            |_, p| p.sum_rows_keep().square().mean(),
+            Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4 - 0.5),
+            |_, p| p.mean().square(),
         );
         grad_check(
             Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4),
-            |_, p| p.square().sum().scale(0.5),
+            |_, p| p.square().mean().scale(0.5),
         );
-    }
-
-    #[test]
-    fn mse_helper_matches_manual() {
-        let tape = Tape::new();
-        let a = tape.leaf(Matrix::from_rows(vec![vec![1.0, 2.0]]), true);
-        let b = tape.constant(Matrix::from_rows(vec![vec![0.0, 0.0]]));
-        let loss = a.mse(&b);
-        assert_close(loss.value().get(0, 0), 2.5, 1e-5);
-        tape.backward(&loss);
-        let g = a.grad().unwrap();
-        assert_close(g.get(0, 0), 1.0, 1e-4);
-        assert_close(g.get(0, 1), 2.0, 1e-4);
     }
 
     #[test]
@@ -1362,7 +949,7 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(Matrix::filled(1, 1, 3.0), true);
         let c = tape.constant(Matrix::filled(1, 1, 2.0));
-        let loss = x.mul(&c).square().mean();
+        let loss = x.matmul(&c).square().mean();
         tape.backward(&loss);
         assert!(x.grad().is_some());
         assert!(c.grad().is_none());
@@ -1399,50 +986,40 @@ mod tests {
         let _ = a.add(&b);
     }
 
+    /// Grad-checks `block_matmul` through both operands: 2 blocks of 2x2
+    /// against a stacked 2-block rhs. The offsets keep every pre-activation
+    /// at least 0.013 off the relu kink, more than a finite-difference step
+    /// moves it.
+    fn check_block_matmul(relu: bool) {
+        let lhs = |r: usize, c: usize| (r as f32 - c as f32) * 0.4 + 0.13;
+        let rhs = |r: usize, c: usize| (r + c) as f32 * 0.2 - 0.49;
+        grad_check(Matrix::from_fn(4, 2, lhs), |t, p| {
+            let rhs = t.constant(Matrix::from_fn(4, 3, rhs));
+            readout(t, &p.block_matmul(&rhs, 2, relu))
+        });
+        grad_check(Matrix::from_fn(4, 3, rhs), |t, p| {
+            let lhs = t.constant(Matrix::from_fn(4, 2, lhs));
+            readout(t, &lhs.block_matmul(p, 2, relu))
+        });
+    }
+
     #[test]
     fn block_matmul_gradients() {
-        // 2 blocks of 2x2 against a stacked 2-block rhs
-        grad_check(
-            Matrix::from_fn(4, 2, |r, c| (r as f32 - c as f32) * 0.4),
-            |t, p| {
-                let rhs = t.constant(Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.2));
-                p.block_matmul(&rhs, 2).square().mean()
-            },
-        );
-        // gradient through the rhs side
-        grad_check(
-            Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.2),
-            |t, p| {
-                let lhs = t.constant(Matrix::from_fn(4, 2, |r, c| (r as f32 - c as f32) * 0.4));
-                lhs.block_matmul(p, 2).square().mean()
-            },
-        );
+        check_block_matmul(false);
     }
 
     #[test]
     fn block_matmul_relu_gradients_and_value() {
+        // the fused rectifier clamps exactly the plain product's negatives
         let tape = Tape::new();
         let a = tape.constant(Matrix::from_fn(4, 2, |r, c| (r as f32 - c as f32) * 0.4));
         let b = tape.constant(Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.2 - 0.5));
-        let fused = a.block_matmul_relu(&b, 2).value();
-        let unfused = a.block_matmul(&b, 2).relu().value();
+        let fused = a.block_matmul(&b, 2, true).value();
+        let mut unfused = a.block_matmul(&b, 2, false).value();
+        unfused.map_inplace(|v| v.max(0.0));
         assert!(fused.max_abs_diff(&unfused) < 1e-6);
 
-        // offsets keep pre-activations off the relu kink
-        grad_check(
-            Matrix::from_fn(4, 2, |r, c| (r as f32 - c as f32) * 0.4 + 0.13),
-            |t, p| {
-                let rhs = t.constant(Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.2 - 0.5));
-                p.block_matmul_relu(&rhs, 2).square().mean()
-            },
-        );
-        grad_check(
-            Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.2 - 0.49),
-            |t, p| {
-                let lhs = t.constant(Matrix::from_fn(4, 2, |r, c| (r as f32 - c as f32) * 0.4));
-                lhs.block_matmul_relu(p, 2).square().mean()
-            },
-        );
+        check_block_matmul(true);
     }
 
     #[test]
@@ -1464,121 +1041,81 @@ mod tests {
     }
 
     #[test]
-    fn block_row_broadcast_gradients() {
-        grad_check(
-            Matrix::col_vector(&[0.3, -0.7, 1.1, 0.4, -0.2, 0.9]),
-            |_, p| p.block_row_broadcast(3).square().mean(),
-        );
-    }
-
-    #[test]
-    fn block_add_broadcast_gradients() {
-        grad_check(
-            Matrix::from_fn(6, 2, |r, c| (r + c) as f32 * 0.3),
-            |t, p| {
-                let m = t.constant(Matrix::from_rows(vec![vec![0.1, -0.2], vec![0.4, 0.0]]));
-                p.block_add_broadcast(&m).square().mean()
-            },
-        );
-        grad_check(
-            Matrix::from_rows(vec![vec![0.1, -0.2], vec![0.4, 0.0]]),
-            |t, p| {
-                let h = t.constant(Matrix::from_fn(6, 2, |r, c| (r + c) as f32 * 0.3));
-                h.block_add_broadcast(p).square().mean()
-            },
-        );
-    }
-
-    #[test]
     fn batched_ops_match_per_block_composition() {
-        // One block must reproduce the exact un-batched op chain the GAT
-        // layer used before batching existed.
+        // GAT's chain over three stacked 2-node samples — fused logits,
+        // softmax, per-block aggregation — gives every block the bits of
+        // the same chain over that sample alone.
+        fn block(m: &Matrix, blk: usize) -> Matrix {
+            m.slice_rows(blk * 2, (blk + 1) * 2).unwrap()
+        }
+        let src = Matrix::col_vector(&[0.4, -0.6, 1.2, -0.1, 0.8, -1.4]);
+        let dst = Matrix::col_vector(&[0.2, 0.9, -0.5, 1.1, -0.7, 0.3]);
+        let hw = Matrix::from_fn(6, 3, |r, c| (r + c) as f32 * 0.25 - 0.6);
         let tape = Tape::new();
-        let dst = tape.constant(Matrix::col_vector(&[0.2, -0.6, 1.4]));
-        let ones = tape.constant(Matrix::ones(1, 3));
-        let reference = dst.matmul(&ones).transpose().value();
-        let batched = dst.block_row_broadcast(3).value();
-        assert_eq!(reference, batched, "bit-identical for a single block");
+        let mask = tape.constant(Matrix::from_rows(vec![vec![0.0, -1e9], vec![0.0, 0.0]]));
+        let gat = |src: Matrix, dst: Matrix, hw: Matrix, blocks: usize, relu: bool| {
+            tape.constant(src)
+                .attention_logits(&tape.constant(dst), &mask, 0.2)
+                .softmax_rows()
+                .block_matmul(&tape.constant(hw), blocks, relu)
+                .value()
+        };
+        for relu in [false, true] {
+            let batched = gat(src.clone(), dst.clone(), hw.clone(), 3, relu);
+            for blk in 0..3 {
+                let alone = gat(block(&src, blk), block(&dst, blk), block(&hw, blk), 1, relu);
+                assert_eq!(block(&batched, blk), alone, "relu {relu} block {blk}");
+            }
+        }
     }
 
-    #[test]
-    fn matmul_bias_gradients_and_value() {
+    /// Checks `matmul_bias` against the unfused chain and grad-checks it
+    /// through every operand. The offsets keep every pre-activation at least
+    /// 0.04 off the relu kink, more than a finite-difference step moves it.
+    fn check_matmul_bias(relu: bool) {
+        let x = |r: usize, c: usize| (r as f32 - c as f32) * 0.6 + 0.21;
+        let w = |r: usize, c: usize| ((r + c) % 3) as f32 * 0.4 - 0.29;
+        let b = |_: usize, c: usize| c as f32 * 0.1 - 0.13;
         // value matches the unfused chain within rounding
+        let (xm, wm, bm) = (
+            Matrix::from_fn(3, 2, x),
+            Matrix::from_fn(2, 4, w),
+            Matrix::from_fn(1, 4, b),
+        );
         let tape = Tape::new();
-        let x = tape.constant(Matrix::from_fn(3, 2, |r, c| (r + c) as f32 * 0.3));
-        let w = tape.constant(Matrix::from_fn(2, 4, |r, c| (r as f32 - c as f32) * 0.2));
-        let bias = tape.constant(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1));
-        let fused = x.matmul_bias(&w, &bias).value();
-        let unfused = x.matmul(&w).add_row_broadcast(&bias).value();
-        assert!(fused.max_abs_diff(&unfused) < 1e-5);
+        let fused = tape
+            .constant(xm.clone())
+            .matmul_bias(&tape.constant(wm.clone()), &tape.constant(bm.clone()), relu)
+            .value();
+        let mut unfused = xm.matmul(&wm).unwrap().add_row_broadcast(&bm).unwrap();
+        if relu {
+            unfused.map_inplace(|v| v.max(0.0));
+        }
+        assert!(fused.max_abs_diff(&unfused) < 1e-5, "relu {relu}");
 
         // gradients through every operand
-        grad_check(
-            Matrix::from_fn(3, 2, |r, c| (r + c) as f32 * 0.3),
-            |t, p| {
-                let w = t.constant(Matrix::from_fn(2, 4, |r, c| (r as f32 - c as f32) * 0.2));
-                let b = t.constant(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1));
-                p.matmul_bias(&w, &b).square().mean()
-            },
-        );
-        grad_check(
-            Matrix::from_fn(2, 4, |r, c| (r as f32 - c as f32) * 0.2),
-            |t, p| {
-                let x = t.constant(Matrix::from_fn(3, 2, |r, c| (r + c) as f32 * 0.3));
-                let b = t.constant(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1));
-                x.matmul_bias(p, &b).square().mean()
-            },
-        );
-        grad_check(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1), |t, p| {
-            let x = t.constant(Matrix::from_fn(3, 2, |r, c| (r + c) as f32 * 0.3));
-            let w = t.constant(Matrix::from_fn(2, 4, |r, c| (r as f32 - c as f32) * 0.2));
-            x.matmul_bias(&w, p).square().mean()
+        grad_check(xm, |t, p| {
+            let (w, b) = (t.constant(wm.clone()), t.constant(bm.clone()));
+            readout(t, &p.matmul_bias(&w, &b, relu))
+        });
+        grad_check(Matrix::from_fn(2, 4, w), |t, p| {
+            let (x, b) = (t.constant(Matrix::from_fn(3, 2, x)), t.constant(bm.clone()));
+            readout(t, &x.matmul_bias(p, &b, relu))
+        });
+        grad_check(bm, |t, p| {
+            let (x, w) = (t.constant(Matrix::from_fn(3, 2, x)), t.constant(wm.clone()));
+            readout(t, &x.matmul_bias(&w, p, relu))
         });
     }
 
     #[test]
-    fn matmul_bias_relu_gradients_and_value() {
-        let tape = Tape::new();
-        let x = tape.constant(Matrix::from_fn(3, 2, |r, c| (r as f32 - c as f32) * 0.6));
-        let w = tape.constant(Matrix::from_fn(2, 4, |r, c| {
-            ((r + c) % 3) as f32 * 0.4 - 0.3
-        }));
-        let bias = tape.constant(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1 - 0.15));
-        let fused = x.matmul_bias_relu(&w, &bias).value();
-        let unfused = x.matmul(&w).add_row_broadcast(&bias).relu().value();
-        assert!(fused.max_abs_diff(&unfused) < 1e-5);
-        assert!(fused.min().unwrap() >= 0.0);
+    fn matmul_bias_gradients_and_value() {
+        check_matmul_bias(false);
+    }
 
-        // offsets keep pre-activations away from the relu kink so the finite
-        // difference stays smooth
-        grad_check(
-            Matrix::from_fn(3, 2, |r, c| (r as f32 - c as f32) * 0.6 + 0.21),
-            |t, p| {
-                let w = t.constant(Matrix::from_fn(2, 4, |r, c| {
-                    ((r + c) % 3) as f32 * 0.4 - 0.3
-                }));
-                let b = t.constant(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1 - 0.15));
-                p.matmul_bias_relu(&w, &b).square().mean()
-            },
-        );
-        grad_check(
-            Matrix::from_fn(2, 4, |r, c| ((r + c) % 3) as f32 * 0.4 - 0.29),
-            |t, p| {
-                let x = t.constant(Matrix::from_fn(3, 2, |r, c| (r as f32 - c as f32) * 0.6));
-                let b = t.constant(Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1 - 0.15));
-                x.matmul_bias_relu(p, &b).square().mean()
-            },
-        );
-        grad_check(
-            Matrix::from_fn(1, 4, |_, c| c as f32 * 0.1 - 0.13),
-            |t, p| {
-                let x = t.constant(Matrix::from_fn(3, 2, |r, c| (r as f32 - c as f32) * 0.6));
-                let w = t.constant(Matrix::from_fn(2, 4, |r, c| {
-                    ((r + c) % 3) as f32 * 0.4 - 0.3
-                }));
-                x.matmul_bias_relu(&w, p).square().mean()
-            },
-        );
+    #[test]
+    fn matmul_bias_relu_gradients_and_value() {
+        check_matmul_bias(true);
     }
 
     #[test]
@@ -1588,115 +1125,72 @@ mod tests {
             vec![-2.0, 0.0, 0.0],
             vec![0.0, 0.0, -2.0],
         ]);
+        let src = Matrix::col_vector(&[0.4, -0.6, 1.2, -0.1, 0.8, -1.4]);
+        let dst = Matrix::col_vector(&[0.2, 0.9, -0.5, 1.1, -0.7, 0.3]);
         // value matches the unfused chain (two blocks)
         let tape = Tape::new();
-        let src = tape.constant(Matrix::col_vector(&[0.4, -0.6, 1.2, -0.1, 0.8, -1.4]));
-        let dst = tape.constant(Matrix::col_vector(&[0.2, 0.9, -0.5, 1.1, -0.7, 0.3]));
-        let m = tape.constant(mask.clone());
-        let ones = tape.constant(Matrix::ones(1, 3));
-        let fused = src.attention_logits(&dst, &m, 0.2).value();
-        let unfused = src
-            .matmul(&ones)
-            .add(&dst.block_row_broadcast(3))
-            .leaky_relu(0.2)
-            .block_add_broadcast(&m)
+        let fused = tape
+            .constant(src.clone())
+            .attention_logits(
+                &tape.constant(dst.clone()),
+                &tape.constant(mask.clone()),
+                0.2,
+            )
             .value();
+        let unfused = src
+            .matmul(&Matrix::ones(1, 3))
+            .unwrap()
+            .add(&dst.block_row_broadcast(3).unwrap())
+            .unwrap()
+            .map(|v| if v > 0.0 { v } else { 0.2 * v })
+            .block_add_broadcast(&mask)
+            .unwrap();
         assert!(fused.max_abs_diff(&unfused) < 1e-6);
 
         // gradients through src, dst and the mask
-        let mask_for = mask.clone();
-        grad_check(Matrix::col_vector(&[0.4, -0.6, 1.2, -0.1, 0.8, -1.4]), {
-            let mask = mask_for.clone();
-            move |t, p| {
-                let dst = t.constant(Matrix::col_vector(&[0.2, 0.9, -0.5, 1.1, -0.7, 0.3]));
-                let m = t.constant(mask.clone());
-                p.attention_logits(&dst, &m, 0.2).square().mean()
-            }
+        grad_check(src.clone(), |t, p| {
+            let (dst, m) = (t.constant(dst.clone()), t.constant(mask.clone()));
+            p.attention_logits(&dst, &m, 0.2).square().mean()
         });
-        grad_check(Matrix::col_vector(&[0.2, 0.9, -0.5, 1.1, -0.7, 0.3]), {
-            let mask = mask_for.clone();
-            move |t, p| {
-                let src = t.constant(Matrix::col_vector(&[0.4, -0.6, 1.2, -0.1, 0.8, -1.4]));
-                let m = t.constant(mask.clone());
-                src.attention_logits(p, &m, 0.2).square().mean()
-            }
+        grad_check(dst.clone(), |t, p| {
+            let (src, m) = (t.constant(src.clone()), t.constant(mask.clone()));
+            src.attention_logits(p, &m, 0.2).square().mean()
         });
-        grad_check(mask_for, |t, p| {
-            let src = t.constant(Matrix::col_vector(&[0.4, -0.6, 1.2, -0.1, 0.8, -1.4]));
-            let dst = t.constant(Matrix::col_vector(&[0.2, 0.9, -0.5, 1.1, -0.7, 0.3]));
+        grad_check(mask.clone(), |t, p| {
+            let (src, dst) = (t.constant(src.clone()), t.constant(dst.clone()));
             src.attention_logits(&dst, p, 0.2).square().mean()
         });
     }
 
     #[test]
     fn scaled_add_gradients_and_value() {
+        let a = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4);
+        let b = Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.3);
+        let s = Matrix::filled(1, 1, 1.7);
         let tape = Tape::new();
-        let a = tape.constant(Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4));
-        let b = tape.constant(Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.3));
-        let s = tape.constant(Matrix::filled(1, 1, 1.7));
-        let fused = a.scaled_add(&b, &s).value();
-        let unfused = a.add(&b.mul_scalar_var(&s)).value();
-        assert!(fused.max_abs_diff(&unfused) < 1e-6);
+        let fused = tape
+            .constant(a.clone())
+            .scaled_add(&tape.constant(b.clone()), &tape.constant(s.clone()))
+            .value();
+        assert!(fused.max_abs_diff(&a.add(&b.scale(1.7)).unwrap()) < 1e-6);
 
-        grad_check(
-            Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4),
-            |t, p| {
-                let b = t.constant(Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.3));
-                let s = t.constant(Matrix::filled(1, 1, 1.7));
-                p.scaled_add(&b, &s).square().mean()
-            },
-        );
-        grad_check(
-            Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.3),
-            |t, p| {
-                let a = t.constant(Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4));
-                let s = t.constant(Matrix::filled(1, 1, 1.7));
-                a.scaled_add(p, &s).square().mean()
-            },
-        );
-        grad_check(Matrix::filled(1, 1, 1.7), |t, p| {
-            let a = t.constant(Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * 0.4));
-            let b = t.constant(Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.3));
+        grad_check(a.clone(), |t, p| {
+            let (b, s) = (t.constant(b.clone()), t.constant(s.clone()));
+            p.scaled_add(&b, &s).square().mean()
+        });
+        grad_check(b.clone(), |t, p| {
+            let (a, s) = (t.constant(a.clone()), t.constant(s.clone()));
+            a.scaled_add(p, &s).square().mean()
+        });
+        grad_check(s.clone(), |t, p| {
+            let (a, b) = (t.constant(a.clone()), t.constant(b.clone()));
             a.scaled_add(&b, p).square().mean()
         });
     }
 
     #[test]
-    fn no_grad_tape_records_only_leaves() {
-        let tape = Tape::no_grad();
-        assert!(!tape.is_grad_enabled());
-        let x = tape.leaf(Matrix::from_rows(vec![vec![1.0, 2.0]]), true);
-        let w = tape.constant(Matrix::from_rows(vec![vec![3.0], vec![4.0]]));
-        let y = x.matmul(&w).relu().square();
-        // values still flow
-        assert_eq!(y.value().get(0, 0), 121.0);
-        // but no backward metadata exists
-        assert_eq!(tape.n_backward_nodes(), 0);
-        assert_eq!(tape.len(), 5);
-        // and no node (not even the "requires_grad" leaf) tracks gradients
-        assert!(x.grad().is_none());
-    }
-
-    #[test]
-    fn grad_tape_counts_backward_nodes() {
-        let tape = Tape::new();
-        let x = tape.leaf(Matrix::filled(1, 1, 2.0), true);
-        let _ = x.square().mean();
-        assert_eq!(tape.n_backward_nodes(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no-grad")]
-    fn backward_on_no_grad_tape_panics() {
-        let tape = Tape::no_grad();
-        let x = tape.leaf(Matrix::filled(1, 1, 2.0), true);
-        let loss = x.square().mean();
-        tape.backward(&loss);
-    }
-
-    #[test]
     fn truncate_rewinds_the_tape() {
-        let tape = Tape::no_grad();
+        let tape = Tape::new();
         let x = tape.leaf(Matrix::filled(2, 1, 1.5), false);
         let base = tape.len();
         for _ in 0..3 {
