@@ -397,8 +397,8 @@ impl Conn {
                         self.state = State::RawPayload { format, len };
                         return;
                     }
-                    let payload: Vec<u8> = self.inbuf.drain(..len).collect();
-                    let reply = ingest_reply(&payload, format, shared);
+                    let reply = ingest_reply(&self.inbuf[..len], format, shared);
+                    self.inbuf.drain(..len);
                     // The engine is gone; this reply is the connection's last.
                     let engine_closed = reply == "ERR engine closed";
                     self.push_line(&reply);
@@ -458,8 +458,10 @@ impl Conn {
                         };
                         return;
                     }
-                    let body: Vec<u8> = self.inbuf.drain(..len).collect();
-                    self.http_ingest(shared, &body, &content_type, keep);
+                    let format = WireFormat::from_content_type(&content_type);
+                    let decoded = shared.decode_observed(format, &self.inbuf[..len]);
+                    self.inbuf.drain(..len);
+                    self.http_ingest(shared, decoded, keep);
                 }
             }
         }
@@ -649,10 +651,14 @@ impl Conn {
         }
     }
 
-    /// Decode and deliver one `POST /ingest` body, answering in HTTP.
-    fn http_ingest(&mut self, shared: &ConnShared, body: &[u8], content_type: &str, keep: bool) {
-        let format = WireFormat::from_content_type(content_type);
-        match shared.decode_observed(format, body) {
+    /// Deliver one decoded `POST /ingest` body, answering in HTTP.
+    fn http_ingest(
+        &mut self,
+        shared: &ConnShared,
+        decoded: Result<DataFrame, SourceError>,
+        keep: bool,
+    ) {
+        match decoded {
             Ok(batch) if batch.is_empty() => {
                 self.push_http(
                     "400 Bad Request",
@@ -822,7 +828,7 @@ fn ingest_reply(payload: &[u8], format: WireFormat, conn: &ConnShared) -> String
             let n_rows = batch.n_rows();
             match conn.sink.deliver(batch) {
                 Ok(SubmitOutcome::Enqueued(seq)) => format!("ACK {seq} {n_rows}"),
-                // DROPPED / REJECTED / TIMEOUT — Display is the wire spelling.
+                // DROPPED / REJECTED — Display is the wire spelling.
                 Ok(other) => other.to_string(),
                 Err(_) => "ERR engine closed".to_string(),
             }

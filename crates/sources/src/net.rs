@@ -22,7 +22,7 @@
 //! ```text
 //! client: BATCH <csv|ndjson> <payload-bytes>\n<payload>
 //! server: ACK <seq> <rows>\n        (accepted; outcome appears on the verdict stream)
-//!         DROPPED\n | REJECTED\n | TIMEOUT\n   (backpressure policy verdicts)
+//!         DROPPED\n | REJECTED\n   (backpressure policy verdicts)
 //!         ERR <message>\n            (decode/protocol problem; framing stays intact)
 //! client: STATS\n
 //! server: STATS <StreamStats JSON>\n

@@ -6,13 +6,6 @@ use dquag_tabular::DataFrame;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long one blocked submission attempt waits before re-checking the
-/// stop flag. Under the `Block` backpressure policy a full engine would
-/// otherwise park the delivering thread in an uninterruptible wait, and
-/// runtime shutdown could never join it.
-const SUBMIT_STOP_SLICE: Duration = Duration::from_millis(50);
 
 /// Errors surfaced by the source-adapter layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,29 +123,25 @@ impl SourceSink {
     /// outcome, so a restart must not believe it was delivered).
     ///
     /// Under the `Block` policy this waits for queue space like a direct
-    /// `submit` would, but in stop-aware slices: when the runtime raises the
-    /// stop flag mid-wait, the call gives up with
-    /// [`SourceError::EngineClosed`] instead of parking the thread in an
-    /// uninterruptible Condvar wait that shutdown could never join. The
+    /// `submit` would, but cancellably: when the runtime raises the stop
+    /// flag mid-wait, the call gives up with [`SourceError::EngineClosed`]
+    /// instead of parking the thread in an uninterruptible Condvar wait that
+    /// shutdown could never join. The batch moves into the engine once; a
+    /// wait that ends in acceptance is not counted as a loss. The
     /// undelivered batch stays with the caller (a watched file remains in
     /// the inbox; a network client gets an error reply and retries).
     pub fn deliver(&self, batch: DataFrame) -> Result<SubmitOutcome, SourceError> {
-        loop {
-            if self.should_stop() {
-                return Err(SourceError::EngineClosed);
-            }
-            match self.ingest.submit_timeout(batch.clone(), SUBMIT_STOP_SLICE) {
-                // Only the Block policy produces TimedOut: the slice ran out
-                // with the engine still full. Keep waiting (that is what
-                // Block means) unless asked to stop.
-                Ok(SubmitOutcome::TimedOut) => continue,
-                Ok(outcome) => {
-                    if outcome.is_enqueued() {
-                        self.offset.fetch_add(1, Ordering::SeqCst);
-                    }
-                    return Ok(outcome);
+        if self.should_stop() {
+            return Err(SourceError::EngineClosed);
+        }
+        match self.ingest.submit_cancellable(batch, &self.stop) {
+            // Only a Block wait cut short by the stop flag times out.
+            Ok(SubmitOutcome::TimedOut) | Err(_) => Err(SourceError::EngineClosed),
+            Ok(outcome) => {
+                if outcome.is_enqueued() {
+                    self.offset.fetch_add(1, Ordering::SeqCst);
                 }
-                Err(_) => return Err(SourceError::EngineClosed),
+                Ok(outcome)
             }
         }
     }
@@ -230,6 +219,118 @@ pub trait Source: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dquag_core::BackpressurePolicy;
+    use dquag_stream::StreamEngine;
+    use dquag_tabular::{Field, Schema, Value};
+    use dquag_telemetry::{FlightEventKind, Telemetry, TelemetryOptions};
+    use dquag_validate::{Capabilities, FitReport, Validator, Verdict};
+    use std::sync::{mpsc, Mutex};
+    use std::time::{Duration, Instant};
+
+    /// Holds each batch until the test sends on the paired channel.
+    struct HeldValidator {
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Validator for HeldValidator {
+        fn name(&self) -> &str {
+            "Held"
+        }
+
+        fn capabilities(&self) -> Capabilities {
+            Capabilities::dataset_level()
+        }
+
+        fn fit(&mut self, _clean: &DataFrame) -> dquag_validate::Result<FitReport> {
+            unreachable!("the test starts from a fitted stub")
+        }
+
+        fn validate(&self, batch: &DataFrame) -> dquag_validate::Result<Verdict> {
+            self.release
+                .lock()
+                .expect("release mutex")
+                .recv()
+                .expect("the test releases every batch");
+            Ok(Verdict::dataset_level(
+                self.name(),
+                false,
+                0.0,
+                batch.n_rows(),
+                vec![],
+            ))
+        }
+    }
+
+    fn one_row() -> DataFrame {
+        let mut df = DataFrame::new(Schema::new(vec![Field::numeric("x", "")]));
+        df.push_row(vec![Value::Number(1.0)]).expect("numeric cell");
+        df
+    }
+
+    #[test]
+    fn a_blocked_delivery_that_is_accepted_counts_no_loss() {
+        let telemetry = Telemetry::with_options(TelemetryOptions {
+            flight_recorder_capacity: 64,
+            dump_on_error: false,
+            ..TelemetryOptions::default()
+        });
+        let (release, held) = mpsc::channel();
+        let (engine, ingest, mut verdicts) = StreamEngine::builder()
+            .replicas(1)
+            .queue_capacity(1)
+            .backpressure(BackpressurePolicy::Block)
+            .telemetry(Arc::clone(&telemetry))
+            .start(Box::new(HeldValidator {
+                release: Mutex::new(held),
+            }))
+            .expect("engine starts");
+        let sink = SourceSink::new(
+            "held",
+            ingest,
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        // One batch in the worker's hands and one queued fill the engine.
+        for seq in 0..2 {
+            assert_eq!(sink.deliver(one_row()), Ok(SubmitOutcome::Enqueued(seq)));
+        }
+        let (waiting_tx, waiting) = mpsc::channel();
+        let (outcome, waited) = std::thread::scope(|scope| {
+            let delivery = scope.spawn(|| {
+                waiting_tx.send(()).expect("the test waits for the signal");
+                let started = Instant::now();
+                let outcome = sink.deliver(one_row());
+                (outcome, started.elapsed())
+            });
+            waiting.recv().expect("the delivery starts");
+            std::thread::sleep(Duration::from_millis(200));
+            for _ in 0..3 {
+                release.send(()).expect("the worker is alive");
+            }
+            for _ in 0..3 {
+                verdicts.recv().expect("each accepted batch is emitted");
+            }
+            delivery.join().expect("the delivery returns")
+        });
+        assert_eq!(outcome, Ok(SubmitOutcome::Enqueued(2)));
+        assert!(
+            waited >= Duration::from_millis(100),
+            "the delivery should wait out two 50 ms slices, waited {waited:?}"
+        );
+        assert_eq!(sink.offset(), 3);
+        drop(sink);
+        let stats = engine.shutdown();
+        assert_eq!(stats.timed_out, 0, "an accepted wait is not a loss");
+        assert_eq!(stats.dropped + stats.rejected, 0);
+        assert_eq!(stats.submitted, 3);
+        let journal = telemetry.recorder().dump();
+        assert!(
+            !journal
+                .iter()
+                .any(|event| matches!(event.kind, FlightEventKind::BackpressureDrop { .. })),
+            "no loss is journaled"
+        );
+    }
 
     #[test]
     fn error_display_is_informative() {

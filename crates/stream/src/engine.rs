@@ -9,9 +9,14 @@ use dquag_tabular::DataFrame;
 use dquag_telemetry::{FlightEventKind, Stage, Telemetry};
 use dquag_validate::{ValidateError, Validator};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often a `Block`ed [`IngestHandle::submit_cancellable`] re-checks its
+/// cancel flag while it waits for space.
+const CANCEL_POLL: Duration = Duration::from_millis(50);
 
 /// A batch accepted into the ingestion queue, waiting for a worker.
 struct Job {
@@ -797,23 +802,25 @@ impl IngestHandle {
         self.submit_inner(batch, None)
     }
 
-    /// Like [`submit`], but a `Block`ed producer gives up after `timeout`
-    /// and gets [`SubmitOutcome::TimedOut`] back. The timeout is irrelevant
-    /// under `DropNewest`/`Reject`, which never block.
+    /// Like [`submit`], but a `Block`ed producer re-checks `cancel` every
+    /// 50 ms while it waits and gives up once it is raised: the batch is
+    /// counted as timed out and [`SubmitOutcome::TimedOut`] comes back. A
+    /// wait that ends in acceptance counts only the submission. The flag is
+    /// irrelevant under `DropNewest`/`Reject`, which never block.
     ///
     /// [`submit`]: IngestHandle::submit
-    pub fn submit_timeout(
+    pub fn submit_cancellable(
         &self,
         batch: DataFrame,
-        timeout: Duration,
+        cancel: &AtomicBool,
     ) -> Result<SubmitOutcome, EngineClosed> {
-        self.submit_inner(batch, Some(timeout))
+        self.submit_inner(batch, Some(cancel))
     }
 
     fn submit_inner(
         &self,
         batch: DataFrame,
-        timeout: Option<Duration>,
+        cancel: Option<&AtomicBool>,
     ) -> Result<SubmitOutcome, EngineClosed> {
         let shared = &*self.shared;
         let mut st = shared.lock();
@@ -825,17 +832,15 @@ impl IngestHandle {
                 BackpressurePolicy::DropNewest => return shared.lose(st, SubmitOutcome::Dropped),
                 BackpressurePolicy::Reject => return shared.lose(st, SubmitOutcome::Rejected),
                 BackpressurePolicy::Block => {
-                    let give_up_at = timeout.map(|t| Instant::now() + t);
                     while shared.is_full(&st) && !st.closed {
-                        st = match give_up_at {
-                            Some(give_up_at) => {
-                                let now = Instant::now();
-                                if now >= give_up_at {
+                        st = match cancel {
+                            Some(cancel) => {
+                                if cancel.load(Ordering::SeqCst) {
                                     return shared.lose(st, SubmitOutcome::TimedOut);
                                 }
                                 shared
                                     .not_full
-                                    .wait_timeout(st, give_up_at - now)
+                                    .wait_timeout(st, CANCEL_POLL)
                                     .expect("engine state mutex poisoned")
                                     .0
                             }

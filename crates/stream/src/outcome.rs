@@ -123,8 +123,8 @@ pub enum SubmitOutcome {
     /// The queue was full and the policy is `Reject`: the caller keeps the
     /// problem (retry, shed load, …). No outcome will appear.
     Rejected,
-    /// A `submit_timeout` under the `Block` policy gave up waiting for a
-    /// queue slot. No outcome will appear.
+    /// A `submit_cancellable` under the `Block` policy was cancelled while
+    /// it waited for a queue slot. No outcome will appear.
     TimedOut,
 }
 

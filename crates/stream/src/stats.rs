@@ -29,7 +29,7 @@ pub struct StreamStats {
     /// Submissions refused by the `Reject` policy
     /// (`dquag_stream_drops_total{policy="reject"}`).
     pub rejected: u64,
-    /// `submit_timeout` calls that gave up waiting for a slot
+    /// `submit_cancellable` calls cancelled while waiting for a slot
     /// (`dquag_stream_drops_total{policy="timeout"}`).
     pub timed_out: u64,
     /// Outcomes emitted on the verdict stream so far

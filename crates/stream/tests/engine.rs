@@ -6,6 +6,7 @@ use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome, SubmitOutcome};
 use dquag_tabular::DataFrame;
 use dquag_validate::{build_spec, Capabilities, FitReport, Validator, ValidatorSpec, Verdict};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 fn test_config() -> DquagConfig {
@@ -260,9 +261,10 @@ fn block_policy_is_lossless_and_timeout_gives_up() {
         assert_eq!(outcome, SubmitOutcome::Enqueued(i));
     }
 
-    // Full and nobody consuming: a bounded wait gives up instead of hanging.
+    // Full and nobody consuming: a cancelled wait gives up instead of
+    // hanging, and counts one lost batch.
     let outcome = ingest
-        .submit_timeout(tiny_batch(), Duration::from_millis(1))
+        .submit_cancellable(tiny_batch(), &AtomicBool::new(true))
         .expect("engine open");
     assert_eq!(outcome, SubmitOutcome::TimedOut);
 
