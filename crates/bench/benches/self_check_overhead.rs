@@ -2,8 +2,8 @@
 //! integrity checks armed (parameter-checksum verification every
 //! `DEFAULT_SELF_CHECK_PERIOD` forward passes plus the SIMD kernel's
 //! NaN/Inf epilogue guard and the score scan) versus the identical pipeline
-//! with the checks disabled (`with_self_check_period(0)` and the process
-//! guard off).
+//! with the checks disabled (`with_self_check_period(0)`, under which no
+//! session arms the guard).
 //!
 //! The checks were designed to be amortised — one FNV pass over the
 //! parameters every N tiles and one finiteness scan over outputs already in
@@ -17,7 +17,7 @@
 use dquag_bench::harness::{
     fast_mode, interleave, median, median_ratio, quick_config, write_bench_json,
 };
-use dquag_core::DquagValidator;
+use dquag_core::{DquagValidator, StreamConfig};
 use dquag_datagen::datasets::nytaxi;
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
@@ -27,17 +27,14 @@ use std::time::Instant;
 /// Stream every batch through a fresh one-generation engine serving a clone
 /// of `trained` with the given self-check period. Returns emitted count.
 fn run_pipeline(trained: &DquagValidator, batches: &[DataFrame], period: u64) -> usize {
-    // The kernel guard is process-global: armed sessions switch it on, so
-    // the checks-off arm must switch it off explicitly each run.
-    if period == 0 {
-        dquag_tensor::set_finite_guard(false);
-        let _ = dquag_tensor::take_finite_guard_trip();
-    }
     let validator = Box::new(DquagBackend::from_trained(
         trained.clone().with_self_check_period(period),
     ));
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(batches.len())
+        .stream_config(&StreamConfig {
+            queue_capacity: batches.len(),
+            ..StreamConfig::default()
+        })
         .start(validator)
         .expect("engine starts");
     for batch in batches {
@@ -88,9 +85,6 @@ fn main() {
             &mut || one_pass(&trained, &batches, total_rows, checked_period),
         ],
     );
-    // Leave the process guard the way the runtime expects it.
-    dquag_tensor::set_finite_guard(true);
-    let _ = dquag_tensor::take_finite_guard_trip();
 
     let off = median(&off_samples);
     let on = median(&on_samples);

@@ -12,7 +12,7 @@
 //! `DQUAG_BENCH_FAST=1` for a seconds-scale smoke variant (CI).
 
 use dquag_bench::harness::{fast_mode, interleave, median, median_ratio, write_bench_json};
-use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
+use dquag_core::{DquagConfig, ServingConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
@@ -44,7 +44,10 @@ fn run_arm(
 ) -> f64 {
     let n_batches = payloads.len();
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(n_batches)
+        .stream_config(&StreamConfig {
+            queue_capacity: n_batches,
+            ..StreamConfig::default()
+        })
         .start(validator)
         .expect("engine starts");
     let config = SourceConfig {

@@ -24,11 +24,11 @@
 use dquag_bench::harness::{
     fast_mode, interleave, median, median_ratio, quick_config, write_bench_json,
 };
-use dquag_core::DquagValidator;
+use dquag_core::{DquagValidator, StreamConfig};
 use dquag_datagen::datasets::nytaxi;
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
-use dquag_telemetry::{DataTelemetryOptions, Telemetry, TelemetryOptions};
+use dquag_telemetry::{Telemetry, TelemetryConfig, TelemetryDataConfig};
 use dquag_validate::{
     DquagBackend, DriftSpec, DriftValidator, EnsembleValidator, Validator, Voting,
 };
@@ -36,21 +36,29 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn quiet_bundle() -> Arc<Telemetry> {
-    Telemetry::with_options(TelemetryOptions {
+    TelemetryConfig {
         flight_recorder_capacity: 256,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    })
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled")
 }
 
 /// Like [`quiet_bundle`], with the per-column data layer on: drift gauges,
 /// scoreboard and crossing detection all live on the hot path.
 fn data_bundle() -> Arc<Telemetry> {
-    Telemetry::with_options(TelemetryOptions {
+    TelemetryConfig {
         flight_recorder_capacity: 256,
         dump_on_error: false,
-        data: Some(DataTelemetryOptions::default()),
-    })
+        data: TelemetryDataConfig {
+            enabled: true,
+            ..TelemetryDataConfig::default()
+        },
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled")
 }
 
 /// The serving tree every arm runs: the GNN backend next to a KS/PSI drift
@@ -73,7 +81,10 @@ fn run_pipeline(
     batches: &[DataFrame],
     telemetry: Option<&Arc<Telemetry>>,
 ) -> usize {
-    let mut builder = StreamEngine::builder().queue_capacity(batches.len());
+    let mut builder = StreamEngine::builder().stream_config(&StreamConfig {
+        queue_capacity: batches.len(),
+        ..StreamConfig::default()
+    });
     if let Some(bundle) = telemetry {
         builder = builder.telemetry(Arc::clone(bundle));
     }

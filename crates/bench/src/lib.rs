@@ -37,9 +37,7 @@ pub mod harness;
 pub mod methods;
 pub mod scale;
 
-pub use methods::{
-    evaluate_method, evaluate_method_streaming, fit_spec, paper_specs, MethodResult,
-};
+pub use methods::{evaluate_method, fit_spec, paper_specs, MethodResult};
 pub use scale::Scale;
 
 /// Render a simple aligned text table.

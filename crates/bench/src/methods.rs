@@ -11,7 +11,6 @@ use dquag_baselines::BaselineKind;
 use dquag_core::metrics::DetectionMetrics;
 use dquag_core::DquagConfig;
 use dquag_datagen::Batch;
-use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
 use dquag_validate::{build_spec, Validator, ValidatorSpec};
 
@@ -112,59 +111,6 @@ pub fn evaluate_method(
     MethodResult {
         method: validator.name().to_string(),
         metrics: evaluate_fitted(validator, batches),
-    }
-}
-
-/// Evaluate one validator spec by driving every batch through the streaming
-/// engine instead of the caller's thread: a producer submits the batches
-/// while the engine shards them across `config.stream.replicas` fitted
-/// replicas, and the re-sequenced verdict stream yields the predictions in
-/// submission order.
-///
-/// The engine runs lossless for metric integrity (`Block` backpressure, no
-/// deadline) regardless of `config.stream`'s policy; replica count and queue
-/// capacity are honoured. Results are identical to [`evaluate_method`] —
-/// sharding is an implementation detail the metrics cannot see.
-pub fn evaluate_method_streaming(
-    spec: &ValidatorSpec,
-    clean: &DataFrame,
-    batches: &[Batch],
-    config: &DquagConfig,
-) -> MethodResult {
-    let validator = fit_spec(spec, clean, config);
-    let method = validator.name().to_string();
-    let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(config.stream.replicas)
-        .queue_capacity(config.stream.queue_capacity)
-        .start(validator)
-        .expect("stream configuration in range");
-
-    let labels: Vec<bool> = batches.iter().map(|b| b.is_dirty).collect();
-    let predictions: Vec<bool> = std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for batch in batches {
-                let outcome = ingest
-                    .submit(batch.data.clone())
-                    .expect("engine open while the producer runs");
-                assert!(outcome.is_enqueued(), "Block policy never sheds load");
-            }
-            // Dropping the producer's only handle closes ingestion; the
-            // engine drains and the verdict stream ends.
-        });
-        verdicts
-            .map(|item| {
-                item.outcome
-                    .into_verdict()
-                    .expect("lossless engine yields a verdict per batch")
-                    .is_dirty
-            })
-            .collect()
-    });
-    engine.shutdown();
-
-    MethodResult {
-        method,
-        metrics: DetectionMetrics::from_predictions(&predictions, &labels),
     }
 }
 
@@ -269,30 +215,6 @@ mod tests {
         assert_eq!(
             reused.metrics, fresh.metrics,
             "reuse must not change results"
-        );
-    }
-
-    #[test]
-    fn streaming_evaluation_matches_the_direct_path() {
-        let clean = DatasetKind::CreditCard.generate_clean(700, 11);
-        let dirty = DatasetKind::CreditCard.generate_dirty(700, 12);
-        let mut rng = dquag_datagen::rng(13);
-        let protocol = BatchProtocol {
-            n_clean: 3,
-            n_dirty: 3,
-            fraction: 0.2,
-            max_rows: None,
-        };
-        let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
-        let mut config = Scale::Smoke.dquag_config();
-        config.stream.replicas = 3;
-
-        let gate = ValidatorSpec::backend("gate");
-        let direct = evaluate_method(&gate, &clean, &batches, None, &config);
-        let streamed = evaluate_method_streaming(&gate, &clean, &batches, &config);
-        assert_eq!(
-            direct.metrics, streamed.metrics,
-            "the sharded engine must reproduce the direct path exactly"
         );
     }
 

@@ -2,6 +2,7 @@
 
 use dquag_gnn::ModelConfig;
 use dquag_graph::FeatureGraph;
+use dquag_telemetry::TelemetryConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -255,136 +256,6 @@ impl SourceConfig {
     }
 }
 
-/// Observability settings (`dquag-telemetry`): the metrics registry,
-/// per-stage span timing, the bounded flight recorder and the periodic
-/// structured-log emitter.
-///
-/// Lives in the core config for the same reason [`StreamConfig`] does: one
-/// `DquagConfig` describes a whole deployment, and whether that deployment
-/// exposes `/metrics` or journals refit outcomes is part of its contract.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TelemetryConfig {
-    /// Master switch. When off, no bundle is built and every instrumented
-    /// hot path degrades to a single `Option` check.
-    pub enabled: bool,
-    /// Ring-buffer capacity of the flight recorder (events retained).
-    pub flight_recorder_capacity: usize,
-    /// How often the structured-log emitter writes one JSON snapshot line.
-    /// `None` disables the periodic emitter (scrape-only deployments).
-    pub log_interval: Option<Duration>,
-    /// Render the flight recorder to stderr whenever an error-class event
-    /// (refit failure, quarantine, source error, deadline miss) is recorded.
-    pub dump_on_error: bool,
-    /// Data-plane telemetry: per-column drift gauges and the drift
-    /// scoreboard.
-    pub data: TelemetryDataConfig,
-}
-
-/// Data-plane telemetry settings: per-column drift gauges under a bounded
-/// cardinality policy, plus the `GET /drift` scoreboard.
-///
-/// Off by default — pipeline telemetry alone carries no per-column series.
-/// When enabled, the gauge family is bounded either by `top_k` (rank-based
-/// slots with hysteresis eviction) or, when `allowlist` is set, by the
-/// declared column list.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TelemetryDataConfig {
-    /// Enable the data-plane layer (requires `telemetry.enabled`).
-    pub enabled: bool,
-    /// Gauge slots when ranking by drift ratio (ignored under an
-    /// allowlist).
-    pub top_k: usize,
-    /// When set, only these columns ever get gauge series.
-    pub allowlist: Option<Vec<String>>,
-    /// Minimum wall-clock spacing between gauge-maintenance passes; the
-    /// scoreboard and crossing events update every batch regardless.
-    /// `None` maintains gauges on every validated batch.
-    pub min_emit_interval: Option<Duration>,
-}
-
-impl Default for TelemetryDataConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            top_k: 8,
-            allowlist: None,
-            min_emit_interval: None,
-        }
-    }
-}
-
-impl TelemetryDataConfig {
-    /// Validate every field's range, returning the offending field on error.
-    pub fn validated(self) -> crate::Result<Self> {
-        if self.top_k == 0 {
-            return Err(crate::CoreError::InvalidConfig(
-                "telemetry.data.top_k must be at least 1".to_string(),
-            ));
-        }
-        if self.allowlist.as_deref() == Some(&[]) {
-            return Err(crate::CoreError::InvalidConfig(
-                "telemetry.data.allowlist must name at least one column when set".to_string(),
-            ));
-        }
-        if self.min_emit_interval == Some(Duration::ZERO) {
-            return Err(crate::CoreError::InvalidConfig(
-                "telemetry.data.min_emit_interval must be nonzero when set".to_string(),
-            ));
-        }
-        Ok(self)
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            flight_recorder_capacity: 256,
-            log_interval: None,
-            dump_on_error: true,
-            data: TelemetryDataConfig::default(),
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Validate every field's range, returning the offending field on error.
-    pub fn validated(self) -> crate::Result<Self> {
-        if self.flight_recorder_capacity == 0 {
-            return Err(crate::CoreError::InvalidConfig(
-                "telemetry.flight_recorder_capacity must be at least 1".to_string(),
-            ));
-        }
-        if self.log_interval == Some(Duration::ZERO) {
-            return Err(crate::CoreError::InvalidConfig(
-                "telemetry.log_interval must be nonzero when set".to_string(),
-            ));
-        }
-        let data = self.data.validated()?;
-        Ok(Self { data, ..self })
-    }
-
-    /// Build the shared telemetry bundle this block describes, or `None`
-    /// when disabled. One bundle is meant to be shared across the engine,
-    /// sources, validators and the refit supervisor of one deployment.
-    pub fn build(&self) -> Option<std::sync::Arc<dquag_telemetry::Telemetry>> {
-        self.enabled.then(|| {
-            dquag_telemetry::Telemetry::with_options(dquag_telemetry::TelemetryOptions {
-                flight_recorder_capacity: self.flight_recorder_capacity,
-                dump_on_error: self.dump_on_error,
-                data: self
-                    .data
-                    .enabled
-                    .then(|| dquag_telemetry::DataTelemetryOptions {
-                        top_k: self.data.top_k,
-                        allowlist: self.data.allowlist.clone(),
-                        min_emit_interval: self.data.min_emit_interval,
-                    }),
-            })
-        })
-    }
-}
-
 /// Configuration of the end-to-end DQuaG pipeline.
 ///
 /// Defaults reproduce the paper's experimental setting (§4.4): a four-layer
@@ -572,7 +443,10 @@ impl DquagConfig {
         }
         self.stream.clone().validated()?;
         self.source.clone().validated()?;
-        self.telemetry.clone().validated()?;
+        self.telemetry
+            .clone()
+            .validated()
+            .map_err(crate::CoreError::InvalidConfig)?;
         self.validator.validated()?;
         if self.model.hidden_dim == 0 || self.model.n_layers == 0 {
             return fail(format!(
@@ -805,74 +679,6 @@ mod tests {
         assert!(json.contains("max_connections"), "{json}");
         let back: SourceConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, source);
-    }
-
-    #[test]
-    fn telemetry_defaults_setters_and_build() {
-        let c = DquagConfig::default();
-        assert!(c.telemetry.enabled);
-        assert_eq!(c.telemetry.flight_recorder_capacity, 256);
-        assert_eq!(c.telemetry.log_interval, None);
-        assert!(c.telemetry.dump_on_error);
-
-        let telemetry = TelemetryConfig {
-            flight_recorder_capacity: 32,
-            log_interval: Some(Duration::from_secs(10)),
-            dump_on_error: false,
-            ..TelemetryConfig::default()
-        }
-        .validated()
-        .expect("telemetry values in range");
-
-        // The block builds the live bundle it describes — or nothing at all.
-        let bundle = telemetry.build().expect("enabled block builds a bundle");
-        assert_eq!(bundle.recorder().capacity(), 32);
-        let off = TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        };
-        assert!(off.build().is_none());
-    }
-
-    #[test]
-    fn telemetry_data_block_defaults_setters_and_build() {
-        // Off by default: the built bundle has no data layer.
-        let c = DquagConfig::default();
-        assert!(!c.telemetry.data.enabled);
-        assert_eq!(c.telemetry.data.top_k, 8);
-        assert_eq!(c.telemetry.data.allowlist, None);
-        assert_eq!(c.telemetry.data.min_emit_interval, None);
-        let bundle = c.telemetry.build().expect("telemetry on by default");
-        assert!(bundle.data().is_none());
-
-        let data_on = |data: TelemetryDataConfig| {
-            TelemetryConfig {
-                data,
-                ..TelemetryConfig::default()
-            }
-            .validated()
-            .expect("data values in range")
-        };
-        let telemetry = data_on(TelemetryDataConfig {
-            enabled: true,
-            top_k: 3,
-            min_emit_interval: Some(Duration::from_millis(500)),
-            ..TelemetryDataConfig::default()
-        });
-        let bundle = telemetry.build().expect("bundle builds");
-        assert!(bundle.data().is_some());
-
-        let telemetry = data_on(TelemetryDataConfig {
-            enabled: true,
-            allowlist: Some(vec!["age".to_string(), "fare".to_string()]),
-            ..TelemetryDataConfig::default()
-        });
-
-        // The data block rides the config's serde round trip.
-        let json = serde_json::to_string(&telemetry).unwrap();
-        assert!(json.contains("allowlist"), "{json}");
-        let back: TelemetryConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, telemetry);
     }
 
     #[test]

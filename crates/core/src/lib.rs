@@ -55,7 +55,6 @@ pub mod spec;
 pub use atomic_write::write_atomic;
 pub use config::{
     BackpressurePolicy, CheckpointConfig, DquagConfig, ServingConfig, SourceConfig, StreamConfig,
-    TelemetryConfig, TelemetryDataConfig,
 };
 pub use error::CoreError;
 pub use pipeline::{
@@ -65,6 +64,9 @@ pub use pipeline::{
 // Re-exported so layers above `dquag-core` (validate, stream, faults) can
 // match on health violations without depending on `dquag-gnn` directly.
 pub use dquag_gnn::{ActivationFault, HealthError};
+/// The deployment's `telemetry` block, declared by the crate that builds
+/// the bundle from it.
+pub use dquag_telemetry::{TelemetryConfig, TelemetryDataConfig};
 /// The workspace's one FNV-1a, re-exported for the model-file envelope in
 /// `dquag-persist`, which checksums its payload text with it.
 pub use dquag_tensor::{fnv1a, FNV_OFFSET};

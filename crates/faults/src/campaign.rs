@@ -207,15 +207,14 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
                     ^ (rate_ix as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
                     ^ (trial as u64 + 1).wrapping_mul(0x1656_67B1_9E37_79F9);
 
-                // Unchecked arm: self-checks disabled, kernel guard off —
-                // the corrupted model judges traffic with nothing watching.
+                // Unchecked arm: self-checks disabled, so no session arms the
+                // kernel guard — the corrupted model judges traffic with
+                // nothing watching.
                 let mut sick = trained.clone().with_self_check_period(0);
                 let mut injector = FaultInjector::new(cell_seed);
                 sick.corrupt_params_with(|params| {
                     flipped_weights += injector.corrupt_store(params, &fault);
                 });
-                dquag_tensor::set_finite_guard(false);
-                let _ = dquag_tensor::take_finite_guard_trip();
                 for (batch, (ref_dirty, ref_flags)) in batches.iter().zip(&reference) {
                     judgements += 1;
                     if let Ok(report) = sick.validate(batch) {
@@ -265,10 +264,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
             });
         }
     }
-    // Leave the process-global kernel guard the way the runtime expects it.
-    dquag_tensor::set_finite_guard(true);
-    let _ = dquag_tensor::take_finite_guard_trip();
-
     CampaignReport {
         seed: config.seed,
         train_rows: config.train_rows,

@@ -5,13 +5,13 @@
 //! retries the batch — and the final verdict stream is identical to one
 //! from an engine that was never faulted.
 
-use dquag_core::{BackpressurePolicy, DquagConfig};
+use dquag_core::{BackpressurePolicy, DquagConfig, StreamConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_faults::{FaultHandle, FaultKind, FaultSite, FaultedValidator};
 use dquag_persist::{load_validator, save_validator};
 use dquag_stream::{StreamEngine, StreamOutcome};
 use dquag_tabular::DataFrame;
-use dquag_telemetry::{Telemetry, TelemetryOptions};
+use dquag_telemetry::TelemetryConfig;
 use dquag_validate::{DquagBackend, Validator, Verdict};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,15 +71,20 @@ fn serve(
     fault: Option<(&FaultHandle, FaultKind)>,
     batches: &[DataFrame],
 ) -> (Vec<Verdict>, u64) {
-    let telemetry = Telemetry::with_options(TelemetryOptions {
+    let telemetry = TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    });
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled");
     let mut builder = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(batches.len())
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: batches.len(),
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry));
     if let Some(path) = rebuild_from {
         builder = builder.rebuild_source(move || load_validator(&path).ok());

@@ -247,18 +247,15 @@ impl InferenceSession {
     ///
     /// `expected` is the parameter-store checksum captured at fit time;
     /// `period` (≥ 1) is how many forward passes may elapse between checksum
-    /// re-verifications. Arming also enables the process-wide SIMD-epilogue
-    /// finite guard ([`dquag_tensor::set_finite_guard`]) and clears any stale
-    /// guard trip latched on this thread, so a trip observed later is
-    /// attributable to this session's own forward passes (sessions are
-    /// single-threaded).
+    /// re-verifications. Every scoring call on an armed session also arms
+    /// the SIMD-epilogue finite guard ([`dquag_tensor::FiniteGuard`]) on the
+    /// calling thread for its own duration, so a trip is attributable to
+    /// this session's forward passes (sessions are single-threaded).
     pub fn arm_self_check(&self, expected: u64, period: u64) {
         self.self_check.set(Some(SelfCheck {
             expected,
             period: period.max(1),
         }));
-        dquag_tensor::set_finite_guard(true);
-        let _ = dquag_tensor::take_finite_guard_trip();
     }
 
     /// Whether self-checks are armed.
@@ -562,6 +559,7 @@ impl DquagNetwork {
             return BatchScores::empty(self.n_features);
         }
         let check = session.self_check.get();
+        let guard = check.map(|_| dquag_tensor::FiniteGuard::arm());
         // Split into equally sized cache-resident tiles (a trailing 1-row
         // tile would pay a whole pass of fixed costs for one sample).
         let n_tiles = rows.len().div_ceil(self.inference_tile_rows());
@@ -611,8 +609,8 @@ impl DquagNetwork {
             session
                 .rows_scored
                 .set(session.rows_scored.get() + chunk.len() as u64);
-            if check.is_some() {
-                if let Some(trip) = dquag_tensor::take_finite_guard_trip() {
+            if let Some(guard) = &guard {
+                if let Some(trip) = guard.take_trip() {
                     session.record_health(HealthError::NonFiniteKernel { index: trip.index });
                     break;
                 }
@@ -906,6 +904,23 @@ mod tests {
         assert!(matches!(
             session.health_violation(),
             Some(HealthError::NonFiniteKernel { .. } | HealthError::NonFiniteScores { .. })
+        ));
+    }
+
+    #[test]
+    fn armed_scoring_reports_the_kernel_guard_trip_first() {
+        // A NaN decoder weight poisons that decoder's product, so the kernel
+        // guard armed for the scoring call trips before any score scan runs.
+        let mut net = DquagNetwork::new(&small_graph(), ModelConfig::small());
+        let (_, m) = net.params_mut().iter_mut().last().unwrap();
+        m.set(0, 0, f32::NAN);
+        let rows: Vec<Vec<f32>> = (0..4).map(clean_sample).collect();
+        let session = net.inference_session();
+        session.arm_self_check(net.params().checksum(), 4);
+        assert!(net.score_matrix(&session, &rows).is_empty());
+        assert!(matches!(
+            session.health_violation(),
+            Some(HealthError::NonFiniteKernel { .. })
         ));
     }
 

@@ -446,12 +446,14 @@ mod tests {
 
     #[test]
     fn observed_recovery_journals_quarantines() {
-        use dquag_telemetry::{FlightEventKind, Telemetry, TelemetryOptions};
-        let telemetry = Telemetry::with_options(TelemetryOptions {
+        use dquag_telemetry::{FlightEventKind, TelemetryConfig};
+        let telemetry = TelemetryConfig {
             flight_recorder_capacity: 16,
             dump_on_error: false,
-            ..TelemetryOptions::default()
-        });
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("telemetry is enabled");
         let dir = unique_dir("observed");
         let path = dir.join("model.json");
         let (clean, _) = frames();

@@ -400,7 +400,7 @@ mod tests {
     use super::*;
     use crate::store::load_model;
     use dquag_core::spec::DriftSpec;
-    use dquag_core::BackpressurePolicy;
+    use dquag_core::{BackpressurePolicy, StreamConfig};
     use dquag_tabular::{Field, Schema, Value};
     use dquag_validate::DriftValidator;
     use std::time::Duration;
@@ -630,12 +630,14 @@ mod tests {
 
     #[test]
     fn refit_outcomes_are_visible_in_registry_and_flight_recorder() {
-        use dquag_telemetry::TelemetryOptions;
-        let telemetry = Telemetry::with_options(TelemetryOptions {
+        use dquag_telemetry::TelemetryConfig;
+        let telemetry = TelemetryConfig {
             flight_recorder_capacity: 64,
             dump_on_error: false,
-            ..TelemetryOptions::default()
-        });
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("telemetry is enabled");
         let (engine, ingest, verdicts) = StreamEngineFixture::start();
         let boot = fitted_drift();
 
@@ -750,10 +752,12 @@ mod tests {
             dquag_stream::VerdictStream,
         ) {
             dquag_stream::StreamEngine::builder()
-                .replicas(1)
-                .queue_capacity(4)
-                .backpressure(BackpressurePolicy::Block)
-                .batch_deadline(Duration::from_secs(5))
+                .stream_config(&StreamConfig {
+                    queue_capacity: 4,
+                    replicas: 1,
+                    backpressure: BackpressurePolicy::Block,
+                    batch_deadline: Some(Duration::from_secs(5)),
+                })
                 .start(fitted_drift())
                 .expect("engine starts")
         }

@@ -7,7 +7,7 @@
 //! engine sees nothing but the bytes on disk.
 
 use dquag_core::spec::ValidatorSpec;
-use dquag_core::{BackpressurePolicy, DquagConfig};
+use dquag_core::{BackpressurePolicy, DquagConfig, StreamConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_persist::{
     load_model, load_validator, recover_model, registry_with_persistence, save_validator,
@@ -70,9 +70,12 @@ fn traffic() -> Vec<DataFrame> {
 /// submission order.
 fn serve(validator: Box<dyn Validator>, batches: &[DataFrame]) -> Vec<Verdict> {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(8)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .start(validator)
         .expect("engine starts");
     let collector = std::thread::spawn(move || verdicts.collect::<Vec<_>>());

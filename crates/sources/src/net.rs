@@ -72,12 +72,11 @@ const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// The TCP + HTTP ingestion listener.
 ///
-/// Binding happens eagerly in [`bind`]/[`from_config`], so the caller can
-/// learn the ephemeral port via [`local_addr`] before handing the source to
-/// the runtime — and so a bad address fails at construction, not inside a
+/// Binding happens eagerly in [`from_config`], so the caller can learn the
+/// ephemeral port via [`local_addr`] before handing the source to the
+/// runtime — and so a bad address fails at construction, not inside a
 /// supervisor thread.
 ///
-/// [`bind`]: NetListenerSource::bind
 /// [`from_config`]: NetListenerSource::from_config
 /// [`local_addr`]: NetListenerSource::local_addr
 pub struct NetListenerSource {
@@ -127,19 +126,23 @@ struct Pool {
 }
 
 impl NetListenerSource {
-    /// Bind the listener on `addr` (port 0 = ephemeral), serving batches
+    /// Bind the listener on `config.bind_addr` (port 0 = ephemeral) with
+    /// the block's frame limit and connection discipline, serving batches
     /// typed by `schema`.
-    pub fn bind(addr: &str, schema: dquag_tabular::Schema) -> Result<Self, SourceError> {
+    pub fn from_config(
+        config: &dquag_core::SourceConfig,
+        schema: dquag_tabular::Schema,
+    ) -> Result<Self, SourceError> {
+        let addr = &config.bind_addr;
         let listener =
             TcpListener::bind(addr).map_err(|e| SourceError::Io(format!("binding {addr}: {e}")))?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let defaults = dquag_core::SourceConfig::default();
         Ok(Self {
             name: "net".to_string(),
             schema,
-            max_frame_bytes: defaults.max_frame_bytes,
-            serving: defaults.serving,
+            max_frame_bytes: config.max_frame_bytes,
+            serving: config.serving.clone(),
             spec: None,
             telemetry: None,
             listener,
@@ -149,17 +152,6 @@ impl NetListenerSource {
             dispatch_failures: 0,
             final_offset: 0,
         })
-    }
-
-    /// Bind according to a [`dquag_core::SourceConfig`] block.
-    pub fn from_config(
-        config: &dquag_core::SourceConfig,
-        schema: dquag_tabular::Schema,
-    ) -> Result<Self, SourceError> {
-        let mut source = Self::bind(&config.bind_addr, schema)?;
-        source.max_frame_bytes = config.max_frame_bytes;
-        source.serving = config.serving.clone();
-        Ok(source)
     }
 
     /// Override the source name (the checkpoint key); useful when one

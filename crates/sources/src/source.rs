@@ -219,10 +219,10 @@ pub trait Source: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dquag_core::BackpressurePolicy;
+    use dquag_core::{BackpressurePolicy, StreamConfig};
     use dquag_stream::StreamEngine;
     use dquag_tabular::{Field, Schema, Value};
-    use dquag_telemetry::{FlightEventKind, Telemetry, TelemetryOptions};
+    use dquag_telemetry::{FlightEventKind, TelemetryConfig};
     use dquag_validate::{Capabilities, FitReport, Validator, Verdict};
     use std::sync::{mpsc, Mutex};
     use std::time::{Duration, Instant};
@@ -269,16 +269,21 @@ mod tests {
 
     #[test]
     fn a_blocked_delivery_that_is_accepted_counts_no_loss() {
-        let telemetry = Telemetry::with_options(TelemetryOptions {
+        let telemetry = TelemetryConfig {
             flight_recorder_capacity: 64,
             dump_on_error: false,
-            ..TelemetryOptions::default()
-        });
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("telemetry is enabled");
         let (release, held) = mpsc::channel();
         let (engine, ingest, mut verdicts) = StreamEngine::builder()
-            .replicas(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Block)
+            .stream_config(&StreamConfig {
+                queue_capacity: 1,
+                replicas: 1,
+                backpressure: BackpressurePolicy::Block,
+                ..StreamConfig::default()
+            })
             .telemetry(Arc::clone(&telemetry))
             .start(Box::new(HeldValidator {
                 release: Mutex::new(held),

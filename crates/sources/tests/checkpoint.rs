@@ -3,7 +3,7 @@
 //! test proving a restarted engine resumes from the persisted checkpoint
 //! without reprocessing or skipping a batch.
 
-use dquag_core::{CheckpointConfig, DquagConfig, SourceConfig};
+use dquag_core::{CheckpointConfig, DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{Checkpoint, DirWatcherSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamStats};
@@ -155,7 +155,10 @@ fn run_incarnation(
     };
 
     let restored = Checkpoint::recover(checkpoint_path).expect("no version rollback in this test");
-    let mut engine_builder = StreamEngine::builder().queue_capacity(32);
+    let mut engine_builder = StreamEngine::builder().stream_config(&StreamConfig {
+        queue_capacity: 32,
+        ..StreamConfig::default()
+    });
     if let Some(checkpoint) = &restored {
         engine_builder = engine_builder.restore_stats(checkpoint.stats.clone());
     }
@@ -249,7 +252,10 @@ fn watcher_quarantines_poison_files_and_keeps_the_feed_alive() {
         ..SourceConfig::default()
     };
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .queue_capacity(8)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts");
     let runtime = SourceRuntime::builder()

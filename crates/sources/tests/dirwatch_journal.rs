@@ -7,7 +7,7 @@
 //! exact crash and asserts that across both process generations every
 //! file is delivered exactly once — zero replayed, zero skipped.
 
-use dquag_core::{DquagConfig, SourceConfig};
+use dquag_core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{DirWatcherSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
@@ -78,7 +78,10 @@ fn run_generation(
     settled: impl Fn() -> bool,
 ) -> Vec<usize> {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(64)
+        .stream_config(&StreamConfig {
+            queue_capacity: 64,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts");
     let mut source = DirWatcherSource::new(inbox, KIND.schema());

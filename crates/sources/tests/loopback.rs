@@ -3,7 +3,7 @@
 //! replies must keep connections usable, and the `STATS` surfaces must
 //! serve the live engine statistics.
 
-use dquag_core::{DquagConfig, SourceConfig};
+use dquag_core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_sources::NetListenerSource;
 use dquag_sources::SourceRuntime;
@@ -51,7 +51,10 @@ fn batches(n: usize) -> Vec<DataFrame> {
 
 fn start_engine() -> (StreamEngine, IngestHandle, VerdictStream) {
     StreamEngine::builder()
-        .queue_capacity(64)
+        .stream_config(&StreamConfig {
+            queue_capacity: 64,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts")
 }
@@ -60,8 +63,8 @@ fn start_engine() -> (StreamEngine, IngestHandle, VerdictStream) {
 /// client needs.
 fn start_networked() -> (StreamEngine, VerdictStream, SourceRuntime, SocketAddr) {
     let (engine, ingest, verdicts) = start_engine();
-    let source =
-        NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind succeeds");
+    let source = NetListenerSource::from_config(&SourceConfig::default(), KIND.schema())
+        .expect("loopback bind succeeds");
     let addr = source.local_addr();
     let config = SourceConfig {
         poll_interval: Duration::from_millis(10),
@@ -207,7 +210,7 @@ fn stats_surfaces_report_the_active_spec_and_checkpoints_record_it() {
     );
 
     let (engine, ingest, verdicts) = start_engine();
-    let source = NetListenerSource::bind("127.0.0.1:0", KIND.schema())
+    let source = NetListenerSource::from_config(&SourceConfig::default(), KIND.schema())
         .expect("loopback bind succeeds")
         .with_spec(spec.clone());
     let addr = source.local_addr();
@@ -370,11 +373,14 @@ fn shutdown_interrupts_deliveries_blocked_on_a_full_engine() {
     // Regression test: a handler blocked in a Block-policy submit (full
     // engine, consumer not draining) must not wedge runtime shutdown.
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(1)
+        .stream_config(&StreamConfig {
+            queue_capacity: 1,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts");
-    let source =
-        NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind succeeds");
+    let source = NetListenerSource::from_config(&SourceConfig::default(), KIND.schema())
+        .expect("loopback bind succeeds");
     let addr = source.local_addr();
     let config = SourceConfig {
         poll_interval: Duration::from_millis(10),

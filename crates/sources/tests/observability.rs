@@ -3,12 +3,12 @@
 //! Prometheus exposition covering the full pipeline (≥ 12 series), and the
 //! raw-protocol `METRICS` command's length-framed payload.
 
-use dquag_core::{DquagConfig, SourceConfig};
+use dquag_core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamStats, VerdictStream};
 use dquag_tabular::{csv, DataFrame, Field, Schema, Value};
-use dquag_telemetry::{DataTelemetryOptions, Telemetry, TelemetryOptions};
+use dquag_telemetry::{Telemetry, TelemetryConfig, TelemetryDataConfig};
 use dquag_validate::{build_spec, DriftSpec, DriftValidator, Validator, ValidatorSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -35,17 +35,22 @@ fn start_observed() -> (
     SourceRuntime,
     SocketAddr,
 ) {
-    let telemetry = Telemetry::with_options(TelemetryOptions {
+    let telemetry = TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    });
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled");
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(64)
+        .stream_config(&StreamConfig {
+            queue_capacity: 64,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry))
         .start(fitted_validator())
         .expect("engine starts");
-    let source = NetListenerSource::bind("127.0.0.1:0", KIND.schema())
+    let source = NetListenerSource::from_config(&SourceConfig::default(), KIND.schema())
         .expect("loopback bind succeeds")
         .with_telemetry(Arc::clone(&telemetry));
     let addr = source.local_addr();
@@ -417,22 +422,29 @@ fn start_drift_observed() -> (
     SourceRuntime,
     SocketAddr,
 ) {
-    let telemetry = Telemetry::with_options(TelemetryOptions {
+    let telemetry = TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        data: Some(DataTelemetryOptions {
+        data: TelemetryDataConfig {
+            enabled: true,
             top_k: 4,
-            ..DataTelemetryOptions::default()
-        }),
-    });
+            ..TelemetryDataConfig::default()
+        },
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled");
     let mut validator = DriftValidator::new(DriftSpec::default());
     validator.fit(&drift_frame(0.0, 160)).expect("fit succeeds");
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(64)
+        .stream_config(&StreamConfig {
+            queue_capacity: 64,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry))
         .start(Box::new(validator))
         .expect("engine starts");
-    let source = NetListenerSource::bind("127.0.0.1:0", drift_schema())
+    let source = NetListenerSource::from_config(&SourceConfig::default(), drift_schema())
         .expect("loopback bind succeeds")
         .with_telemetry(Arc::clone(&telemetry));
     let addr = source.local_addr();
@@ -551,11 +563,14 @@ fn drift_surfaces_refuse_when_the_data_layer_is_off() {
 #[test]
 fn without_telemetry_the_surfaces_refuse_cleanly() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(8)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts");
-    let source =
-        NetListenerSource::bind("127.0.0.1:0", KIND.schema()).expect("loopback bind succeeds");
+    let source = NetListenerSource::from_config(&SourceConfig::default(), KIND.schema())
+        .expect("loopback bind succeeds");
     let addr = source.local_addr();
     let config = SourceConfig {
         poll_interval: Duration::from_millis(10),

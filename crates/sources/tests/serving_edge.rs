@@ -5,12 +5,12 @@
 //! shaped like HTTP versions stay raw, and a failed worker hand-off is
 //! survived instead of panicking the listener.
 
-use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
+use dquag_core::{DquagConfig, ServingConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, VerdictStream};
 use dquag_tabular::csv;
-use dquag_telemetry::{Telemetry, TelemetryOptions};
+use dquag_telemetry::{Telemetry, TelemetryConfig};
 use dquag_validate::{build_spec, Validator, ValidatorSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,11 +28,13 @@ fn fitted_validator() -> Box<dyn Validator> {
 }
 
 fn telemetry() -> Arc<Telemetry> {
-    Telemetry::with_options(TelemetryOptions {
+    TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    })
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled")
 }
 
 /// Engine + listener with an explicit [`ServingConfig`] and shared
@@ -49,7 +51,10 @@ fn start_serving(
 ) {
     let telemetry = telemetry();
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(64)
+        .stream_config(&StreamConfig {
+            queue_capacity: 64,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts");
     let config = SourceConfig {

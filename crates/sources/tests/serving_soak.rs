@@ -8,12 +8,12 @@
 //! count, so it lives alone in its own test binary: sibling tests spawning
 //! engines would make `/proc/self/status` readings meaningless.
 
-use dquag_core::{DquagConfig, ServingConfig, SourceConfig};
+use dquag_core::{DquagConfig, ServingConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
 use dquag_tabular::csv;
-use dquag_telemetry::{Telemetry, TelemetryOptions};
+use dquag_telemetry::{Telemetry, TelemetryConfig};
 use dquag_validate::{build_spec, Validator, ValidatorSpec, Verdict};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -131,7 +131,10 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
     // gone before any thread-count baseline is taken.
     let direct: Vec<StreamItem> = {
         let (engine, ingest, verdicts) = StreamEngine::builder()
-            .queue_capacity(512)
+            .stream_config(&StreamConfig {
+                queue_capacity: 512,
+                ..StreamConfig::default()
+            })
             .start(fitted_validator())
             .expect("engine starts");
         for batch in &all_batches {
@@ -148,13 +151,18 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
     let baseline_threads = thread_count();
 
     // Networked engine behind the pooled listener.
-    let telemetry = Telemetry::with_options(TelemetryOptions {
+    let telemetry = TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    });
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled");
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .queue_capacity(512)
+        .stream_config(&StreamConfig {
+            queue_capacity: 512,
+            ..StreamConfig::default()
+        })
         .start(fitted_validator())
         .expect("engine starts");
     let config = SourceConfig {

@@ -4,7 +4,7 @@
 use crate::metrics::StreamMetrics;
 use crate::outcome::{EngineClosed, StreamItem, StreamOutcome, SubmitOutcome};
 use crate::stats::StreamStats;
-use dquag_core::{BackpressurePolicy, DquagConfig, StreamConfig};
+use dquag_core::{BackpressurePolicy, StreamConfig};
 use dquag_tabular::DataFrame;
 use dquag_telemetry::{FlightEventKind, Stage, Telemetry};
 use dquag_validate::{ValidateError, Validator};
@@ -169,9 +169,9 @@ impl Shared {
 
 /// Configures and starts a [`StreamEngine`].
 ///
-/// Defaults come from [`StreamConfig::default`]; [`stream_config`] adopts a
-/// whole block (typically `DquagConfig::stream`), the individual setters
-/// override single knobs.
+/// The queue, replica, backpressure and deadline settings come from one
+/// [`StreamConfig`] (typically `DquagConfig::stream`) passed to
+/// [`stream_config`]; without it the engine runs [`StreamConfig::default`].
 ///
 /// [`stream_config`]: StreamEngineBuilder::stream_config
 #[derive(Clone, Default)]
@@ -197,30 +197,6 @@ impl StreamEngineBuilder {
     /// Adopt a whole streaming configuration block.
     pub fn stream_config(mut self, config: &StreamConfig) -> Self {
         self.config = config.clone();
-        self
-    }
-
-    /// Capacity of the bounded ingestion queue.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Number of data-parallel validator replicas (worker threads).
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.config.replicas = replicas;
-        self
-    }
-
-    /// Producer-side behaviour when the queue is full.
-    pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.config.backpressure = policy;
-        self
-    }
-
-    /// Per-batch validation budget, measured from submission.
-    pub fn batch_deadline(mut self, deadline: Duration) -> Self {
-        self.config.batch_deadline = Some(deadline);
         self
     }
 
@@ -692,16 +668,6 @@ impl StreamEngine {
     /// Start configuring an engine.
     pub fn builder() -> StreamEngineBuilder {
         StreamEngineBuilder::default()
-    }
-
-    /// Start an engine configured by `config.stream` over a fitted validator.
-    pub fn from_config(
-        config: &DquagConfig,
-        validator: Box<dyn Validator>,
-    ) -> Result<(StreamEngine, IngestHandle, VerdictStream), ValidateError> {
-        Self::builder()
-            .stream_config(&config.stream)
-            .start(validator)
     }
 
     /// Snapshot the live statistics without pausing the workers.

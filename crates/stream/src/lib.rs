@@ -50,7 +50,7 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use dquag_core::{BackpressurePolicy, DquagConfig};
+//! use dquag_core::{BackpressurePolicy, DquagConfig, StreamConfig};
 //! use dquag_stream::StreamEngine;
 //! use dquag_validate::build_spec;
 //! use std::time::Duration;
@@ -59,6 +59,12 @@
 //!
 //! let config = DquagConfig {
 //!     epochs: 15,
+//!     stream: StreamConfig {
+//!         replicas: 4,
+//!         queue_capacity: 32,
+//!         backpressure: BackpressurePolicy::Block,
+//!         batch_deadline: Some(Duration::from_secs(2)),
+//!     },
 //!     ..DquagConfig::default()
 //! }
 //! .validated()
@@ -67,10 +73,7 @@
 //! validator.fit(&get_clean()).unwrap();
 //!
 //! let (engine, ingest, verdicts) = StreamEngine::builder()
-//!     .replicas(4)
-//!     .queue_capacity(32)
-//!     .backpressure(BackpressurePolicy::Block)
-//!     .batch_deadline(Duration::from_secs(2))
+//!     .stream_config(&config.stream)
 //!     .start(validator)
 //!     .unwrap();
 //!

@@ -4,7 +4,7 @@
 //! and `SessionSummary` counts. Like the replica count, matrix-level batching
 //! must be an implementation detail no consumer can observe.
 
-use dquag_core::{DquagConfig, DquagValidator};
+use dquag_core::{DquagConfig, DquagValidator, StreamConfig};
 use dquag_datagen::{inject_hidden, inject_ordinary, DatasetKind, HiddenError, OrdinaryError};
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
@@ -116,8 +116,11 @@ fn batching_is_invisible_through_session_and_stream_engine() {
     // Path 2: the stream engine's replica workers.
     let run_stream = |batched: bool| -> Vec<Verdict> {
         let (engine, ingest, verdicts) = StreamEngine::builder()
-            .replicas(2)
-            .queue_capacity(batches.len())
+            .stream_config(&StreamConfig {
+                queue_capacity: batches.len(),
+                replicas: 2,
+                ..StreamConfig::default()
+            })
             .start(backend(batched))
             .expect("engine starts");
         for batch in &batches {

@@ -10,7 +10,7 @@
 //! — must be identical: replica count and construction path are
 //! implementation details the verdicts cannot see.
 
-use dquag_core::DquagConfig;
+use dquag_core::{DquagConfig, StreamConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_stream::{StreamEngine, StreamOutcome, SubmitOutcome};
 use dquag_tabular::DataFrame;
@@ -90,8 +90,11 @@ fn verdicts_via_engine(
     let mut validator = build_spec(spec, config).expect("spec builds");
     validator.fit(clean).expect("fit succeeds");
     let (engine, ingest, stream) = StreamEngine::builder()
-        .replicas(replicas)
-        .queue_capacity(batches.len().max(1))
+        .stream_config(&StreamConfig {
+            queue_capacity: batches.len().max(1),
+            replicas,
+            ..StreamConfig::default()
+        })
         .start(validator)
         .expect("engine starts");
     for batch in batches {

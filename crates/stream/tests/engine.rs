@@ -1,7 +1,7 @@
 //! Integration tests for the streaming engine: replica-count invariance,
 //! backpressure policies, the deadline-exceeded path and drain-on-shutdown.
 
-use dquag_core::{BackpressurePolicy, DquagConfig};
+use dquag_core::{BackpressurePolicy, DquagConfig, StreamConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_stream::{StreamEngine, StreamItem, StreamOutcome, SubmitOutcome};
 use dquag_tabular::DataFrame;
@@ -100,8 +100,11 @@ fn run_engine(
     batches: &[DataFrame],
 ) -> Vec<StreamItem> {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(replicas)
-        .queue_capacity(batches.len().max(1))
+        .stream_config(&StreamConfig {
+            queue_capacity: batches.len().max(1),
+            replicas,
+            ..StreamConfig::default()
+        })
         .start(validator)
         .expect("engine starts");
     for batch in batches {
@@ -187,9 +190,12 @@ fn sharded_workers_overlap_in_time() {
 #[test]
 fn reject_policy_refuses_over_capacity_submissions() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(2)
-        .backpressure(BackpressurePolicy::Reject)
+        .stream_config(&StreamConfig {
+            queue_capacity: 2,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Reject,
+            ..StreamConfig::default()
+        })
         .start(sleepy(60))
         .expect("engine starts");
 
@@ -222,9 +228,12 @@ fn reject_policy_refuses_over_capacity_submissions() {
 #[test]
 fn drop_newest_policy_sheds_load_silently() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(2)
-        .backpressure(BackpressurePolicy::DropNewest)
+        .stream_config(&StreamConfig {
+            queue_capacity: 2,
+            replicas: 1,
+            backpressure: BackpressurePolicy::DropNewest,
+            ..StreamConfig::default()
+        })
         .start(sleepy(60))
         .expect("engine starts");
 
@@ -248,9 +257,12 @@ fn drop_newest_policy_sheds_load_silently() {
 #[test]
 fn block_policy_is_lossless_and_timeout_gives_up() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(2)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 2,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .start(sleepy(30))
         .expect("engine starts");
 
@@ -292,9 +304,12 @@ fn slow_consumer_backpressure_bounds_the_resequencing_buffer() {
     // a consumer that never reads cannot make the engine buffer grow without
     // limit.
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(2)
-        .backpressure(BackpressurePolicy::Reject)
+        .stream_config(&StreamConfig {
+            queue_capacity: 2,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Reject,
+            ..StreamConfig::default()
+        })
         .start(sleepy(1))
         .expect("engine starts");
 
@@ -335,9 +350,12 @@ fn deadline_exceeded_batches_do_not_stall_the_stream() {
     // queued at once, every one of them must come back deadline-exceeded —
     // and the stream must keep moving rather than wait for stragglers.
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(8)
-        .batch_deadline(Duration::from_millis(30))
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 1,
+            batch_deadline: Some(Duration::from_millis(30)),
+            ..StreamConfig::default()
+        })
         .start(sleepy(80))
         .expect("engine starts");
 
@@ -371,9 +389,12 @@ fn deadline_exceeded_batches_do_not_stall_the_stream() {
 #[test]
 fn generous_deadline_leaves_verdicts_untouched() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(2)
-        .queue_capacity(8)
-        .batch_deadline(Duration::from_secs(30))
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 2,
+            batch_deadline: Some(Duration::from_secs(30)),
+            ..StreamConfig::default()
+        })
         .start(sleepy(1))
         .expect("engine starts");
     for _ in 0..5 {
@@ -389,8 +410,11 @@ fn generous_deadline_leaves_verdicts_untouched() {
 #[test]
 fn shutdown_drains_queued_and_in_flight_batches() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(2)
-        .queue_capacity(32)
+        .stream_config(&StreamConfig {
+            queue_capacity: 32,
+            replicas: 2,
+            ..StreamConfig::default()
+        })
         .start(sleepy(10))
         .expect("engine starts");
 
@@ -424,8 +448,11 @@ fn shutdown_drains_queued_and_in_flight_batches() {
 #[test]
 fn stats_snapshot_while_the_engine_runs() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(16)
+        .stream_config(&StreamConfig {
+            queue_capacity: 16,
+            replicas: 1,
+            ..StreamConfig::default()
+        })
         .start(sleepy(40))
         .expect("engine starts");
     for _ in 0..4 {
@@ -460,7 +487,10 @@ fn stats_snapshot_while_the_engine_runs() {
 #[test]
 fn dropping_the_last_ingest_handle_ends_the_stream() {
     let (_engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(2)
+        .stream_config(&StreamConfig {
+            replicas: 2,
+            ..StreamConfig::default()
+        })
         .start(sleepy(1))
         .expect("engine starts");
     let second = ingest.clone();
@@ -481,9 +511,12 @@ fn dropping_the_consumer_unwedges_blocked_producers() {
     // Block-policy producers must get `EngineClosed` back instead of
     // hanging forever on a pipeline nobody will ever drain.
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(1)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 1,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .start(sleepy(1))
         .expect("engine starts");
     ingest.submit(tiny_batch()).expect("engine open");
@@ -497,11 +530,21 @@ fn dropping_the_consumer_unwedges_blocked_producers() {
 
 #[test]
 fn builder_rejects_degenerate_configurations() {
-    for builder in [
-        StreamEngine::builder().queue_capacity(0),
-        StreamEngine::builder().replicas(0),
-        StreamEngine::builder().batch_deadline(Duration::ZERO),
+    for config in [
+        StreamConfig {
+            queue_capacity: 0,
+            ..StreamConfig::default()
+        },
+        StreamConfig {
+            replicas: 0,
+            ..StreamConfig::default()
+        },
+        StreamConfig {
+            batch_deadline: Some(Duration::ZERO),
+            ..StreamConfig::default()
+        },
     ] {
+        let builder = StreamEngine::builder().stream_config(&config);
         assert!(builder.start(sleepy(1)).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! generation — and a shutdown racing an in-flight swap still drains
 //! cleanly with consistent statistics.
 
-use dquag_core::BackpressurePolicy;
+use dquag_core::{BackpressurePolicy, StreamConfig};
 use dquag_stream::{StreamEngine, StreamOutcome, SubmitOutcome};
 use dquag_tabular::{DataFrame, Field, Schema, Value};
 use dquag_validate::{Capabilities, FitReport, Validator, Verdict};
@@ -72,9 +72,12 @@ fn tiny_batch() -> DataFrame {
 #[test]
 fn swap_mid_stream_loses_nothing_reorders_nothing_mixes_no_generations() {
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(3)
-        .queue_capacity(4)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 4,
+            replicas: 3,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .start(model("gen-a", 2))
         .expect("engine starts");
 
@@ -146,9 +149,12 @@ fn swap_mid_stream_loses_nothing_reorders_nothing_mixes_no_generations() {
 fn shutdown_racing_a_swap_still_drains_consistently() {
     for round in 0..8u64 {
         let (engine, ingest, verdicts) = StreamEngine::builder()
-            .replicas(2)
-            .queue_capacity(4)
-            .backpressure(BackpressurePolicy::Block)
+            .stream_config(&StreamConfig {
+                queue_capacity: 4,
+                replicas: 2,
+                backpressure: BackpressurePolicy::Block,
+                ..StreamConfig::default()
+            })
             .start(model("gen-a", 1))
             .expect("engine starts");
         let swapper = engine.swap_handle();

@@ -5,11 +5,11 @@
 //! caught: the batch fails, the worker survives. Bad input is not a health
 //! violation: a non-finite cell gets a verdict, not a quarantine.
 
-use dquag_core::{BackpressurePolicy, DquagConfig, HealthError};
+use dquag_core::{BackpressurePolicy, DquagConfig, HealthError, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_stream::{StreamEngine, StreamOutcome, SubmitOutcome};
 use dquag_tabular::{DataFrame, Field, Schema, Value};
-use dquag_telemetry::{Telemetry, TelemetryOptions};
+use dquag_telemetry::{Telemetry, TelemetryConfig};
 use dquag_validate::{Capabilities, DquagBackend, FitReport, ValidateError, Validator, Verdict};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -106,11 +106,13 @@ fn batch(rows: usize) -> DataFrame {
 }
 
 fn quiet_telemetry() -> Arc<Telemetry> {
-    Telemetry::with_options(TelemetryOptions {
+    TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    })
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled")
 }
 
 #[test]
@@ -123,9 +125,12 @@ fn health_violation_quarantines_rebuilds_and_retries_the_batch() {
         panic_on_marker: false,
     });
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(8)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry))
         .rebuild_source(|| Some(Switchable::healthy("gen-rebuilt") as Box<dyn Validator>))
         .start(primary)
@@ -189,8 +194,11 @@ fn health_violation_without_rebuild_source_fails_the_batch_loudly() {
         panic_on_marker: false,
     });
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(4)
+        .stream_config(&StreamConfig {
+            queue_capacity: 4,
+            replicas: 1,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry))
         .start(primary)
         .expect("engine starts");
@@ -223,9 +231,12 @@ fn panicking_validator_fails_the_batch_but_the_worker_survives() {
         panic_on_marker: true,
     });
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(8)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry))
         .start(primary)
         .expect("engine starts");
@@ -286,9 +297,12 @@ fn non_finite_csv_cells_get_a_dirty_verdict_without_a_quarantine() {
 
     let telemetry = quiet_telemetry();
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(4)
-        .backpressure(BackpressurePolicy::Block)
+        .stream_config(&StreamConfig {
+            queue_capacity: 4,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Block,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry))
         .rebuild_source(move || spare.replicate())
         .start(Box::new(backend))

@@ -4,10 +4,10 @@
 //! without one behaves identically and exports nothing. Its `StreamStats`
 //! are read from the same series, so both views agree.
 
-use dquag_core::BackpressurePolicy;
+use dquag_core::{BackpressurePolicy, StreamConfig};
 use dquag_stream::{StreamEngine, StreamStats, SubmitOutcome};
 use dquag_tabular::{DataFrame, Field, Schema, Value};
-use dquag_telemetry::{FlightEventKind, MetricsRegistry, Stage, Telemetry, TelemetryOptions};
+use dquag_telemetry::{FlightEventKind, MetricsRegistry, Stage, Telemetry, TelemetryConfig};
 use dquag_validate::{Capabilities, FitReport, ValidateError, Validator, Verdict};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -59,19 +59,24 @@ fn tiny_batch(rows: usize) -> DataFrame {
 }
 
 fn quiet_telemetry() -> std::sync::Arc<Telemetry> {
-    Telemetry::with_options(TelemetryOptions {
+    TelemetryConfig {
         flight_recorder_capacity: 64,
         dump_on_error: false,
-        ..TelemetryOptions::default()
-    })
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled")
 }
 
 #[test]
 fn engine_exports_counters_stages_and_lifecycle_events() {
     let telemetry = quiet_telemetry();
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(2)
-        .queue_capacity(8)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 2,
+            ..StreamConfig::default()
+        })
         .telemetry(std::sync::Arc::clone(&telemetry))
         .start(Box::new(InstantValidator { dirty: true }))
         .expect("engine starts");
@@ -135,8 +140,11 @@ fn engine_exports_counters_stages_and_lifecycle_events() {
 fn swap_sets_generation_gauge_and_records_event() {
     let telemetry = quiet_telemetry();
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(4)
+        .stream_config(&StreamConfig {
+            queue_capacity: 4,
+            replicas: 1,
+            ..StreamConfig::default()
+        })
         .telemetry(std::sync::Arc::clone(&telemetry))
         .start(Box::new(InstantValidator { dirty: false }))
         .expect("engine starts");
@@ -167,8 +175,11 @@ fn swap_sets_generation_gauge_and_records_event() {
 fn verdict_scores_and_outcome_counters_are_exported() {
     let telemetry = quiet_telemetry();
     let (engine, ingest, mut verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(8)
+        .stream_config(&StreamConfig {
+            queue_capacity: 8,
+            replicas: 1,
+            ..StreamConfig::default()
+        })
         .telemetry(std::sync::Arc::clone(&telemetry))
         .start(Box::new(InstantValidator { dirty: false }))
         .expect("engine starts");
@@ -211,9 +222,12 @@ fn backpressure_drops_are_counted_by_policy_and_journaled() {
     let telemetry = quiet_telemetry();
     let (validator, release) = scripted();
     let (engine, ingest, verdicts) = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(1)
-        .backpressure(BackpressurePolicy::Reject)
+        .stream_config(&StreamConfig {
+            queue_capacity: 1,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Reject,
+            ..StreamConfig::default()
+        })
         .telemetry(std::sync::Arc::clone(&telemetry))
         .start(validator)
         .expect("engine starts");
@@ -324,10 +338,12 @@ fn every_outcome_run(restored: Option<StreamStats>) -> (StreamStats, Arc<Telemet
     let telemetry = quiet_telemetry();
     let (validator, release) = scripted();
     let mut builder = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(1)
-        .backpressure(BackpressurePolicy::Reject)
-        .batch_deadline(Duration::from_millis(250))
+        .stream_config(&StreamConfig {
+            queue_capacity: 1,
+            replicas: 1,
+            backpressure: BackpressurePolicy::Reject,
+            batch_deadline: Some(Duration::from_millis(250)),
+        })
         .telemetry(Arc::clone(&telemetry));
     if let Some(stats) = restored {
         builder = builder.restore_stats(stats);

@@ -23,6 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
+use crate::TelemetryDataConfig;
 
 /// Gauge family holding per-column drift statistics
 /// (`{column=…,stat="ks"|"psi"}`).
@@ -59,32 +60,6 @@ pub enum CardinalityPolicy {
     TopK { k: usize },
     /// Only these columns ever get gauge series.
     Allowlist(Vec<String>),
-}
-
-/// Construction options for the data-plane layer (the `telemetry.data`
-/// config block).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataTelemetryOptions {
-    /// Gauge slots in top-K mode (ignored when `allowlist` is set).
-    pub top_k: usize,
-    /// When set, switches to allowlist mode: only these columns are
-    /// exported, regardless of rank.
-    pub allowlist: Option<Vec<String>>,
-    /// Minimum wall-clock spacing between gauge-maintenance passes. The
-    /// in-memory scoreboard and crossing detection update on every batch
-    /// regardless; only gauge writes and slot churn are throttled.
-    /// `None` maintains gauges on every observation.
-    pub min_emit_interval: Option<Duration>,
-}
-
-impl Default for DataTelemetryOptions {
-    fn default() -> Self {
-        Self {
-            top_k: 8,
-            allowlist: None,
-            min_emit_interval: None,
-        }
-    }
 }
 
 /// A column whose drift ratio rose above 1.0 on this observation —
@@ -225,16 +200,16 @@ pub struct DataTelemetry {
 
 impl DataTelemetry {
     /// Build the layer and register its two summary series.
-    pub(crate) fn new(registry: &MetricsRegistry, options: DataTelemetryOptions) -> Self {
-        let policy = match options.allowlist {
-            Some(columns) => CardinalityPolicy::Allowlist(columns),
+    pub(crate) fn new(registry: &MetricsRegistry, config: &TelemetryDataConfig) -> Self {
+        let policy = match &config.allowlist {
+            Some(columns) => CardinalityPolicy::Allowlist(columns.clone()),
             None => CardinalityPolicy::TopK {
-                k: options.top_k.max(1),
+                k: config.top_k.max(1),
             },
         };
         Self {
             policy,
-            min_emit_interval: options.min_emit_interval,
+            min_emit_interval: config.min_emit_interval,
             tracked_gauge: registry.gauge(
                 "dquag_column_drift_tracked",
                 "Columns currently holding per-column drift gauge slots",
@@ -531,9 +506,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         let data = DataTelemetry::new(
             &registry,
-            DataTelemetryOptions {
+            &TelemetryDataConfig {
                 top_k: 2,
-                ..DataTelemetryOptions::default()
+                ..TelemetryDataConfig::default()
             },
         );
         let crossings = observe(
@@ -573,9 +548,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         let data = DataTelemetry::new(
             &registry,
-            DataTelemetryOptions {
+            &TelemetryDataConfig {
                 top_k: 1,
-                ..DataTelemetryOptions::default()
+                ..TelemetryDataConfig::default()
             },
         );
         observe(&data, &registry, &[sample("a", 2.0)]);
@@ -598,9 +573,9 @@ mod tests {
         let registry = MetricsRegistry::new();
         let data = DataTelemetry::new(
             &registry,
-            DataTelemetryOptions {
+            &TelemetryDataConfig {
                 allowlist: Some(vec!["age".to_string(), "fare".to_string()]),
-                ..DataTelemetryOptions::default()
+                ..TelemetryDataConfig::default()
             },
         );
         observe(
@@ -631,9 +606,9 @@ mod tests {
         const K: usize = 5;
         let data = DataTelemetry::new(
             &registry,
-            DataTelemetryOptions {
+            &TelemetryDataConfig {
                 top_k: K,
-                ..DataTelemetryOptions::default()
+                ..TelemetryDataConfig::default()
             },
         );
         let columns: Vec<String> = (0..200).map(|i| format!("col_{i:03}")).collect();
@@ -709,10 +684,10 @@ mod tests {
         let registry = MetricsRegistry::new();
         let data = DataTelemetry::new(
             &registry,
-            DataTelemetryOptions {
+            &TelemetryDataConfig {
                 top_k: 4,
                 min_emit_interval: Some(Duration::from_secs(3600)),
-                ..DataTelemetryOptions::default()
+                ..TelemetryDataConfig::default()
             },
         );
         // First observation always maintains gauges.
@@ -732,7 +707,7 @@ mod tests {
     #[test]
     fn scoreboard_json_is_ranked_and_parseable() {
         let registry = MetricsRegistry::new();
-        let data = DataTelemetry::new(&registry, DataTelemetryOptions::default());
+        let data = DataTelemetry::new(&registry, &TelemetryDataConfig::default());
         observe(&data, &registry, &[sample("low", 0.4), sample("high", 2.5)]);
         let json = data.scoreboard().to_json_string();
         let value: serde::Value = serde_json::from_str(&json).expect("valid JSON");

@@ -15,6 +15,11 @@
 //! - a periodic structured-log emitter ([`Telemetry::start_log_emitter`])
 //!   for environments without a scraper.
 //!
+//! A deployment describes its bundle in one [`TelemetryConfig`] (the
+//! `telemetry` block of `DquagConfig`, which `dquag-core` re-exports) and
+//! builds it with [`TelemetryConfig::build`], which returns `None` when the
+//! block is disabled; [`Telemetry::new`] is the default block's bundle.
+//!
 //! The design rule throughout: registration and scrapes take a mutex,
 //! recording on the hot path is relaxed atomics only. The stream engine
 //! always counts, because its statistics are read from its own series;
@@ -24,10 +29,14 @@
 //! cost.
 //!
 //! ```
-//! use dquag_telemetry::{Stage, Telemetry};
-//! use std::time::Duration;
+//! use dquag_telemetry::{Stage, TelemetryConfig};
 //!
-//! let telemetry = Telemetry::new();
+//! let telemetry = TelemetryConfig {
+//!     flight_recorder_capacity: 64,
+//!     ..TelemetryConfig::default()
+//! }
+//! .build()
+//! .expect("the block is enabled");
 //! {
 //!     let _span = telemetry.time_stage(Stage::Forward);
 //!     // ... score a batch ...
@@ -38,15 +47,17 @@
 //! assert!(text.contains("dquag_stage_duration_seconds_count{stage=\"forward\"} 1"));
 //! ```
 
+mod config;
 mod data;
 mod logemit;
 mod metrics;
 mod recorder;
 mod stage;
 
+pub use config::{TelemetryConfig, TelemetryDataConfig};
 pub use data::{
-    CardinalityPolicy, ColumnDriftSample, DataTelemetry, DataTelemetryOptions, DriftScoreboard,
-    ScoreboardColumn, COLUMN_DRIFT_METRIC, COLUMN_RATIO_METRIC,
+    CardinalityPolicy, ColumnDriftSample, DataTelemetry, DriftScoreboard, ScoreboardColumn,
+    COLUMN_DRIFT_METRIC, COLUMN_RATIO_METRIC,
 };
 pub use logemit::LogEmitter;
 pub use metrics::{Counter, Gauge, Histogram, Labels, MetricsRegistry};
@@ -55,31 +66,6 @@ pub use stage::{Stage, StageSpan};
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Construction options for [`Telemetry::with_options`].
-#[derive(Debug, Clone)]
-pub struct TelemetryOptions {
-    /// Events retained by the flight recorder ring (default 256).
-    pub flight_recorder_capacity: usize,
-    /// Dump the ring to stderr when an error-class event lands
-    /// (default `true`).
-    pub dump_on_error: bool,
-    /// Enable the data-plane layer (per-column drift gauges and the drift
-    /// scoreboard) with these cardinality settings. `None` (the default)
-    /// leaves it off: [`Telemetry::observe_column_drift`] degrades to one
-    /// `Option` check.
-    pub data: Option<DataTelemetryOptions>,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        Self {
-            flight_recorder_capacity: 256,
-            dump_on_error: true,
-            data: None,
-        }
-    }
-}
 
 /// The shared observability bundle: registry + flight recorder + the six
 /// pre-registered stage histograms. Cheap to clone as `Arc<Telemetry>`;
@@ -93,13 +79,14 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A bundle with default options.
+    /// The bundle [`TelemetryConfig::default`] describes.
     pub fn new() -> Arc<Self> {
-        Self::with_options(TelemetryOptions::default())
+        Self::from_config(&TelemetryConfig::default())
     }
 
-    /// A bundle with explicit recorder capacity / dump policy.
-    pub fn with_options(options: TelemetryOptions) -> Arc<Self> {
+    /// The bundle `config` describes, whether or not it is enabled; callers
+    /// go through [`TelemetryConfig::build`].
+    fn from_config(config: &TelemetryConfig) -> Arc<Self> {
         let registry = MetricsRegistry::new();
         let stages = Stage::ALL.map(|stage| {
             registry.histogram_with(
@@ -108,12 +95,13 @@ impl Telemetry {
                 &[("stage", stage.label())],
             )
         });
-        let data = options
+        let data = config
             .data
-            .map(|data_options| DataTelemetry::new(&registry, data_options));
+            .enabled
+            .then(|| DataTelemetry::new(&registry, &config.data));
         Arc::new(Self {
             registry,
-            recorder: FlightRecorder::new(options.flight_recorder_capacity, options.dump_on_error),
+            recorder: FlightRecorder::new(config.flight_recorder_capacity, config.dump_on_error),
             stages,
             data,
             started: Instant::now(),
@@ -267,11 +255,13 @@ mod tests {
 
     #[test]
     fn events_are_stamped_with_uptime() {
-        let telemetry = Telemetry::with_options(TelemetryOptions {
+        let telemetry = TelemetryConfig {
             flight_recorder_capacity: 4,
             dump_on_error: false,
-            ..TelemetryOptions::default()
-        });
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("enabled block builds a bundle");
         telemetry.event(FlightEventKind::EngineStarted { replicas: 2 });
         std::thread::sleep(Duration::from_millis(2));
         telemetry.event(FlightEventKind::EngineClosed);
@@ -301,14 +291,17 @@ mod tests {
 
     #[test]
     fn data_layer_feeds_gauges_scoreboard_and_flight_events() {
-        let telemetry = Telemetry::with_options(TelemetryOptions {
+        let telemetry = TelemetryConfig {
             dump_on_error: false,
-            data: Some(DataTelemetryOptions {
+            data: TelemetryDataConfig {
+                enabled: true,
                 top_k: 4,
-                ..DataTelemetryOptions::default()
-            }),
-            ..TelemetryOptions::default()
-        });
+                ..TelemetryDataConfig::default()
+            },
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("enabled block builds a bundle");
         telemetry.observe_column_drift(&[drift_sample("age", 2.0), drift_sample("fare", 0.3)]);
         let text = telemetry.prometheus();
         assert!(text.contains("dquag_column_drift{column=\"age\",stat=\"ks\"}"));
@@ -336,10 +329,15 @@ mod tests {
 
     #[test]
     fn structured_line_reports_the_top_drifting_column_empty_safe() {
-        let telemetry = Telemetry::with_options(TelemetryOptions {
-            data: Some(DataTelemetryOptions::default()),
-            ..TelemetryOptions::default()
-        });
+        let telemetry = TelemetryConfig {
+            data: TelemetryDataConfig {
+                enabled: true,
+                ..TelemetryDataConfig::default()
+            },
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("enabled block builds a bundle");
         // Empty-safe: before any observation the field is null.
         let line = telemetry.structured_line();
         let value: serde::Value = serde_json::from_str(&line).expect("valid JSON");

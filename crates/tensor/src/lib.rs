@@ -52,10 +52,7 @@ pub mod persist;
 pub use error::TensorError;
 pub use matrix::Matrix;
 pub use persist::{fnv1a, matrix_checksum, params_checksum, FNV_OFFSET};
-pub use simd::{
-    finite_guard_enabled, kernel_mode, set_finite_guard, set_kernel_mode, take_finite_guard_trip,
-    GuardTrip, KernelMode,
-};
+pub use simd::{kernel_mode, set_kernel_mode, FiniteGuard, GuardTrip, KernelMode};
 pub use tape::{Tape, Var};
 
 /// Tune the process allocator for sustained tensor inference.

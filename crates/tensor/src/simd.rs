@@ -39,7 +39,8 @@
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// `out = a · b (+ bias)` with `a` row-major `n × k`, `b` row-major
@@ -87,9 +88,8 @@ pub enum KernelMode {
 
 static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
 static DETECTED: OnceLock<Kernels> = OnceLock::new();
-static FINITE_GUARD: AtomicBool = AtomicBool::new(false);
-
 thread_local! {
+    static GUARD_ARMED: Cell<bool> = const { Cell::new(false) };
     static GUARD_TRIP: Cell<Option<GuardTrip>> = const { Cell::new(None) };
 }
 
@@ -105,28 +105,48 @@ pub struct GuardTrip {
     pub cols: usize,
 }
 
-/// Enable or disable the kernel-epilogue finite guard (process-wide).
+/// The kernel-epilogue finite guard, armed on the calling thread for as
+/// long as this value lives.
 ///
-/// When enabled, every product routed through the kernel dispatcher scans its output
-/// for NaN/Inf after the kernel returns and latches the first violation into
-/// a thread-local [`GuardTrip`]. The scan is `O(n·d)` against the kernel's
-/// `O(n·k·d)` work, so the cost is a small fraction of the product itself.
-/// The guard never alters a computed element, so the determinism contract
-/// above is unaffected.
-pub fn set_finite_guard(enabled: bool) {
-    FINITE_GUARD.store(enabled, Ordering::Relaxed);
+/// While armed, every product routed through the kernel dispatcher on this
+/// thread scans its output for NaN/Inf after the kernel returns and latches
+/// the first violation, which [`take_trip`](Self::take_trip) hands back.
+/// The scan is `O(n·d)` against the kernel's `O(n·k·d)` work, and it never
+/// alters a computed element, so the determinism contract above is
+/// unaffected. Products outside every scope are not scanned and latch
+/// nothing, and a trip nobody took is cleared when the outermost scope ends
+/// (also by unwinding), so a scope reports only its own products.
+#[must_use = "the guard disarms as soon as it is dropped"]
+pub struct FiniteGuard {
+    /// Whether an enclosing scope had the guard armed; restored on drop.
+    outer: bool,
+    /// The guard is thread state, so the scope must end on its own thread.
+    _thread_bound: PhantomData<*const ()>,
 }
 
-/// Whether the kernel-epilogue finite guard is currently enabled.
-pub fn finite_guard_enabled() -> bool {
-    FINITE_GUARD.load(Ordering::Relaxed)
+impl FiniteGuard {
+    /// Arm the guard on this thread until the returned scope is dropped.
+    pub fn arm() -> Self {
+        Self {
+            outer: GUARD_ARMED.with(|armed| armed.replace(true)),
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// Take (and clear) the first violation latched on this thread since
+    /// the guard was armed or the trip was last taken.
+    pub fn take_trip(&self) -> Option<GuardTrip> {
+        GUARD_TRIP.with(Cell::take)
+    }
 }
 
-/// Take (and clear) this thread's latched guard trip, if any. Trips are
-/// per-thread, so a single-threaded inference session that polls between
-/// batches attributes a trip to its own forward pass, never to a neighbour.
-pub fn take_finite_guard_trip() -> Option<GuardTrip> {
-    GUARD_TRIP.with(|slot| slot.take())
+impl Drop for FiniteGuard {
+    fn drop(&mut self) {
+        GUARD_ARMED.with(|armed| armed.set(self.outer));
+        if !self.outer {
+            GUARD_TRIP.with(Cell::take);
+        }
+    }
 }
 
 /// Select the kernels globally (process-wide). Intended for benchmarks
@@ -240,7 +260,7 @@ fn dispatch(
     // support, and the slice-length assertions above establish the bounds
     // every kernel relies on.
     unsafe { (kernels.matmul)(out, a, b, bias, relu, n, k, d) }
-    if FINITE_GUARD.load(Ordering::Relaxed) {
+    if GUARD_ARMED.with(Cell::get) {
         // Branch-free detection pass: a float is non-finite iff its
         // magnitude bits reach the exponent-all-ones pattern, so a u32
         // max-reduction over `bits & !sign` finds "any NaN/Inf?" without an
@@ -958,30 +978,68 @@ mod tests {
 
     #[test]
     fn finite_guard_latches_first_violation_and_clears_on_take() {
-        set_finite_guard(true);
-        let _ = take_finite_guard_trip(); // drop any stale trip from other tests
+        let guard = FiniteGuard::arm();
 
         // A clean product must not trip the guard.
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let b = [0.5f32, -0.25, 1.5, 2.0];
         let mut out = [0.0f32; 4];
         matmul_into(&mut out, &a, &b, 2, 2, 2);
-        assert_eq!(take_finite_guard_trip(), None);
+        assert_eq!(guard.take_trip(), None);
 
         // A NaN operand poisons the output; the guard latches the first bad
         // element without altering the computed values.
         let poisoned = [f32::NAN, 2.0, 3.0, 4.0];
         matmul_into(&mut out, &poisoned, &b, 2, 2, 2);
-        let trip = take_finite_guard_trip().expect("NaN output must trip the guard");
+        let mut later = [0.0f32; 2];
+        matmul_into(&mut later, &poisoned[..2], &b, 1, 2, 2);
+        let trip = guard.take_trip().expect("NaN output must trip the guard");
         assert_eq!((trip.rows, trip.cols), (2, 2));
         assert!(!out[trip.index].is_finite());
         // Taking the trip clears it.
-        assert_eq!(take_finite_guard_trip(), None);
+        assert_eq!(guard.take_trip(), None);
+    }
 
-        // Disabled guard stays silent even on poisoned output.
-        set_finite_guard(false);
+    #[test]
+    fn finite_guard_reports_only_products_inside_its_scope() {
+        let b = [0.5f32, -0.25, 1.5, 2.0];
+        let poisoned = [1.0f32, 2.0, f32::NAN, 4.0];
+        let mut out = [0.0f32; 4];
+
+        // Inside an armed scope the trip names the first bad element.
+        {
+            let guard = FiniteGuard::arm();
+            matmul_into(&mut out, &poisoned, &b, 2, 2, 2);
+            let trip = guard.take_trip().expect("NaN output must trip the guard");
+            assert_eq!(
+                trip,
+                GuardTrip {
+                    index: 2,
+                    rows: 2,
+                    cols: 2
+                }
+            );
+        }
+
+        // Outside every scope nothing latches, so no later scope reports it.
         matmul_into(&mut out, &poisoned, &b, 2, 2, 2);
-        assert_eq!(take_finite_guard_trip(), None);
+        assert_eq!(FiniteGuard::arm().take_trip(), None);
+
+        // Nor does a trip its own scope left untaken.
+        {
+            let _untaken = FiniteGuard::arm();
+            matmul_into(&mut out, &poisoned, &b, 2, 2, 2);
+        }
+        assert_eq!(FiniteGuard::arm().take_trip(), None);
+
+        // A scope that unwinds leaves the thread disarmed.
+        let unwound = std::panic::catch_unwind(|| {
+            let _guard = FiniteGuard::arm();
+            panic!("scoring failed");
+        });
+        assert!(unwound.is_err());
+        matmul_into(&mut out, &poisoned, &b, 2, 2, 2);
+        assert_eq!(FiniteGuard::arm().take_trip(), None);
     }
 
     /// Every 4099th `f32` bit pattern (about a million, NaNs and infinities

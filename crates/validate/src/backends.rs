@@ -53,17 +53,6 @@ impl DquagBackend {
         }
     }
 
-    /// Attach a telemetry bundle: the fitted core validator (current and
-    /// every future refit through this backend) times its phase-2 stages and
-    /// counts forward passes into the bundle's registry.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        if let Some(fitted) = self.fitted.take() {
-            self.fitted = Some(fitted.with_telemetry(Arc::clone(&telemetry)));
-        }
-        self.telemetry = Some(telemetry);
-        self
-    }
-
     /// The trained core validator, if fitted — the escape hatch for
     /// DQuaG-only features (feature-graph inspection, training diagnostics).
     pub fn trained(&self) -> Option<&DquagValidator> {
@@ -199,6 +188,8 @@ impl Validator for DquagBackend {
     }
 
     fn attach_telemetry(&mut self, telemetry: &Arc<Telemetry>) {
+        // The fitted core validator, and every later fit through this
+        // backend, times its phase-2 stages and counts forward passes.
         if let Some(fitted) = self.fitted.take() {
             self.fitted = Some(fitted.with_telemetry(Arc::clone(telemetry)));
         }

@@ -837,7 +837,7 @@ mod tests {
     fn attached_telemetry_receives_per_column_statistics() {
         use dquag_core::spec::DriftSpec;
         use dquag_tabular::{DataFrame, Field, Schema, Value};
-        use dquag_telemetry::{DataTelemetryOptions, TelemetryOptions};
+        use dquag_telemetry::{TelemetryConfig, TelemetryDataConfig};
 
         let schema = Schema::new(vec![
             Field::numeric("amount", ""),
@@ -855,11 +855,16 @@ mod tests {
         let mut detector = DriftValidator::new(DriftSpec::default());
         detector.fit(&reference).unwrap();
 
-        let telemetry = Telemetry::with_options(TelemetryOptions {
+        let telemetry = TelemetryConfig {
             dump_on_error: false,
-            data: Some(DataTelemetryOptions::default()),
-            ..TelemetryOptions::default()
-        });
+            data: TelemetryDataConfig {
+                enabled: true,
+                ..TelemetryDataConfig::default()
+            },
+            ..TelemetryConfig::default()
+        }
+        .build()
+        .expect("telemetry is enabled");
         detector.attach_telemetry(&telemetry);
 
         // `amount` shifts far from the reference; `delay` stays put.

@@ -131,10 +131,11 @@ pub trait Validator: Send + Sync {
     /// weights, and so on. Backends without fitted state (or without a
     /// cheap integrity proof) return `Ok(())` — the default.
     ///
-    /// The streaming engine calls this when deciding whether a replica that
-    /// produced a [`ValidateError::Health`] should be quarantined; external
-    /// supervisors may call it periodically. Composites recurse into their
-    /// members and surface the first violation.
+    /// An on-demand probe for supervisors outside the engine. The streaming
+    /// engine does not call it: a worker quarantines its replica when
+    /// [`Validator::validate`] itself returns a [`ValidateError::Health`]
+    /// (armed sessions check while they score). Composites recurse into
+    /// their members and surface the first violation.
     fn health_check(&self) -> Result<()> {
         Ok(())
     }

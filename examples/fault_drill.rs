@@ -11,7 +11,7 @@
 //! cargo run --release --example fault_drill
 //! ```
 
-use dquag::core::{DquagConfig, SourceConfig};
+use dquag::core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag::faults::{FaultHandle, FaultKind, FaultSite, FaultedValidator};
 use dquag::gnn::ModelConfig;
@@ -20,7 +20,7 @@ use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::{StreamEngine, StreamOutcome};
 use dquag::tabular::csv;
 use dquag::tabular::DataFrame;
-use dquag::telemetry::{Telemetry, TelemetryOptions};
+use dquag::telemetry::TelemetryConfig;
 use dquag::validate::{DquagBackend, Validator, Verdict};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -78,13 +78,18 @@ fn serve(
     fault: Option<(FaultHandle, FaultKind)>,
     batches: &[DataFrame],
 ) -> (Vec<Verdict>, u64) {
-    let telemetry = Telemetry::with_options(TelemetryOptions {
+    let telemetry = TelemetryConfig {
         flight_recorder_capacity: 64,
-        ..TelemetryOptions::default()
-    });
+        ..TelemetryConfig::default()
+    }
+    .build()
+    .expect("telemetry is enabled");
     let mut builder = StreamEngine::builder()
-        .replicas(1)
-        .queue_capacity(batches.len())
+        .stream_config(&StreamConfig {
+            queue_capacity: batches.len(),
+            replicas: 1,
+            ..StreamConfig::default()
+        })
         .telemetry(Arc::clone(&telemetry));
     if let Some(path) = rebuild_from {
         builder = builder.rebuild_source(move || load_validator(&path).ok());

@@ -87,8 +87,10 @@ fn main() {
     let fit = validator.fit(&clean).expect("training succeeds");
     println!("fitted {} on {} rows", fit.validator, fit.n_rows);
 
-    let (engine, ingest, verdicts) =
-        StreamEngine::from_config(&config, validator).expect("stream configuration in range");
+    let (engine, ingest, verdicts) = StreamEngine::builder()
+        .stream_config(&config.stream)
+        .start(validator)
+        .expect("stream configuration in range");
 
     // The serving edge: one TCP/HTTP listener + one directory watcher,
     // supervised by a checkpointing runtime.

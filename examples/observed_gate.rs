@@ -102,10 +102,11 @@ fn main() {
         .log_interval
         .map(|interval| telemetry.start_log_emitter(interval));
 
-    // The same Arc goes to all three layers: the validator times its
-    // graph-build/forward/verdict stages, the engine counts batches and
-    // queue depth, the listener counts connections and decode errors.
-    let mut backend = DquagBackend::new(config.clone()).with_telemetry(Arc::clone(&telemetry));
+    // The same Arc goes to all three layers: the engine counts batches and
+    // queue depth and attaches the bundle to the validator, which times its
+    // graph-build/forward/verdict stages; the listener counts connections
+    // and decode errors.
+    let mut backend = DquagBackend::new(config.clone());
     let fit = backend.fit(&clean).expect("training");
     println!("fitted {} on {} rows", fit.validator, fit.n_rows);
 

@@ -128,8 +128,10 @@ fn main() {
         start.elapsed().as_secs_f64() * 1e3
     );
 
-    let (engine, ingest, verdicts) =
-        StreamEngine::from_config(&config, restored).expect("stream configuration in range");
+    let (engine, ingest, verdicts) = StreamEngine::builder()
+        .stream_config(&config.stream)
+        .start(restored)
+        .expect("stream configuration in range");
     let listener =
         NetListenerSource::from_config(&config.source, KIND.schema()).expect("loopback bind");
     let addr = listener.local_addr();

@@ -78,8 +78,10 @@ fn main() {
         fit.notes.join("; ")
     );
 
-    let (engine, ingest, verdicts) =
-        StreamEngine::from_config(&config, validator).expect("stream configuration in range");
+    let (engine, ingest, verdicts) = StreamEngine::builder()
+        .stream_config(&config.stream)
+        .start(validator)
+        .expect("stream configuration in range");
     println!(
         "engine up: {} replicas, queue capacity {}, {:?} backpressure\n",
         engine.replicas(),
