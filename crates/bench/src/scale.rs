@@ -52,9 +52,6 @@ impl Scale {
 
     /// The DQuaG pipeline configuration for this scale.
     pub fn dquag_config(&self) -> DquagConfig {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let config = match self {
             Scale::Smoke => DquagConfig {
                 model: ModelConfig {
@@ -82,12 +79,9 @@ impl Scale {
                 ..DquagConfig::default()
             },
         };
-        DquagConfig {
-            validation_threads: threads,
-            ..config
-        }
-        .validated()
-        .expect("scale configurations are in range")
+        config
+            .validated()
+            .expect("scale configurations are in range")
     }
 
     /// Sample sizes for the Table 3 sweep.

@@ -273,7 +273,6 @@ impl SourceConfig {
 ///
 /// let mut config = DquagConfig {
 ///     epochs: 15,
-///     validation_threads: 4,
 ///     ..DquagConfig::default()
 /// };
 /// config.model.hidden_dim = 24;
@@ -311,8 +310,6 @@ pub struct DquagConfig {
     pub feature_sigma: f32,
     /// Rows sampled for feature-relationship inference (paper: 100).
     pub oracle_sample_size: usize,
-    /// Worker threads used during phase-2 validation (1 = sequential).
-    pub validation_threads: usize,
     /// Rows handed to each `score_errors`/`score_repairs` call during
     /// scoring, calibration and repair. The network splits every call into
     /// equal cache-sized forward passes of at most
@@ -355,7 +352,6 @@ impl Default for DquagConfig {
             dataset_flag_factor: 1.2,
             feature_sigma: 5.0,
             oracle_sample_size: 100,
-            validation_threads: 1,
             inference_batch_size: 256,
             stream: StreamConfig::default(),
             source: SourceConfig::default(),
@@ -435,9 +431,6 @@ impl DquagConfig {
                 self.oracle_sample_size
             ));
         }
-        if self.validation_threads == 0 {
-            return fail("validation_threads must be at least 1".to_string());
-        }
         if self.inference_batch_size == 0 {
             return fail("inference_batch_size must be at least 1".to_string());
         }
@@ -506,7 +499,7 @@ mod tests {
         use crate::CoreError;
         // Each case puts one field of the default configuration out of range.
         type PutOutOfRange = fn(&mut DquagConfig);
-        let cases: [(PutOutOfRange, &str); 34] = [
+        let cases: [(PutOutOfRange, &str); 33] = [
             (|c| c.epochs = 0, "epochs"),
             (|c| c.batch_size = 0, "batch_size"),
             (|c| c.learning_rate = 0.0, "learning_rate"),
@@ -519,7 +512,6 @@ mod tests {
             (|c| c.dataset_flag_factor = 0.0, "dataset_flag_factor"),
             (|c| c.feature_sigma = -1.0, "feature_sigma"),
             (|c| c.oracle_sample_size = 1, "oracle_sample_size"),
-            (|c| c.validation_threads = 0, "validation_threads"),
             (|c| c.inference_batch_size = 0, "inference_batch_size"),
             (|c| c.stream.queue_capacity = 0, "queue_capacity"),
             (|c| c.stream.replicas = 0, "replicas"),

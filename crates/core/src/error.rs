@@ -12,6 +12,10 @@ pub enum CoreError {
     SchemaMismatch(String),
     /// A configuration value is outside its legal range.
     InvalidConfig(String),
+    /// A validation report handed to repair was made for another dataframe:
+    /// it covers another number of rows, or flags a row or cell outside the
+    /// frame.
+    ReportMismatch(String),
     /// An error bubbled up from the tabular substrate.
     Tabular(String),
     /// An error bubbled up from feature-graph construction.
@@ -34,6 +38,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidTrainingData(msg) => write!(f, "invalid training data: {msg}"),
             CoreError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CoreError::ReportMismatch(msg) => write!(f, "report does not fit the data: {msg}"),
             CoreError::Tabular(msg) => write!(f, "tabular error: {msg}"),
             CoreError::Graph(msg) => write!(f, "feature-graph error: {msg}"),
             CoreError::CorruptModel(msg) => write!(f, "corrupt model state: {msg}"),

@@ -504,52 +504,17 @@ impl DquagValidator {
     /// Per-feature squared reconstruction errors for every row, flattened
     /// row-major with stride `n_features` — the phase-2 hot path. Rows are
     /// stacked into matrix-level forward passes of up to
-    /// `inference_batch_size` (1 scores every row alone), on inference
-    /// sessions that bind the parameters once per worker instead of once per
+    /// `inference_batch_size` (1 scores every row alone) on one inference
+    /// session, which binds the parameters once per call instead of once per
     /// row. One flat buffer keeps memory at the size of the encoded input
     /// instead of one allocation per row.
-    fn feature_errors_for_rows<R: AsRef<[f32]> + Sync>(&self, rows: &[R]) -> Result<Vec<f32>> {
-        let stride = self.network.n_features();
-        let mut results = vec![0.0f32; rows.len() * stride];
-        let threads = self.config.validation_threads.max(1);
-        if threads == 1 || rows.len() < 64 {
-            self.score_rows_into(rows, &mut results)?;
-            return Ok(results);
-        }
-        // Parallel phase-2 validation: forward passes are independent, the
-        // network is immutable, so rows are simply split across scoped
-        // threads, each with its own inference session writing a disjoint
-        // range of the flat output.
-        let chunk_size = rows.len().div_ceil(threads);
-        let mut worker_results: Vec<Result<()>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk_size)
-                .zip(results.chunks_mut(chunk_size * stride.max(1)))
-                .map(|(row_chunk, out_chunk)| {
-                    scope.spawn(move || self.score_rows_into(row_chunk, out_chunk))
-                })
-                .collect();
-            worker_results = handles
-                .into_iter()
-                .map(|handle| handle.join().expect("validation worker panicked"))
-                .collect();
-        });
-        // The first health violation wins; with every worker scoring the
-        // same corrupt store they would all report the same mismatch anyway.
-        for worker in worker_results {
-            worker?;
-        }
-        Ok(results)
-    }
-
-    /// Score a contiguous run of rows on one inference session, writing
-    /// flattened per-feature errors (stride `n_features`) into `out`.
+    ///
     /// The session is armed with this validator's self-checks; a health
     /// violation aborts scoring and surfaces as [`CoreError::Health`] —
     /// scores from a corrupt model are never handed upward.
-    fn score_rows_into<R: AsRef<[f32]>>(&self, rows: &[R], out: &mut [f32]) -> Result<()> {
+    fn feature_errors_for_rows<R: AsRef<[f32]>>(&self, rows: &[R]) -> Result<Vec<f32>> {
         let stride = self.network.n_features();
+        let mut results = vec![0.0f32; rows.len() * stride];
         let session = self.network.inference_session();
         self.arm_session(&session);
         let mut offset = 0;
@@ -560,11 +525,11 @@ impl DquagValidator {
                 self.observe_session(&session);
                 return Err(violation);
             }
-            scores.write_feature_errors(&mut out[offset..offset + len]);
+            scores.write_feature_errors(&mut results[offset..offset + len]);
             offset += len;
         }
         self.observe_session(&session);
-        Ok(())
+        Ok(results)
     }
 
     /// Phase 2: validate a new dataset against the learned clean patterns.
@@ -648,11 +613,37 @@ impl DquagValidator {
     /// Phase 2, repair step: return a copy of `df` in which every flagged
     /// cell has been replaced by the repair decoder's suggestion (decoded back
     /// to the original value domain). Unflagged cells are never touched.
+    ///
+    /// Fails with [`CoreError::ReportMismatch`] when `report` was not made
+    /// for `df`: it covers another number of rows, or flags a row or cell
+    /// outside the frame.
     pub fn repair(&self, df: &DataFrame, report: &ValidationReport) -> Result<DataFrame> {
         let encoded = self
             .encoder
             .transform(df)
             .map_err(|e| CoreError::SchemaMismatch(e.to_string()))?;
+        let (n_rows, n_cols) = (df.n_rows(), df.n_cols());
+        if report.n_instances() != n_rows {
+            return Err(CoreError::ReportMismatch(format!(
+                "the report covers {} rows, the dataframe has {n_rows}",
+                report.n_instances()
+            )));
+        }
+        if let Some(row) = report.flagged_instances.iter().find(|&&row| row >= n_rows) {
+            return Err(CoreError::ReportMismatch(format!(
+                "flagged row {row} is outside the dataframe's {n_rows} rows"
+            )));
+        }
+        if let Some(cell) = report
+            .cell_flags
+            .iter()
+            .find(|cell| cell.row >= n_rows || cell.column >= n_cols)
+        {
+            return Err(CoreError::ReportMismatch(format!(
+                "flagged cell ({}, {}) is outside the dataframe's {n_rows} × {n_cols} cells",
+                cell.row, cell.column
+            )));
+        }
         let mut repaired = df.clone();
         // Collect the rows that actually need repairs, then run the repair
         // decoder over all of them in batched forward passes.
@@ -944,25 +935,56 @@ mod tests {
     }
 
     #[test]
-    fn parallel_validation_matches_sequential() {
-        let clean = DatasetKind::HotelBooking.generate_clean(600, 5);
-        let mut config = DquagConfig::fast();
-        config.epochs = 8;
-        let sequential = DquagValidator::train(&clean, &[], &config).unwrap();
-        let mut parallel_cfg = config.clone();
-        parallel_cfg.validation_threads = 4;
-        let parallel = DquagValidator::train(&clean, &[], &parallel_cfg).unwrap();
+    fn repair_rejects_a_report_made_for_another_batch() {
+        let (validator, clean) = trained_credit_validator();
+        let mut rng = dquag_datagen::rng(24);
+        let mut large = clean.split_at(300).unwrap().0;
+        let cols = DatasetKind::CreditCard.default_ordinary_error_columns();
+        inject_ordinary(
+            &mut large,
+            OrdinaryError::NumericAnomalies,
+            &cols,
+            0.25,
+            &mut rng,
+        );
+        let large_report = validator.validate(&large).unwrap();
+        let small = clean.split_at(20).unwrap().0;
+        let (n_rows, n_cols) = (small.n_rows(), small.n_cols());
+        assert!(large_report
+            .flagged_instances
+            .iter()
+            .any(|&row| row >= n_rows));
+        let rejected = |report: &ValidationReport| {
+            matches!(
+                validator.repair(&small, report),
+                Err(CoreError::ReportMismatch(_))
+            )
+        };
 
-        let batch = clean.split_at(200).unwrap().0;
-        let seq_errors = sequential.validate(&batch).unwrap().instance_errors;
-        let par_errors = parallel.validate(&batch).unwrap().instance_errors;
-        assert_eq!(seq_errors.len(), par_errors.len());
-        for (a, b) in seq_errors.iter().zip(par_errors.iter()) {
-            assert!(
-                (a - b).abs() < 1e-6,
-                "parallel and sequential errors must agree"
-            );
-        }
+        // Another batch's report: another row count, flagged rows past the end.
+        assert!(rejected(&large_report));
+        // The right row count, but a flagged row or cell outside the frame.
+        let cell = |row, column| CellFlag {
+            row,
+            column,
+            error: 1.0,
+        };
+        let errors = vec![1.0; n_rows];
+        let past_last_row = ValidationReport::new(
+            errors.clone(),
+            vec![n_rows],
+            vec![cell(n_rows, 0)],
+            true,
+            0.5,
+        );
+        assert!(rejected(&past_last_row));
+        let past_last_column =
+            ValidationReport::new(errors, vec![0], vec![cell(0, n_cols)], true, 0.5);
+        assert!(rejected(&past_last_column));
+
+        // The batch's own report still drives a repair.
+        let own = validator.validate(&small).unwrap();
+        assert_eq!(validator.repair(&small, &own).unwrap().n_rows(), n_rows);
     }
 
     /// The same fitted weights and threshold, scoring `rows` rows per
@@ -1195,25 +1217,6 @@ mod tests {
         assert!(matches!(
             poisoned.validate(&batch),
             Err(CoreError::Health(HealthError::NonFiniteScores { .. }))
-        ));
-    }
-
-    #[test]
-    fn parallel_validation_propagates_health_errors() {
-        let clean = DatasetKind::HotelBooking.generate_clean(600, 5);
-        let mut config = DquagConfig::fast();
-        config.epochs = 8;
-        config.validation_threads = 4;
-        let mut validator = DquagValidator::train(&clean, &[], &config).unwrap();
-        let batch = clean.split_at(300).unwrap().0;
-        validator.validate(&batch).unwrap();
-        validator.corrupt_params_with(|store| {
-            let (_, m) = store.iter_mut().next().unwrap();
-            m.set(0, 0, f32::NAN);
-        });
-        assert!(matches!(
-            validator.validate(&batch),
-            Err(CoreError::Health(_))
         ));
     }
 

@@ -1,14 +1,14 @@
 //! Pipeline-level golden test for batched inference: fit once, validate the
-//! datagen error catalog through `ValidationSession` *and* the stream engine
-//! scoring 32 rows per forward pass vs one, and assert identical `Verdict`s
-//! and `SessionSummary` counts. Like the replica count, matrix-level batching
-//! must be an implementation detail no consumer can observe.
+//! datagen error catalog through direct `validate` calls *and* the stream
+//! engine scoring 32 rows per forward pass vs one, and assert identical
+//! `Verdict`s. Like the replica count, matrix-level batching must be an
+//! implementation detail no consumer can observe.
 
 use dquag_core::{DquagConfig, DquagValidator, StreamConfig};
 use dquag_datagen::{inject_hidden, inject_ordinary, DatasetKind, HiddenError, OrdinaryError};
 use dquag_stream::StreamEngine;
 use dquag_tabular::DataFrame;
-use dquag_validate::{DquagBackend, ValidationSession, Verdict};
+use dquag_validate::{DquagBackend, Validator, Verdict};
 
 /// Clean reference data plus the error catalog: one batch per ordinary error
 /// type, one per applicable hidden conflict, plus clean controls.
@@ -88,29 +88,20 @@ fn batching_is_invisible_through_session_and_stream_engine() {
         Box::new(DquagBackend::from_trained(validator))
     };
 
-    // Path 1: the ValidationSession front-end.
-    let mut session_batched = ValidationSession::from_fitted(backend(true));
-    let mut session_per_row = ValidationSession::from_fitted(backend(false));
-    session_batched
-        .push_batches(&batches)
-        .expect("batched session validates");
-    session_per_row
-        .push_batches(&batches)
-        .expect("per-row session validates");
-    assert_same_verdicts(
-        session_batched.history(),
-        session_per_row.history(),
-        "session",
-    );
-    assert_eq!(
-        session_batched.summary(),
-        session_per_row.summary(),
-        "SessionSummary counts must be identical"
-    );
+    // Path 1: direct `validate` calls.
+    let validate_all = |batched: bool| -> Vec<Verdict> {
+        let validator = backend(batched);
+        batches
+            .iter()
+            .map(|batch| validator.validate(batch).expect("same schema"))
+            .collect()
+    };
+    let direct_batched = validate_all(true);
+    assert_same_verdicts(&direct_batched, &validate_all(false), "direct");
+    let n_dirty = direct_batched.iter().filter(|v| v.is_dirty).count();
     assert!(
-        session_batched.n_dirty() >= 3,
-        "the error catalog must actually trip the validator ({} dirty)",
-        session_batched.n_dirty()
+        n_dirty >= 3,
+        "the error catalog must actually trip the validator ({n_dirty} dirty)"
     );
 
     // Path 2: the stream engine's replica workers.

@@ -1,10 +1,10 @@
 //! Composite replica-invariance: a spec-built ensemble behaves identically
-//! under the sharded streaming engine and the plain `ValidationSession`.
+//! under the sharded streaming engine and direct `validate` calls.
 //!
 //! The acceptance pipeline of the composable-spec redesign, end to end: a
 //! JSON `ValidatorSpec` containing an `Ensemble` and a `Drift` node is
 //! deserialised, built through the default registry, fitted once per copy,
-//! and driven through (a) a `ValidationSession`, (b) a single-replica
+//! and driven through (a) direct `validate` calls, (b) a single-replica
 //! `StreamEngine` and (c) a 3-replica `StreamEngine`. All three verdict
 //! streams — and a fourth from an in-code-constructed copy of the same spec
 //! — must be identical: replica count and construction path are
@@ -15,7 +15,7 @@ use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_stream::{StreamEngine, StreamOutcome, SubmitOutcome};
 use dquag_tabular::DataFrame;
 use dquag_validate::spec::{ValidatorSpec, Voting};
-use dquag_validate::{build_spec, ValidationSession, Verdict};
+use dquag_validate::{build_spec, Verdict};
 
 /// Clean reference data plus a mixed clean/corrupted/shifted batch stream.
 /// Credit Card at conformance-suite scale: batches large enough that the
@@ -122,14 +122,13 @@ fn ensemble_spec_verdicts_are_invariant_across_session_and_sharded_engine() {
     let parsed: ValidatorSpec = serde_json::from_str(SPEC_JSON).expect("spec JSON parses");
     assert_eq!(parsed, in_code_spec(), "JSON and in-code trees agree");
 
-    // Path 1: ValidationSession over the parsed spec.
-    let session_validator = build_spec(&parsed, &config).expect("spec builds");
-    let mut session = ValidationSession::fit(session_validator, &clean).expect("fit succeeds");
-    let session_verdicts: Vec<Verdict> = session
-        .push_batches(&batches)
-        .expect("validation succeeds")
-        .to_vec();
-    assert_eq!(session_verdicts.len(), batches.len());
+    // Path 1: direct calls on the parsed spec.
+    let mut validator = build_spec(&parsed, &config).expect("spec builds");
+    validator.fit(&clean).expect("fit succeeds");
+    let direct_verdicts: Vec<Verdict> = batches
+        .iter()
+        .map(|batch| validator.validate(batch).expect("validation succeeds"))
+        .collect();
 
     // Paths 2 + 3: the streaming engine, unsharded and sharded. The drift
     // member replicates by cloning; the baselines decline, so the engine
@@ -140,19 +139,19 @@ fn ensemble_spec_verdicts_are_invariant_across_session_and_sharded_engine() {
     // Path 4: the in-code copy of the same tree.
     let in_code = verdicts_via_engine(&in_code_spec(), &config, &clean, &batches, 2);
 
-    assert_eq!(session_verdicts, single, "session vs 1-replica engine");
+    assert_eq!(direct_verdicts, single, "direct calls vs 1-replica engine");
     assert_eq!(single, sharded, "1-replica vs 3-replica engine");
     assert_eq!(sharded, in_code, "parsed spec vs in-code spec");
 
     // The stream is not degenerate: the ensemble passes clean batches and
     // flags at least the ordinary-error ones.
-    assert!(!session_verdicts[0].is_dirty, "clean batch must pass");
+    assert!(!direct_verdicts[0].is_dirty, "clean batch must pass");
     assert!(
-        session_verdicts[1].is_dirty,
+        direct_verdicts[1].is_dirty,
         "ordinary-error batch must be flagged (score {})",
-        session_verdicts[1].score
+        direct_verdicts[1].score
     );
-    for verdict in &session_verdicts {
+    for verdict in &direct_verdicts {
         assert_eq!(
             verdict.validator,
             "majority(KS/PSI drift, Deequ auto, Gate)"

@@ -5,7 +5,7 @@ use crate::verdict::Capabilities;
 use crate::{FitReport, Result, ValidateError, Validator, Verdict};
 use dquag_baselines::{BaselineKind, BatchValidator};
 use dquag_core::{DquagConfig, DquagValidator};
-use dquag_tabular::DataFrame;
+use dquag_tabular::{DataFrame, Schema};
 use dquag_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -231,10 +231,15 @@ impl Validator for DquagBackend {
 /// Wraps the `dquag_baselines::BatchValidator` SPI and lifts its flat
 /// [`dquag_baselines::BatchVerdict`] into the graded [`Verdict`] (without
 /// instance detail — none of the baselines localises errors).
+///
+/// The baselines look columns up by position or skip the ones they cannot
+/// find, so a batch of another schema would be judged on whatever columns
+/// happen to line up. The backend keeps the schema it was fitted on and
+/// refuses any other one.
 pub struct BaselineBackend {
     kind: BaselineKind,
     inner: Box<dyn BatchValidator>,
-    fitted: bool,
+    fitted: Option<Schema>,
 }
 
 impl BaselineBackend {
@@ -243,7 +248,7 @@ impl BaselineBackend {
         Self {
             kind,
             inner: kind.build(),
-            fitted: false,
+            fitted: None,
         }
     }
 
@@ -264,7 +269,7 @@ impl Validator for BaselineBackend {
 
     fn fit(&mut self, clean: &DataFrame) -> Result<FitReport> {
         self.inner.fit(clean);
-        self.fitted = true;
+        self.fitted = Some(clean.schema().clone());
         Ok(FitReport {
             validator: self.name().to_string(),
             n_rows: clean.n_rows(),
@@ -276,8 +281,17 @@ impl Validator for BaselineBackend {
     }
 
     fn validate(&self, batch: &DataFrame) -> Result<Verdict> {
-        if !self.fitted {
+        let Some(schema) = &self.fitted else {
             return Err(ValidateError::NotFitted(self.name().to_string()));
+        };
+        if batch.schema() != schema {
+            return Err(ValidateError::InvalidBatch(format!(
+                "the batch's schema differs from the one `{}` was fitted on \
+                 (columns {:?}, expected {:?})",
+                self.name(),
+                batch.schema().names(),
+                schema.names()
+            )));
         }
         let verdict = self.inner.validate(batch);
         Ok(Verdict::dataset_level(

@@ -4,8 +4,7 @@
 //! Both combinators implement [`Validator`] *compositionally*: `fit` fits
 //! every member, `validate` delegates and combines, `capabilities` derives
 //! from the members', and `replicate` succeeds iff every member replicates —
-//! so the streaming engine's sharding and the session's parallel validation
-//! work unchanged above any spec tree.
+//! so the streaming engine's sharding works unchanged above any spec tree.
 
 use crate::verdict::Capabilities;
 use crate::{FitReport, Result, ValidateError, Validator, Verdict};

@@ -23,11 +23,12 @@
 //!   reference;
 //! * [`EnsembleValidator`] / [`GatedValidator`] — composite validators that
 //!   fit, validate and [`replicate`] *compositionally*, so the streaming
-//!   engine shards any spec tree unchanged;
-//! * [`ValidationSession`] — owns a fitted validator and streams incoming
-//!   batches: `push_batch`/iterator ingestion, verdict history and rolling
-//!   error rate. It judges batches one after another; a DQuaG backend
-//!   splits each batch's rows across `DquagConfig::validation_threads`.
+//!   engine shards any spec tree unchanged.
+//!
+//! A fitted validator is called directly — [`Validator::validate`] judges
+//! one batch, [`Validator::repair`] proposes fixes for what it flagged — or
+//! served by the `dquag-stream` engine, whose `stream.replicas` setting
+//! spreads batches across cores.
 //!
 //! [`register`]: ValidatorRegistry::register
 //! [`replicate`]: Validator::replicate
@@ -35,7 +36,7 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use dquag_validate::{build_spec, ValidationSession, ValidatorSpec};
+//! use dquag_validate::{build_spec, ValidatorSpec, Verdict};
 //! use dquag_core::DquagConfig;
 //! # fn get_clean() -> dquag_tabular::DataFrame { unimplemented!() }
 //! # fn get_batches() -> Vec<dquag_tabular::DataFrame> { unimplemented!() }
@@ -46,12 +47,16 @@
 //! }
 //! .validated()
 //! .unwrap();
-//! let validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
-//! let mut session = ValidationSession::fit(validator, &get_clean()).unwrap();
-//! for verdict in session.push_batches(&get_batches()).unwrap() {
+//! let mut validator = build_spec(&ValidatorSpec::backend("dquag"), &config).unwrap();
+//! validator.fit(&get_clean()).unwrap();
+//! let mut history: Vec<Verdict> = Vec::new();
+//! for batch in get_batches() {
+//!     let verdict = validator.validate(&batch).unwrap();
 //!     println!("{}: dirty={} score={:.4}", verdict.validator, verdict.is_dirty, verdict.score);
+//!     history.push(verdict);
 //! }
-//! println!("rolling error rate: {:.2}%", 100.0 * session.rolling_error_rate(5));
+//! let dirty = history.iter().filter(|verdict| verdict.is_dirty).count();
+//! println!("{dirty} of {} batches dirty", history.len());
 //! ```
 
 #![warn(missing_docs)]
@@ -62,7 +67,6 @@ mod combinators;
 mod drift;
 mod persist_state;
 mod registry;
-mod session;
 pub mod spec;
 mod validator;
 mod verdict;
@@ -75,7 +79,6 @@ pub use persist_state::{
     EnsembleState, GatedState, NumericProfileState, PersistedValidatorState,
 };
 pub use registry::{build_spec, default_registry, BackendBuilder, ValidatorRegistry};
-pub use session::{SessionSummary, ValidationSession};
 pub use spec::{
     BackendSpec, DriftSpec, DriftTest, EnsembleSpec, EscalateWhen, GatedSpec, ValidatorSpec, Voting,
 };

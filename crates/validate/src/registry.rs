@@ -216,7 +216,6 @@ fn build_dquag(spec: &BackendSpec, config: &DquagConfig) -> Result<Box<dyn Valid
             "threshold_percentile" => config.threshold_percentile = value,
             "dataset_flag_factor" => config.dataset_flag_factor = value,
             "feature_sigma" => config.feature_sigma = value as f32,
-            "validation_threads" => config.validation_threads = param_usize(key, value)?,
             "inference_batch_size" => config.inference_batch_size = param_usize(key, value)?,
             "seed" => config.seed = param_usize(key, value)? as u64,
             other => {
@@ -224,7 +223,7 @@ fn build_dquag(spec: &BackendSpec, config: &DquagConfig) -> Result<Box<dyn Valid
                     "backend `dquag` does not understand param `{other}` (supported: \
                      epochs, batch_size, hidden_dim, n_layers, learning_rate, \
                      threshold_percentile, dataset_flag_factor, feature_sigma, \
-                     validation_threads, inference_batch_size, seed)"
+                     inference_batch_size, seed)"
                 )))
             }
         }

@@ -63,6 +63,11 @@ impl From<CoreError> for ValidateError {
             // Health violations keep their structure so callers can match on
             // them without string-parsing a Core wrapper.
             CoreError::Health(violation) => ValidateError::Health(violation),
+            // A batch of another schema, or a verdict made for another
+            // batch, is the caller's problem, as it is for every backend.
+            e @ (CoreError::SchemaMismatch(_) | CoreError::ReportMismatch(_)) => {
+                ValidateError::InvalidBatch(e.to_string())
+            }
             other => ValidateError::Core(other),
         }
     }
@@ -74,12 +79,13 @@ impl From<CoreError> for ValidateError {
 /// The paper's five systems (DQuaG, Deequ, TFDV, ADQV, Gate) all answer the
 /// same question — "is this incoming batch dirty?" — with different amounts
 /// of detail. This trait is the single seam they plug into: benches,
-/// examples, the [`crate::ValidationSession`] and future backends all program
-/// against `dyn Validator` and construct instances from a
-/// [`crate::ValidatorSpec`] through [`crate::build_spec`].
+/// examples, the streaming engine and future backends all program against
+/// `dyn Validator` and construct instances from a [`crate::ValidatorSpec`]
+/// through [`crate::build_spec`].
 ///
 /// Implementations must be `Send + Sync`: a fitted validator is immutable
-/// during validation, and the session fans batches out across threads.
+/// during validation, and the streaming engine shares one across its
+/// replica workers when it cannot [`replicate`](Validator::replicate) it.
 pub trait Validator: Send + Sync {
     /// Display name used in tables and verdicts (e.g. `"DQuaG"`,
     /// `"Deequ expert"`).
@@ -92,7 +98,9 @@ pub trait Validator: Send + Sync {
     fn fit(&mut self, clean: &DataFrame) -> Result<FitReport>;
 
     /// Judge a batch of new data. Errors with [`ValidateError::NotFitted`]
-    /// when called before [`Validator::fit`].
+    /// when called before [`Validator::fit`], and with
+    /// [`ValidateError::InvalidBatch`] when the batch's schema differs from
+    /// the one the validator was fitted on.
     fn validate(&self, batch: &DataFrame) -> Result<Verdict>;
 
     /// Propose a repaired copy of `batch` for the problems named in

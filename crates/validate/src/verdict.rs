@@ -130,8 +130,8 @@ impl Verdict {
     /// where the backend localises errors, otherwise `1.0`/`0.0` for a
     /// dirty/clean dataset verdict. Backend-native [`Verdict::score`]s live
     /// on incomparable scales (kNN distances, drift ratios), so they are
-    /// deliberately *not* used here. This is the quantity the
-    /// [`crate::ValidationSession`] averages into its rolling error rate.
+    /// deliberately *not* used here: averaged over a history of verdicts,
+    /// this rate compares backends on one scale.
     pub fn error_rate(&self) -> f64 {
         match self.flagged_fraction() {
             Some(fraction) => fraction,

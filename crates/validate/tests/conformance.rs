@@ -11,12 +11,13 @@
 //! * instance/cell detail is present exactly when the backend's
 //!   [`Capabilities`] claim it (and is internally consistent);
 //! * verdicts survive a serde round-trip;
-//! * validating before fitting fails with `NotFitted`.
+//! * validating before fitting fails with `NotFitted`;
+//! * a batch of another schema fails with `InvalidBatch`, also for `drift`.
 
 use dquag_baselines::BaselineKind;
 use dquag_core::DquagConfig;
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
-use dquag_tabular::DataFrame;
+use dquag_tabular::{DataFrame, Schema};
 use dquag_validate::{build_spec, Capabilities, ValidateError, Validator, ValidatorSpec, Verdict};
 
 fn test_config() -> DquagConfig {
@@ -67,6 +68,17 @@ fn fixtures() -> (DataFrame, DataFrame, DataFrame) {
         &mut rng,
     );
     (clean, clean_batch, dirty_batch)
+}
+
+/// `frame` without its last column.
+fn without_last_column(frame: &DataFrame) -> DataFrame {
+    let fields = frame.schema().fields();
+    let mut cut = DataFrame::new(Schema::new(fields[..fields.len() - 1].to_vec()));
+    for mut row in frame.iter_rows() {
+        row.pop();
+        cut.push_row(row).expect("the row fits the cut schema");
+    }
+    cut
 }
 
 fn assert_verdict_contract(verdict: &Verdict, label: &str, caps: Capabilities, n_rows: usize) {
@@ -215,6 +227,36 @@ fn repair_is_gated_by_capabilities() {
         if let Some(repaired) = repaired {
             assert_eq!(repaired.n_rows(), dirty_batch.n_rows());
             assert_eq!(repaired.schema(), dirty_batch.schema());
+        }
+    }
+}
+
+#[test]
+fn batches_of_another_schema_are_rejected_not_judged() {
+    // The baselines look columns up by position or skip the ones they cannot
+    // find; judged anyway, a batch missing a column reads as clean and a
+    // wider one indexes past the fitted columns.
+    let (clean, _, dirty_batch) = fixtures();
+    let cut = without_last_column(&dirty_batch);
+    let other_dataset = DatasetKind::HotelBooking.generate_clean(300, 75);
+    let specs = paper_specs()
+        .into_iter()
+        .map(|(_, spec)| spec)
+        .chain([ValidatorSpec::backend("drift")]);
+    for spec in specs {
+        let mut validator = build(&spec);
+        validator.fit(&clean).expect("fit succeeds");
+        for (case, batch) in [
+            ("with one column dropped", &cut),
+            ("from Hotel Booking", &other_dataset),
+        ] {
+            match validator.validate(batch) {
+                Err(ValidateError::InvalidBatch(_)) => {}
+                other => panic!(
+                    "{} on a batch {case}: expected InvalidBatch, got {other:?}",
+                    validator.name()
+                ),
+            }
         }
     }
 }

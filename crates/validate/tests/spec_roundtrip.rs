@@ -4,8 +4,7 @@
 //! [`ValidatorSpec`] is *pure data*. Serialising a tree to JSON and
 //! deserialising it back must yield an equal tree, and building both copies
 //! through the registry must yield validators that — fitted on the same
-//! clean reference — produce **identical verdicts** on every batch, whether
-//! validated directly or through a [`ValidationSession`].
+//! clean reference — produce **identical verdicts** on every batch.
 //!
 //! A seeded randomized generator explores the spec grammar (backend leaves,
 //! drift nodes with random thresholds, ensembles under every voting policy,
@@ -16,8 +15,8 @@
 use dquag_core::DquagConfig;
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag_tabular::{DataFrame, DataType, Value};
+use dquag_validate::build_spec;
 use dquag_validate::spec::{DriftSpec, DriftTest, EscalateWhen, ValidatorSpec, Voting};
-use dquag_validate::{build_spec, ValidationSession};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -183,33 +182,33 @@ fn acceptance_spec_json_builds_fits_and_matches_the_in_code_copy() {
     let (clean, batches) = fixtures();
     let config = DquagConfig::fast();
 
-    // Copy A judges through a ValidationSession, copy B directly; the
-    // verdict streams must be identical.
-    let session_copy = build_spec(&parsed, &config).expect("parsed spec builds");
-    let mut session = ValidationSession::fit(session_copy, &clean).expect("fit succeeds");
-    let session_verdicts: Vec<_> = session
-        .push_batches(&batches)
-        .expect("validation succeeds")
-        .to_vec();
+    // Copy A is built from the parsed literal, copy B from the in-code
+    // tree; the verdict streams must be identical.
+    let mut parsed_copy = build_spec(&parsed, &config).expect("parsed spec builds");
+    parsed_copy.fit(&clean).expect("fit succeeds");
+    let parsed_verdicts: Vec<_> = batches
+        .iter()
+        .map(|batch| parsed_copy.validate(batch).expect("validation succeeds"))
+        .collect();
 
     let mut direct = build_spec(&in_code, &config).expect("in-code spec builds");
     direct.fit(&clean).expect("fit succeeds");
-    for (verdict, batch) in session_verdicts.iter().zip(&batches) {
+    for (verdict, batch) in parsed_verdicts.iter().zip(&batches) {
         assert_eq!(
             verdict,
             &direct.validate(batch).expect("validate succeeds"),
-            "session and direct verdicts must match"
+            "parsed and in-code verdicts must match"
         );
         assert_eq!(verdict.validator, "majority(KS/PSI drift, ADQV, Gate)");
     }
 
     // The ensemble actually catches the catalog: clean passes, the
     // ordinary-error batch is flagged by a majority.
-    assert!(!session_verdicts[0].is_dirty, "clean batch must pass");
+    assert!(!parsed_verdicts[0].is_dirty, "clean batch must pass");
     assert!(
-        session_verdicts[1].is_dirty,
+        parsed_verdicts[1].is_dirty,
         "ordinary-error batch must be flagged (score {})",
-        session_verdicts[1].score
+        parsed_verdicts[1].score
     );
 }
 

@@ -18,7 +18,7 @@
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag::tabular::{DataFrame, Value};
-use dquag::validate::{build_spec, ValidationSession, ValidatorSpec};
+use dquag::validate::{build_spec, ValidatorSpec};
 
 /// The deployment spec, exactly as it would live in a config file.
 const SPEC_JSON: &str = r#"{"Ensemble": {"members": [
@@ -52,13 +52,13 @@ fn main() {
     let spec: ValidatorSpec = serde_json::from_str(SPEC_JSON).expect("spec JSON parses");
     println!("deployment spec: {spec}\n");
 
-    let validator = build_spec(&spec, &DquagConfig::default()).expect("spec builds");
+    let mut validator = build_spec(&spec, &DquagConfig::default()).expect("spec builds");
     println!(
         "fitting `{}` on {} clean rows …",
         validator.name(),
         clean.n_rows()
     );
-    let mut session = ValidationSession::fit(validator, &clean).expect("fitting succeeds");
+    validator.fit(&clean).expect("fitting succeeds");
 
     // The feed: a clean batch, a batch with injected value errors, and a
     // mean-shifted batch only the drift member can see.
@@ -74,27 +74,16 @@ fn main() {
     );
     let drifted_batch = drifted(kind, 85, 1.6);
 
-    for (label, batch) in [
-        ("clean", &clean_batch),
-        ("value errors", &dirty_batch),
-        ("distribution drift", &drifted_batch),
+    for (label, batch, expect_dirty) in [
+        ("clean", &clean_batch, false),
+        ("value errors", &dirty_batch, true),
+        ("distribution drift", &drifted_batch, true),
     ] {
-        let verdict = session.push_batch(batch).expect("same schema");
+        let verdict = validator.validate(batch).expect("same schema");
         println!("[{label}] {verdict}\n");
+        assert_eq!(
+            verdict.is_dirty, expect_dirty,
+            "[{label}] unexpected majority verdict"
+        );
     }
-
-    let summary = session.summary();
-    println!("{summary}");
-    assert!(
-        !session.history()[0].is_dirty,
-        "the clean batch must pass the majority vote"
-    );
-    assert!(
-        session.history()[1].is_dirty,
-        "the value-error batch must be flagged"
-    );
-    assert!(
-        session.history()[2].is_dirty,
-        "the drifted batch must be flagged"
-    );
 }

@@ -45,9 +45,6 @@ fn main() {
             ..ModelConfig::default()
         },
         epochs: 15,
-        validation_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         ..DquagConfig::default()
     }
     .validated()

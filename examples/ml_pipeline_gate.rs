@@ -3,7 +3,7 @@
 //! The scenario the paper's introduction motivates: a model is retrained on
 //! data batches arriving daily; before a batch is admitted into the training
 //! set it must pass validation. This example streams a week of credit-card-application
-//! batches — some clean, some corrupted — through a [`ValidationSession`],
+//! batches — some clean, some corrupted — through one fitted validator,
 //! admits the clean ones, repairs-and-admits the mildly corrupted ones, and
 //! quarantines the rest.
 //!
@@ -15,7 +15,7 @@ use dquag::core::DquagConfig;
 use dquag::datagen::{inject_hidden, inject_ordinary, DatasetKind, HiddenError, OrdinaryError};
 use dquag::gnn::ModelConfig;
 use dquag::tabular::DataFrame;
-use dquag::validate::ValidationSession;
+use dquag::validate::{build_spec, Verdict};
 
 enum GateDecision {
     Admit,
@@ -42,18 +42,17 @@ fn main() {
             ..ModelConfig::default()
         },
         epochs: 15,
-        validation_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         ..DquagConfig::default()
     }
     .validated()
     .expect("configuration in range");
     let gate_threshold = config.dataset_error_rate_threshold();
 
-    // One session owns the fitted validator for the whole week; its history
-    // doubles as the gate's audit log.
-    let mut session = ValidationSession::train(&config, &clean).expect("training");
+    // One fitted validator judges the whole week; its verdicts double as the
+    // gate's audit log.
+    let mut validator = build_spec(&config.validator, &config).expect("dquag is built in");
+    validator.fit(&clean).expect("training");
+    let mut audit_log: Vec<Verdict> = Vec::new();
 
     // Seven "daily" batches with different quality problems.
     let mut rng = dquag::datagen::rng(33);
@@ -105,7 +104,7 @@ fn main() {
 
     let mut training_pool = clean.clone();
     for (label, batch) in &week {
-        let verdict = session.push_batch(batch).expect("same schema").clone();
+        let verdict = validator.validate(batch).expect("same schema");
         match decide(verdict.error_rate(), gate_threshold) {
             GateDecision::Admit => {
                 training_pool.append(batch).expect("same schema");
@@ -115,8 +114,7 @@ fn main() {
                 );
             }
             GateDecision::RepairAndAdmit => {
-                let repaired = session
-                    .validator()
+                let repaired = validator
                     .repair(batch, &verdict)
                     .expect("repair succeeds")
                     .expect("DQuaG supports repair");
@@ -134,8 +132,16 @@ fn main() {
                 );
             }
         }
+        audit_log.push(verdict);
     }
-    println!("\nweek summary — {}", session.summary());
+    let dirty = audit_log.iter().filter(|verdict| verdict.is_dirty).count();
+    let mean_error_rate =
+        audit_log.iter().map(Verdict::error_rate).sum::<f64>() / audit_log.len() as f64;
+    println!(
+        "\nweek summary — {} batches, {dirty} dirty, mean error rate {:.1}%",
+        audit_log.len(),
+        100.0 * mean_error_rate
+    );
     println!(
         "training pool grew from {} to {} rows",
         clean.n_rows(),

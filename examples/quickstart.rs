@@ -1,8 +1,8 @@
 //! Quickstart: the unified validator API end to end.
 //!
 //! Builds a DQuaG validator through the [`dquag::validate`] registry, fits it
-//! on clean data inside a streaming [`ValidationSession`], pushes an incoming
-//! batch, inspects the graded `Verdict`, and repairs the cells DQuaG flags.
+//! on clean data, judges an incoming batch, inspects the graded `Verdict`,
+//! and repairs the cells DQuaG flags.
 //!
 //! ```bash
 //! cargo run --release --example quickstart
@@ -11,7 +11,7 @@
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
 use dquag::gnn::ModelConfig;
-use dquag::validate::{build_spec, ValidationSession, ValidatorSpec};
+use dquag::validate::{build_spec, ValidatorSpec};
 
 fn main() {
     // 1. A clean reference dataset (stand-in for your curated training data).
@@ -53,20 +53,13 @@ fn main() {
             ..ModelConfig::default()
         },
         epochs: 15,
-        validation_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
         ..DquagConfig::default()
     }
     .validated()
     .expect("configuration in range");
-    let validator =
+    let mut validator =
         build_spec(&ValidatorSpec::backend("dquag"), &config).expect("dquag is built in");
-    let mut session = ValidationSession::fit(validator, &clean).expect("training succeeds");
-    let fit = session
-        .fit_report()
-        .expect("session fitted the validator")
-        .clone();
+    let fit = validator.fit(&clean).expect("training succeeds");
     println!(
         "trained: {} weights, threshold = {:.5} ({})",
         fit.n_parameters.unwrap_or(0),
@@ -74,19 +67,22 @@ fn main() {
         fit.notes.join("; ")
     );
 
-    // 4. Stream the incoming batch through the session. `Verdict` implements
-    //    `Display`: headline plus violation messages, no hand-formatting.
-    let verdict = session.push_batch(&incoming).expect("same schema").clone();
+    // 4. Judge the incoming batch. `Verdict` implements `Display`: headline
+    //    plus violation messages, no hand-formatting.
+    let verdict = validator.validate(&incoming).expect("same schema");
     println!("{verdict}");
 
     // 5. Repair the flagged cells (a DQuaG capability) and re-validate.
-    assert!(session.validator().capabilities().repair);
-    let repaired = session
-        .validator()
+    assert!(validator.capabilities().repair);
+    let repaired = validator
         .repair(&incoming, &verdict)
         .expect("repair succeeds")
         .expect("DQuaG supports repair");
-    let after = session.push_batch(&repaired).expect("same schema");
+    let after = validator.validate(&repaired).expect("same schema");
     println!("after repair: {after}");
-    println!("session: {}", session.summary());
+    println!(
+        "flagged {:.1}% before repair, {:.1}% after",
+        100.0 * verdict.error_rate(),
+        100.0 * after.error_rate()
+    );
 }

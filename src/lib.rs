@@ -8,8 +8,7 @@
 //! * [`validate`] — **the unified validator API**: the `Validator` trait,
 //!   graded `Verdict`s, the open `ValidatorRegistry` building declarative
 //!   `ValidatorSpec` trees (ensemble voting, KS/PSI drift detection, gated
-//!   escalation, custom backends) and the streaming `ValidationSession`.
-//!   Start here.
+//!   escalation, custom backends). Start here.
 //! * [`stream`] — the streaming ingestion engine: bounded-queue ingestion
 //!   with backpressure, sharded validator replicas, per-batch deadlines,
 //!   live stats and graceful shutdown.
@@ -40,27 +39,27 @@
 //! ## Quickstart
 //!
 //! Every backend — DQuaG and the four baselines — is constructed, fitted and
-//! queried through the same API, and a [`validate::ValidationSession`]
-//! streams incoming batches through a fitted validator:
+//! queried through the same API. A fitted validator judges each incoming
+//! batch directly; the [`stream`] engine serves one to a batch stream.
 //!
 //! ```no_run
 //! use dquag::core::DquagConfig;
 //! use dquag::datagen::DatasetKind;
-//! use dquag::validate::ValidationSession;
+//! use dquag::validate::build_spec;
 //!
 //! let clean = DatasetKind::CreditCard.generate_clean(5_000, 7);
 //! let config = DquagConfig {
 //!     epochs: 15,
-//!     validation_threads: 4,
 //!     ..DquagConfig::default()
 //! }
 //! .validated()
 //! .unwrap();
 //!
-//! // Builds and fits what `config.validator` declares: DQuaG by default.
-//! let mut session = ValidationSession::train(&config, &clean).unwrap();
+//! // Builds what `config.validator` declares: DQuaG by default.
+//! let mut validator = build_spec(&config.validator, &config).unwrap();
+//! validator.fit(&clean).unwrap();
 //! let incoming = DatasetKind::CreditCard.generate_dirty(1_000, 8);
-//! let verdict = session.push_batch(&incoming).unwrap();
+//! let verdict = validator.validate(&incoming).unwrap();
 //! println!("dirty: {} ({:.1}% of instances flagged)", verdict.is_dirty, 100.0 * verdict.score);
 //! ```
 

@@ -9,7 +9,7 @@ use dquag::datagen::{
     OrdinaryError,
 };
 use dquag::gnn::ModelConfig;
-use dquag::validate::{build_spec, ValidationSession, ValidatorSpec};
+use dquag::validate::{build_spec, ValidatorSpec};
 
 /// A small-but-real pipeline configuration used across these tests.
 fn test_config() -> DquagConfig {
@@ -21,7 +21,6 @@ fn test_config() -> DquagConfig {
             n_layers: 2,
             ..ModelConfig::default()
         },
-        validation_threads: 2,
         ..DquagConfig::default()
     }
 }
@@ -150,7 +149,6 @@ fn dquag_beats_expert_rules_on_hidden_conflicts() {
             n_layers: 4,
             ..ModelConfig::default()
         },
-        validation_threads: 2,
         seed: 99,
         ..DquagConfig::default()
     };
@@ -208,8 +206,9 @@ fn repair_moves_the_dirty_batch_towards_the_clean_distribution() {
 #[test]
 fn all_validator_kinds_share_the_batch_protocol() {
     // All seven configurations run through the *same* loop — construction via
-    // the registry, fit/validate via the unified trait, streaming via the
-    // session — and produce defined metrics on the same labelled batches.
+    // the registry from the configuration's validator spec, fit/validate via
+    // the unified trait — and produce defined metrics on the same labelled
+    // batches.
     let kind = DatasetKind::HotelBooking;
     let clean = kind.generate_clean(900, 51);
     let dirty = kind.generate_dirty(900, 52);
@@ -222,7 +221,6 @@ fn all_validator_kinds_share_the_batch_protocol() {
     };
     let batches = make_test_batches(&clean, &dirty, protocol, &mut rng);
     let labels: Vec<bool> = batches.iter().map(|b| b.is_dirty).collect();
-    let frames: Vec<_> = batches.iter().map(|b| b.data.clone()).collect();
 
     // The seven paper validators: the six baseline profiles, then DQuaG.
     let keys = BaselineKind::ALL
@@ -234,15 +232,17 @@ fn all_validator_kinds_share_the_batch_protocol() {
             validator: ValidatorSpec::backend(key),
             ..test_config()
         };
-        let mut session = ValidationSession::train(&config, &clean).expect("fit succeeds");
-        let verdicts = session.push_batches(&frames).expect("same schema");
-        let predictions: Vec<bool> = verdicts.iter().map(|v| v.is_dirty).collect();
+        let mut validator = build_spec(&config.validator, &config).expect("paper backends build");
+        validator.fit(&clean).expect("fit succeeds");
+        let predictions: Vec<bool> = batches
+            .iter()
+            .map(|b| validator.validate(&b.data).expect("same schema").is_dirty)
+            .collect();
         let metrics = DetectionMetrics::from_predictions(&predictions, &labels);
         assert!(
             metrics.accuracy() >= 0.0 && metrics.accuracy() <= 1.0,
             "{key}"
         );
-        assert_eq!(session.n_batches(), batches.len());
         if key == "dquag" {
             assert!(
                 metrics.recall() > 0.5,
