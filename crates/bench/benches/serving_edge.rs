@@ -18,7 +18,7 @@ use dquag_sources::{NetListenerSource, SourceRuntime};
 use dquag_stream::StreamEngine;
 use dquag_tabular::csv;
 use dquag_validate::{build_spec, Validator, ValidatorSpec};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -33,9 +33,10 @@ fn fitted_validator(train_rows: usize) -> Box<dyn Validator> {
     validator
 }
 
-/// Stream `payloads` through the pooled listener with `conns` concurrently
-/// open client connections (each client opens one socket and keeps it open
-/// for its whole share). Returns end-to-end rows/s, verdicts included.
+/// Post `payloads` through the pooled listener with `conns` concurrently
+/// open client connections (each client opens one socket and keeps it
+/// alive for its whole share). Returns end-to-end rows/s, verdicts
+/// included.
 fn run_arm(
     validator: Box<dyn Validator>,
     payloads: &[String],
@@ -86,19 +87,38 @@ fn run_arm(
     total_rows as f64 / elapsed
 }
 
-/// One client: a single open connection streaming its share of frames.
+/// One client: a single kept-alive connection posting its share of
+/// batches, each reply read before the next request.
 fn client(addr: SocketAddr, payloads: &[String]) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
-    let mut reply = String::new();
+    let mut line = String::new();
+    let mut body = Vec::new();
     for payload in payloads {
-        let frame = format!("BATCH csv {}\n{payload}", payload.len());
-        writer.write_all(frame.as_bytes()).expect("frame");
-        reply.clear();
-        reader.read_line(&mut reply).expect("reply");
-        assert!(reply.starts_with("ACK "), "{reply}");
+        let request = format!(
+            "POST /ingest HTTP/1.1\r\nHost: bench\r\nConnection: keep-alive\r\n\
+             Content-Type: text/csv\r\nContent-Length: {}\r\n\r\n{payload}",
+            payload.len()
+        );
+        writer.write_all(request.as_bytes()).expect("request");
+        line.clear();
+        reader.read_line(&mut line).expect("status line");
+        assert!(line.starts_with("HTTP/1.1 202"), "{line}");
+        let mut length = 0;
+        loop {
+            line.clear();
+            assert!(reader.read_line(&mut line).expect("header") > 0, "closed");
+            if line == "\r\n" {
+                break;
+            }
+            if let Some(value) = line.strip_prefix("Content-Length:") {
+                length = value.trim().parse().expect("Content-Length");
+            }
+        }
+        body.resize(length, 0);
+        reader.read_exact(&mut body).expect("body");
     }
 }
 

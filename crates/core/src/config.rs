@@ -123,8 +123,7 @@ impl Default for CheckpointConfig {
 /// drives every open connection off `poll(2)`-style readiness, so the
 /// thread count is `workers` regardless of how many peers are connected.
 /// Connections beyond [`max_connections`] are answered with a fast
-/// `503 Service Unavailable` (HTTP) or `REJECTED` (raw protocol) and
-/// closed — the gate degrades loudly under overload instead of growing a
+/// `503 Service Unavailable` and closed — the gate degrades loudly under overload instead of growing a
 /// thread per socket until something snaps.
 ///
 /// [`max_connections`]: ServingConfig::max_connections
@@ -134,15 +133,13 @@ pub struct ServingConfig {
     /// thread budget is exactly this, independent of connection count.
     pub workers: usize,
     /// Open-connection cap. Accepts beyond it are refused with a fast
-    /// `503`/`REJECTED` reply and an `accept_overflow` flight event.
+    /// `503` reply and an `accept_overflow` flight event.
     pub max_connections: usize,
-    /// Honor `Connection: keep-alive` on HTTP requests, letting scrapers
-    /// and producers reuse one socket for many requests. Requests that do
-    /// not ask for keep-alive are answered `Connection: close`, matching
-    /// pre-keep-alive clients.
-    pub keep_alive: bool,
-    /// HTTP requests served on one kept-alive connection before the
-    /// listener answers `Connection: close` and recycles the socket.
+    /// HTTP requests served on one connection before the listener answers
+    /// `Connection: close` and recycles the socket. A request that asks
+    /// for `Connection: keep-alive` below the cap is answered in kind, so
+    /// scrapers and producers reuse one socket for many requests; `1`
+    /// serves every request on its own connection.
     pub max_requests_per_connection: usize,
     /// How long a connection may sit idle (no bytes in either direction)
     /// before the listener closes it.
@@ -154,7 +151,6 @@ impl Default for ServingConfig {
         Self {
             workers: 4,
             max_connections: 1024,
-            keep_alive: true,
             max_requests_per_connection: 1000,
             idle_timeout: Duration::from_secs(30),
         }
@@ -196,17 +192,17 @@ impl ServingConfig {
 /// down to the socket the serving pipeline listens on.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SourceConfig {
-    /// Address the TCP/HTTP ingestion listener binds, e.g. `127.0.0.1:7431`.
+    /// Address the HTTP ingestion listener binds, e.g. `127.0.0.1:7431`.
     /// Port `0` asks the OS for an ephemeral port (useful in tests).
     pub bind_addr: String,
     /// How long an idle source sleeps between polls (directory scans,
     /// accept-loop passes). Also bounds how quickly sources notice shutdown.
     pub poll_interval: Duration,
-    /// Upper bound on one framed batch payload, in bytes. Oversized frames
-    /// are refused with an error reply instead of buffering unboundedly.
+    /// Upper bound on one `POST /ingest` body, in bytes. Larger bodies
+    /// are refused with `413` instead of buffering unboundedly.
     pub max_frame_bytes: usize,
     /// Connection discipline of the network listener: worker-pool size,
-    /// connection cap, keep-alive and idle timeout.
+    /// connection cap, per-connection request cap and idle timeout.
     pub serving: ServingConfig,
     /// Durable checkpoint/restore settings.
     pub checkpoint: CheckpointConfig,
@@ -649,7 +645,6 @@ mod tests {
         let c = DquagConfig::default();
         assert_eq!(c.source.serving.workers, 4);
         assert_eq!(c.source.serving.max_connections, 1024);
-        assert!(c.source.serving.keep_alive);
         assert_eq!(c.source.serving.max_requests_per_connection, 1000);
         assert_eq!(c.source.serving.idle_timeout, Duration::from_secs(30));
 
@@ -657,7 +652,6 @@ mod tests {
             serving: ServingConfig {
                 workers: 2,
                 max_connections: 64,
-                keep_alive: false,
                 max_requests_per_connection: 16,
                 idle_timeout: Duration::from_secs(5),
             },

@@ -1,8 +1,9 @@
 //! Models saved by earlier releases must keep loading. Their `config` may
 //! still carry fields `DquagConfig` has since dropped; those keys are listed
 //! in `fixtures/retired_config_keys.json` with the values earlier releases
-//! wrote. A state carrying them must deserialize, restore, and score exactly
-//! like the validator that exported it.
+//! wrote, a nested key by its dotted path (`source.serving.keep_alive`). A
+//! state carrying them must deserialize, restore, and score exactly like
+//! the validator that exported it.
 
 use dquag_core::{DquagConfig, DquagModelState, DquagValidator};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
@@ -30,10 +31,19 @@ fn state_with_retired_config_keys_loads_and_scores_identically() {
     let Some(Value::Object(config)) = root.get_mut("config") else {
         panic!("a model state carries its config object");
     };
-    for (key, value) in retired {
+    for (path, value) in retired {
+        let mut keys: Vec<&str> = path.split('.').collect();
+        let key = keys.pop().expect("split yields a key");
+        let mut object = &mut *config;
+        for parent in keys {
+            let Some(Value::Object(child)) = object.get_mut(parent) else {
+                panic!("`{path}`: the config has no `{parent}` object");
+            };
+            object = child;
+        }
         assert!(
-            config.insert(key.clone(), value).is_none(),
-            "`{key}` is still a DquagConfig field; drop it from the fixture"
+            object.insert(key.to_string(), value).is_none(),
+            "`{path}` is still a DquagConfig field; drop it from the fixture"
         );
     }
     let json = serde_json::to_string(&state).expect("state serialises");

@@ -1,17 +1,22 @@
-//! One multiplexed connection: a nonblocking protocol state machine the
+//! One multiplexed connection: a nonblocking HTTP/1.1 state machine the
 //! worker pool drives off readiness.
 //!
 //! The old listener parked one thread per socket in blocking reads; here a
 //! [`Conn`] owns buffered input/output and a [`State`], and every
 //! [`drive`] call makes whatever progress the socket allows — read what's
-//! there, advance the protocol over complete frames, flush what's queued —
-//! then returns to the worker's poll loop. Both wire protocols (line-framed
-//! raw and HTTP/1.1) run on the same machine, and HTTP gains keep-alive:
-//! a request carrying `Connection: keep-alive` is answered in kind and the
-//! connection returns to [`State::Line`] for the next request, up to the
-//! configured per-connection request cap. Requests without the header are
-//! answered `Connection: close` exactly as before, so pre-keep-alive
-//! clients (and everything that reads to EOF) see no change.
+//! there, advance the protocol over complete requests, flush what's queued
+//! — then returns to the worker's poll loop. A request carrying
+//! `Connection: keep-alive` is answered in kind and the connection returns
+//! to [`State::RequestLine`] for the next request, up to the configured
+//! per-connection request cap. Requests without the header are answered
+//! `Connection: close`, so clients that read to EOF see one exchange per
+//! socket.
+//!
+//! Every line a connection sends must belong to an HTTP request: a first
+//! line without the `METHOD SP PATH SP VERSION` shape is answered
+//! `400 Bad Request`, and a request line plus headers longer than
+//! [`MAX_HEAD_BYTES`] is answered `431 Request Header Fields Too Large`;
+//! both then close.
 //!
 //! Closes are graceful: the reply is flushed, the write side is shut down
 //! (FIN), and the connection lingers briefly draining the peer's remaining
@@ -37,9 +42,10 @@ const CONTENT_TYPE_JSON: &str = "application/json";
 /// format version clients content-negotiate on.
 pub(crate) const CONTENT_TYPE_PROMETHEUS: &str = "text/plain; version=0.0.4";
 
-/// Cap on a protocol header line; a peer streaming an endless first line is
-/// cut off instead of buffering unboundedly.
-const MAX_LINE_BYTES: usize = 64 * 1024;
+/// Budget for one request's head: the request line plus every header line.
+/// A peer streaming an endless line or endless headers is answered `431`
+/// and closed instead of buffering unboundedly.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// How long an over-capacity connection may wait for its first line before
 /// being dropped, and how long a rejected one lingers for the peer to read
@@ -109,7 +115,7 @@ pub(crate) struct ConnShared {
 }
 
 impl ConnShared {
-    /// The `STATS` / `GET /stats` payload: the live [`dquag_stream::StreamStats`]
+    /// The `GET /stats` payload: the live [`dquag_stream::StreamStats`]
     /// object, extended with an `active_spec` key naming the validator tree
     /// when the listener knows it. Extra keys are invisible to
     /// `StreamStats`-shaped readers, so pre-spec monitoring keeps parsing.
@@ -148,7 +154,7 @@ impl ConnShared {
             .map(|metrics| metrics.telemetry.prometheus())
     }
 
-    /// The `DRIFT` / `GET /drift` payload: the ranked per-column drift
+    /// The `GET /drift` payload: the ranked per-column drift
     /// scoreboard as JSON, or `None` when no telemetry is attached or its
     /// data layer is off.
     pub(crate) fn drift_json(&self) -> Option<String> {
@@ -161,12 +167,10 @@ impl ConnShared {
 
 /// Where the connection is in its protocol.
 enum State {
-    /// Waiting for a command / request line.
-    Line,
-    /// A `BATCH` header was read; waiting for `len` payload bytes.
-    RawPayload { format: WireFormat, len: usize },
+    /// Waiting for a request line.
+    RequestLine,
     /// An HTTP request line was read; accumulating headers.
-    HttpHeaders {
+    Headers {
         method: String,
         path: String,
         content_lengths: Vec<String>,
@@ -174,7 +178,7 @@ enum State {
         client_keep: bool,
     },
     /// A `POST /ingest` with a valid `Content-Length`; waiting for the body.
-    HttpBody {
+    Body {
         len: usize,
         content_type: String,
         keep: bool,
@@ -192,6 +196,9 @@ pub(crate) struct Conn {
     half_closed_at: Instant,
     /// Completed HTTP requests on this connection (keep-alive reuse).
     http_requests: usize,
+    /// Bytes of the current request's head taken so far, against
+    /// [`MAX_HEAD_BYTES`].
+    head_bytes: usize,
     /// Accepted over capacity: answer the first line with a refusal, close.
     reject: bool,
     eof: bool,
@@ -206,8 +213,8 @@ impl Conn {
         Self::build(stream, false)
     }
 
-    /// An over-capacity connection: its first line is answered with a fast
-    /// `503` / `REJECTED` refusal, then the socket closes.
+    /// An over-capacity connection: its first line, whatever it says, is
+    /// answered with a fast `503` refusal, then the socket closes.
     pub(crate) fn reject(stream: TcpStream) -> Self {
         Self::build(stream, true)
     }
@@ -218,11 +225,12 @@ impl Conn {
             stream,
             inbuf: Vec::new(),
             outbuf: Vec::new(),
-            state: State::Line,
+            state: State::RequestLine,
             created: now,
             last_activity: now,
             half_closed_at: now,
             http_requests: 0,
+            head_bytes: 0,
             reject,
             eof: false,
             closing: false,
@@ -302,7 +310,7 @@ impl Conn {
     }
 
     /// Blocking best-effort flush of any queued reply, for shutdown: the
-    /// worker is exiting, so "ERR engine closed" must leave now or never.
+    /// worker is exiting, so an engine-closed `503` must leave now or never.
     pub(crate) fn final_flush(&mut self) {
         if self.dead || self.outbuf.is_empty() {
             return;
@@ -360,53 +368,53 @@ impl Conn {
         }
     }
 
-    /// Process every complete frame sitting in `inbuf`.
+    /// Process every complete request sitting in `inbuf`.
     fn advance(&mut self, shared: &ConnShared) {
         loop {
             if self.dead || self.closing {
                 return;
             }
-            match std::mem::replace(&mut self.state, State::Line) {
-                State::Line => {
+            match std::mem::replace(&mut self.state, State::RequestLine) {
+                State::RequestLine => {
+                    if self.reject {
+                        // Whatever the first line says, the answer is the
+                        // refusal.
+                        if self.inbuf.contains(&b'\n') || self.inbuf.len() > MAX_HEAD_BYTES {
+                            self.refuse();
+                        }
+                        return;
+                    }
                     let Some(line) = self.take_line() else {
                         return;
                     };
-                    if self.reject {
-                        self.refuse(&line);
-                        return;
+                    if line.is_empty() {
+                        // RFC 9112 §2.2: ignore a blank line before a
+                        // request line (it still counts against the head).
+                        continue;
                     }
-                    if let Some((method, path)) = parse_http_request_line(&line) {
-                        if self.http_requests >= 1 {
-                            if let Some(metrics) = &shared.metrics {
-                                metrics.keepalive_reuse.inc();
-                            }
+                    let Some((method, path)) = parse_http_request_line(&line) else {
+                        self.push_http(
+                            "400 Bad Request",
+                            CONTENT_TYPE_JSON,
+                            "{\"error\": \"expected an HTTP request line\"}",
+                            false,
+                        );
+                        return self.finish_http(false);
+                    };
+                    if self.http_requests >= 1 {
+                        if let Some(metrics) = &shared.metrics {
+                            metrics.keepalive_reuse.inc();
                         }
-                        self.state = State::HttpHeaders {
-                            method,
-                            path,
-                            content_lengths: Vec::new(),
-                            content_type: String::new(),
-                            client_keep: false,
-                        };
-                    } else {
-                        self.raw_command(&line, shared);
                     }
+                    self.state = State::Headers {
+                        method,
+                        path,
+                        content_lengths: Vec::new(),
+                        content_type: String::new(),
+                        client_keep: false,
+                    };
                 }
-                State::RawPayload { format, len } => {
-                    if self.inbuf.len() < len {
-                        self.state = State::RawPayload { format, len };
-                        return;
-                    }
-                    let reply = ingest_reply(&self.inbuf[..len], format, shared);
-                    self.inbuf.drain(..len);
-                    // The engine is gone; this reply is the connection's last.
-                    let engine_closed = reply == "ERR engine closed";
-                    self.push_line(&reply);
-                    if engine_closed {
-                        self.closing = true;
-                    }
-                }
-                State::HttpHeaders {
+                State::Headers {
                     method,
                     path,
                     mut content_lengths,
@@ -414,7 +422,7 @@ impl Conn {
                     mut client_keep,
                 } => loop {
                     let Some(line) = self.take_line() else {
-                        self.state = State::HttpHeaders {
+                        self.state = State::Headers {
                             method,
                             path,
                             content_lengths,
@@ -445,13 +453,13 @@ impl Conn {
                         }
                     }
                 },
-                State::HttpBody {
+                State::Body {
                     len,
                     content_type,
                     keep,
                 } => {
                     if self.inbuf.len() < len {
-                        self.state = State::HttpBody {
+                        self.state = State::Body {
                             len,
                             content_type,
                             keep,
@@ -467,90 +475,58 @@ impl Conn {
         }
     }
 
-    /// The next `\n`-terminated line (CR stripped), or `None` when no full
-    /// line is buffered yet. Overlong and non-UTF-8 lines kill the
-    /// connection, as the blocking reader did.
+    /// The next `\n`-terminated head line (CR stripped), or `None` when no
+    /// full line is buffered yet or the connection is finished. Every line
+    /// counts against the request's [`MAX_HEAD_BYTES`] budget, and so does a
+    /// partial one; past it the request is answered `431`. Non-UTF-8 lines
+    /// kill the connection, as the blocking reader did.
     fn take_line(&mut self) -> Option<String> {
-        match self.inbuf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let mut line: Vec<u8> = self.inbuf.drain(..=pos).collect();
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                match String::from_utf8(line) {
-                    Ok(text) => Some(text),
-                    Err(_) => {
-                        self.dead = true;
-                        None
-                    }
-                }
+        let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') else {
+            if self.head_bytes + self.inbuf.len() > MAX_HEAD_BYTES {
+                self.refuse_head();
             }
-            None => {
-                if self.inbuf.len() > MAX_LINE_BYTES {
-                    self.dead = true;
-                }
+            return None;
+        };
+        self.head_bytes += pos + 1;
+        if self.head_bytes > MAX_HEAD_BYTES {
+            self.refuse_head();
+            return None;
+        }
+        let mut line: Vec<u8> = self.inbuf.drain(..=pos).collect();
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        match String::from_utf8(line) {
+            Ok(text) => Some(text),
+            Err(_) => {
+                self.dead = true;
                 None
             }
         }
     }
 
-    /// Answer an over-capacity connection's first line in its own protocol,
-    /// then close.
-    fn refuse(&mut self, line: &str) {
-        if parse_http_request_line(line).is_some() {
-            self.push_http(
-                "503 Service Unavailable",
-                CONTENT_TYPE_JSON,
-                "{\"error\": \"listener at connection capacity\"}",
-                false,
-            );
-        } else {
-            self.push_line("REJECTED listener at connection capacity");
-        }
-        self.closing = true;
+    /// Answer a request whose head outgrew [`MAX_HEAD_BYTES`], then close:
+    /// where its headers end is unknowable.
+    fn refuse_head(&mut self) {
+        self.push_http(
+            "431 Request Header Fields Too Large",
+            CONTENT_TYPE_JSON,
+            &format!("{{\"error\": \"request head exceeds the {MAX_HEAD_BYTES}-byte limit\"}}"),
+            false,
+        );
+        self.finish_http(false);
     }
 
-    /// Dispatch one raw-protocol command line.
-    fn raw_command(&mut self, line: &str, shared: &ConnShared) {
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("BATCH") => match parse_batch_header(parts, shared.max_frame_bytes) {
-                Ok((format, len)) => self.state = State::RawPayload { format, len },
-                // A bad or oversized header leaves us unsure where the next
-                // frame starts; reply, then drop the connection to
-                // resynchronise.
-                Err(e) => {
-                    self.push_line(&format!("ERR {}", one_line(&e.to_string())));
-                    self.closing = true;
-                }
-            },
-            Some("STATS") => self.push_line(&format!("STATS {}", shared.stats_json())),
-            Some("DRIFT") => match shared.drift_json() {
-                Some(json) => self.push_line(&format!("DRIFT {json}")),
-                None => self.push_line("ERR data telemetry not enabled"),
-            },
-            Some("METRICS") => match shared.prometheus() {
-                // The payload is multi-line, so it is length-framed like
-                // BATCH rather than line-framed like STATS.
-                Some(text) => {
-                    self.push_line(&format!("METRICS {}", text.len()));
-                    self.outbuf.extend_from_slice(text.as_bytes());
-                }
-                None => self.push_line("ERR telemetry not enabled"),
-            },
-            Some("QUIT") => {
-                self.push_line("BYE");
-                self.closing = true;
-            }
-            Some(other) => {
-                self.push_line(&format!("ERR unknown command `{}`", one_line(other)));
-                self.closing = true;
-            }
-            None => {
-                // Blank keep-alive line; ignore.
-            }
-        }
+    /// Answer an over-capacity connection's first line, then close.
+    fn refuse(&mut self) {
+        self.push_http(
+            "503 Service Unavailable",
+            CONTENT_TYPE_JSON,
+            "{\"error\": \"listener at connection capacity\"}",
+            false,
+        );
+        self.closing = true;
     }
 
     /// Route one HTTP request whose headers are fully read.
@@ -563,11 +539,10 @@ impl Conn {
         content_type: String,
         client_keep: bool,
     ) {
-        // Keep-alive is opt-in on both sides: the client must ask, the
-        // config must allow, and the request cap must not be reached.
-        let keep = client_keep
-            && shared.serving.keep_alive
-            && self.http_requests + 1 < shared.serving.max_requests_per_connection;
+        // Keep-alive is opt-in: the client must ask, and the request cap
+        // must not be reached.
+        let keep =
+            client_keep && self.http_requests + 1 < shared.serving.max_requests_per_connection;
         match (method, path) {
             ("POST", "/ingest") => {
                 let len = match parse_content_length(content_lengths) {
@@ -605,7 +580,7 @@ impl Conn {
                     );
                     return self.finish_http(false);
                 }
-                self.state = State::HttpBody {
+                self.state = State::Body {
                     len,
                     content_type,
                     keep,
@@ -722,16 +697,12 @@ impl Conn {
     /// request on the same socket or begin the graceful close.
     fn finish_http(&mut self, keep: bool) {
         self.http_requests += 1;
+        self.head_bytes = 0;
         if keep {
-            self.state = State::Line;
+            self.state = State::RequestLine;
         } else {
             self.closing = true;
         }
-    }
-
-    fn push_line(&mut self, line: &str) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
     }
 
     fn push_http(&mut self, status: &str, content_type: &str, body: &str, keep: bool) {
@@ -747,16 +718,21 @@ impl Conn {
 /// Interpret the `Content-Length` headers of one request: `Ok(Some(len))`
 /// for exactly one well-formed length (repeats must agree), `Ok(None)` for
 /// none at all, `Err(message)` for a malformed value or conflicting
-/// repeats — the caller answers `400` naming the problem.
+/// repeats — the caller answers `400` naming the problem. A well-formed
+/// length is `1*DIGIT` (RFC 9110 §8.6): no sign, no blanks.
 fn parse_content_length(values: &[String]) -> Result<Option<usize>, String> {
     let mut parsed: Option<usize> = None;
     for raw in values {
-        let value: usize = raw.parse().map_err(|_| {
-            format!(
-                "invalid Content-Length `{}`",
-                one_line(raw).replace('"', "'")
-            )
-        })?;
+        let digits = !raw.is_empty() && raw.bytes().all(|b| b.is_ascii_digit());
+        let value = match raw.parse::<usize>() {
+            Ok(value) if digits => value,
+            _ => {
+                return Err(format!(
+                    "invalid Content-Length `{}`",
+                    one_line(raw).replace('"', "'")
+                ))
+            }
+        };
         match parsed {
             Some(previous) if previous != value => {
                 return Err(format!(
@@ -770,9 +746,8 @@ fn parse_content_length(values: &[String]) -> Result<Option<usize>, String> {
 }
 
 /// The strict request-line shape: `METHOD SP PATH SP VERSION`, with an
-/// uppercase method, an origin-form path, and an `HTTP/` version. A raw
-/// frame that merely *ends* in `HTTP/1.1` (the old heuristic) no longer
-/// routes to the HTTP handler.
+/// uppercase method, an origin-form path, and an `HTTP/` version. A line
+/// that merely *ends* in `HTTP/1.1` is not a request line.
 fn parse_http_request_line(line: &str) -> Option<(String, String)> {
     let mut parts = line.split_whitespace();
     let (method, path, version) = (parts.next()?, parts.next()?, parts.next()?);
@@ -788,57 +763,14 @@ fn parse_http_request_line(line: &str) -> Option<(String, String)> {
     Some((method.to_string(), path.to_string()))
 }
 
-/// Whether a first line selects the HTTP handler over the raw protocol.
+/// Whether a line is an HTTP request line.
 #[cfg(test)]
 fn is_http_request_line(line: &str) -> bool {
     parse_http_request_line(line).is_some()
 }
 
-/// `BATCH <fmt> <len>` → (format, len), enforcing the frame cap.
-fn parse_batch_header<'a>(
-    mut parts: impl Iterator<Item = &'a str>,
-    max_frame_bytes: usize,
-) -> Result<(WireFormat, usize), SourceError> {
-    let format: WireFormat = parts
-        .next()
-        .ok_or_else(|| SourceError::Frame("BATCH needs a format (csv|ndjson)".to_string()))?
-        .parse()?;
-    let len: usize = parts
-        .next()
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| SourceError::Frame("BATCH needs a payload byte count".to_string()))?;
-    if parts.next().is_some() {
-        return Err(SourceError::Frame(
-            "BATCH takes exactly two arguments".to_string(),
-        ));
-    }
-    if len > max_frame_bytes {
-        return Err(SourceError::Frame(format!(
-            "frame of {len} bytes exceeds the {max_frame_bytes}-byte limit"
-        )));
-    }
-    Ok((format, len))
-}
-
-/// Decode and deliver one payload, producing the raw-protocol reply line.
-fn ingest_reply(payload: &[u8], format: WireFormat, conn: &ConnShared) -> String {
-    match conn.decode_observed(format, payload) {
-        Ok(batch) if batch.is_empty() => "ERR empty batch".to_string(),
-        Ok(batch) => {
-            let n_rows = batch.n_rows();
-            match conn.sink.deliver(batch) {
-                Ok(SubmitOutcome::Enqueued(seq)) => format!("ACK {seq} {n_rows}"),
-                // DROPPED / REJECTED — Display is the wire spelling.
-                Ok(other) => other.to_string(),
-                Err(_) => "ERR engine closed".to_string(),
-            }
-        }
-        Err(e) => format!("ERR {}", one_line(&e.to_string())),
-    }
-}
-
-/// Replies are single-line; squash any embedded line breaks from error
-/// messages.
+/// Error bodies are single-line JSON strings; squash any embedded line
+/// breaks from error messages.
 fn one_line(text: &str) -> String {
     text.replace(['\r', '\n'], " ")
 }
@@ -848,31 +780,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_headers_parse_and_enforce_limits() {
-        let (format, len) = parse_batch_header("csv 120".split_whitespace(), 1024).unwrap();
-        assert_eq!(format, WireFormat::Csv);
-        assert_eq!(len, 120);
-        assert!(parse_batch_header("csv".split_whitespace(), 1024).is_err());
-        assert!(parse_batch_header("csv many".split_whitespace(), 1024).is_err());
-        assert!(parse_batch_header("xml 10".split_whitespace(), 1024).is_err());
-        assert!(parse_batch_header("csv 10 extra".split_whitespace(), 1024).is_err());
-        let err = parse_batch_header("csv 2048".split_whitespace(), 1024).unwrap_err();
-        assert!(err.to_string().contains("limit"));
-    }
-
-    #[test]
     fn http_request_lines_are_recognised() {
         assert!(is_http_request_line("POST /ingest HTTP/1.1"));
         assert!(is_http_request_line("GET /stats HTTP/1.0"));
-        assert!(!is_http_request_line("BATCH csv 99"));
+        assert!(!is_http_request_line("SEND csv 99"));
         assert!(!is_http_request_line("STATS"));
     }
 
     #[test]
     fn request_line_requires_the_three_part_shape() {
         // The old suffix heuristic classified any line ending in HTTP/1.1 as
-        // HTTP; these are raw-protocol frames and must stay raw.
-        assert!(!is_http_request_line("BATCH csv HTTP/1.1"));
+        // HTTP; none of these is a request line, so each gets a 400.
+        assert!(!is_http_request_line("SEND csv HTTP/1.1"));
         assert!(!is_http_request_line("one two three HTTP/1.1"));
         assert!(!is_http_request_line("HTTP/1.1"));
         assert!(!is_http_request_line("GET HTTP/1.1"));
@@ -894,11 +813,13 @@ mod tests {
         );
         let bad = parse_content_length(&["abc".to_string()]).unwrap_err();
         assert!(bad.contains("invalid Content-Length `abc`"), "{bad}");
-        let negative = parse_content_length(&["-1".to_string()]).unwrap_err();
-        assert!(
-            negative.contains("invalid Content-Length `-1`"),
-            "{negative}"
-        );
+        for bad in ["-1", "+42", " 42", ""] {
+            let message = parse_content_length(&[bad.to_string()]).unwrap_err();
+            assert!(
+                message.contains(&format!("invalid Content-Length `{bad}`")),
+                "{message}"
+            );
+        }
         let conflict = parse_content_length(&["10".to_string(), "20".to_string()]).unwrap_err();
         assert!(conflict.contains("conflicting"), "{conflict}");
     }

@@ -24,7 +24,6 @@ use crate::SourceError;
 use dquag_tabular::{csv, DataFrame, DataType, Schema, Value as Cell};
 use std::borrow::Cow;
 use std::fmt;
-use std::str::FromStr;
 
 /// The payload encodings the network adapters accept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,20 +57,6 @@ impl fmt::Display for WireFormat {
             WireFormat::Csv => "csv",
             WireFormat::Ndjson => "ndjson",
         })
-    }
-}
-
-impl FromStr for WireFormat {
-    type Err = SourceError;
-
-    fn from_str(s: &str) -> Result<Self, SourceError> {
-        match s {
-            "csv" => Ok(WireFormat::Csv),
-            "ndjson" => Ok(WireFormat::Ndjson),
-            other => Err(SourceError::Frame(format!(
-                "unknown batch format `{other}` (expected csv or ndjson)"
-            ))),
-        }
     }
 }
 
@@ -484,9 +469,6 @@ mod tests {
 
     #[test]
     fn format_parsing_and_content_types() {
-        assert_eq!("csv".parse::<WireFormat>().unwrap(), WireFormat::Csv);
-        assert_eq!("ndjson".parse::<WireFormat>().unwrap(), WireFormat::Ndjson);
-        assert!("xml".parse::<WireFormat>().is_err());
         assert_eq!(WireFormat::from_content_type("text/csv"), WireFormat::Csv);
         assert_eq!(
             WireFormat::from_content_type("application/x-ndjson; charset=utf-8"),

@@ -14,12 +14,12 @@
 //! * **[`SourceRuntime`]** — the supervisor: multiplexes N sources into one
 //!   `IngestHandle` (one supervisor thread each), survives per-source
 //!   errors, checkpoints on an interval and on drain.
-//! * **[`NetListenerSource`]** — one TCP listener speaking both a
-//!   line-framed raw protocol (`BATCH csv 512\n…` → `ACK 0 100`) and
-//!   minimal HTTP/1.1 (`POST /ingest`, `GET /stats`) with keep-alive,
+//! * **[`NetListenerSource`]** — one TCP listener speaking minimal
+//!   HTTP/1.1 (`POST /ingest` → `202 {"status": "enqueued", "seq": 0, …}`,
+//!   `GET /stats`, `GET /metrics`, `GET /drift`) with keep-alive,
 //!   multiplexing all connections over a small fixed worker pool with a
 //!   bounded accept policy (`ServingConfig`): overflow is answered with a
-//!   fast `503`/`REJECTED`, never an unbounded thread.
+//!   fast `503`, never an unbounded thread.
 //! * **[`DirWatcherSource`]** — a polling directory watcher replaying CSV
 //!   file drops via `dquag-tabular`, moving processed files to `done/`
 //!   (and undecodable ones to `failed/`), with an inbox journal making

@@ -1,6 +1,5 @@
-//! The network source: one TCP listener serving both the line-framed raw
-//! protocol and a minimal HTTP/1.1 endpoint, multiplexed over a small
-//! fixed worker pool.
+//! The network source: one TCP listener serving a minimal HTTP/1.1
+//! endpoint, multiplexed over a small fixed worker pool.
 //!
 //! ## Serving model
 //!
@@ -9,46 +8,34 @@
 //! connections off `poll(2)`-style readiness (see [`poll`](crate::poll) —
 //! no async runtime). The thread budget is the pool size, independent of
 //! connection count. Accepts beyond [`ServingConfig::max_connections`] are
-//! refused *loudly*: the first line is answered with `503 Service
-//! Unavailable` (HTTP) or `REJECTED` (raw protocol), the refusal is
-//! counted (`dquag_source_accept_rejects_total`) and recorded as an
+//! refused *loudly*: the first line, whatever it says, is answered with
+//! `503 Service Unavailable`, the refusal is counted
+//! (`dquag_source_accept_rejects_total`) and recorded as an
 //! `accept_overflow` flight event, and the socket closes. Connections idle
 //! longer than [`ServingConfig::idle_timeout`] are closed.
 //!
-//! ## Raw protocol
-//!
-//! Line-framed, one reply line per command:
-//!
-//! ```text
-//! client: BATCH <csv|ndjson> <payload-bytes>\n<payload>
-//! server: ACK <seq> <rows>\n        (accepted; outcome appears on the verdict stream)
-//!         DROPPED\n | REJECTED\n   (backpressure policy verdicts)
-//!         ERR <message>\n            (decode/protocol problem; framing stays intact)
-//! client: STATS\n
-//! server: STATS <StreamStats JSON>\n
-//! client: METRICS\n
-//! server: METRICS <payload-bytes>\n<payload>   (Prometheus text; multi-line)
-//! client: DRIFT\n
-//! server: DRIFT <scoreboard JSON>\n  (ERR when data telemetry is off)
-//! client: QUIT\n
-//! server: BYE\n                      (connection closes)
-//! ```
-//!
 //! ## HTTP
 //!
-//! The same listener speaks HTTP when the first line has the
-//! `METHOD SP PATH SP VERSION` request-line shape: `POST /ingest` with a
-//! `Content-Length` body (`Content-Type: text/csv` or
-//! `application/x-ndjson`) answers `202 Accepted` with a JSON body,
-//! `GET /stats` serves the live [`StreamStats`] as `application/json`,
-//! `GET /metrics` serves the attached telemetry bundle's registry as
-//! Prometheus text (`text/plain; version=0.0.4`), `GET /drift` serves the
-//! per-column drift scoreboard as JSON (404 when the bundle's data layer
-//! is off), and decode problems come back as `400`. A request carrying
-//! `Connection: keep-alive` is answered in kind and the socket serves the
-//! next request, up to [`ServingConfig::max_requests_per_connection`];
-//! requests without the header get `Connection: close`, exactly as before
-//! keep-alive existed.
+//! Four routes:
+//!
+//! ```text
+//! POST /ingest   Content-Length body, Content-Type text/csv or
+//!                application/x-ndjson → 202 {"status": "enqueued", "seq", "rows"}
+//!                (503 {"status": "dropped" | "rejected" | "timeout"} under
+//!                backpressure, 400 naming a decode problem)
+//! GET /stats     the live StreamStats as application/json
+//! GET /metrics   the telemetry registry as Prometheus text (404 without telemetry)
+//! GET /drift     the per-column drift scoreboard as JSON (404 when the
+//!                bundle's data layer is off)
+//! ```
+//!
+//! The `/stats` body parses as [`StreamStats`]. Any other route is a
+//! `404`. A first line that is not an HTTP request line is a `400`, and a
+//! request line plus headers over 64 KiB a `431`; both close the
+//! connection. A request carrying `Connection: keep-alive` is answered in
+//! kind and the socket serves the next request, up to
+//! [`ServingConfig::max_requests_per_connection`]; requests without the
+//! header get `Connection: close`.
 //!
 //! [`StreamStats`]: dquag_stream::StreamStats
 //! [`ServingConfig::workers`]: dquag_core::ServingConfig::workers
@@ -70,7 +57,7 @@ use std::time::Duration;
 /// flag and connection deadlines.
 const POLL_TICK: Duration = Duration::from_millis(50);
 
-/// The TCP + HTTP ingestion listener.
+/// The HTTP ingestion listener.
 ///
 /// Binding happens eagerly in [`from_config`], so the caller can learn the
 /// ephemeral port via [`local_addr`] before handing the source to the
@@ -162,9 +149,9 @@ impl NetListenerSource {
     }
 
     /// Advertise the declarative spec of the validator behind this
-    /// listener: `STATS` and `GET /stats` responses gain an `active_spec`
-    /// key, so a monitoring client sees *what* is judging the traffic, not
-    /// just how fast.
+    /// listener: `GET /stats` responses gain an `active_spec` key, so a
+    /// monitoring client sees *what* is judging the traffic, not just how
+    /// fast.
     pub fn with_spec(mut self, spec: dquag_core::ValidatorSpec) -> Self {
         self.spec = Some(spec);
         self
@@ -174,8 +161,8 @@ impl NetListenerSource {
     /// errors, accept rejects/errors and keep-alive reuse, exposes an
     /// open-connection gauge, times the `decode` stage, and serves the
     /// bundle's whole registry over `GET /metrics` (Prometheus text
-    /// format) and the raw-protocol `METRICS` command. Share the same
-    /// bundle with the engine so one scrape covers the full pipeline.
+    /// format). Share the same bundle with the engine so one scrape covers
+    /// the full pipeline.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -303,7 +290,7 @@ impl Source for NetListenerSource {
                     if let Some(metrics) = &shared.metrics {
                         metrics.connections.inc();
                     }
-                    // Replies are single small lines; Nagle + delayed ACK
+                    // Replies are small single writes; Nagle + delayed ACK
                     // would stall the request/reply rhythm by ~40 ms.
                     stream.set_nodelay(true).ok();
                     if stream.set_nonblocking(true).is_err() {
@@ -374,7 +361,7 @@ impl Source for NetListenerSource {
 
     fn drain(&mut self, _sink: &SourceSink) {
         // The stop flag is set; each worker notices within one poll tick,
-        // flushes any queued reply ("ERR engine closed" included) and
+        // flushes any queued reply (an engine-closed 503 included) and
         // exits, so joining here never hangs.
         if let Some(pool) = &mut self.pool {
             for worker in &pool.workers {
@@ -418,7 +405,7 @@ fn worker_loop(
         }
         if shared.sink.should_stop() {
             // A connection may hold a reply its peer has not read yet —
-            // "ERR engine closed" after a blocked delivery — flush those
+            // an engine-closed 503 after a blocked delivery — flush those
             // before the pool disappears.
             for conn in &mut conns {
                 conn.final_flush();

@@ -15,9 +15,6 @@ pub enum SourceError {
     /// A payload could not be decoded into a batch (bad CSV, bad NDJSON,
     /// schema mismatch).
     Decode(String),
-    /// The peer violated the wire protocol (bad frame header, oversized
-    /// frame, truncated payload).
-    Frame(String),
     /// The streaming engine's ingestion side is closed; the source cannot
     /// deliver anything anymore.
     EngineClosed,
@@ -45,7 +42,6 @@ impl fmt::Display for SourceError {
         match self {
             SourceError::Io(msg) => write!(f, "source I/O error: {msg}"),
             SourceError::Decode(msg) => write!(f, "batch decode error: {msg}"),
-            SourceError::Frame(msg) => write!(f, "wire protocol error: {msg}"),
             SourceError::EngineClosed => {
                 f.write_str("the stream engine's ingestion side is closed")
             }
@@ -345,9 +341,6 @@ mod tests {
         assert!(SourceError::Decode("bad csv".into())
             .to_string()
             .contains("bad csv"));
-        assert!(SourceError::Frame("oversized".into())
-            .to_string()
-            .contains("oversized"));
         assert!(SourceError::EngineClosed.to_string().contains("closed"));
         let io: SourceError = std::io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));

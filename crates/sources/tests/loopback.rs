@@ -1,7 +1,12 @@
-//! Loopback end-to-end tests: batches submitted over TCP and HTTP must
-//! produce verdicts identical to direct `IngestHandle` submission, error
-//! replies must keep connections usable, and the `STATS` surfaces must
-//! serve the live engine statistics.
+//! Loopback end-to-end tests: batches posted over HTTP, one request per
+//! connection or many on one kept-alive connection, must produce verdicts
+//! identical to direct `IngestHandle` submission, error replies must keep
+//! connections usable, and `GET /stats` must serve the live engine
+//! statistics.
+
+mod common;
+
+use common::{get, post, request_once, Client};
 
 use dquag_core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};
@@ -11,8 +16,7 @@ use dquag_stream::StreamStats;
 use dquag_stream::{IngestHandle, StreamEngine, StreamItem, StreamOutcome, VerdictStream};
 use dquag_tabular::{csv, DataFrame};
 use dquag_validate::{build_spec, Validator, ValidatorSpec};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 const KIND: DatasetKind = DatasetKind::HotelBooking;
@@ -78,25 +82,9 @@ fn start_networked() -> (StreamEngine, VerdictStream, SourceRuntime, SocketAddr)
     (engine, verdicts, runtime, addr)
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("loopback connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-}
-
-fn send_frame(stream: &mut TcpStream, format: &str, payload: &[u8]) -> String {
-    stream
-        .write_all(format!("BATCH {format} {}\n", payload.len()).as_bytes())
-        .expect("header write");
-    stream.write_all(payload).expect("payload write");
-    read_reply_line(stream)
-}
-
-fn read_reply_line(stream: &mut TcpStream) -> String {
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("reply read");
-    line.trim_end().to_string()
+/// Post one CSV batch on a kept-alive connection.
+fn post_csv(client: &mut Client, batch: &DataFrame) -> common::Response {
+    client.exchange(&post("text/csv", &csv::to_csv_string(batch)))
 }
 
 /// The verdicts of a finished run, in submission order.
@@ -130,19 +118,21 @@ fn tcp_batches_produce_identical_verdicts_to_direct_submission() {
     let direct = collect(verdicts);
     engine.shutdown();
 
-    // Network path: the same batches as CSV frames over loopback TCP.
+    // Network path: the same batches as CSV bodies, all on one kept-alive
+    // connection over loopback TCP.
     let (engine, verdicts, runtime, addr) = start_networked();
-    let mut stream = connect(addr);
+    let mut client = Client::connect(addr);
     for (i, batch) in feed.iter().enumerate() {
-        let reply = send_frame(&mut stream, "csv", csv::to_csv_string(batch).as_bytes());
-        assert!(
-            reply.starts_with(&format!("ACK {i} ")),
-            "batch {i} reply: {reply}"
-        );
+        let reply = post_csv(&mut client, batch);
+        assert_eq!(reply.status, 202, "batch {i} reply: {reply:?}");
+        assert_eq!(reply.seq(), Some(i as u64), "batch {i} reply: {reply:?}");
+        assert!(reply.keeps_alive(), "{reply:?}");
     }
-    stream.write_all(b"QUIT\n").expect("quit write");
-    assert_eq!(read_reply_line(&mut stream), "BYE");
-    drop(stream);
+    // A request without keep-alive ends the conversation.
+    let reply = client.exchange("GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
+    assert!(reply.head.contains("Connection: close"), "{reply:?}");
+    assert_eq!(client.rest(), "");
+    drop(client);
     runtime.shutdown().expect("runtime drains");
     let networked = collect(verdicts);
     engine.shutdown();
@@ -172,7 +162,7 @@ fn http_post_produces_identical_verdicts_and_stats_endpoint_serves_json() {
     let (engine, verdicts, runtime, addr) = start_networked();
     for batch in &feed {
         let body = csv::to_csv_string(batch);
-        let response = http_request(
+        let response = request_once(
             addr,
             &format!(
                 "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
@@ -184,7 +174,7 @@ fn http_post_produces_identical_verdicts_and_stats_endpoint_serves_json() {
     }
 
     // GET /stats serves the live engine statistics as StreamStats JSON.
-    let response = http_request(addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
     let body = response
         .split("\r\n\r\n")
@@ -227,7 +217,7 @@ fn stats_surfaces_report_the_active_spec_and_checkpoints_record_it() {
 
     // GET /stats still parses as StreamStats (extra keys are invisible to
     // shape-typed readers) *and* carries the spec for spec-aware clients.
-    let response = http_request(addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
     let body = response
         .split("\r\n\r\n")
@@ -242,13 +232,10 @@ fn stats_surfaces_report_the_active_spec_and_checkpoints_record_it() {
     let reported: ValidatorSpec = serde_json::from_value(active).expect("spec parses");
     assert_eq!(reported, spec);
 
-    // The raw-protocol STATS line reports the same document.
-    let mut stream = connect(addr);
-    stream.write_all(b"STATS\n").expect("stats write");
-    let reply = read_reply_line(&mut stream);
-    let json = reply.strip_prefix("STATS ").expect("STATS prefix");
-    assert!(json.contains("active_spec"), "{json}");
-    drop(stream);
+    // A kept-alive connection reports the same document.
+    let reply = Client::connect(addr).exchange(&get("/stats"));
+    assert_eq!(reply.status, 200, "{reply:?}");
+    assert!(reply.body.contains("active_spec"), "{reply:?}");
 
     // The shutdown checkpoint records which validator tree was serving.
     let checkpoint = runtime.shutdown().expect("runtime drains");
@@ -258,45 +245,19 @@ fn stats_surfaces_report_the_active_spec_and_checkpoints_record_it() {
     engine.shutdown();
 }
 
-fn http_request(addr: SocketAddr, request: &str) -> String {
-    let mut stream = connect(addr);
-    stream.write_all(request.as_bytes()).expect("request write");
-    let mut response = String::new();
-    // Connection: close — read to EOF.
-    stream.read_to_string(&mut response).expect("response read");
-    response
-}
-
 #[test]
 fn ndjson_frames_decode_to_the_same_verdicts_as_csv() {
     let batch = batches(1).remove(0);
     let csv_payload = csv::to_csv_string(&batch);
-    // Re-encode the same rows as NDJSON.
-    let schema = batch.schema().clone();
-    let mut ndjson = String::new();
-    for row in batch.iter_rows() {
-        let mut obj = Vec::new();
-        for (field, value) in schema.fields().iter().zip(row) {
-            let encoded = match value {
-                dquag_tabular::Value::Null => "null".to_string(),
-                dquag_tabular::Value::Number(n) => serde_json::to_string(&n).unwrap(),
-                dquag_tabular::Value::Text(s) => serde_json::to_string(&s).unwrap(),
-            };
-            obj.push(format!(
-                "{}: {encoded}",
-                serde_json::to_string(&field.name).unwrap()
-            ));
-        }
-        ndjson.push_str(&format!("{{{}}}\n", obj.join(", ")));
-    }
+    let ndjson = common::ndjson(&batch);
 
     let (engine, verdicts, runtime, addr) = start_networked();
-    let mut stream = connect(addr);
-    let reply_csv = send_frame(&mut stream, "csv", csv_payload.as_bytes());
-    assert!(reply_csv.starts_with("ACK 0"), "{reply_csv}");
-    let reply_ndjson = send_frame(&mut stream, "ndjson", ndjson.as_bytes());
-    assert!(reply_ndjson.starts_with("ACK 1"), "{reply_ndjson}");
-    drop(stream);
+    let mut client = Client::connect(addr);
+    let reply_csv = client.exchange(&post("text/csv", &csv_payload));
+    assert_eq!(reply_csv.seq(), Some(0), "{reply_csv:?}");
+    let reply_ndjson = client.exchange(&post("application/x-ndjson", &ndjson));
+    assert_eq!(reply_ndjson.seq(), Some(1), "{reply_ndjson:?}");
+    drop(client);
     runtime.shutdown().expect("runtime drains");
     let items = collect(verdicts);
     engine.shutdown();
@@ -309,62 +270,61 @@ fn ndjson_frames_decode_to_the_same_verdicts_as_csv() {
 #[test]
 fn error_replies_keep_the_connection_usable_and_stats_flow() {
     let (engine, verdicts, runtime, addr) = start_networked();
-    let mut stream = connect(addr);
+    let mut client = Client::connect(addr);
 
-    // A decodable-length frame with undecodable content: ERR, framing kept.
-    let garbage = b"not,a,hotel,booking\n1,2,3,4\n";
-    let reply = send_frame(&mut stream, "csv", garbage);
-    assert!(reply.starts_with("ERR "), "{reply}");
+    // A well-framed body with undecodable content: 400, connection kept.
+    let reply = client.exchange(&post("text/csv", "not,a,hotel,booking\n1,2,3,4\n"));
+    assert_eq!(reply.status, 400, "{reply:?}");
+    assert!(reply.keeps_alive(), "{reply:?}");
 
     // An empty batch (header only) is refused without touching the engine.
     let header_only = csv::to_csv_string(&DataFrame::new(KIND.schema()));
-    let reply = send_frame(&mut stream, "csv", header_only.as_bytes());
-    assert_eq!(reply, "ERR empty batch");
+    let reply = client.exchange(&post("text/csv", &header_only));
+    assert_eq!(reply.status, 400, "{reply:?}");
+    assert_eq!(reply.body, "{\"error\": \"empty batch\"}");
 
-    // The connection still works: a valid frame is acknowledged…
-    let batch = batches(1).remove(0);
-    let reply = send_frame(&mut stream, "csv", csv::to_csv_string(&batch).as_bytes());
-    assert!(reply.starts_with("ACK 0 "), "{reply}");
+    // The connection still works: a valid batch is accepted…
+    let reply = post_csv(&mut client, &batches(1).remove(0));
+    assert_eq!(reply.status, 202, "{reply:?}");
+    assert_eq!(reply.seq(), Some(0), "{reply:?}");
 
-    // …and STATS reports exactly one accepted submission.
-    stream.write_all(b"STATS\n").expect("stats write");
-    let reply = read_reply_line(&mut stream);
-    let json = reply.strip_prefix("STATS ").expect("STATS prefix");
-    let stats: StreamStats = serde_json::from_str(json).expect("stats parse");
+    // …and GET /stats reports exactly one accepted submission.
+    let reply = client.exchange(&get("/stats"));
+    let stats: StreamStats = serde_json::from_str(&reply.body).expect("stats parse");
     assert_eq!(stats.submitted, 1);
+    drop(client);
 
-    drop(stream);
+    // An oversized body and a line that is no request line get error
+    // replies, and both close the connection: where the next request
+    // starts is unknowable.
+    let mut client = Client::connect(addr);
+    let reply = client.exchange(&format!(
+        "POST /ingest HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n",
+        usize::MAX
+    ));
+    assert_eq!(reply.status, 413, "{reply:?}");
+    assert!(reply.body.contains("limit"), "{reply:?}");
+    assert_eq!(client.rest(), "");
 
-    // Oversized frames and unknown commands get error replies on their own
-    // connections (both close the connection to resynchronise framing).
-    let mut stream = connect(addr);
-    stream
-        .write_all(format!("BATCH csv {}\n", usize::MAX).as_bytes())
-        .expect("oversized header write");
-    let reply = read_reply_line(&mut stream);
-    assert!(reply.starts_with("ERR "), "{reply}");
-    assert!(reply.contains("limit"), "{reply}");
-    drop(stream);
+    let mut client = Client::connect(addr);
+    let reply = client.exchange("NONSENSE\n");
+    assert_eq!(reply.status, 400, "{reply:?}");
+    assert!(reply.body.contains("request line"), "{reply:?}");
+    assert_eq!(client.rest(), "");
 
-    let mut stream = connect(addr);
-    stream.write_all(b"NONSENSE\n").expect("write");
-    let reply = read_reply_line(&mut stream);
-    assert!(reply.starts_with("ERR unknown command"), "{reply}");
-    drop(stream);
-
-    // HTTP errors: bad body → 400, wrong path → 404.
-    let response = http_request(
+    // One-shot requests: bad body → 400, wrong path → 404.
+    let response = request_once(
         addr,
         "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Type: text/csv\r\nContent-Length: 3\r\n\r\nabc",
     );
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
-    let response = http_request(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
+    let response = request_once(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
     assert!(response.starts_with("HTTP/1.1 404"), "{response}");
 
     runtime.shutdown().expect("runtime drains");
     let items = collect(verdicts);
     engine.shutdown();
-    // Only the one valid frame reached the engine.
+    // Only the one valid batch reached the engine.
     assert_eq!(items.len(), 1);
 }
 
@@ -395,20 +355,14 @@ fn shutdown_interrupts_deliveries_blocked_on_a_full_engine() {
     // Nobody reads `verdicts`, so the engine's outstanding bound
     // (queue_capacity + replicas = 2) fills and the third delivery blocks.
     let client = std::thread::spawn(move || {
-        let mut stream = connect(addr);
-        let feed = batches(3);
-        let mut replies = Vec::new();
-        for batch in &feed {
-            replies.push(send_frame(
-                &mut stream,
-                "csv",
-                csv::to_csv_string(batch).as_bytes(),
-            ));
-        }
-        replies
+        let mut client = Client::connect(addr);
+        batches(3)
+            .iter()
+            .map(|batch| post_csv(&mut client, batch))
+            .collect::<Vec<_>>()
     });
 
-    // Give the client time to wedge on the third frame, then shut down:
+    // Give the client time to wedge on the third batch, then shut down:
     // this must return instead of hanging on the blocked handler thread.
     std::thread::sleep(Duration::from_millis(300));
     runtime
@@ -416,9 +370,11 @@ fn shutdown_interrupts_deliveries_blocked_on_a_full_engine() {
         .expect("shutdown returns despite the blocked delivery");
 
     let replies = client.join().expect("client finishes");
-    assert!(replies[0].starts_with("ACK 0 "), "{replies:?}");
-    assert!(replies[1].starts_with("ACK 1 "), "{replies:?}");
-    assert_eq!(replies[2], "ERR engine closed", "{replies:?}");
+    assert_eq!(replies[0].seq(), Some(0), "{replies:?}");
+    assert_eq!(replies[1].seq(), Some(1), "{replies:?}");
+    assert_eq!(replies[2].status, 503, "{replies:?}");
+    assert_eq!(replies[2].body, "{\"error\": \"engine closed\"}");
+    assert!(replies[2].head.contains("Connection: close"), "{replies:?}");
 
     // The two accepted batches are still drained and emitted.
     let items: Vec<StreamItem> = verdicts.collect();
@@ -434,9 +390,8 @@ fn concurrent_tcp_producers_all_get_acknowledged() {
         .into_iter()
         .map(|batch| {
             std::thread::spawn(move || {
-                let mut stream = connect(addr);
-                let reply = send_frame(&mut stream, "csv", csv::to_csv_string(&batch).as_bytes());
-                assert!(reply.starts_with("ACK "), "{reply}");
+                let reply = post_csv(&mut Client::connect(addr), &batch);
+                assert_eq!(reply.status, 202, "{reply:?}");
             })
         })
         .collect();

@@ -1,7 +1,11 @@
 //! Loopback tests for the observability surfaces: correct `Content-Type` /
 //! `Content-Length` headers on `GET /stats` and `GET /metrics`, a parseable
-//! Prometheus exposition covering the full pipeline (≥ 12 series), and the
-//! raw-protocol `METRICS` command's length-framed payload.
+//! Prometheus exposition covering the full pipeline (≥ 12 series), the
+//! `GET /drift` scoreboard, and clean refusals when telemetry is off.
+
+mod common;
+
+use common::{get, request_once, Client};
 
 use dquag_core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
@@ -11,8 +15,7 @@ use dquag_tabular::{csv, DataFrame, Field, Schema, Value};
 use dquag_telemetry::{Telemetry, TelemetryConfig, TelemetryDataConfig};
 use dquag_validate::{build_spec, DriftSpec, DriftValidator, Validator, ValidatorSpec};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,15 +68,6 @@ fn start_observed() -> (
         .start(ingest)
         .expect("runtime starts");
     (telemetry, engine, verdicts, runtime, addr)
-}
-
-fn http_request(addr: SocketAddr, request: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("loopback connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream.write_all(request.as_bytes()).expect("request write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("response read");
-    response
 }
 
 /// Split an HTTP/1.1 response into (status line, headers, body).
@@ -151,7 +145,7 @@ fn parse_prometheus(text: &str) -> (BTreeSet<String>, BTreeSet<String>) {
 
 fn post_frame(addr: SocketAddr, batch: &DataFrame) {
     let body = csv::to_csv_string(batch);
-    let response = http_request(
+    let response = request_once(
         addr,
         &format!(
             "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
@@ -169,7 +163,7 @@ fn post_batches(addr: SocketAddr, n: usize) {
 
 /// `GET path`, asserting a `200`; returns the body.
 fn get_body(addr: SocketAddr, path: &str) -> String {
-    let response = http_request(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"));
+    let response = request_once(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"));
     let (status, _headers, body) = parse_response(&response);
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     body.to_string()
@@ -190,7 +184,7 @@ fn samples(body: &str) -> BTreeMap<String, f64> {
 fn stats_and_metrics_send_correct_content_type_and_length() {
     let (_telemetry, engine, verdicts, runtime, addr) = start_observed();
 
-    let response = http_request(addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n");
     let (status, headers, body) = parse_response(&response);
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     assert_eq!(header(&headers, "content-type"), "application/json");
@@ -200,7 +194,7 @@ fn stats_and_metrics_send_correct_content_type_and_length() {
         "Content-Length must match the body byte count"
     );
 
-    let response = http_request(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     let (status, headers, body) = parse_response(&response);
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     assert_eq!(
@@ -228,7 +222,7 @@ fn metrics_endpoint_covers_the_pipeline_and_parses_as_prometheus() {
         .swap_validator(fitted_validator())
         .expect("swap succeeds");
 
-    let response = http_request(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     let (status, _headers, body) = parse_response(&response);
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
 
@@ -260,46 +254,6 @@ fn metrics_endpoint_covers_the_pipeline_and_parses_as_prometheus() {
     assert!(body.contains("dquag_stage_duration_seconds_count{stage=\"decode\"} 4"));
     assert!(body.contains("dquag_stream_batches_submitted_total 4"));
     assert!(body.contains("dquag_stream_generation 1"));
-
-    runtime.shutdown().expect("runtime drains");
-    drop(verdicts);
-    engine.shutdown();
-}
-
-#[test]
-fn raw_metrics_command_is_length_framed_and_matches_http() {
-    let (_telemetry, engine, verdicts, runtime, addr) = start_observed();
-    post_batches(addr, 1);
-
-    let stream = TcpStream::connect(addr).expect("loopback connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    writer.write_all(b"METRICS\n").expect("command write");
-
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("reply line");
-    let len: usize = line
-        .trim_end()
-        .strip_prefix("METRICS ")
-        .expect("METRICS prefix")
-        .parse()
-        .expect("payload length");
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).expect("payload read");
-    let text = String::from_utf8(payload).expect("UTF-8 payload");
-
-    let (_families, series) = parse_prometheus(&text);
-    assert!(
-        series.len() >= 12,
-        "raw METRICS too small: {}",
-        series.len()
-    );
-    // Connection stays usable after a length-framed reply.
-    writer.write_all(b"QUIT\n").expect("quit write");
-    line.clear();
-    reader.read_line(&mut line).expect("bye line");
-    assert_eq!(line.trim_end(), "BYE");
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
@@ -463,7 +417,7 @@ fn start_drift_observed() -> (
 
 fn post_drift_batch(addr: SocketAddr, shift: f64) {
     let body = csv::to_csv_string(&drift_frame(shift, 40));
-    let response = http_request(
+    let response = request_once(
         addr,
         &format!(
             "POST /ingest HTTP/1.1\r\nHost: test\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
@@ -474,7 +428,7 @@ fn post_drift_batch(addr: SocketAddr, shift: f64) {
 }
 
 #[test]
-fn drift_scoreboard_is_served_over_http_and_raw() {
+fn drift_scoreboard_is_served_over_http() {
     let (_telemetry, engine, mut verdicts, runtime, addr) = start_drift_observed();
 
     // One clean batch, then two with `amount` shifted far off-profile.
@@ -486,7 +440,7 @@ fn drift_scoreboard_is_served_over_http_and_raw() {
     }
 
     // The scoreboard names `amount` first, past its threshold.
-    let response = http_request(addr, "GET /drift HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /drift HTTP/1.1\r\nHost: test\r\n\r\n");
     let (status, headers, body) = parse_response(&response);
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     assert_eq!(header(&headers, "content-type"), "application/json");
@@ -502,7 +456,7 @@ fn drift_scoreboard_is_served_over_http_and_raw() {
     assert!(body.contains("\"drifted\""), "{body}");
 
     // The gauges stay inside the cardinality budget and name the drifter.
-    let response = http_request(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     let (_status, _headers, metrics_body) = parse_response(&response);
     let (_families, series) = parse_prometheus(metrics_body);
     assert!(
@@ -520,15 +474,13 @@ fn drift_scoreboard_is_served_over_http_and_raw() {
         "ratio gauges outside the top-K budget: {ratio_series}"
     );
 
-    // The raw protocol serves the same scoreboard on one line.
-    let stream = TcpStream::connect(addr).expect("loopback connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    writer.write_all(b"DRIFT\n").expect("command write");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("reply line");
-    assert!(line.starts_with("DRIFT {"), "{line}");
-    assert!(line.contains("amount"), "{line}");
+    // A kept-alive connection serves the same scoreboard, request after
+    // request.
+    let mut client = Client::connect(addr);
+    for _ in 0..2 {
+        let reply = client.exchange(&get("/drift"));
+        assert_eq!((reply.status, reply.body.as_str()), (200, body));
+    }
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
@@ -541,19 +493,15 @@ fn drift_scoreboard_is_served_over_http_and_raw() {
 fn drift_surfaces_refuse_when_the_data_layer_is_off() {
     let (_telemetry, engine, verdicts, runtime, addr) = start_observed();
 
-    let response = http_request(addr, "GET /drift HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /drift HTTP/1.1\r\nHost: test\r\n\r\n");
     assert!(response.starts_with("HTTP/1.1 404"), "{response}");
     assert!(
         response.contains("data telemetry not enabled"),
         "{response}"
     );
 
-    let mut stream = TcpStream::connect(addr).expect("loopback connect");
-    stream.write_all(b"DRIFT\n").expect("command write");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("reply line");
-    assert_eq!(line.trim_end(), "ERR data telemetry not enabled");
+    let response = request_once(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
@@ -582,16 +530,16 @@ fn without_telemetry_the_surfaces_refuse_cleanly() {
         .start(ingest)
         .expect("runtime starts");
 
-    let response = http_request(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+    let response = request_once(addr, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
     assert!(response.starts_with("HTTP/1.1 404"), "{response}");
     assert!(response.contains("telemetry not enabled"), "{response}");
 
-    let mut stream = TcpStream::connect(addr).expect("loopback connect");
-    stream.write_all(b"METRICS\n").expect("command write");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("reply line");
-    assert_eq!(line.trim_end(), "ERR telemetry not enabled");
+    let response = request_once(addr, "GET /drift HTTP/1.1\r\nHost: test\r\n\r\n");
+    assert!(response.starts_with("HTTP/1.1 404"), "{response}");
+    assert!(
+        response.contains("data telemetry not enabled"),
+        "{response}"
+    );
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);

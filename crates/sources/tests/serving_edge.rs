@@ -1,10 +1,13 @@
 //! Serving-edge behaviour tests: bounded accepts answer overflow with a
-//! fast `503`/`REJECTED`, HTTP keep-alive serves sequential requests on
-//! one socket (with request cap and idle timeout), malformed
-//! `Content-Length` headers are `400`s that name the problem, raw frames
-//! shaped like HTTP versions stay raw, and a failed worker hand-off is
-//! survived instead of panicking the listener.
+//! fast `503`, HTTP keep-alive serves sequential requests on one socket
+//! (with request cap and idle timeout), malformed `Content-Length`
+//! headers are `400`s that name the problem, a first line that is no
+//! request line is a `400`, an oversized request head is a `431`, and a
+//! failed worker hand-off is survived instead of panicking the listener.
 
+mod common;
+
+use common::{get, post, request_once, Client};
 use dquag_core::{DquagConfig, ServingConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
@@ -12,7 +15,7 @@ use dquag_stream::{StreamEngine, VerdictStream};
 use dquag_tabular::csv;
 use dquag_telemetry::{Telemetry, TelemetryConfig};
 use dquag_validate::{build_spec, Validator, ValidatorSpec};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -103,60 +106,6 @@ fn open_connections(telemetry: &Telemetry) -> f64 {
         .get()
 }
 
-/// One request/response exchange on an already-open connection, reading
-/// exactly `Content-Length` body bytes so the socket stays usable for the
-/// next request (keep-alive).
-fn http_exchange(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    request: &str,
-) -> (String, String) {
-    stream.write_all(request.as_bytes()).expect("request write");
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("header read");
-        assert!(n > 0, "connection closed mid-response; head so far: {head}");
-        if line == "\r\n" {
-            break;
-        }
-        head.push_str(&line);
-    }
-    let content_length = head
-        .lines()
-        .find(|line| line.to_ascii_lowercase().starts_with("content-length:"))
-        .and_then(|line| line.split_once(':'))
-        .and_then(|(_, value)| value.trim().parse::<usize>().ok())
-        .expect("response has Content-Length");
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body read");
-    (head, String::from_utf8(body).expect("UTF-8 body"))
-}
-
-fn post_ingest_keep_alive(body: &str) -> String {
-    format!(
-        "POST /ingest HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\nContent-Type: text/csv\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-}
-
-/// One-shot request on its own connection, reading to EOF
-/// (`Connection: close` semantics).
-fn http_request(addr: SocketAddr, request: &str) -> String {
-    let mut stream = connect(addr);
-    stream.write_all(request.as_bytes()).expect("request write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("response read");
-    response
-}
-
-fn read_reply_line(stream: &mut TcpStream) -> String {
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("reply read");
-    line.trim_end().to_string()
-}
-
 #[test]
 fn overflow_connections_get_fast_503_and_rejected_replies() {
     let (telemetry, engine, verdicts, runtime, addr) = start_serving(
@@ -174,20 +123,13 @@ fn overflow_connections_get_fast_503_and_rejected_replies() {
         open_connections(&telemetry) >= 2.0
     });
 
-    // Raw-protocol overflow: first line answered REJECTED, then close.
-    let mut raw = connect(addr);
-    raw.write_all(b"STATS\n").expect("write");
-    let reply = read_reply_line(&mut raw);
-    assert!(
-        reply.starts_with("REJECTED"),
-        "overflow raw reply: {reply:?}"
-    );
-    drop(raw);
-
-    // HTTP overflow: a fast 503, not a hung or reset connection.
-    let response = http_request(addr, "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
+    // Overflow: a fast 503, not a hung or reset connection, whatever the
+    // first line says.
+    let response = request_once(addr, "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
     assert!(response.starts_with("HTTP/1.1 503"), "{response}");
     assert!(response.contains("connection capacity"), "{response}");
+    let response = request_once(addr, "STATS\n");
+    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
 
     let rejects = telemetry
         .registry()
@@ -208,11 +150,8 @@ fn overflow_connections_get_fast_503_and_rejected_replies() {
     // Freeing a slot restores service for new connections.
     drop(holders);
     wait_until("holders to drain", || open_connections(&telemetry) < 1.0);
-    let mut stream = connect(addr);
-    stream.write_all(b"STATS\n").expect("write");
-    let reply = read_reply_line(&mut stream);
-    assert!(reply.starts_with("STATS "), "{reply}");
-    drop(stream);
+    let reply = Client::connect(addr).exchange(&get("/stats"));
+    assert_eq!(reply.status, 200, "{reply:?}");
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
@@ -223,28 +162,25 @@ fn overflow_connections_get_fast_503_and_rejected_replies() {
 fn keep_alive_serves_sequential_requests_on_one_socket() {
     let (telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
 
-    let mut stream = connect(addr);
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut client = Client::connect(addr);
 
     // Three requests on one socket: two ingests and a stats read.
     for (i, batch) in [KIND.generate_clean(30, 100), KIND.generate_clean(31, 101)]
         .iter()
         .enumerate()
     {
-        let body = csv::to_csv_string(batch);
-        let (head, body) = http_exchange(&mut stream, &mut reader, &post_ingest_keep_alive(&body));
-        assert!(head.starts_with("HTTP/1.1 202"), "request {i}: {head}");
-        assert!(head.contains("Connection: keep-alive"), "{head}");
-        assert!(body.contains("\"status\": \"enqueued\""), "{body}");
+        let reply = client.exchange(&post("text/csv", &csv::to_csv_string(batch)));
+        assert!(
+            reply.head.starts_with("HTTP/1.1 202"),
+            "request {i}: {reply:?}"
+        );
+        assert!(reply.keeps_alive(), "{reply:?}");
+        assert!(reply.body.contains("\"status\": \"enqueued\""), "{reply:?}");
     }
-    let (head, body) = http_exchange(
-        &mut stream,
-        &mut reader,
-        "GET /stats HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
-    );
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(head.contains("Connection: keep-alive"), "{head}");
-    assert!(body.contains("\"submitted\""), "{body}");
+    let reply = client.exchange(&get("/stats"));
+    assert!(reply.head.starts_with("HTTP/1.1 200"), "{reply:?}");
+    assert!(reply.keeps_alive(), "{reply:?}");
+    assert!(reply.body.contains("\"submitted\""), "{reply:?}");
 
     // Reuse is visible to operators.
     let reuse = telemetry
@@ -259,14 +195,11 @@ fn keep_alive_serves_sequential_requests_on_one_socket() {
     // A request that does not ask for keep-alive is answered
     // `Connection: close`, and the socket then reads to EOF — exactly the
     // pre-keep-alive contract.
-    stream
-        .write_all(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n")
-        .expect("request write");
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).expect("read to EOF");
+    client.send(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
+    let rest = client.rest();
     assert!(rest.starts_with("HTTP/1.1 200"), "{rest}");
     assert!(rest.contains("Connection: close"), "{rest}");
-    drop(stream);
+    drop(client);
 
     runtime.shutdown().expect("runtime drains");
     let items: Vec<_> = verdicts.collect();
@@ -287,20 +220,16 @@ fn request_cap_and_idle_timeout_recycle_connections() {
 
     // Request cap: the second response on a kept-alive socket announces
     // the close even though the client asked for keep-alive.
-    let mut stream = connect(addr);
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let request = "GET /stats HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n";
-    let (head, _) = http_exchange(&mut stream, &mut reader, request);
-    assert!(head.contains("Connection: keep-alive"), "{head}");
-    let (head, _) = http_exchange(&mut stream, &mut reader, request);
+    let mut client = Client::connect(addr);
+    let reply = client.exchange(&get("/stats"));
+    assert!(reply.keeps_alive(), "{reply:?}");
+    let reply = client.exchange(&get("/stats"));
     assert!(
-        head.contains("Connection: close"),
-        "request cap reached: {head}"
+        reply.head.contains("Connection: close"),
+        "request cap reached: {reply:?}"
     );
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).expect("EOF after the cap");
-    assert!(rest.is_empty(), "{rest}");
-    drop(stream);
+    assert_eq!(client.rest(), "", "EOF after the cap");
+    drop(client);
 
     // Idle timeout: a silent connection is closed by the server.
     let mut idle = connect(addr);
@@ -326,8 +255,8 @@ fn malformed_content_length_is_a_400_naming_the_value() {
 
     // Unparsable values were previously swallowed into "no header" and
     // answered 411; they are client errors and must say what was wrong.
-    for bad in ["abc", "-1", "1e3"] {
-        let response = http_request(
+    for bad in ["abc", "-1", "1e3", "+42"] {
+        let response = request_once(
             addr,
             &format!(
                 "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Type: text/csv\r\nContent-Length: {bad}\r\n\r\n"
@@ -341,7 +270,7 @@ fn malformed_content_length_is_a_400_naming_the_value() {
     }
 
     // Conflicting duplicates: refuse instead of last-one-wins.
-    let response = http_request(
+    let response = request_once(
         addr,
         "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\nContent-Length: 20\r\n\r\n",
     );
@@ -352,7 +281,7 @@ fn malformed_content_length_is_a_400_naming_the_value() {
     );
 
     // A genuinely absent header is still 411.
-    let response = http_request(
+    let response = request_once(
         addr,
         "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Type: text/csv\r\n\r\n",
     );
@@ -373,59 +302,94 @@ fn deeply_nested_ndjson_gets_an_error_reply_and_serving_continues() {
     let valid = csv::to_csv_string(&KIND.generate_clean(20, 102));
     let (_telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
 
-    // HTTP: a 400 naming the parse error, and the kept-alive socket still
+    // A 400 naming the parse error, and the kept-alive socket still
     // serves the next request.
-    let mut stream = connect(addr);
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let request = format!(
-        "POST /ingest HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n\r\n{hostile}",
-        hostile.len()
-    );
-    let (head, body) = http_exchange(&mut stream, &mut reader, &request);
-    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
-    assert!(body.contains("recursion limit exceeded"), "{body}");
-    let (head, _) = http_exchange(&mut stream, &mut reader, &post_ingest_keep_alive(&valid));
-    assert!(head.starts_with("HTTP/1.1 202"), "{head}");
-    drop(stream);
-
-    // Raw protocol: an ERR line, then the same connection takes a batch.
-    let mut raw = connect(addr);
-    raw.write_all(format!("BATCH ndjson {}\n{hostile}", hostile.len()).as_bytes())
-        .expect("write");
-    let reply = read_reply_line(&mut raw);
-    assert!(reply.starts_with("ERR "), "{reply}");
-    assert!(reply.contains("recursion limit exceeded"), "{reply}");
-    raw.write_all(format!("BATCH csv {}\n{valid}", valid.len()).as_bytes())
-        .expect("write");
-    let reply = read_reply_line(&mut raw);
-    assert!(reply.starts_with("ACK "), "{reply}");
-    drop(raw);
+    let mut client = Client::connect(addr);
+    let reply = client.exchange(&post("application/x-ndjson", &hostile));
+    assert_eq!(reply.status, 400, "{reply:?}");
+    assert!(reply.body.contains("recursion limit exceeded"), "{reply:?}");
+    let reply = client.exchange(&post("text/csv", &valid));
+    assert_eq!(reply.status, 202, "{reply:?}");
+    drop(client);
 
     runtime.shutdown().expect("runtime drains");
     let items: Vec<_> = verdicts.collect();
     assert_eq!(
         items.len(),
-        2,
-        "only the well-formed batches reached the engine"
+        1,
+        "only the well-formed batch reached the engine"
     );
     engine.shutdown();
 }
 
 #[test]
-fn raw_frames_shaped_like_http_versions_stay_raw() {
+fn lines_that_are_not_request_lines_get_a_400_and_close() {
     let (_telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
 
-    // Ends in HTTP/1.1 but is not METHOD SP PATH SP VERSION: the old
-    // suffix heuristic sent an HTTP response to a raw-protocol peer.
-    let mut stream = connect(addr);
-    stream.write_all(b"BATCH csv HTTP/1.1\n").expect("write");
-    let reply = read_reply_line(&mut stream);
-    assert!(reply.starts_with("ERR "), "raw ERR expected: {reply}");
-    assert!(
-        !reply.starts_with("HTTP/"),
-        "must not be an HTTP response: {reply}"
-    );
-    drop(stream);
+    // Commands of a line protocol, and a line that merely ends in
+    // HTTP/1.1, are no request lines: 400, then the connection closes.
+    for line in [
+        "STATS\n",
+        "BATCH csv 10\n",
+        "BATCH csv HTTP/1.1\n",
+        "get /stats HTTP/1.1\r\n",
+    ] {
+        let response = request_once(addr, line);
+        assert!(response.starts_with("HTTP/1.1 400"), "{line:?}: {response}");
+        assert!(response.contains("request line"), "{line:?}: {response}");
+        assert!(
+            response.contains("Connection: close"),
+            "{line:?}: {response}"
+        );
+    }
+
+    // The same holds after a kept-alive request.
+    let mut client = Client::connect(addr);
+    assert_eq!(client.exchange(&get("/stats")).status, 200);
+    assert_eq!(client.exchange("QUIT\n").status, 400);
+    assert_eq!(client.rest(), "");
+
+    runtime.shutdown().expect("runtime drains");
+    let items: Vec<_> = verdicts.collect();
+    assert!(items.is_empty(), "nothing reached the engine");
+    engine.shutdown();
+}
+
+#[test]
+fn request_heads_past_64_kib_get_a_431_and_close() {
+    let (_telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
+
+    // Repeated short headers: each line is small, but the head is not.
+    // A listener that only bounds one line at a time never answers.
+    let mut client = Client::connect(addr);
+    client
+        .stream()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut head = b"POST /ingest HTTP/1.1\r\nHost: t\r\n".to_vec();
+    while head.len() <= 80 * 1024 {
+        head.extend_from_slice(b"Content-Length: 1\r\n");
+    }
+    client.send(&head);
+    let reply = client.response();
+    assert_eq!(reply.status, 431, "{reply:?}");
+    assert!(reply.body.contains("65536-byte limit"), "{reply:?}");
+    assert!(reply.head.contains("Connection: close"), "{reply:?}");
+
+    // One endless request line gets the same answer.
+    let mut client = Client::connect(addr);
+    client.send(format!("GET /{} HTTP/1.1", "a".repeat(70 * 1024)).as_bytes());
+    assert_eq!(client.response().status, 431);
+
+    // A head just under the budget is served.
+    let mut request = b"GET /stats HTTP/1.1\r\n".to_vec();
+    while request.len() < 60 * 1024 {
+        request.extend_from_slice(b"X-Filler: 0123456789\r\n");
+    }
+    request.extend_from_slice(b"\r\n");
+    let mut client = Client::connect(addr);
+    client.send(&request);
+    assert_eq!(client.response().status, 200);
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
@@ -440,7 +404,7 @@ fn dispatch_failure_is_logged_counted_and_survived() {
     let (telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 1);
 
     let mut doomed = connect(addr);
-    doomed.write_all(b"STATS\n").expect("write");
+    doomed.write_all(get("/stats").as_bytes()).expect("write");
     let mut reply = String::new();
     // The socket was closed without a reply (EOF) — or reset; either way,
     // no hang and no panic.
@@ -458,11 +422,8 @@ fn dispatch_failure_is_logged_counted_and_survived() {
     assert_eq!(errors, 1);
 
     // The listener is still serving.
-    let mut stream = connect(addr);
-    stream.write_all(b"STATS\n").expect("write");
-    let reply = read_reply_line(&mut stream);
-    assert!(reply.starts_with("STATS "), "{reply}");
-    drop(stream);
+    let reply = Client::connect(addr).exchange(&get("/stats"));
+    assert_eq!(reply.status, 200, "{reply:?}");
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);

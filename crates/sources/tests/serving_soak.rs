@@ -1,13 +1,17 @@
 //! Many-connection soak: the worker-pool listener holds dozens of open
-//! sockets and serves concurrent clients on a *fixed* thread count — the
-//! old thread-per-connection design grew one OS thread per socket — while
-//! producing verdicts identical to direct in-process submission, and
-//! answering over-capacity connects with a deterministic `REJECTED`/`503`.
+//! sockets and serves concurrent kept-alive clients on a *fixed* thread
+//! count — the old thread-per-connection design grew one OS thread per
+//! socket — while producing verdicts identical to direct in-process
+//! submission, in seq order, and answering over-capacity connects with a
+//! deterministic `503`.
 //!
 //! This is the one test in the crate that asserts on the process thread
 //! count, so it lives alone in its own test binary: sibling tests spawning
 //! engines would make `/proc/self/status` readings meaningless.
 
+mod common;
+
+use common::{post, request_once, Client};
 use dquag_core::{DquagConfig, ServingConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
 use dquag_sources::{NetListenerSource, SourceRuntime};
@@ -15,8 +19,6 @@ use dquag_stream::{StreamEngine, StreamItem, StreamOutcome};
 use dquag_tabular::csv;
 use dquag_telemetry::{Telemetry, TelemetryConfig};
 use dquag_validate::{build_spec, Validator, ValidatorSpec, Verdict};
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,6 +29,9 @@ const MAX_CONNECTIONS: usize = 32;
 const HOLDERS: usize = 24;
 const CLIENT_THREADS: usize = 12;
 const BATCHES_PER_CLIENT: usize = 16;
+/// Requests per connection before the listener recycles it, so every
+/// client churns through several kept-alive connections.
+const REQUESTS_PER_CONNECTION: usize = 4;
 
 fn fitted_validator() -> Box<dyn Validator> {
     let clean = KIND.generate_clean(400, 11);
@@ -36,8 +41,8 @@ fn fitted_validator() -> Box<dyn Validator> {
     validator
 }
 
-/// Batches with pairwise-distinct row counts, so a verdict can be matched
-/// to its batch across engines by `n_rows` alone.
+/// Batches with pairwise-distinct row counts, so a verdict's `n_rows`
+/// also names its batch.
 fn batches() -> Vec<dquag_tabular::DataFrame> {
     (0..CLIENT_THREADS * BATCHES_PER_CLIENT)
         .map(|i| KIND.generate_clean(20 + i, 500 + i as u64))
@@ -81,46 +86,46 @@ fn open_connections(telemetry: &Telemetry) -> f64 {
         .get()
 }
 
-/// Submit one batch on a fresh connection, retrying while the listener is
-/// at capacity. Returns the number of `REJECTED` refusals absorbed.
-fn submit_with_retry(addr: SocketAddr, payload: &str) -> u64 {
-    for rejects in 0..2000u64 {
-        let mut stream = connect(addr);
-        let frame = format!("BATCH csv {}\n{payload}", payload.len());
-        stream.write_all(frame.as_bytes()).expect("frame write");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("reply read");
-        let reply = reply.trim_end();
-        if reply.starts_with("ACK ") {
-            return rejects;
+/// Post `indices`' payloads in order on kept-alive connections, opening
+/// a new one whenever the listener closes the last (request cap) or
+/// refuses it (capacity `503`), and retrying a refused batch. Returns the
+/// `(seq, batch index)` of every accepted batch and the refusals absorbed.
+fn submit_all(
+    addr: SocketAddr,
+    payloads: &[String],
+    indices: &[usize],
+) -> (Vec<(u64, usize)>, u64) {
+    let mut accepted = Vec::new();
+    let mut rejects = 0u64;
+    let mut client: Option<Client> = None;
+    for &index in indices {
+        loop {
+            let conn = client.get_or_insert_with(|| Client::connect(addr));
+            let reply = conn.exchange(&post("text/csv", &payloads[index]));
+            if !reply.keeps_alive() {
+                client = None;
+            }
+            if let Some(seq) = reply.seq() {
+                accepted.push((seq, index));
+                break;
+            }
+            assert!(
+                reply.status == 503 && reply.body.contains("connection capacity"),
+                "only capacity refusals are retried: {reply:?}"
+            );
+            rejects += 1;
+            assert!(rejects < 2000, "batch {index} never accepted");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(
-            reply.starts_with("REJECTED"),
-            "only capacity refusals are retried: {reply:?}"
-        );
-        drop(stream);
-        std::thread::sleep(Duration::from_millis(5));
     }
-    panic!("batch never accepted after 2000 attempts");
+    (accepted, rejects)
 }
 
-/// Map each verdict to its batch's row count (all row counts distinct).
-fn verdicts_by_rows(items: &[StreamItem]) -> BTreeMap<usize, &Verdict> {
-    let mut map = BTreeMap::new();
-    for item in items {
-        let verdict = match &item.outcome {
-            StreamOutcome::Verdict(verdict) => verdict,
-            other => panic!("expected a verdict, got {other}"),
-        };
-        let previous = map.insert(item.n_rows, verdict);
-        assert!(
-            previous.is_none(),
-            "duplicate delivery for the {}-row batch",
-            item.n_rows
-        );
+fn verdict(item: &StreamItem) -> &Verdict {
+    match &item.outcome {
+        StreamOutcome::Verdict(verdict) => verdict,
+        other => panic!("expected a verdict, got {other}"),
     }
-    map
 }
 
 #[test]
@@ -146,7 +151,6 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
         items
     };
     assert_eq!(direct.len(), all_batches.len());
-    let direct_verdicts = verdicts_by_rows(&direct);
 
     let baseline_threads = thread_count();
 
@@ -170,6 +174,7 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
         serving: ServingConfig {
             workers: WORKERS,
             max_connections: MAX_CONNECTIONS,
+            max_requests_per_connection: REQUESTS_PER_CONNECTION,
             ..ServingConfig::default()
         },
         ..SourceConfig::default()
@@ -195,8 +200,8 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
         );
     }
 
-    // Saturate the accept cap with idle holders and demand deterministic
-    // refusals: raw peers get a REJECTED line, HTTP peers a fast 503.
+    // Saturate the accept cap with idle holders and demand a deterministic
+    // refusal: a fast 503.
     let mut holders: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| connect(addr)).collect();
     wait_until("holders to register", || {
         open_connections(&telemetry) >= MAX_CONNECTIONS as f64
@@ -208,14 +213,8 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
             now - before
         );
     }
-    {
-        let mut raw = connect(addr);
-        raw.write_all(b"STATS\n").expect("write");
-        let mut reader = BufReader::new(raw.try_clone().expect("clone"));
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("reply read");
-        assert!(reply.starts_with("REJECTED"), "{reply:?}");
-    }
+    let refusal = request_once(addr, "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(refusal.starts_with("HTTP/1.1 503"), "{refusal:?}");
 
     // Free part of the cap and run the concurrent soak through what's left.
     holders.truncate(HOLDERS);
@@ -223,24 +222,27 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
         open_connections(&telemetry) <= HOLDERS as f64
     });
 
-    let payloads: Vec<String> = all_batches.iter().map(csv::to_csv_string).collect();
+    let payloads: Arc<Vec<String>> = Arc::new(all_batches.iter().map(csv::to_csv_string).collect());
+    let indices: Vec<usize> = (0..payloads.len()).collect();
     let mut clients = Vec::new();
-    for chunk in payloads.chunks(BATCHES_PER_CLIENT) {
-        let chunk = chunk.to_vec();
+    for chunk in indices.chunks(BATCHES_PER_CLIENT) {
+        let (chunk, payloads) = (chunk.to_vec(), Arc::clone(&payloads));
         clients.push(std::thread::spawn(move || {
-            let mut rejects = 0u64;
-            for payload in &chunk {
-                rejects += submit_with_retry(addr, payload);
-            }
-            rejects
+            submit_all(addr, &payloads, &chunk)
         }));
     }
-    let client_rejects: u64 = clients
-        .into_iter()
-        .map(|handle| handle.join().expect("client thread"))
-        .sum();
+    let mut batch_of_seq = vec![None; payloads.len()];
+    let mut client_rejects = 0u64;
+    for handle in clients {
+        let (accepted, rejects) = handle.join().expect("client thread");
+        client_rejects += rejects;
+        for (seq, index) in accepted {
+            let slot = &mut batch_of_seq[usize::try_from(seq).expect("seq fits")];
+            assert!(slot.replace(index).is_none(), "seq {seq} assigned twice");
+        }
+    }
 
-    // After the churn of ~200 short-lived connections, the server stack is
+    // After the churn of ~50 kept-alive connections, the server stack is
     // still the same fixed pool — no per-connection threads were spawned.
     if let (Some(before), Some(now)) = (serving_threads, thread_count()) {
         assert!(
@@ -255,12 +257,16 @@ fn soak_fixed_threads_overflow_refusals_and_verdict_parity() {
     let networked: Vec<StreamItem> = verdicts.collect();
     engine.shutdown();
 
-    // Exactly-once delivery and verdict parity with direct submission:
-    // same row-count keys (nothing skipped, nothing replayed), and for
-    // every batch the identical verdict.
+    // Exactly-once delivery and verdict parity with direct submission: the
+    // verdicts arrive in seq order 0..n, and each is the direct verdict of
+    // the batch its 202 reply named.
     assert_eq!(networked.len(), all_batches.len());
-    let networked_verdicts = verdicts_by_rows(&networked);
-    assert_eq!(direct_verdicts, networked_verdicts);
+    for (seq, item) in networked.iter().enumerate() {
+        assert_eq!(item.seq, seq as u64, "verdicts arrive in seq order");
+        let index = batch_of_seq[seq].expect("every seq was acknowledged");
+        assert_eq!(item.n_rows, all_batches[index].n_rows());
+        assert_eq!(verdict(item), verdict(&direct[index]), "batch {index}");
+    }
 
     // The deterministic refusal above is counted; client-side retries (if
     // the soak ever hit the cap) are the same counter.

@@ -143,9 +143,10 @@ impl SubmitOutcome {
     }
 }
 
-/// The wire spelling of a submission result: the network source adapters
-/// reply with exactly this text (`ACK <seq>` / `DROPPED` / `REJECTED` /
-/// `TIMEOUT`), so logs and protocol traces read the same.
+/// The log spelling of a submission result (`ACK <seq>` / `DROPPED` /
+/// `REJECTED` / `TIMEOUT`). The HTTP listener's `503` reply to a refused
+/// `POST /ingest` carries the lowercase form as its `status`
+/// (`{"status": "rejected"}`), so logs and replies read the same.
 impl fmt::Display for SubmitOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -92,7 +92,7 @@ pub struct ScoreboardColumn {
 }
 
 /// Ranked snapshot of every column the data-plane layer has seen,
-/// rendered as JSON by `GET /drift` and the raw `DRIFT` command.
+/// rendered as JSON by `GET /drift`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftScoreboard {
     /// Batches observed so far.

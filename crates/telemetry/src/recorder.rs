@@ -39,7 +39,7 @@ pub enum FlightEventKind {
     BackpressureDrop { policy: String },
     /// The serving edge refused a connection because it was already at its
     /// configured connection cap — the accept queue shed load loudly
-    /// (`503` / `REJECTED`) instead of growing without bound.
+    /// (`503`) instead of growing without bound.
     AcceptOverflow {
         /// Connections open when the overflow happened.
         open: usize,

@@ -7,8 +7,8 @@
 //! no matter how wide the schema grows — while the in-memory scoreboard
 //! served by `GET /drift` still ranks every column. Two columns (`price`
 //! and `latency`) are pushed off-profile mid-run; the gauges, the
-//! scoreboard, the raw `DRIFT` command and the flight recorder's
-//! drift-crossing events all name them.
+//! scoreboard and the flight recorder's drift-crossing events all name
+//! them.
 //!
 //! ```bash
 //! cargo run --release --example drift_observatory
@@ -19,7 +19,7 @@ use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::StreamEngine;
 use dquag::tabular::{csv, DataFrame, Field, Schema, Value};
 use dquag::validate::{DriftSpec, DriftValidator, Validator};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -205,16 +205,6 @@ fn main() {
         assert!(scoreboard.contains(name), "scoreboard should rank `{name}`");
     }
     println!("\nGET /drift scoreboard:\n{scoreboard}");
-
-    // Scrape 3: the same scoreboard over the raw protocol, one line.
-    let stream = TcpStream::connect(addr).expect("raw connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    writer.write_all(b"DRIFT\n").expect("DRIFT command");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("DRIFT reply");
-    assert!(line.starts_with("DRIFT {"), "raw reply: {line}");
-    println!("raw DRIFT reply: {} bytes", line.trim_end().len());
 
     // The flight recorder journaled the moment each column crossed its
     // threshold, alongside the usual lifecycle events.

@@ -4,12 +4,15 @@
 //! persisted model on disk and retries the batch — and the verdict stream
 //! comes out identical to a deployment that was never hit.
 //!
-//! Traffic arrives the way it would in production: framed CSV batches over
-//! a loopback TCP listener from `dquag-sources`.
+//! Traffic arrives the way it would in production: CSV batches posted over
+//! one kept-alive HTTP connection to a loopback listener from
+//! `dquag-sources`.
 //!
 //! ```bash
 //! cargo run --release --example fault_drill
 //! ```
+
+mod http_client;
 
 use dquag::core::{DquagConfig, SourceConfig, StreamConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
@@ -18,12 +21,9 @@ use dquag::gnn::ModelConfig;
 use dquag::persist::{load_validator, save_validator};
 use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::{StreamEngine, StreamOutcome};
-use dquag::tabular::csv;
 use dquag::tabular::DataFrame;
 use dquag::telemetry::TelemetryConfig;
 use dquag::validate::{DquagBackend, Validator, Verdict};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,24 +50,7 @@ fn traffic() -> Vec<DataFrame> {
         .collect()
 }
 
-fn send_batches(addr: std::net::SocketAddr, batches: &[DataFrame]) {
-    let mut stream = TcpStream::connect(addr).expect("connect to the gate");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut reply = String::new();
-    for batch in batches {
-        let payload = csv::to_csv_string(batch);
-        stream
-            .write_all(format!("BATCH csv {}\n{payload}", payload.len()).as_bytes())
-            .expect("frame");
-        reply.clear();
-        reader.read_line(&mut reply).expect("reply");
-        assert!(reply.starts_with("ACK "), "{reply}");
-    }
-    stream.write_all(b"QUIT\n").ok();
-}
-
-/// Serve the whole traffic over loopback TCP. When `fault` is set, it is
+/// Serve the whole traffic over loopback HTTP. When `fault` is set, it is
 /// scheduled right after the first verdict lands — a bit flip striking a
 /// replica that is mid-stream. Returns the verdicts and the quarantine
 /// count.
@@ -105,7 +88,7 @@ fn serve(
         .expect("runtime starts");
 
     // The first batch is judged by a healthy replica; then the fault hits.
-    send_batches(addr, &batches[..1]);
+    http_client::send_batches(addr, &batches[..1]);
     let first = verdicts.recv().expect("first outcome");
     let mut collected = vec![match first.outcome {
         StreamOutcome::Verdict(v) => v,
@@ -115,7 +98,7 @@ fn serve(
         println!("  !! injecting {kind:?} into the live replica");
         handle.schedule(kind);
     }
-    send_batches(addr, &batches[1..]);
+    http_client::send_batches(addr, &batches[1..]);
     while collected.len() < batches.len() {
         let item = verdicts.recv().expect("an outcome per batch");
         match item.outcome {

@@ -2,15 +2,17 @@
 //! adapters.
 //!
 //! Where `streaming_gate` feeds the engine from an in-process producer,
-//! this example runs the full serving edge from `dquag-sources`: a TCP
-//! listener on loopback receives framed CSV batches (one of them over
-//! HTTP), a directory watcher replays a CSV file drop, and the runtime
-//! checkpoints offsets + statistics so a restart would resume where this
-//! process left off.
+//! this example runs the full serving edge from `dquag-sources`: an HTTP
+//! listener on loopback receives CSV batches (a producer's stream on one
+//! kept-alive connection, and one one-shot POST), a directory watcher
+//! replays a CSV file drop, and the runtime checkpoints offsets +
+//! statistics so a restart would resume where this process left off.
 //!
 //! ```bash
 //! cargo run --release --example network_gate
 //! ```
+
+mod http_client;
 
 use dquag::core::{CheckpointConfig, DquagConfig, SourceConfig, StreamConfig};
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
@@ -20,11 +22,11 @@ use dquag::stream::StreamEngine;
 use dquag::tabular::csv;
 use dquag::tabular::DataFrame;
 use dquag::validate::build_spec;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-const N_TCP_BATCHES: usize = 6;
+const N_STREAMED_BATCHES: usize = 6;
 
 /// The simulated upstream feed: every third batch is corrupted.
 fn feed(kind: DatasetKind, n: usize) -> Vec<DataFrame> {
@@ -92,7 +94,7 @@ fn main() {
         .start(validator)
         .expect("stream configuration in range");
 
-    // The serving edge: one TCP/HTTP listener + one directory watcher,
+    // The serving edge: one HTTP listener + one directory watcher,
     // supervised by a checkpointing runtime.
     let listener =
         NetListenerSource::from_config(&config.source, kind.schema()).expect("loopback bind");
@@ -105,39 +107,26 @@ fn main() {
         .expect("runtime starts");
     println!("listening on {addr}, watching {}\n", inbox.display());
 
-    // Client 1: a TCP producer sending framed CSV batches and asking for
-    // live stats at the end.
-    let tcp_feed = feed(kind, N_TCP_BATCHES);
+    // Client 1: a producer posting CSV batches on one kept-alive
+    // connection and asking for live stats at the end.
+    let streamed_feed = feed(kind, N_STREAMED_BATCHES);
     let client = std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(addr).expect("connect to the gate");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut reply = String::new();
-        for batch in &tcp_feed {
-            let payload = csv::to_csv_string(batch);
-            stream
-                .write_all(format!("BATCH csv {}\n", payload.len()).as_bytes())
-                .expect("frame header");
-            stream.write_all(payload.as_bytes()).expect("frame payload");
-            reply.clear();
-            reader.read_line(&mut reply).expect("reply");
+        let mut conn = http_client::Connection::open(addr);
+        for batch in &streamed_feed {
+            let (status, reply) = conn.post_csv(batch);
             println!(
-                "tcp client: sent {} rows -> {}",
-                batch.n_rows(),
-                reply.trim()
+                "kept-alive client: sent {} rows -> {status} {reply}",
+                batch.n_rows()
             );
         }
-        stream.write_all(b"STATS\n").expect("stats request");
-        reply.clear();
-        reader.read_line(&mut reply).expect("stats reply");
+        let (status, stats) = conn.get("/stats");
         println!(
-            "tcp client: live stats reply, {} bytes of JSON",
-            reply.trim().len()
+            "kept-alive client: live stats {status}, {} bytes of JSON",
+            stats.len()
         );
-        stream.write_all(b"QUIT\n").expect("quit");
     });
 
-    // Client 2: one batch over HTTP.
+    // Client 2: one batch in a one-shot POST (`Connection: close`).
     let http_batch = feed(kind, 1).remove(0);
     let http = std::thread::spawn(move || {
         let body = csv::to_csv_string(&http_batch);
@@ -155,7 +144,7 @@ fn main() {
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("HTTP response");
         let status = response.lines().next().unwrap_or("");
-        println!("http client: {status}");
+        println!("one-shot client: {status}");
     });
 
     // Client 3: a CSV file drop into the watched inbox.
@@ -166,8 +155,8 @@ fn main() {
     std::fs::rename(&tmp, inbox.join("drop_000.csv")).expect("atomic drop");
 
     // Consumer: outcomes arrive re-sequenced; stop once every submitted
-    // batch (TCP + HTTP + file drop) has been judged.
-    let expected = N_TCP_BATCHES + 2;
+    // batch (streamed + one-shot + file drop) has been judged.
+    let expected = N_STREAMED_BATCHES + 2;
     let mut dirty = 0usize;
     let mut seen = 0usize;
     for item in verdicts {
@@ -184,8 +173,8 @@ fn main() {
             break;
         }
     }
-    client.join().expect("tcp client finishes");
-    http.join().expect("http client finishes");
+    client.join().expect("kept-alive client finishes");
+    http.join().expect("one-shot client finishes");
 
     // Drain the serving edge; the final checkpoint is written on shutdown.
     let checkpoint = runtime.shutdown().expect("runtime drains");
@@ -204,8 +193,9 @@ fn main() {
     println!("final: {stats}");
     assert_eq!(stats.emitted, expected as u64, "nothing lost on the way");
     println!(
-        "gate quarantined {dirty}/{expected} batches ({} over TCP, 1 over HTTP, 1 file drop)",
-        N_TCP_BATCHES
+        "gate quarantined {dirty}/{expected} batches ({} on one kept-alive connection, \
+         1 one-shot POST, 1 file drop)",
+        N_STREAMED_BATCHES
     );
 
     std::fs::remove_dir_all(&work_dir).ok();

@@ -3,12 +3,15 @@
 //! supervisor refit on recent clean traffic and hot-swap the new model into
 //! the live engine — all without dropping or reordering a batch.
 //!
-//! Traffic arrives the way it would in production: framed CSV batches over
-//! a loopback TCP listener from `dquag-sources`.
+//! Traffic arrives the way it would in production: CSV batches posted over
+//! one kept-alive HTTP connection to a loopback listener from
+//! `dquag-sources`.
 //!
 //! ```bash
 //! cargo run --release --example self_adapting_gate
 //! ```
+
+mod http_client;
 
 use dquag::core::spec::{ValidatorSpec, Voting};
 use dquag::core::{DquagConfig, SourceConfig};
@@ -20,11 +23,8 @@ use dquag::persist::{
 };
 use dquag::sources::{NetListenerSource, SourceRuntime};
 use dquag::stream::StreamEngine;
-use dquag::tabular::csv;
 use dquag::tabular::DataFrame;
 use dquag::validate::build_spec;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const KIND: DatasetKind = DatasetKind::HotelBooking;
@@ -48,23 +48,6 @@ fn drifted_batch(seed: u64) -> DataFrame {
         &mut rng,
     );
     batch
-}
-
-fn send_batches(addr: std::net::SocketAddr, batches: &[DataFrame]) {
-    let mut stream = TcpStream::connect(addr).expect("connect to the gate");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut reply = String::new();
-    for batch in batches {
-        let payload = csv::to_csv_string(batch);
-        stream
-            .write_all(format!("BATCH csv {}\n{payload}", payload.len()).as_bytes())
-            .expect("frame");
-        reply.clear();
-        reader.read_line(&mut reply).expect("reply");
-        assert!(reply.starts_with("ACK "), "{reply}");
-    }
-    stream.write_all(b"QUIT\n").ok();
 }
 
 fn main() {
@@ -159,7 +142,7 @@ fn main() {
     // Upstream traffic: clean batches, then a sustained distribution shift.
     let mut sent: Vec<DataFrame> = (0..N_WARM).map(|i| clean_batch(300 + i as u64)).collect();
     sent.extend((0..N_DRIFTED).map(|i| drifted_batch(400 + i as u64)));
-    send_batches(addr, &sent);
+    http_client::send_batches(addr, &sent);
 
     let mut verdicts = verdicts.into_iter();
     for item in verdicts.by_ref().take(sent.len()) {
@@ -195,7 +178,7 @@ fn main() {
 
     // Post-swap traffic is judged by the refitted model, nothing lost.
     let after: Vec<DataFrame> = (0..N_AFTER).map(|i| clean_batch(500 + i as u64)).collect();
-    send_batches(addr, &after);
+    http_client::send_batches(addr, &after);
     for item in verdicts.by_ref().take(after.len()) {
         println!("{item}");
     }

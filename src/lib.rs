@@ -13,7 +13,7 @@
 //!   with backpressure, sharded validator replicas, per-batch deadlines,
 //!   live stats and graceful shutdown.
 //! * [`sources`] — source adapters feeding the engine from the outside
-//!   world: a TCP/HTTP listener, a directory watcher replaying CSV drops,
+//!   world: an HTTP listener, a directory watcher replaying CSV drops,
 //!   and durable checkpoint/restore across restarts.
 //! * [`persist`] — persisted fitted models: versioned checksummed model
 //!   files, the `persisted-dquag` restore-from-disk backend, and the
