@@ -320,7 +320,7 @@ pub struct DquagConfig {
     /// checkpointing) — consumed by `dquag-sources`.
     pub source: SourceConfig,
     /// Observability settings (metrics registry, stage spans, flight
-    /// recorder, structured-log emitter) — consumed by `dquag-telemetry`.
+    /// recorder) — consumed by `dquag-telemetry`.
     pub telemetry: TelemetryConfig,
     /// The validator this deployment runs, as a declarative
     /// [`ValidatorSpec`](crate::spec::ValidatorSpec) tree built by the
@@ -495,7 +495,7 @@ mod tests {
         use crate::CoreError;
         // Each case puts one field of the default configuration out of range.
         type PutOutOfRange = fn(&mut DquagConfig);
-        let cases: [(PutOutOfRange, &str); 33] = [
+        let cases: [(PutOutOfRange, &str); 32] = [
             (|c| c.epochs = 0, "epochs"),
             (|c| c.batch_size = 0, "batch_size"),
             (|c| c.learning_rate = 0.0, "learning_rate"),
@@ -541,10 +541,6 @@ mod tests {
             (
                 |c| c.telemetry.flight_recorder_capacity = 0,
                 "flight_recorder_capacity",
-            ),
-            (
-                |c| c.telemetry.log_interval = Some(Duration::ZERO),
-                "log_interval",
             ),
             (|c| c.telemetry.data.top_k = 0, "data.top_k"),
             (

@@ -149,7 +149,7 @@ pub struct DquagValidator {
 /// The checksum is stored as a hexadecimal string rather than a bare `u64`
 /// because the JSON number line is `f64`: a 64-bit hash above 2⁵³ would
 /// silently lose low bits in numeric form and every load would fail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DquagModelState {
     /// Pipeline configuration in force when the model was fitted.
     pub config: DquagConfig,
@@ -166,6 +166,45 @@ pub struct DquagModelState {
     pub threshold: f32,
     /// Training diagnostics carried along for observability.
     pub summary: TrainingSummary,
+}
+
+// Hand-written instead of derived: `config.validator` only records the
+// deployment the model was fitted in, and states saved while spec leaves
+// still carried `params` hold those overrides there (already applied to the
+// config's fields). They are dropped here so a fitted model keeps loading;
+// a spec that is about to be built still refuses them.
+impl Deserialize for DquagModelState {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        fn decode<T: Deserialize>(
+            name: &str,
+            value: Option<&serde::Value>,
+        ) -> std::result::Result<T, serde::DeError> {
+            T::from_value(value.unwrap_or(&serde::Value::Null)).map_err(|e| {
+                serde::DeError::custom(format!("field `{name}` of DquagModelState: {e}"))
+            })
+        }
+        let obj = v.as_object().ok_or_else(|| {
+            serde::DeError::custom(format!(
+                "expected object for DquagModelState, found {}",
+                v.kind()
+            ))
+        })?;
+        let mut config = obj.get("config").cloned().unwrap_or(serde::Value::Null);
+        if let serde::Value::Object(fields) = &mut config {
+            if let Some(validator) = fields.get_mut("validator") {
+                crate::spec::drop_retired_params(validator);
+            }
+        }
+        Ok(DquagModelState {
+            config: decode("config", Some(&config))?,
+            graph: decode("graph", obj.get("graph"))?,
+            encoder: decode("encoder", obj.get("encoder"))?,
+            params: decode("params", obj.get("params"))?,
+            param_checksum: decode("param_checksum", obj.get("param_checksum"))?,
+            threshold: decode("threshold", obj.get("threshold"))?,
+            summary: decode("summary", obj.get("summary"))?,
+        })
+    }
 }
 
 impl DquagValidator {

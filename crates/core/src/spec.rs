@@ -41,7 +41,7 @@ use std::fmt;
 /// of other specs.
 ///
 /// The wire shape is externally tagged JSON, e.g.
-/// `{"Backend": {"name": "dquag", "params": {}}}` or
+/// `{"Backend": {"name": "dquag", "options": {}}}` or
 /// `{"Ensemble": {"members": [...], "voting": "Majority"}}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ValidatorSpec {
@@ -56,32 +56,30 @@ pub enum ValidatorSpec {
     Gated(GatedSpec),
 }
 
-/// A backend leaf: a registry name plus numeric parameter overrides.
+/// A backend leaf: a registry name plus the backend's options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendSpec {
     /// Registry name, matched case-insensitively and ignoring punctuation
     /// (`"deequ-auto"`, `"Deequ auto"` and `"DEEQU_AUTO"` all resolve the
     /// same).
     pub name: String,
-    /// Numeric parameter overrides the backend's builder interprets (the
-    /// `dquag` backend understands `epochs`, `hidden_dim`, … — unknown keys
-    /// are rejected at build time, not silently dropped).
-    pub params: BTreeMap<String, f64>,
-    /// String-valued options for backends whose configuration is not
-    /// numeric — the `persisted-dquag` backend reads its model `path` here.
-    /// Like `params`, unknown keys are rejected at build time.
+    /// String-valued options the backend's builder interprets — the
+    /// `persisted-dquag` backend reads its model `path` here. Unknown keys
+    /// are rejected at build time, not silently dropped. DQuaG's
+    /// hyper-parameters are not options: they come from the
+    /// [`DquagConfig`](crate::DquagConfig) the spec is built with.
     pub options: BTreeMap<String, String>,
 }
 
-// Hand-written serde impls instead of derives: `options` was added after
-// specs started riding in checkpoints, so deserialisation must treat a
-// missing (or null) `options` key as empty for older files — the derive
-// would reject them.
+// Hand-written serde impls instead of derives: specs ride in checkpoints
+// and configs written by older builds, so deserialisation treats a missing
+// (or null) `options` key as empty and accepts the retired `params` key
+// only when it is empty — the derive would reject the first and ignore a
+// non-empty `params`, building another validator than the file declares.
 impl Serialize for BackendSpec {
     fn to_value(&self) -> serde::Value {
         let mut map = BTreeMap::new();
         map.insert("name".to_string(), self.name.to_value());
-        map.insert("params".to_string(), self.params.to_value());
         map.insert("options".to_string(), self.options.to_value());
         serde::Value::Object(map)
     }
@@ -97,21 +95,51 @@ impl Deserialize for BackendSpec {
         })?;
         let name = String::from_value(obj.get("name").unwrap_or(&serde::Value::Null))
             .map_err(|e| serde::DeError::custom(format!("field `name` of BackendSpec: {e}")))?;
-        let params = BTreeMap::<String, f64>::from_value(
-            obj.get("params").unwrap_or(&serde::Value::Null),
-        )
-        .map_err(|e| serde::DeError::custom(format!("field `params` of BackendSpec: {e}")))?;
+        match obj.get("params") {
+            None | Some(serde::Value::Null) => {}
+            Some(serde::Value::Object(params)) if params.is_empty() => {}
+            Some(serde::Value::Object(params)) => {
+                let keys: Vec<String> = params.keys().map(|key| format!("`{key}`")).collect();
+                return Err(serde::DeError::custom(format!(
+                    "field `params` of BackendSpec is retired, but backend `{name}` sets {}; \
+                     DQuaG's hyper-parameters live in DquagConfig",
+                    keys.join(", ")
+                )));
+            }
+            Some(other) => {
+                return Err(serde::DeError::custom(format!(
+                    "field `params` of BackendSpec: expected an empty object, found {}",
+                    other.kind()
+                )))
+            }
+        }
         let options = match obj.get("options") {
             None | Some(serde::Value::Null) => BTreeMap::new(),
             Some(value) => BTreeMap::<String, String>::from_value(value).map_err(|e| {
                 serde::DeError::custom(format!("field `options` of BackendSpec: {e}"))
             })?,
         };
-        Ok(BackendSpec {
-            name,
-            params,
-            options,
-        })
+        Ok(BackendSpec { name, options })
+    }
+}
+
+/// Remove the retired `params` object from every backend leaf of a spec
+/// tree in wire form, so it decodes whatever overrides the leaves carried.
+///
+/// Only for a spec that describes a validator already built, such as the
+/// config inside a fitted model's state: the overrides were applied to the
+/// config's fields when the model was fitted. A spec about to be built keeps
+/// the refusal, which names the keys.
+pub(crate) fn drop_retired_params(spec: &mut serde::Value) {
+    match spec {
+        serde::Value::Object(map) => {
+            if let Some(serde::Value::Object(leaf)) = map.get_mut("Backend") {
+                leaf.remove("params");
+            }
+            map.values_mut().for_each(drop_retired_params);
+        }
+        serde::Value::Array(items) => items.iter_mut().for_each(drop_retired_params),
+        _ => {}
     }
 }
 
@@ -197,23 +225,10 @@ pub struct GatedSpec {
 }
 
 impl ValidatorSpec {
-    /// A backend leaf with no parameter overrides.
+    /// A backend leaf with no options.
     pub fn backend(name: impl Into<String>) -> Self {
         ValidatorSpec::Backend(BackendSpec {
             name: name.into(),
-            params: BTreeMap::new(),
-            options: BTreeMap::new(),
-        })
-    }
-
-    /// A backend leaf with numeric parameter overrides.
-    pub fn backend_with(
-        name: impl Into<String>,
-        params: impl IntoIterator<Item = (String, f64)>,
-    ) -> Self {
-        ValidatorSpec::Backend(BackendSpec {
-            name: name.into(),
-            params: params.into_iter().collect(),
             options: BTreeMap::new(),
         })
     }
@@ -226,7 +241,6 @@ impl ValidatorSpec {
     ) -> Self {
         ValidatorSpec::Backend(BackendSpec {
             name: name.into(),
-            params: BTreeMap::new(),
             options: options.into_iter().collect(),
         })
     }
@@ -251,45 +265,6 @@ impl ValidatorSpec {
         })
     }
 
-    /// Every backend name referenced by the tree's leaves, in tree order
-    /// (with repeats).
-    pub fn backend_names(&self) -> Vec<&str> {
-        let mut names = Vec::new();
-        self.collect_backend_names(&mut names);
-        names
-    }
-
-    fn collect_backend_names<'a>(&'a self, into: &mut Vec<&'a str>) {
-        match self {
-            ValidatorSpec::Backend(b) => into.push(b.name.as_str()),
-            ValidatorSpec::Ensemble(e) => {
-                for member in &e.members {
-                    member.collect_backend_names(into);
-                }
-            }
-            ValidatorSpec::Drift(_) => {}
-            ValidatorSpec::Gated(g) => {
-                g.cheap.collect_backend_names(into);
-                g.expensive.collect_backend_names(into);
-            }
-        }
-    }
-
-    /// Number of nodes in the tree (leaves and combinators).
-    pub fn node_count(&self) -> usize {
-        match self {
-            ValidatorSpec::Backend(_) | ValidatorSpec::Drift(_) => 1,
-            ValidatorSpec::Ensemble(e) => {
-                1 + e
-                    .members
-                    .iter()
-                    .map(ValidatorSpec::node_count)
-                    .sum::<usize>()
-            }
-            ValidatorSpec::Gated(g) => 1 + g.cheap.node_count() + g.expensive.node_count(),
-        }
-    }
-
     /// Check every node's structural invariants, returning the offending one
     /// on error. The registry re-runs this before building, so hand-edited
     /// JSON fails with a message instead of a mis-built validator.
@@ -301,14 +276,6 @@ impl ValidatorSpec {
             ValidatorSpec::Backend(b) => {
                 if b.name.trim().is_empty() {
                     return fail("spec backend name must be non-empty".to_string());
-                }
-                for (key, value) in &b.params {
-                    if !value.is_finite() {
-                        return fail(format!(
-                            "spec param `{key}` of backend `{}` must be finite, got {value}",
-                            b.name
-                        ));
-                    }
                 }
                 for key in b.options.keys() {
                     if key.trim().is_empty() {
@@ -440,7 +407,7 @@ mod tests {
             ValidatorSpec::ensemble(
                 vec![
                     ValidatorSpec::backend("dquag"),
-                    ValidatorSpec::backend_with("gate", [("level".to_string(), 2.0)]),
+                    ValidatorSpec::backend("gate"),
                 ],
                 Voting::Weighted(vec![2.0, 1.0]),
             ),
@@ -459,17 +426,27 @@ mod tests {
         let back: ValidatorSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
 
-        // Pre-options wire form (params only, no `options` key) must keep
-        // parsing: specs ride in checkpoints written by older builds.
-        let legacy = r#"{"Backend": {"name": "dquag", "params": {"epochs": 5}}}"#;
-        let parsed: ValidatorSpec = serde_json::from_str(legacy).unwrap();
-        match &parsed {
-            ValidatorSpec::Backend(b) => {
-                assert!(b.options.is_empty());
-                assert_eq!(b.params.get("epochs"), Some(&5.0));
-            }
-            other => panic!("unexpected {other:?}"),
+        // Older wire forms keep parsing: specs ride in checkpoints and
+        // configs written by older builds, which carry an empty `params`
+        // object and may lack `options`.
+        for legacy in [
+            r#"{"Backend": {"name": "dquag", "params": {}}}"#,
+            r#"{"Backend": {"name": "dquag", "params": null, "options": {}}}"#,
+            r#"{"Backend": {"name": "dquag"}}"#,
+        ] {
+            let parsed: ValidatorSpec = serde_json::from_str(legacy).unwrap();
+            assert_eq!(parsed, ValidatorSpec::backend("dquag"), "{legacy}");
         }
+
+        // A non-empty `params` is refused, naming its keys: dropping
+        // `epochs: 5` silently would build another validator than the file
+        // declares.
+        let overridden = r#"{"Backend": {"name": "dquag", "params": {"epochs": 5, "seed": 1}}}"#;
+        let err = serde_json::from_str::<ValidatorSpec>(overridden)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("`epochs`, `seed`"), "{err}");
+        assert!(err.contains("DquagConfig"), "{err}");
 
         // Empty option keys are rejected by validation.
         let bad = ValidatorSpec::backend_with_options(
@@ -512,8 +489,6 @@ mod tests {
     #[test]
     fn tree_introspection() {
         let spec = sample_tree();
-        assert_eq!(spec.backend_names(), vec!["dquag", "gate"]);
-        assert_eq!(spec.node_count(), 5);
         assert_eq!(
             spec.to_string(),
             "gated(drift[ks+psi] -> weighted(dquag, gate))"
@@ -531,10 +506,6 @@ mod tests {
     fn validation_rejects_structural_problems() {
         let cases: Vec<(ValidatorSpec, &str)> = vec![
             (ValidatorSpec::backend("  "), "non-empty"),
-            (
-                ValidatorSpec::backend_with("dquag", [("epochs".to_string(), f64::NAN)]),
-                "finite",
-            ),
             (
                 ValidatorSpec::ensemble(vec![], Voting::Majority),
                 "at least one member",

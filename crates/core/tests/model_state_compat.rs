@@ -1,9 +1,11 @@
 //! Models saved by earlier releases must keep loading. Their `config` may
 //! still carry fields `DquagConfig` has since dropped; those keys are listed
 //! in `fixtures/retired_config_keys.json` with the values earlier releases
-//! wrote, a nested key by its dotted path (`source.serving.keep_alive`). A
-//! state carrying them must deserialize, restore, and score exactly like
-//! the validator that exported it.
+//! wrote, a nested key by its dotted path (`source.serving.keep_alive`).
+//! A spec leaf's retired `params` appears with overrides set: a state keeps
+//! loading whatever they were, since its config fields already hold them. A
+//! state carrying these keys must deserialize, restore, and score exactly
+//! like the validator that exported it.
 
 use dquag_core::{DquagConfig, DquagModelState, DquagValidator};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};

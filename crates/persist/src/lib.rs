@@ -6,12 +6,12 @@
 //!
 //! Three layers:
 //!
-//! * **Model store** ([`save_model`] / [`load_model`] / [`recover_model`]) —
-//!   a versioned, self-describing JSON envelope around a
+//! * **Model store** ([`save_validator`] / [`load_validator`]) — a
+//!   versioned, self-describing JSON envelope around a
 //!   [`dquag_validate::PersistedValidatorState`], checksummed end to end and
-//!   written atomically (tmp + rename). Strict loading fails closed and
-//!   quarantines corrupt files; lenient recovery degrades problems to
-//!   structured warnings for callers that prefer a cold refit over a crash.
+//!   written atomically (tmp + rename). Loading fails closed and
+//!   quarantines corrupt files; a caller that prefers a cold refit over a
+//!   crash matches the [`PersistError::Corrupt`] it returns.
 //! * **Registry restore** ([`registry_with_persistence`]) — the
 //!   `persisted-dquag` backend turns
 //!   `Backend("persisted-dquag", options={path})` into a fitted,
@@ -33,8 +33,5 @@ mod supervisor;
 
 pub use error::PersistError;
 pub use registry::{register_persistence, registry_with_persistence, PERSISTED_DQUAG};
-pub use store::{
-    load_model, load_validator, recover_model, recover_model_observed, save_model, save_validator,
-    RecoveredModel, Result, MODEL_FORMAT, MODEL_FORMAT_VERSION,
-};
+pub use store::{load_validator, save_validator, Result, MODEL_FORMAT, MODEL_FORMAT_VERSION};
 pub use supervisor::{RefitOutcome, RefitSupervisor, SupervisorConfig};

@@ -28,7 +28,7 @@ pub fn register_persistence(registry: &mut ValidatorRegistry) -> &mut ValidatorR
     registry
 }
 
-/// The default registry (paper backends plus `drift`) with
+/// The default registry (the seven paper backends) with
 /// [`PERSISTED_DQUAG`] registered on top.
 pub fn registry_with_persistence() -> ValidatorRegistry {
     let mut registry = ValidatorRegistry::with_defaults();
@@ -42,12 +42,6 @@ fn build_persisted(
     spec: &BackendSpec,
     _config: &DquagConfig,
 ) -> dquag_validate::Result<Box<dyn Validator>> {
-    if let Some(key) = spec.params.keys().next() {
-        return Err(ValidateError::InvalidConfig(format!(
-            "backend `{PERSISTED_DQUAG}` accepts no numeric params, got `{key}`; \
-             configure it through options (path)"
-        )));
-    }
     for key in spec.options.keys() {
         if key != "path" {
             return Err(ValidateError::InvalidConfig(format!(

@@ -23,14 +23,12 @@
 //! * **Atomic writes** — the envelope is fully written to a unique `.tmp`
 //!   sibling and renamed into place; a crash mid-write leaves the previous
 //!   model intact and at worst a stray `.tmp` file.
-//! * **Fail closed** — [`load_model`] verifies format, version, envelope
-//!   checksum and payload decode before returning; anything inconsistent is
-//!   an error *and* the file is moved aside to `<file>.quarantined` so it
-//!   cannot be re-read as a model on the next boot loop.
-//! * **Strict vs lenient** — [`load_model`] errors on problems;
-//!   [`recover_model`] degrades them to structured warnings and reports
-//!   whether (and where) the file was quarantined, for callers that prefer
-//!   a cold refit over a crash.
+//! * **Fail closed** — [`load_validator`] verifies format, version, envelope
+//!   checksum and payload decode before rebuilding; anything inconsistent
+//!   is a [`PersistError::Corrupt`] *and* the file is moved aside to
+//!   `<file>.quarantined` so it cannot be re-read as a model on the next
+//!   boot loop. A caller that prefers a cold refit over a crash matches
+//!   that error and fits from scratch.
 
 use crate::error::PersistError;
 use dquag_core::{fnv1a, write_atomic, FNV_OFFSET};
@@ -67,13 +65,17 @@ fn payload_json_and_checksum(payload: &serde_json::Value) -> (String, String) {
     (json, checksum)
 }
 
-/// Save a fitted validator's state to `path` atomically.
+/// Save a fitted validator's state to `path` atomically, or fail with
+/// [`PersistError::NotPersistable`] when it exports no state.
 ///
 /// The file is fully written to a unique `.tmp` sibling (pid + sequence
 /// number, so concurrent savers never collide) and renamed into place;
 /// readers see either the old complete model or the new complete model,
 /// never a torn write.
-pub fn save_model(path: &Path, state: &PersistedValidatorState) -> Result<()> {
+pub fn save_validator(path: &Path, validator: &dyn Validator) -> Result<()> {
+    let state = validator
+        .persisted_state()
+        .ok_or_else(|| PersistError::NotPersistable(validator.name().to_string()))?;
     let payload = state.to_value();
     let (_, checksum) = payload_json_and_checksum(&payload);
     let envelope = ModelEnvelope {
@@ -88,15 +90,6 @@ pub fn save_model(path: &Path, state: &PersistedValidatorState) -> Result<()> {
     write_atomic(path, json).map_err(|e| PersistError::Io(e.to_string()))
 }
 
-/// Save a fitted validator to `path`, or fail with
-/// [`PersistError::NotPersistable`] when it exports no state.
-pub fn save_validator(path: &Path, validator: &dyn Validator) -> Result<()> {
-    let state = validator
-        .persisted_state()
-        .ok_or_else(|| PersistError::NotPersistable(validator.name().to_string()))?;
-    save_model(path, &state)
-}
-
 /// Move a file that failed verification aside so it can never be re-read as
 /// a model. Returns the quarantine path when the rename succeeded.
 fn quarantine(path: &Path) -> Option<PathBuf> {
@@ -107,9 +100,9 @@ fn quarantine(path: &Path) -> Option<PathBuf> {
     Some(target)
 }
 
-/// Everything [`load_model`] verifies, with corruption reported through
-/// `Err` so strict and lenient callers can share the walk.
-fn read_verified(path: &Path) -> Result<PersistedValidatorState> {
+/// The envelope half of [`load_validator`]: read `path` and verify it down
+/// to a decoded state.
+fn load_model(path: &Path) -> Result<PersistedValidatorState> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => return Err(PersistError::Io(format!("reading {}: {e}", path.display()))),
@@ -158,100 +151,18 @@ fn read_verified(path: &Path) -> Result<PersistedValidatorState> {
     Ok(state)
 }
 
-/// Strictly load a persisted model state from `path`.
-///
-/// Fails closed: a missing file is an I/O error; broken JSON, a checksum
-/// mismatch, an undecodable payload or a kind mismatch quarantine the file
-/// and return [`PersistError::Corrupt`]; a newer format version is
-/// [`PersistError::Unsupported`] (and the file is left in place).
-pub fn load_model(path: &Path) -> Result<PersistedValidatorState> {
-    read_verified(path)
-}
-
 /// Strictly load a fitted, scoring-ready validator from `path`.
 ///
-/// [`load_model`] plus [`rebuild_validator`]: structural verification
+/// Fails closed: a missing file is [`PersistError::Io`]; broken JSON, a
+/// checksum mismatch, an undecodable payload or a kind mismatch quarantine
+/// the file and return [`PersistError::Corrupt`]; a newer format version is
+/// [`PersistError::Unsupported`] and the file stays in place. Verification
 /// happens at both layers (envelope checksum here, parameter checksums and
-/// spec validation inside the rebuild), so a validator that comes back is
-/// guaranteed to score exactly as the one that was saved.
+/// spec validation inside [`rebuild_validator`]), so a validator that comes
+/// back is guaranteed to score exactly as the one that was saved.
 pub fn load_validator(path: &Path) -> Result<Box<dyn Validator>> {
     let state = load_model(path)?;
     rebuild_validator(state).map_err(PersistError::Rebuild)
-}
-
-/// The outcome of a lenient [`recover_model`]: at most a state, plus
-/// structured warnings about anything that was wrong.
-#[derive(Debug)]
-pub struct RecoveredModel {
-    /// The verified state, when the file was intact.
-    pub state: Option<PersistedValidatorState>,
-    /// Human-readable descriptions of every problem encountered.
-    pub warnings: Vec<String>,
-    /// Where the corrupt file was moved, when quarantining happened.
-    pub quarantined: Option<PathBuf>,
-}
-
-/// Leniently recover a model from `path`.
-///
-/// Never fails: a missing or corrupt file yields `state: None` with the
-/// problem described in `warnings` (and the corrupt file quarantined), so
-/// callers can fall back to a cold refit instead of crashing. The
-/// verification walk is exactly [`load_model`]'s — lenient recovery never
-/// accepts a file strict loading would reject.
-pub fn recover_model(path: &Path) -> RecoveredModel {
-    match read_verified(path) {
-        Ok(state) => RecoveredModel {
-            state: Some(state),
-            warnings: Vec::new(),
-            quarantined: None,
-        },
-        Err(PersistError::Corrupt {
-            reason,
-            quarantined,
-        }) => RecoveredModel {
-            state: None,
-            warnings: vec![format!("corrupt model file: {reason}")],
-            quarantined,
-        },
-        Err(e) => RecoveredModel {
-            state: None,
-            warnings: vec![e.to_string()],
-            quarantined: None,
-        },
-    }
-}
-
-/// As [`recover_model`], additionally recording what went wrong in a
-/// telemetry bundle: a quarantined file bumps
-/// `dquag_model_quarantines_total` and journals a
-/// [`dquag_telemetry::FlightEventKind::Quarantine`] event (error-class, so
-/// it triggers the flight-recorder dump when that is enabled); any other
-/// warning is journaled as a source error against the model path.
-pub fn recover_model_observed(
-    path: &Path,
-    telemetry: &dquag_telemetry::Telemetry,
-) -> RecoveredModel {
-    let recovered = recover_model(path);
-    if let Some(quarantined) = &recovered.quarantined {
-        telemetry
-            .registry()
-            .counter(
-                "dquag_model_quarantines_total",
-                "Corrupt model envelopes moved aside on load.",
-            )
-            .inc();
-        telemetry.event(dquag_telemetry::FlightEventKind::Quarantine {
-            path: quarantined.display().to_string(),
-        });
-    } else if recovered.state.is_none() {
-        for warning in &recovered.warnings {
-            telemetry.event(dquag_telemetry::FlightEventKind::SourceError {
-                source: format!("model:{}", path.display()),
-                message: warning.clone(),
-            });
-        }
-    }
-    recovered
 }
 
 #[cfg(test)]
@@ -413,88 +324,42 @@ mod tests {
     }
 
     #[test]
-    fn recover_degrades_problems_to_warnings() {
-        let dir = unique_dir("recover");
+    fn dquag_models_saved_with_spec_params_load_in_place() {
+        // Builds whose spec leaves still had `params` saved them inside the
+        // model's `config.validator`, with the overrides already applied to
+        // the config's fields. Such a file is intact: it loads, scores as
+        // saved, and is not quarantined.
+        let dir = unique_dir("spec-params");
         let path = dir.join("model.json");
-        let (clean, _) = frames();
+        let clean = dquag_datagen::DatasetKind::CreditCard.generate_clean(200, 11);
+        let mut fitted = dquag_validate::DquagBackend::new(dquag_core::DquagConfig::fast());
+        fitted.fit(&clean).unwrap();
+        save_validator(&path, &fitted).unwrap();
 
-        // Missing file: no state, a warning, nothing quarantined.
-        let missing = recover_model(&path);
-        assert!(missing.state.is_none());
-        assert_eq!(missing.warnings.len(), 1);
-        assert!(missing.quarantined.is_none());
-
-        // Intact file: state, no warnings.
-        save_validator(&path, &fitted_drift(&clean)).unwrap();
-        let good = recover_model(&path);
-        assert!(good.state.is_some());
-        assert!(good.warnings.is_empty());
-
-        // Garbage file: no state, warning, quarantined.
-        fs::write(&path, "not json at all").unwrap();
-        let bad = recover_model(&path);
-        assert!(bad.state.is_none());
-        assert!(
-            bad.warnings[0].contains("corrupt"),
-            "got {:?}",
-            bad.warnings
-        );
-        assert!(bad.quarantined.is_some());
-        assert!(!path.exists());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn observed_recovery_journals_quarantines() {
-        use dquag_telemetry::{FlightEventKind, TelemetryConfig};
-        let telemetry = TelemetryConfig {
-            flight_recorder_capacity: 16,
-            dump_on_error: false,
-            ..TelemetryConfig::default()
+        let mut envelope: ModelEnvelope =
+            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        let mut leaf = &mut envelope.payload;
+        for key in ["Dquag", "config", "validator", "Backend"] {
+            leaf = match leaf {
+                serde_json::Value::Object(map) => map.get_mut(key).expect(key),
+                other => panic!("expected an object above `{key}`, got {}", other.kind()),
+            };
         }
-        .build()
-        .expect("telemetry is enabled");
-        let dir = unique_dir("observed");
-        let path = dir.join("model.json");
-        let (clean, _) = frames();
+        let serde_json::Value::Object(leaf) = leaf else {
+            panic!("a backend leaf is an object");
+        };
+        let params = serde_json::from_str(r#"{"epochs": 12}"#).unwrap();
+        assert!(leaf.insert("params".to_string(), params).is_none());
+        envelope.checksum = payload_json_and_checksum(&envelope.payload).1;
+        fs::write(&path, serde_json::to_string(&envelope).unwrap()).unwrap();
 
-        // An intact file records nothing.
-        save_validator(&path, &fitted_drift(&clean)).unwrap();
-        let good = recover_model_observed(&path, &telemetry);
-        assert!(good.state.is_some());
-        assert!(telemetry.recorder().is_empty());
-
-        // A corrupt file bumps the counter and journals the quarantine path.
-        fs::write(&path, "not json at all").unwrap();
-        let bad = recover_model_observed(&path, &telemetry);
-        let quarantined = bad.quarantined.expect("garbage is quarantined");
+        let loaded = load_validator(&path).unwrap();
+        assert!(path.exists());
+        assert!(!dir.join("model.json.quarantined").exists());
         assert_eq!(
-            telemetry
-                .registry()
-                .counter("dquag_model_quarantines_total", "")
-                .get(),
-            1
+            loaded.validate(&clean).unwrap(),
+            fitted.validate(&clean).unwrap()
         );
-        assert!(telemetry.recorder().dump().iter().any(|e| e.kind
-            == FlightEventKind::Quarantine {
-                path: quarantined.display().to_string(),
-            }));
-
-        // A merely missing file is a source error, not a quarantine.
-        let missing = recover_model_observed(&dir.join("absent.json"), &telemetry);
-        assert!(missing.state.is_none());
-        assert_eq!(
-            telemetry
-                .registry()
-                .counter("dquag_model_quarantines_total", "")
-                .get(),
-            1
-        );
-        assert!(telemetry
-            .recorder()
-            .dump()
-            .iter()
-            .any(|e| e.kind.label() == "source_error"));
         fs::remove_dir_all(&dir).ok();
     }
 

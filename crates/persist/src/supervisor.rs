@@ -398,7 +398,7 @@ fn concat_batches(batches: &[DataFrame]) -> std::result::Result<DataFrame, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::load_model;
+    use crate::store::load_validator;
     use dquag_core::spec::DriftSpec;
     use dquag_core::{BackpressurePolicy, StreamConfig};
     use dquag_tabular::{Field, Schema, Value};
@@ -493,7 +493,7 @@ mod tests {
         }
         // The refitted model is on disk and loadable, and the engine now
         // serves the next generation.
-        load_model(&model_path).unwrap();
+        load_validator(&model_path).unwrap();
         assert_eq!(engine.generation(), 1);
 
         drop(ingest);

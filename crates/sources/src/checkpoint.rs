@@ -7,7 +7,7 @@ use dquag_stream::StreamStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Current checkpoint format version; bumped on incompatible layout changes
 /// so a restore can refuse files from a future format instead of
@@ -39,47 +39,10 @@ pub struct Checkpoint {
     /// the runtime was told it ([`crate::SourceRuntimeBuilder::spec`]). A
     /// restart rebuilds the *same* validator tree from the checkpoint alone
     /// — and an operator reading the file sees what was judging their data.
-    /// Absent in pre-spec checkpoints, which still load.
+    /// A deployment restored from a persisted model names that file here,
+    /// through a `persisted-dquag` leaf's `path` option. Absent in pre-spec
+    /// checkpoints, which still load.
     pub spec: Option<ValidatorSpec>,
-    /// Where the fitted model was persisted (`dquag_persist::save_validator`),
-    /// when the deployment persists one. A restart can rebuild the *fitted*
-    /// validator straight from this file — zero refit — instead of training
-    /// from scratch. Absent in pre-persistence checkpoints, which still
-    /// load.
-    pub model_path: Option<PathBuf>,
-}
-
-/// A structured warning about capabilities a restored checkpoint cannot
-/// offer because it was written by an older layout (or a deployment that
-/// never recorded the field). Surfaced by [`Checkpoint::warnings`] so
-/// restart flows can log exactly what degraded instead of silently
-/// refitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointWarning {
-    /// No validator spec: the restart cannot rebuild the validator tree
-    /// declaratively and must be configured out of band.
-    MissingSpec,
-    /// No persisted-model path: the restart cannot reload the fitted model
-    /// from disk and will refit from scratch before serving.
-    MissingModelPath,
-}
-
-impl std::fmt::Display for CheckpointWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::MissingSpec => write!(
-                f,
-                "checkpoint predates validator specs (no `spec`): the restart \
-                 cannot rebuild the validator tree from the checkpoint alone"
-            ),
-            Self::MissingModelPath => write!(
-                f,
-                "checkpoint predates persisted models (no `model_path`): the \
-                 restart will refit from scratch instead of loading the \
-                 fitted model from disk"
-            ),
-        }
-    }
 }
 
 impl Checkpoint {
@@ -90,7 +53,6 @@ impl Checkpoint {
             offsets,
             stats,
             spec: None,
-            model_path: None,
         }
     }
 
@@ -98,27 +60,6 @@ impl Checkpoint {
     pub fn with_spec(mut self, spec: ValidatorSpec) -> Self {
         self.spec = Some(spec);
         self
-    }
-
-    /// Record where the fitted model is persisted, so a restart reloads it
-    /// instead of refitting.
-    pub fn with_model_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.model_path = Some(path.into());
-        self
-    }
-
-    /// Structured warnings about restore capabilities this checkpoint lacks
-    /// — empty for a fully-populated current-layout checkpoint. Legacy files
-    /// (pre-spec, pre-model-path) load fine; this names what degraded.
-    pub fn warnings(&self) -> Vec<CheckpointWarning> {
-        let mut warnings = Vec::new();
-        if self.spec.is_none() {
-            warnings.push(CheckpointWarning::MissingSpec);
-        }
-        if self.model_path.is_none() {
-            warnings.push(CheckpointWarning::MissingModelPath);
-        }
-        warnings
     }
 
     /// The restored offset for one source (0 when the source is new).
@@ -133,23 +74,41 @@ impl Checkpoint {
         serde_json::to_string_pretty(self).expect("checkpoint serialisation is infallible")
     }
 
-    /// Parse a checkpoint from JSON text, rejecting future format versions
-    /// with the distinct [`SourceError::CheckpointVersion`].
+    /// Parse a checkpoint from JSON text. A future format version fails with
+    /// the distinct [`SourceError::CheckpointVersion`], and a spec this build
+    /// refuses in an otherwise readable checkpoint with the distinct
+    /// [`SourceError::CheckpointSpec`].
     pub fn from_json(text: &str) -> Result<Self, SourceError> {
-        let checkpoint: Checkpoint =
+        let mut value: serde::Value =
             serde_json::from_str(text).map_err(|e| SourceError::Checkpoint(e.to_string()))?;
+        let (checkpoint, refused_spec) = match Checkpoint::from_value(&value) {
+            Ok(checkpoint) => (checkpoint, None),
+            // Set the spec aside: when the rest reads, the file is intact
+            // and only its spec is refused.
+            Err(e) => {
+                if let serde::Value::Object(fields) = &mut value {
+                    fields.remove("spec");
+                }
+                let rest = Checkpoint::from_value(&value)
+                    .map_err(|_| SourceError::Checkpoint(e.to_string()))?;
+                (rest, Some(e))
+            }
+        };
         if checkpoint.version > CHECKPOINT_VERSION {
             return Err(SourceError::CheckpointVersion {
                 found: checkpoint.version,
                 supported: CHECKPOINT_VERSION,
             });
         }
-        Ok(checkpoint)
+        match refused_spec {
+            Some(e) => Err(SourceError::CheckpointSpec(e.to_string())),
+            None => Ok(checkpoint),
+        }
     }
 
     /// Write atomically: the JSON goes in full to a temp sibling unique to
     /// this call (so concurrent writers — the interval checkpointer racing
-    /// a manual `write_checkpoint` — can never interleave into one file),
+    /// the final write at shutdown — can never interleave into one file),
     /// then a rename moves it into place. Last rename wins, and the file at
     /// `path` is always a complete document.
     pub fn save(&self, path: &Path) -> Result<(), SourceError> {
@@ -172,16 +131,22 @@ impl Checkpoint {
     /// corruption unlikely; this guards against operator edits and partial
     /// disks.)
     ///
-    /// One failure is *not* forgiven: a checkpoint written by a newer build
-    /// ([`SourceError::CheckpointVersion`]) propagates as an error. Starting
-    /// fresh there would soon overwrite the newer deployment's durable
-    /// offsets — a rollback must be an explicit operator decision.
+    /// Two failures are *not* forgiven, and propagate as errors with the
+    /// file left as it is: a checkpoint written by a newer build
+    /// ([`SourceError::CheckpointVersion`]), and one whose offsets and stats
+    /// read but whose spec this build refuses
+    /// ([`SourceError::CheckpointSpec`], e.g. a backend leaf that still
+    /// sets the retired `params`). Starting fresh there would drop intact
+    /// offsets and soon overwrite the file — a rollback must be an explicit
+    /// operator decision.
     ///
     /// [`save`]: Checkpoint::save
     pub fn recover(path: &Path) -> Result<Option<Self>, SourceError> {
         match Self::load(path) {
             Ok(checkpoint) => Ok(Some(checkpoint)),
-            Err(version @ SourceError::CheckpointVersion { .. }) => Err(version),
+            Err(
+                refused @ (SourceError::CheckpointVersion { .. } | SourceError::CheckpointSpec(_)),
+            ) => Err(refused),
             Err(_) => Ok(None),
         }
     }
@@ -246,57 +211,6 @@ mod tests {
         let legacy_text = serde_json::to_string(&legacy).unwrap();
         let restored = Checkpoint::from_json(&legacy_text).unwrap();
         assert_eq!(restored.spec, None);
-        assert_eq!(restored.offset_for("net"), 17);
-    }
-
-    #[test]
-    fn legacy_layouts_load_with_structured_warnings() {
-        use dquag_core::spec::ValidatorSpec;
-
-        // A fully-populated current-layout checkpoint: nothing degraded.
-        let full = sample()
-            .with_spec(ValidatorSpec::drift())
-            .with_model_path("/var/lib/dquag/model.json");
-        let back = Checkpoint::from_json(&full.to_json()).unwrap();
-        assert_eq!(
-            back.model_path.as_deref(),
-            Some(Path::new("/var/lib/dquag/model.json"))
-        );
-        assert!(back.warnings().is_empty());
-
-        // Spec-era fixture (specs existed, persisted models did not): the
-        // `model_path` key is absent from the file entirely.
-        let mut spec_era = serde_json::to_value(&full);
-        if let serde::Value::Object(map) = &mut spec_era {
-            assert!(map.remove("model_path").is_some());
-        }
-        let text = serde_json::to_string(&spec_era).unwrap();
-        let restored = Checkpoint::from_json(&text).unwrap();
-        assert_eq!(restored.model_path, None);
-        assert_eq!(
-            restored.warnings(),
-            vec![CheckpointWarning::MissingModelPath]
-        );
-        assert!(restored.warnings()[0]
-            .to_string()
-            .contains("refit from scratch"));
-
-        // Pre-spec fixture (the oldest layout): neither key exists. Offsets
-        // and stats still restore; both capabilities are reported missing.
-        let mut pre_spec = serde_json::to_value(&full);
-        if let serde::Value::Object(map) = &mut pre_spec {
-            assert!(map.remove("spec").is_some());
-            assert!(map.remove("model_path").is_some());
-        }
-        let text = serde_json::to_string(&pre_spec).unwrap();
-        let restored = Checkpoint::from_json(&text).unwrap();
-        assert_eq!(
-            restored.warnings(),
-            vec![
-                CheckpointWarning::MissingSpec,
-                CheckpointWarning::MissingModelPath
-            ]
-        );
         assert_eq!(restored.offset_for("net"), 17);
     }
 

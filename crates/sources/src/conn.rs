@@ -13,10 +13,12 @@
 //! socket.
 //!
 //! Every line a connection sends must belong to an HTTP request: a first
-//! line without the `METHOD SP PATH SP VERSION` shape is answered
-//! `400 Bad Request`, and a request line plus headers longer than
-//! [`MAX_HEAD_BYTES`] is answered `431 Request Header Fields Too Large`;
-//! both then close.
+//! line without the `METHOD SP PATH SP VERSION` shape, a head line that is
+//! not UTF-8, or a header name with whitespace before its colon is
+//! answered `400 Bad Request`; a request line plus headers longer than
+//! [`MAX_HEAD_BYTES`] is answered `431 Request Header Fields Too Large`; a
+//! request carrying `Transfer-Encoding` is answered `501 Not Implemented`,
+//! since bodies are framed by `Content-Length` only. Each then closes.
 //!
 //! Closes are graceful: the reply is flushed, the write side is shut down
 //! (FIN), and the connection lingers briefly draining the peer's remaining
@@ -443,6 +445,30 @@ impl Conn {
                         break;
                     }
                     if let Some((name, value)) = line.split_once(':') {
+                        // Bodies are framed by Content-Length only, so
+                        // where a request carrying Transfer-Encoding ends is
+                        // unknowable (RFC 9112 §6.1); and a field name is a
+                        // token (§5.1), so whitespace before the colon would
+                        // slip `Transfer-Encoding : chunked` past that
+                        // check. Refuse either and close.
+                        let refusal = if name.contains([' ', '\t']) {
+                            Some((
+                                "400 Bad Request",
+                                "{\"error\": \"whitespace in a header field name\"}",
+                            ))
+                        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                            Some((
+                                "501 Not Implemented",
+                                "{\"error\": \"Transfer-Encoding is not supported; send Content-Length\"}",
+                            ))
+                        } else {
+                            None
+                        };
+                        if let Some((status, body)) = refusal {
+                            self.push_http(status, CONTENT_TYPE_JSON, body, false);
+                            self.finish_http(false);
+                            break;
+                        }
                         let value = value.trim();
                         if name.eq_ignore_ascii_case("content-length") {
                             content_lengths.push(value.to_string());
@@ -478,8 +504,8 @@ impl Conn {
     /// The next `\n`-terminated head line (CR stripped), or `None` when no
     /// full line is buffered yet or the connection is finished. Every line
     /// counts against the request's [`MAX_HEAD_BYTES`] budget, and so does a
-    /// partial one; past it the request is answered `431`. Non-UTF-8 lines
-    /// kill the connection, as the blocking reader did.
+    /// partial one; past it the request is answered `431`. A line that is
+    /// not UTF-8 is answered `400`; both then close.
     fn take_line(&mut self) -> Option<String> {
         let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') else {
             if self.head_bytes + self.inbuf.len() > MAX_HEAD_BYTES {
@@ -500,7 +526,13 @@ impl Conn {
         match String::from_utf8(line) {
             Ok(text) => Some(text),
             Err(_) => {
-                self.dead = true;
+                self.push_http(
+                    "400 Bad Request",
+                    CONTENT_TYPE_JSON,
+                    "{\"error\": \"request head is not valid UTF-8\"}",
+                    false,
+                );
+                self.finish_http(false);
                 None
             }
         }

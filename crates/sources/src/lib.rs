@@ -94,7 +94,7 @@ mod poll;
 mod runtime;
 mod source;
 
-pub use checkpoint::{Checkpoint, CheckpointWarning, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use decode::{decode_batch, ndjson_to_frame, WireFormat};
 pub use dirwatch::DirWatcherSource;
 pub use net::NetListenerSource;

@@ -9,7 +9,7 @@ use dquag_stream::IngestHandle;
 use dquag_telemetry::{Counter, FlightEventKind, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,9 +38,6 @@ struct RuntimeShared {
     /// The declarative spec of the validator the engine runs, recorded into
     /// every checkpoint when known.
     spec: Option<ValidatorSpec>,
-    /// Errors source supervisors survived (decode failures are handled
-    /// inside the sources; what lands here is I/O-level trouble).
-    errors: Mutex<Vec<String>>,
     metrics: Option<RuntimeMetrics>,
 }
 
@@ -63,10 +60,11 @@ impl RuntimeMetrics {
 }
 
 impl RuntimeShared {
+    /// Journal an error a supervisor or the checkpointer survived (decode
+    /// failures are handled inside the sources; what lands here is
+    /// I/O-level trouble) in the flight recorder, when telemetry is
+    /// attached.
     fn record_error(&self, source: &str, error: &SourceError) {
-        let mut errors = self.errors.lock().expect("runtime error log poisoned");
-        errors.push(format!("{source}: {error}"));
-        drop(errors);
         if let Some(metrics) = &self.metrics {
             metrics.telemetry.event(FlightEventKind::SourceError {
                 source: source.to_string(),
@@ -153,8 +151,10 @@ impl SourceRuntimeBuilder {
     }
 
     /// Attach a telemetry bundle: the runtime counts checkpoint writes and
-    /// journals checkpoint/error events in the flight recorder. Share the
-    /// engine's bundle so the whole pipeline lands in one registry.
+    /// journals checkpoint writes and the errors its sources and
+    /// checkpointer survive in the flight recorder, the one place those
+    /// errors are kept. Share the engine's bundle so the whole pipeline
+    /// lands in one registry.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -216,7 +216,6 @@ impl SourceRuntimeBuilder {
             ingest,
             config,
             spec: self.spec,
-            errors: Mutex::new(Vec::new()),
             metrics: self.telemetry.map(RuntimeMetrics::new),
         });
 
@@ -326,31 +325,6 @@ impl SourceRuntime {
     /// Start configuring a runtime.
     pub fn builder() -> SourceRuntimeBuilder {
         SourceRuntimeBuilder::default()
-    }
-
-    /// Durable offsets per source, as they would be checkpointed right now.
-    pub fn offsets(&self) -> BTreeMap<String, u64> {
-        self.shared.snapshot().offsets
-    }
-
-    /// A checkpoint snapshot of the current state (without writing it).
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.shared.snapshot()
-    }
-
-    /// Write a checkpoint immediately. `Ok(None)` when checkpointing is
-    /// disabled (no path configured).
-    pub fn write_checkpoint(&self) -> Result<Option<Checkpoint>, SourceError> {
-        self.shared.write_checkpoint()
-    }
-
-    /// Errors the supervisors and checkpointer survived so far.
-    pub fn errors(&self) -> Vec<String> {
-        self.shared
-            .errors
-            .lock()
-            .expect("runtime error log poisoned")
-            .clone()
     }
 
     fn stop_and_join(&mut self) {

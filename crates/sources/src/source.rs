@@ -32,6 +32,15 @@ pub enum SourceError {
         /// Newest version this build can read.
         supported: u64,
     },
+    /// A checkpoint's offsets and stats read, but this build refuses its
+    /// validator spec (a backend leaf that still sets the retired `params`,
+    /// say). Distinct from [`Checkpoint`] for the same reason as
+    /// [`CheckpointVersion`]: the lenient recovery path must refuse to run
+    /// rather than drop the file's offsets and overwrite it.
+    ///
+    /// [`Checkpoint`]: SourceError::Checkpoint
+    /// [`CheckpointVersion`]: SourceError::CheckpointVersion
+    CheckpointSpec(String),
     /// The runtime was configured inconsistently (duplicate source names,
     /// out-of-range settings).
     InvalidConfig(String),
@@ -50,6 +59,11 @@ impl fmt::Display for SourceError {
                 f,
                 "checkpoint version {found} is newer than this build supports ({supported}); \
                  refusing to overwrite it — upgrade the build or move the file aside"
+            ),
+            SourceError::CheckpointSpec(msg) => write!(
+                f,
+                "checkpoint spec cannot be read by this build: {msg}; refusing to \
+                 overwrite the checkpoint — fix its spec or move the file aside"
             ),
             SourceError::InvalidConfig(msg) => write!(f, "invalid source configuration: {msg}"),
         }

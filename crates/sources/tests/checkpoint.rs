@@ -1,11 +1,14 @@
 //! Checkpoint durability tests: seeded randomized write→restore round
-//! trips, corrupted/truncated-checkpoint recovery, and the kill/restart
-//! test proving a restarted engine resumes from the persisted checkpoint
-//! without reprocessing or skipping a batch.
+//! trips, corrupted/truncated-checkpoint recovery, an older layout's file
+//! restoring intact (or refused in place when its spec sets the retired
+//! `params`), and the kill/restart test proving a restarted engine
+//! resumes from the persisted checkpoint without reprocessing or skipping a
+//! batch.
 
+use dquag_core::spec::Voting;
 use dquag_core::{CheckpointConfig, DquagConfig, SourceConfig, StreamConfig};
 use dquag_datagen::DatasetKind;
-use dquag_sources::{Checkpoint, DirWatcherSource, SourceRuntime};
+use dquag_sources::{Checkpoint, DirWatcherSource, SourceError, SourceRuntime};
 use dquag_stream::{StreamEngine, StreamStats};
 use dquag_tabular::csv;
 use dquag_validate::{build_spec, Validator, ValidatorSpec};
@@ -106,6 +109,83 @@ fn corrupted_and_truncated_checkpoints_recover_to_fresh_start() {
     // A missing file is simply a fresh start.
     std::fs::remove_file(&path).unwrap();
     assert_eq!(Checkpoint::recover(&path).unwrap(), None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn older_checkpoints_with_retired_keys_restore_offsets_stats_and_spec() {
+    // Written by the layout before this one: the spec's backend leaves carry
+    // an empty `params` object and the file records a `model_path`, two
+    // keys the checkpoint no longer has.
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/older_checkpoint.json");
+    let text = std::fs::read_to_string(&fixture).expect("fixture is readable");
+    assert!(text.contains("\"model_path\"") && text.contains("\"params\": {}"));
+
+    let checkpoint = Checkpoint::load(&fixture).expect("an older checkpoint loads");
+    assert_eq!(
+        checkpoint.offsets,
+        BTreeMap::from([("inbox".to_string(), 4), ("net".to_string(), 17)])
+    );
+    assert_eq!(
+        checkpoint.stats,
+        StreamStats {
+            submitted: 21,
+            dropped: 1,
+            rejected: 2,
+            timed_out: 0,
+            emitted: 18,
+            dirty: 6,
+            failed: 1,
+            deadline_exceeded: 1,
+            late_discarded: 0,
+            queue_depth: 0,
+            in_flight: 0,
+            rows_validated: 2_100,
+            rows_per_sec: 350.5,
+            p50_latency: Duration::from_millis(12),
+            p99_latency: Duration::from_micros(40_250),
+            uptime: Duration::from_secs(6),
+            replicas: 2,
+        }
+    );
+    let spec = ValidatorSpec::ensemble(
+        vec![
+            ValidatorSpec::backend("dquag"),
+            ValidatorSpec::drift(),
+            ValidatorSpec::backend_with_options(
+                "persisted-dquag",
+                [("path".to_string(), "/var/lib/dquag/model.json".to_string())],
+            ),
+        ],
+        Voting::Majority,
+    );
+    assert_eq!(checkpoint.spec, Some(spec));
+
+    // Written back, the retired keys are gone and nothing else changed.
+    let rewritten = checkpoint.to_json();
+    assert!(!rewritten.contains("model_path") && !rewritten.contains("params"));
+    assert_eq!(Checkpoint::from_json(&rewritten).unwrap(), checkpoint);
+}
+
+#[test]
+fn older_checkpoints_whose_spec_sets_params_are_refused_and_left_in_place() {
+    // Written by the layout before this one for a deployment whose spec
+    // leaf overrode `epochs`. Building that spec now would train with
+    // another epoch count, and starting fresh would drop the offsets and
+    // stats, so recovery refuses, names the key, and leaves the file alone.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/older_checkpoint_spec_params.json");
+    let text = std::fs::read_to_string(&fixture).expect("fixture is readable");
+    let dir = temp_dir("spec_params");
+    let path = dir.join("state.json");
+    std::fs::write(&path, &text).unwrap();
+
+    match Checkpoint::recover(&path) {
+        Err(SourceError::CheckpointSpec(msg)) => assert!(msg.contains("`epochs`"), "{msg}"),
+        other => panic!("expected a CheckpointSpec refusal, got {other:?}"),
+    }
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     std::fs::remove_dir_all(&dir).ok();
 }
 

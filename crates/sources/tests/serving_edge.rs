@@ -2,8 +2,11 @@
 //! fast `503`, HTTP keep-alive serves sequential requests on one socket
 //! (with request cap and idle timeout), malformed `Content-Length`
 //! headers are `400`s that name the problem, a first line that is no
-//! request line is a `400`, an oversized request head is a `431`, and a
-//! failed worker hand-off is survived instead of panicking the listener.
+//! request line or a head that is not UTF-8 is a `400`, an oversized
+//! request head is a `431`, a request carrying `Transfer-Encoding` is a
+//! `501` (and one hiding it behind whitespace before the colon a `400`),
+//! and a failed worker hand-off is survived instead of panicking the
+//! listener.
 
 mod common;
 
@@ -326,28 +329,49 @@ fn deeply_nested_ndjson_gets_an_error_reply_and_serving_continues() {
 fn lines_that_are_not_request_lines_get_a_400_and_close() {
     let (_telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
 
-    // Commands of a line protocol, and a line that merely ends in
-    // HTTP/1.1, are no request lines: 400, then the connection closes.
-    for line in [
-        "STATS\n",
-        "BATCH csv 10\n",
-        "BATCH csv HTTP/1.1\n",
-        "get /stats HTTP/1.1\r\n",
+    // Commands of a line protocol, a line that merely ends in HTTP/1.1, and
+    // a stray non-UTF-8 byte in the request line or a header make no request
+    // head: a 400 that says what was wrong, then the connection closes.
+    const NOT_A_REQUEST_LINE: &str = "request line";
+    const NOT_UTF8: &str = "request head is not valid UTF-8";
+    for (head, error) in [
+        (&b"STATS\n"[..], NOT_A_REQUEST_LINE),
+        (b"BATCH csv 10\n", NOT_A_REQUEST_LINE),
+        (b"BATCH csv HTTP/1.1\n", NOT_A_REQUEST_LINE),
+        (b"get /stats HTTP/1.1\r\n", NOT_A_REQUEST_LINE),
+        (b"GET /st\xffats HTTP/1.1\r\nHost: t\r\n\r\n", NOT_UTF8),
+        (
+            b"GET /stats HTTP/1.1\r\nHost: t\r\nX-Note: caf\xe9\r\n\r\n",
+            NOT_UTF8,
+        ),
     ] {
-        let response = request_once(addr, line);
-        assert!(response.starts_with("HTTP/1.1 400"), "{line:?}: {response}");
-        assert!(response.contains("request line"), "{line:?}: {response}");
+        let shown = String::from_utf8_lossy(head);
+        let mut client = Client::connect(addr);
+        client.send(head);
+        let reply = client.response();
+        assert_eq!(reply.status, 400, "{shown:?}: {reply:?}");
+        assert!(reply.body.contains(error), "{shown:?}: {reply:?}");
         assert!(
-            response.contains("Connection: close"),
-            "{line:?}: {response}"
+            reply.head.contains("Connection: close"),
+            "{shown:?}: {reply:?}"
         );
+        assert_eq!(client.rest(), "", "{shown:?}: EOF after the reply");
     }
 
     // The same holds after a kept-alive request.
-    let mut client = Client::connect(addr);
-    assert_eq!(client.exchange(&get("/stats")).status, 200);
-    assert_eq!(client.exchange("QUIT\n").status, 400);
-    assert_eq!(client.rest(), "");
+    for (head, error) in [
+        (&b"QUIT\n"[..], NOT_A_REQUEST_LINE),
+        (b"GET /\xc3 HTTP/1.1\r\n\r\n", NOT_UTF8),
+    ] {
+        let shown = String::from_utf8_lossy(head);
+        let mut client = Client::connect(addr);
+        assert_eq!(client.exchange(&get("/stats")).status, 200);
+        client.send(head);
+        let reply = client.response();
+        assert_eq!(reply.status, 400, "{shown:?}: {reply:?}");
+        assert!(reply.body.contains(error), "{shown:?}: {reply:?}");
+        assert_eq!(client.rest(), "", "{shown:?}: EOF after the reply");
+    }
 
     runtime.shutdown().expect("runtime drains");
     let items: Vec<_> = verdicts.collect();
@@ -393,6 +417,72 @@ fn request_heads_past_64_kib_get_a_431_and_close() {
 
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
+    engine.shutdown();
+}
+
+#[test]
+fn transfer_encoding_gets_a_501_and_close() {
+    let (_telemetry, engine, verdicts, runtime, addr) = start_serving(ServingConfig::default(), 0);
+
+    // A kept-alive ingest framed both ways, with a stats request pipelined
+    // behind it. Framing it by Content-Length and keeping the socket open
+    // would let the two framings disagree about where the next request
+    // starts (RFC 9112 §6.1).
+    let batch = csv::to_csv_string(&KIND.generate_clean(20, 103));
+    let chunked = format!("{:x}\r\n{batch}\r\n0\r\n\r\n", batch.len());
+    let mut client = Client::connect(addr);
+    client.send(
+        format!(
+            "POST /ingest HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\
+             Content-Type: text/csv\r\nTransfer-Encoding: chunked\r\n\
+             Content-Length: {}\r\n\r\n{chunked}{}",
+            chunked.len(),
+            get("/stats")
+        )
+        .as_bytes(),
+    );
+    let reply = client.response();
+    assert_eq!(reply.status, 501, "{reply:?}");
+    assert!(reply.body.contains("Transfer-Encoding"), "{reply:?}");
+    assert!(reply.head.contains("Connection: close"), "{reply:?}");
+    assert_eq!(
+        client.rest(),
+        "",
+        "EOF: the pipelined request is not served"
+    );
+
+    // Whitespace before the colon does not hide the header: the request is
+    // a 400, and nothing behind it is served either.
+    let mut client = Client::connect(addr);
+    client.send(
+        format!(
+            "POST /ingest HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\
+             Content-Type: text/csv\r\nTransfer-Encoding : chunked\r\n\
+             Content-Length: {}\r\n\r\n{chunked}{}",
+            chunked.len(),
+            get("/stats")
+        )
+        .as_bytes(),
+    );
+    let reply = client.response();
+    assert_eq!(reply.status, 400, "{reply:?}");
+    assert!(reply.body.contains("header field name"), "{reply:?}");
+    assert_eq!(
+        client.rest(),
+        "",
+        "EOF: the pipelined request is not served"
+    );
+
+    // Without a Content-Length the answer is the same 501, not a 411.
+    let response = request_once(
+        addr,
+        &format!("POST /ingest HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n{chunked}"),
+    );
+    assert!(response.starts_with("HTTP/1.1 501"), "{response}");
+
+    runtime.shutdown().expect("runtime drains");
+    let items: Vec<_> = verdicts.collect();
+    assert!(items.is_empty(), "nothing reached the engine");
     engine.shutdown();
 }
 

@@ -5,8 +5,8 @@ use crate::Telemetry;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Observability settings: the metrics registry, per-stage span timing, the
-/// bounded flight recorder and the periodic structured-log emitter.
+/// Observability settings: the metrics registry, per-stage span timing and
+/// the bounded flight recorder.
 ///
 /// `dquag-core` re-exports it as the `telemetry` block of `DquagConfig`:
 /// one config describes a whole deployment, and whether that deployment
@@ -18,9 +18,6 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Ring-buffer capacity of the flight recorder (events retained).
     pub flight_recorder_capacity: usize,
-    /// How often the structured-log emitter writes one JSON snapshot line.
-    /// `None` disables the periodic emitter (scrape-only deployments).
-    pub log_interval: Option<Duration>,
     /// Render the flight recorder to stderr whenever an error-class event
     /// (refit failure, quarantine, source error, deadline miss) is recorded.
     pub dump_on_error: bool,
@@ -85,7 +82,6 @@ impl Default for TelemetryConfig {
         Self {
             enabled: true,
             flight_recorder_capacity: 256,
-            log_interval: None,
             dump_on_error: true,
             data: TelemetryDataConfig::default(),
         }
@@ -97,9 +93,6 @@ impl TelemetryConfig {
     pub fn validated(self) -> Result<Self, String> {
         if self.flight_recorder_capacity == 0 {
             return Err("telemetry.flight_recorder_capacity must be at least 1".to_string());
-        }
-        if self.log_interval == Some(Duration::ZERO) {
-            return Err("telemetry.log_interval must be nonzero when set".to_string());
         }
         let data = self.data.validated()?;
         Ok(Self { data, ..self })
@@ -122,12 +115,10 @@ mod tests {
         let c = TelemetryConfig::default();
         assert!(c.enabled);
         assert_eq!(c.flight_recorder_capacity, 256);
-        assert_eq!(c.log_interval, None);
         assert!(c.dump_on_error);
 
         let telemetry = TelemetryConfig {
             flight_recorder_capacity: 32,
-            log_interval: Some(Duration::from_secs(10)),
             dump_on_error: false,
             ..TelemetryConfig::default()
         }

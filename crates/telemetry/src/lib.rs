@@ -10,8 +10,8 @@
 //!   end-to-end p99 decomposes into decode / graph build / forward /
 //!   verdict / queue wait / emit;
 //! - an always-on bounded [`FlightRecorder`] of lifecycle events (swaps,
-//!   refit outcomes, drops, checkpoint writes, quarantines, deadline
-//!   misses), dumpable on demand and automatically on error;
+//!   refit outcomes, drops, checkpoint writes, replica quarantines,
+//!   deadline misses), dumpable on demand and automatically on error;
 //! - a periodic structured-log emitter ([`Telemetry::start_log_emitter`])
 //!   for environments without a scraper.
 //!

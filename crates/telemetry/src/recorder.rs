@@ -53,8 +53,6 @@ pub enum FlightEventKind {
     LateDiscard { seq: u64 },
     /// A source-offset checkpoint was written.
     CheckpointWrite { path: String },
-    /// A corrupt model envelope was quarantined on load.
-    Quarantine { path: String },
     /// A *running* validator replica failed a health self-check (checksum
     /// drift, non-finite kernel output) or panicked, and was retired from
     /// the worker pool. `generation` is the model generation the replica
@@ -81,7 +79,6 @@ impl FlightEventKind {
             FlightEventKind::DeadlineMiss { .. } => "deadline_miss",
             FlightEventKind::LateDiscard { .. } => "late_discard",
             FlightEventKind::CheckpointWrite { .. } => "checkpoint_write",
-            FlightEventKind::Quarantine { .. } => "quarantine",
             FlightEventKind::ReplicaQuarantined { .. } => "replica_quarantined",
             FlightEventKind::SourceError { .. } => "source_error",
             FlightEventKind::Note { .. } => "note",
@@ -95,7 +92,6 @@ impl FlightEventKind {
         matches!(
             self,
             FlightEventKind::RefitFailed { .. }
-                | FlightEventKind::Quarantine { .. }
                 | FlightEventKind::ReplicaQuarantined { .. }
                 | FlightEventKind::SourceError { .. }
                 | FlightEventKind::DeadlineMiss { .. }
@@ -139,7 +135,6 @@ impl std::fmt::Display for FlightEventKind {
             FlightEventKind::CheckpointWrite { path } => {
                 write!(f, "checkpoint_write path={path}")
             }
-            FlightEventKind::Quarantine { path } => write!(f, "quarantine path={path}"),
             FlightEventKind::ReplicaQuarantined { generation, reason } => {
                 write!(
                     f,
@@ -317,10 +312,6 @@ mod tests {
         assert!(FlightEventKind::RefitFailed {
             stage: "fit".into(),
             reason: "x".into()
-        }
-        .is_error());
-        assert!(FlightEventKind::Quarantine {
-            path: "m.dq".into()
         }
         .is_error());
         assert!(FlightEventKind::ReplicaQuarantined {

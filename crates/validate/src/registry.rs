@@ -5,7 +5,7 @@
 //! `Backend` leaves resolve through the name table, `Ensemble`/`Gated`
 //! nodes become [`crate::EnsembleValidator`]/[`crate::GatedValidator`]
 //! compositions, and `Drift` nodes become [`crate::DriftValidator`]s. The
-//! seven paper backends plus `drift` come pre-registered
+//! seven paper backends come pre-registered
 //! ([`ValidatorRegistry::with_defaults`]); downstream code adds its own
 //! backends with [`ValidatorRegistry::register`] — no enum to extend, no
 //! fork of this crate.
@@ -16,7 +16,7 @@
 //!
 //! let spec: dquag_core::ValidatorSpec = serde_json::from_str(
 //!     r#"{"Ensemble": {"members": [
-//!         {"Backend": {"name": "dquag", "params": {}}},
+//!         {"Backend": {"name": "dquag"}},
 //!         {"Drift": {"tests": ["Ks", "Psi"],
 //!                    "ks_threshold": 0.15, "psi_threshold": 0.25, "bins": 10}}
 //!     ], "voting": "Any"}}"#,
@@ -31,7 +31,7 @@ use crate::combinators::{EnsembleValidator, GatedValidator};
 use crate::drift::DriftValidator;
 use crate::{Result, ValidateError, Validator};
 use dquag_baselines::BaselineKind;
-use dquag_core::spec::{normalize_backend_name, BackendSpec, DriftSpec, ValidatorSpec};
+use dquag_core::spec::{normalize_backend_name, BackendSpec, ValidatorSpec};
 use dquag_core::DquagConfig;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,27 +70,29 @@ impl ValidatorRegistry {
     }
 
     /// A registry with the seven paper backends (`dquag`, `deequ-auto`,
-    /// `deequ-expert`, `tfdv-auto`, `tfdv-expert`, `adqv`, `gate`) plus the
-    /// `drift` detector pre-registered.
+    /// `deequ-expert`, `tfdv-auto`, `tfdv-expert`, `adqv`, `gate`)
+    /// pre-registered. None of them takes options: `dquag` adopts the
+    /// deployment's [`DquagConfig`] and the baselines configure themselves.
     pub fn with_defaults() -> Self {
         let mut registry = Self::new();
-        registry.register("dquag", build_dquag);
+        registry.register("dquag", |spec, config| {
+            reject_options(spec)?;
+            Ok(Box::new(DquagBackend::new(config.clone())))
+        });
         for kind in BaselineKind::ALL {
             registry.register(kind.key(), move |spec, _config| {
-                reject_params(spec)?;
+                reject_options(spec)?;
                 Ok(Box::new(BaselineBackend::new(kind)))
             });
         }
-        registry.register("drift", build_drift_leaf);
         registry
     }
 
     /// Register (or replace) a backend under `name`.
     ///
-    /// The builder receives the backend leaf — name plus numeric params —
-    /// and the deployment [`DquagConfig`]; it returns an *unfitted*
-    /// validator. Builders should reject unknown params instead of ignoring
-    /// them.
+    /// The builder receives the backend leaf — name plus options — and the
+    /// deployment [`DquagConfig`]; it returns an *unfitted* validator.
+    /// Builders should reject unknown options instead of ignoring them.
     pub fn register<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
     where
         F: Fn(&BackendSpec, &DquagConfig) -> Result<Box<dyn Validator>> + Send + Sync + 'static,
@@ -178,8 +180,8 @@ impl fmt::Debug for ValidatorRegistry {
     }
 }
 
-/// The process-wide default registry (the paper backends plus `drift`),
-/// used by [`build_spec`].
+/// The process-wide default registry (the seven paper backends), used by
+/// [`build_spec`].
 ///
 /// The default registry is immutable by design — process-global mutable
 /// state would make two deployments in one process fight over names. Code
@@ -195,87 +197,17 @@ pub fn build_spec(spec: &ValidatorSpec, config: &DquagConfig) -> Result<Box<dyn 
     default_registry().build(spec, config)
 }
 
-/// The `dquag` backend builder: numeric params override the corresponding
-/// configuration fields, and the amended configuration is range-checked.
-///
-/// A leaf with *no* params adopts the caller's configuration as-is, without
-/// re-validating it: a hand-assembled configuration surfaces its problems
-/// at `fit`, not at construction.
-fn build_dquag(spec: &BackendSpec, config: &DquagConfig) -> Result<Box<dyn Validator>> {
-    if spec.params.is_empty() {
-        return Ok(Box::new(DquagBackend::new(config.clone())));
-    }
-    let mut config = config.clone();
-    for (key, &value) in &spec.params {
-        match key.as_str() {
-            "epochs" => config.epochs = param_usize(key, value)?,
-            "batch_size" => config.batch_size = param_usize(key, value)?,
-            "hidden_dim" => config.model.hidden_dim = param_usize(key, value)?,
-            "n_layers" => config.model.n_layers = param_usize(key, value)?,
-            "learning_rate" => config.learning_rate = value as f32,
-            "threshold_percentile" => config.threshold_percentile = value,
-            "dataset_flag_factor" => config.dataset_flag_factor = value,
-            "feature_sigma" => config.feature_sigma = value as f32,
-            "inference_batch_size" => config.inference_batch_size = param_usize(key, value)?,
-            "seed" => config.seed = param_usize(key, value)? as u64,
-            other => {
-                return Err(ValidateError::InvalidConfig(format!(
-                    "backend `dquag` does not understand param `{other}` (supported: \
-                     epochs, batch_size, hidden_dim, n_layers, learning_rate, \
-                     threshold_percentile, dataset_flag_factor, feature_sigma, \
-                     inference_batch_size, seed)"
-                )))
-            }
-        }
-    }
-    let config = config
-        .validated()
-        .map_err(|e| ValidateError::InvalidConfig(e.to_string()))?;
-    Ok(Box::new(DquagBackend::new(config)))
-}
-
-/// The `drift` backend leaf: thresholds and binning as numeric params, both
-/// tests enabled (use a `Drift` spec node to pick a single test).
-fn build_drift_leaf(spec: &BackendSpec, _config: &DquagConfig) -> Result<Box<dyn Validator>> {
-    let mut drift = DriftSpec::default();
-    for (key, &value) in &spec.params {
-        match key.as_str() {
-            "ks_threshold" => drift.ks_threshold = value,
-            "psi_threshold" => drift.psi_threshold = value,
-            "bins" => drift.bins = param_usize(key, value)?,
-            other => {
-                return Err(ValidateError::InvalidConfig(format!(
-                    "backend `drift` does not understand param `{other}` (supported: \
-                     ks_threshold, psi_threshold, bins)"
-                )))
-            }
-        }
-    }
-    ValidatorSpec::Drift(drift.clone())
-        .validated()
-        .map_err(|e| ValidateError::InvalidConfig(e.to_string()))?;
-    Ok(Box::new(DriftValidator::new(drift)))
-}
-
-/// Baselines are self-configuring; a param is a typo, not a knob.
-fn reject_params(spec: &BackendSpec) -> Result<()> {
-    if let Some(key) = spec.params.keys().next() {
+/// The paper backends take no options; an option is a typo or meant for
+/// another backend (a model `path` belongs to `persisted-dquag`), never a
+/// knob to ignore.
+fn reject_options(spec: &BackendSpec) -> Result<()> {
+    if let Some(key) = spec.options.keys().next() {
         return Err(ValidateError::InvalidConfig(format!(
-            "backend `{}` accepts no params, got `{key}`",
+            "backend `{}` accepts no options, got `{key}`",
             spec.name
         )));
     }
     Ok(())
-}
-
-/// A non-negative integer-valued param, rejected otherwise.
-fn param_usize(key: &str, value: f64) -> Result<usize> {
-    if value.fract() != 0.0 || value < 0.0 || value > usize::MAX as f64 {
-        return Err(ValidateError::InvalidConfig(format!(
-            "param `{key}` must be a non-negative integer, got {value}"
-        )));
-    }
-    Ok(value as usize)
 }
 
 #[cfg(test)]
@@ -337,7 +269,6 @@ mod tests {
                 "deequ-auto",
                 "deequ-expert",
                 "dquag",
-                "drift",
                 "gate",
                 "tfdv-auto",
                 "tfdv-expert"
@@ -347,6 +278,22 @@ mod tests {
         assert!(registry.contains("Deequ auto"));
         assert!(registry.contains("DEEQU_AUTO"));
         assert!(!registry.contains("nope"));
+
+        // Drift is declared by its own node, not by a backend leaf.
+        let config = DquagConfig::fast();
+        let drift = registry.build(&ValidatorSpec::drift(), &config).unwrap();
+        assert_eq!(drift.name(), "KS/PSI drift");
+        let leaf: ValidatorSpec =
+            serde_json::from_str(r#"{"Backend": {"name": "drift"}}"#).unwrap();
+        match registry.build(&leaf, &config).map(|_| ()) {
+            Err(ValidateError::InvalidConfig(msg)) => {
+                assert!(
+                    msg.contains("unknown validator backend `drift`"),
+                    "got `{msg}`"
+                )
+            }
+            other => panic!("a `drift` leaf must be an unknown backend, got {other:?}"),
+        }
     }
 
     #[test]
@@ -400,55 +347,38 @@ mod tests {
     }
 
     #[test]
-    fn dquag_params_override_the_config() {
+    fn paper_backends_refuse_unknown_options() {
+        // An option meant for another backend (a model `path` belongs to
+        // `persisted-dquag`) must not be ignored: `dquag` would silently
+        // train from scratch.
         let config = DquagConfig::fast();
-        let spec = ValidatorSpec::backend_with(
-            "dquag",
-            [("epochs".to_string(), 3.0), ("hidden_dim".to_string(), 8.0)],
-        );
-        // Builds fine; the override is visible through the backend's config.
-        let built = default_registry().build(&spec, &config).unwrap();
-        assert_eq!(built.name(), "DQuaG");
-
-        // Out-of-range and unknown params are rejected, not ignored.
-        let bad = ValidatorSpec::backend_with("dquag", [("epochs".to_string(), 0.0)]);
-        assert!(default_registry().build(&bad, &config).is_err());
-        let unknown = ValidatorSpec::backend_with("dquag", [("epoches".to_string(), 3.0)]);
-        match default_registry().build(&unknown, &config).map(|_| ()) {
-            Err(ValidateError::InvalidConfig(msg)) => {
-                assert!(msg.contains("epoches"), "got `{msg}`")
+        let keys = ["dquag"]
+            .into_iter()
+            .chain(BaselineKind::ALL.iter().map(BaselineKind::key));
+        for key in keys {
+            let spec = ValidatorSpec::backend_with_options(
+                key,
+                [("path".to_string(), "model.json".to_string())],
+            );
+            match default_registry().build(&spec, &config).map(|_| ()) {
+                Err(ValidateError::InvalidConfig(msg)) => assert!(
+                    msg.contains(&format!("backend `{key}` accepts no options, got `path`")),
+                    "got `{msg}`"
+                ),
+                other => panic!("`{key}` must refuse the option, got {other:?}"),
             }
-            other => panic!("unknown param must fail, got {other:?}"),
         }
-
-        // Baselines accept no params at all.
-        let baseline = ValidatorSpec::backend_with("gate", [("level".to_string(), 2.0)]);
-        assert!(default_registry().build(&baseline, &config).is_err());
     }
 
     #[test]
     fn build_validator_stays_infallible_on_hand_assembled_configs() {
-        // A param-free `dquag` leaf takes the caller's configuration without
+        // The `dquag` leaf takes the caller's configuration without
         // validating it, even an out-of-range hand-assembled one: problems
         // surface at `fit`, not at construction.
         let mut config = DquagConfig::fast();
         config.epochs = 0;
         let validator = build_spec(&ValidatorSpec::backend("dquag"), &config)
-            .expect("a param-free leaf adopts the config as-is");
+            .expect("the leaf adopts the config as-is");
         assert_eq!(validator.name(), "DQuaG");
-    }
-
-    #[test]
-    fn drift_leaf_params_configure_the_detector() {
-        let config = DquagConfig::fast();
-        let spec = ValidatorSpec::backend_with(
-            "drift",
-            [("ks_threshold".to_string(), 0.3), ("bins".to_string(), 6.0)],
-        );
-        let built = default_registry().build(&spec, &config).unwrap();
-        assert_eq!(built.name(), "KS/PSI drift");
-
-        let bad = ValidatorSpec::backend_with("drift", [("bins".to_string(), 1.0)]);
-        assert!(default_registry().build(&bad, &config).is_err());
     }
 }

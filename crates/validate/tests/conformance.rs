@@ -242,7 +242,7 @@ fn batches_of_another_schema_are_rejected_not_judged() {
     let specs = paper_specs()
         .into_iter()
         .map(|(_, spec)| spec)
-        .chain([ValidatorSpec::backend("drift")]);
+        .chain([ValidatorSpec::drift()]);
     for spec in specs {
         let mut validator = build(&spec);
         validator.fit(&clean).expect("fit succeeds");

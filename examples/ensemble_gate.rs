@@ -17,15 +17,16 @@
 
 use dquag::core::DquagConfig;
 use dquag::datagen::{inject_ordinary, DatasetKind, OrdinaryError};
+use dquag::gnn::ModelConfig;
 use dquag::tabular::{DataFrame, Value};
 use dquag::validate::{build_spec, ValidatorSpec};
 
 /// The deployment spec, exactly as it would live in a config file.
 const SPEC_JSON: &str = r#"{"Ensemble": {"members": [
-    {"Backend": {"name": "dquag", "params": {"epochs": 12, "hidden_dim": 16, "n_layers": 2}}},
+    {"Backend": {"name": "dquag"}},
     {"Drift": {"tests": ["Ks", "Psi"],
                "ks_threshold": 0.15, "psi_threshold": 0.25, "bins": 10}},
-    {"Backend": {"name": "deequ-auto", "params": {}}}
+    {"Backend": {"name": "deequ-auto"}}
 ], "voting": "Majority"}}"#;
 
 /// Scale every numeric value: distribution drift without a single
@@ -52,7 +53,19 @@ fn main() {
     let spec: ValidatorSpec = serde_json::from_str(SPEC_JSON).expect("spec JSON parses");
     println!("deployment spec: {spec}\n");
 
-    let mut validator = build_spec(&spec, &DquagConfig::default()).expect("spec builds");
+    // The `dquag` member's hyper-parameters come from the config the spec
+    // is built with: a smaller network than the paper default, so the
+    // example fits in seconds.
+    let config = DquagConfig {
+        model: ModelConfig {
+            hidden_dim: 16,
+            n_layers: 2,
+            ..ModelConfig::default()
+        },
+        epochs: 12,
+        ..DquagConfig::default()
+    };
+    let mut validator = build_spec(&spec, &config).expect("spec builds");
     println!(
         "fitting `{}` on {} clean rows …",
         validator.name(),

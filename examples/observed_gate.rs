@@ -70,8 +70,8 @@ fn main() {
     let clean = kind.generate_clean(1_000, 52);
 
     // One config block describes the whole deployment, observability
-    // included: a 64-event flight recorder and a periodic structured-log
-    // emitter alongside the model and serving knobs.
+    // included: a 64-event flight recorder alongside the model and serving
+    // knobs.
     let config = DquagConfig {
         model: ModelConfig {
             hidden_dim: 12,
@@ -86,7 +86,6 @@ fn main() {
         },
         telemetry: TelemetryConfig {
             flight_recorder_capacity: 64,
-            log_interval: Some(Duration::from_millis(400)),
             ..TelemetryConfig::default()
         },
         ..DquagConfig::default()
@@ -97,10 +96,8 @@ fn main() {
         .telemetry
         .build()
         .expect("telemetry enabled by default");
-    let _emitter = config
-        .telemetry
-        .log_interval
-        .map(|interval| telemetry.start_log_emitter(interval));
+    // A periodic structured-log line on stderr, for scraperless setups.
+    let _emitter = telemetry.start_log_emitter(Duration::from_millis(400));
 
     // The same Arc goes to all three layers: the engine counts batches and
     // queue depth and attaches the bundle to the validator, which times its
