@@ -242,10 +242,7 @@ impl DquagValidator {
         //    (or use the caller-supplied graph, e.g. from a real LLM run).
         let graph = match &config.feature_graph_override {
             Some(graph) => graph.clone(),
-            None => {
-                let oracle = StatisticalOracle::default();
-                build_feature_graph(clean, &oracle, config.oracle_sample_size)?
-            }
+            None => build_feature_graph(clean, &StatisticalOracle, config.oracle_sample_size)?,
         };
 
         // 3. Split clean data into a training part and a calibration slice.
@@ -805,6 +802,35 @@ mod tests {
         assert!(summary.n_weights > 0);
         assert!(!summary.graph_edges.is_empty());
         assert!(validator.feature_graph().n_nodes() >= 10);
+    }
+
+    #[test]
+    fn a_curated_relationship_document_reaches_training_through_the_override() {
+        // A hand-written or LLM-made answer to the paper's prompt, in its
+        // JSON format; fewer edges than the statistical oracle ever infers.
+        let json = r#"{"relationships": [
+            {"feature1": "AMT_INCOME_TOTAL", "feature2": "NAME_EDUCATION_TYPE"},
+            {"feature1": "OCCUPATION_TYPE", "feature2": "AMT_INCOME_TOTAL"},
+            {"feature1": "CNT_CHILDREN", "feature2": "CNT_FAM_MEMBERS"}
+        ]}"#;
+        let clean = DatasetKind::CreditCard.generate_clean(300, 5);
+        let relationships = dquag_graph::RelationshipSet::from_json(json).expect("paper format");
+        let graph = FeatureGraph::from_relationships(clean.schema().names(), &relationships)
+            .expect("every feature is a column");
+        let config = DquagConfig {
+            feature_graph_override: Some(graph.clone()),
+            ..DquagConfig::fast()
+        };
+        let validator = DquagValidator::train(&clean, &[], &config).expect("training succeeds");
+
+        let trained = validator.feature_graph();
+        assert_eq!(trained, &graph);
+        assert_eq!(trained.n_edges(), relationships.relationships.len());
+        for pair in &relationships.relationships {
+            let i = trained.index_of(&pair.feature1).expect("column");
+            let j = trained.index_of(&pair.feature2).expect("column");
+            assert!(trained.has_edge(i, j), "{pair:?}");
+        }
     }
 
     #[test]

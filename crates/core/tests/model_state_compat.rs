@@ -3,9 +3,11 @@
 //! in `fixtures/retired_config_keys.json` with the values earlier releases
 //! wrote, a nested key by its dotted path (`source.serving.keep_alive`).
 //! A spec leaf's retired `params` appears with overrides set: a state keeps
-//! loading whatever they were, since its config fields already hold them. A
-//! state carrying these keys must deserialize, restore, and score exactly
-//! like the validator that exported it.
+//! loading whatever they were, since its config fields already hold them.
+//! The data layer's two retired gauge options appear set too: they only
+//! chose which gauge series a bundle exported. A state carrying these keys
+//! must deserialize, restore, and score exactly like the validator that
+//! exported it.
 
 use dquag_core::{DquagConfig, DquagModelState, DquagValidator};
 use dquag_datagen::{inject_ordinary, DatasetKind, OrdinaryError};

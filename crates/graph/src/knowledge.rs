@@ -2,22 +2,22 @@
 //!
 //! The paper constructs its feature graph by sending the feature names `F`,
 //! the feature descriptions `D` and 100 sampled data points `S` to ChatGPT-4
-//! and parsing the returned JSON (§3.1.1). The [`RelationshipOracle`] trait
-//! captures exactly that contract: *given a schema and a sample, return a
-//! [`RelationshipSet`]*.
+//! and parsing the returned JSON (§3.1.1): *given a schema and a sample,
+//! return a [`RelationshipSet`]*.
 //!
-//! Two oracles are provided:
+//! [`StatisticalOracle`] answers that question in this reproduction. It
+//! computes pairwise association strengths on the sampled rows (Pearson /
+//! Cramér's V / correlation ratio from [`crate::measures`]) and a
+//! lightweight name-token heuristic that mimics the semantic hints the LLM
+//! derives from names and descriptions (e.g. `Country` ↔ `City`,
+//! `DAYS_BIRTH` ↔ `DAYS_EMPLOYED`). Pairs whose combined evidence clears a
+//! fixed per-type threshold become edges.
 //!
-//! * [`StatisticalOracle`] — the default in this reproduction. It computes
-//!   pairwise association strengths on the sampled rows (Pearson / Cramér's V
-//!   / correlation ratio from [`crate::measures`]) and a lightweight
-//!   name-token heuristic that mimics the semantic hints the LLM derives from
-//!   names and descriptions (e.g. `Country` ↔ `City`, `DAYS_BIRTH` ↔
-//!   `DAYS_EMPLOYED`). Pairs whose combined evidence clears the configured
-//!   threshold become edges.
-//! * [`StaticKnowledge`] — replays a fixed relationship document (hand-written
-//!   or produced by an actual LLM run of the paper's prompt, which
-//!   [`build_prompt`] regenerates verbatim).
+//! A hand-written or LLM-made answer (for the prompt [`build_prompt`]
+//! regenerates verbatim) does not need an oracle: parse it with
+//! [`RelationshipSet::from_json`], build the graph with
+//! [`FeatureGraph::from_relationships`], and hand that to training (in
+//! `dquag-core`, `DquagConfig::feature_graph_override`).
 
 use crate::feature_graph::{FeatureGraph, RelationshipSet};
 use crate::measures::{correlation_ratio, cramers_v, pearson_abs};
@@ -26,63 +26,22 @@ use dquag_tabular::{DataFrame, DataType, Schema};
 /// Number of sample rows the paper sends to the LLM.
 pub const PAPER_SAMPLE_SIZE: usize = 100;
 
-/// An oracle that proposes relationships between dataset columns.
-///
-/// Implementations receive the schema (names + descriptions) and a small
-/// sample dataframe — the same inputs the paper's prompt carries.
-pub trait RelationshipOracle {
-    /// Infer the set of related feature pairs.
-    fn infer(&self, schema: &Schema, sample: &DataFrame) -> RelationshipSet;
-}
-
-/// Configuration of the [`StatisticalOracle`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferenceConfig {
-    /// Rows sampled from the clean dataset (paper: 100).
-    pub sample_size: usize,
-    /// Minimum absolute Pearson correlation for a numeric-numeric edge.
-    pub numeric_threshold: f64,
-    /// Minimum Cramér's V for a categorical-categorical edge.
-    pub categorical_threshold: f64,
-    /// Minimum correlation ratio for a mixed-type edge.
-    pub mixed_threshold: f64,
-    /// Whether to add edges for columns whose names share informative tokens.
-    pub use_name_heuristics: bool,
-    /// Guarantee a connected graph by linking isolated nodes to their
-    /// strongest-association partner even when below threshold.
-    pub connect_isolated_nodes: bool,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> Self {
-        Self {
-            sample_size: PAPER_SAMPLE_SIZE,
-            numeric_threshold: 0.30,
-            categorical_threshold: 0.30,
-            mixed_threshold: 0.35,
-            use_name_heuristics: true,
-            connect_isolated_nodes: true,
-        }
-    }
-}
+/// Minimum absolute Pearson correlation for a numeric-numeric edge.
+const NUMERIC_THRESHOLD: f64 = 0.30;
+/// Minimum Cramér's V for a categorical-categorical edge.
+const CATEGORICAL_THRESHOLD: f64 = 0.30;
+/// Minimum correlation ratio for a mixed-type edge.
+const MIXED_THRESHOLD: f64 = 0.35;
 
 /// Statistical stand-in for the paper's ChatGPT-4 oracle.
-#[derive(Debug, Clone, Default)]
-pub struct StatisticalOracle {
-    config: InferenceConfig,
-}
+///
+/// Every column ends up with at least one edge: a column whose
+/// associations all fall below threshold is linked to its strongest
+/// partner, so the GNN can still propagate information through it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StatisticalOracle;
 
 impl StatisticalOracle {
-    /// Create an oracle with the given configuration.
-    pub fn new(config: InferenceConfig) -> Self {
-        Self { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &InferenceConfig {
-        &self.config
-    }
-
     /// Association strength between two columns of the sample, by type pair.
     fn association(&self, sample: &DataFrame, i: usize, j: usize) -> f64 {
         let fi = &sample.schema().fields()[i];
@@ -113,15 +72,16 @@ impl StatisticalOracle {
         let ti = schema.fields()[i].dtype;
         let tj = schema.fields()[j].dtype;
         match (ti, tj) {
-            (DataType::Numeric, DataType::Numeric) => self.config.numeric_threshold,
-            (DataType::Categorical, DataType::Categorical) => self.config.categorical_threshold,
-            _ => self.config.mixed_threshold,
+            (DataType::Numeric, DataType::Numeric) => NUMERIC_THRESHOLD,
+            (DataType::Categorical, DataType::Categorical) => CATEGORICAL_THRESHOLD,
+            _ => MIXED_THRESHOLD,
         }
     }
-}
 
-impl RelationshipOracle for StatisticalOracle {
-    fn infer(&self, schema: &Schema, sample: &DataFrame) -> RelationshipSet {
+    /// Infer the set of related feature pairs from the schema (names and
+    /// descriptions) and a small sample — the inputs the paper's prompt
+    /// carries.
+    pub fn infer(&self, schema: &Schema, sample: &DataFrame) -> RelationshipSet {
         assert_eq!(
             schema,
             sample.schema(),
@@ -135,9 +95,7 @@ impl RelationshipOracle for StatisticalOracle {
         for i in 0..n {
             for j in (i + 1)..n {
                 let mut strength = self.association(sample, i, j);
-                if self.config.use_name_heuristics
-                    && names_look_related(&schema.fields()[i], &schema.fields()[j])
-                {
+                if names_look_related(&schema.fields()[i], &schema.fields()[j]) {
                     // Names sharing informative tokens get the same boost a
                     // language model derives from the descriptions.
                     strength = (strength + 0.25).min(1.0);
@@ -152,7 +110,7 @@ impl RelationshipOracle for StatisticalOracle {
             }
         }
 
-        if self.config.connect_isolated_nodes && n > 1 {
+        if n > 1 {
             for i in 0..n {
                 if linked[i] {
                     continue;
@@ -175,34 +133,10 @@ impl RelationshipOracle for StatisticalOracle {
     }
 }
 
-/// Replays a fixed relationship document — the drop-in slot for a real
-/// ChatGPT-4 response in the paper's JSON format.
-#[derive(Debug, Clone)]
-pub struct StaticKnowledge {
-    relationships: RelationshipSet,
-}
-
-impl StaticKnowledge {
-    /// Wrap an existing relationship set.
-    pub fn new(relationships: RelationshipSet) -> Self {
-        Self { relationships }
-    }
-
-    /// Parse the paper-format JSON document.
-    pub fn from_json(json: &str) -> crate::Result<Self> {
-        Ok(Self::new(RelationshipSet::from_json(json)?))
-    }
-}
-
-impl RelationshipOracle for StaticKnowledge {
-    fn infer(&self, _schema: &Schema, _sample: &DataFrame) -> RelationshipSet {
-        self.relationships.clone()
-    }
-}
-
 /// Reconstruct the paper's prompt (§3.1.1) so a user with LLM access can
 /// reproduce the original feature-graph construction and feed the answer back
-/// through [`StaticKnowledge`].
+/// through [`RelationshipSet::from_json`] and
+/// [`FeatureGraph::from_relationships`].
 pub fn build_prompt(schema: &Schema, sample: &DataFrame) -> String {
     let mut prompt = String::new();
     prompt.push_str(
@@ -250,7 +184,7 @@ pub fn sample_rows(df: &DataFrame, sample_size: usize) -> DataFrame {
 /// the [`FeatureGraph`] over the schema's columns.
 pub fn build_feature_graph(
     df: &DataFrame,
-    oracle: &dyn RelationshipOracle,
+    oracle: &StatisticalOracle,
     sample_size: usize,
 ) -> crate::Result<FeatureGraph> {
     let sample = sample_rows(df, sample_size);
@@ -377,8 +311,7 @@ mod tests {
     #[test]
     fn statistical_oracle_finds_real_dependencies() {
         let df = correlated_frame(200);
-        let oracle = StatisticalOracle::default();
-        let graph = build_feature_graph(&df, &oracle, 100).unwrap();
+        let graph = build_feature_graph(&df, &StatisticalOracle, 100).unwrap();
         let edu = graph.index_of("education").unwrap();
         let income = graph.index_of("income").unwrap();
         let country = graph.index_of("country").unwrap();
@@ -393,42 +326,10 @@ mod tests {
     #[test]
     fn isolated_columns_still_get_connected() {
         let df = correlated_frame(120);
-        let oracle = StatisticalOracle::default();
-        let graph = build_feature_graph(&df, &oracle, 100).unwrap();
+        let graph = build_feature_graph(&df, &StatisticalOracle, 100).unwrap();
         // age is independent of everything, but the config links isolated nodes
         let age = graph.index_of("age").unwrap();
         assert!(graph.degree(age) >= 1, "isolated node must be attached");
-    }
-
-    #[test]
-    fn disabling_isolation_link_can_leave_singletons() {
-        let df = correlated_frame(120);
-        let oracle = StatisticalOracle::new(InferenceConfig {
-            connect_isolated_nodes: false,
-            use_name_heuristics: false,
-            numeric_threshold: 0.95,
-            categorical_threshold: 0.999,
-            mixed_threshold: 0.999,
-            ..InferenceConfig::default()
-        });
-        let graph = build_feature_graph(&df, &oracle, 100).unwrap();
-        assert!(
-            graph.n_edges() <= 2,
-            "very strict thresholds keep the graph sparse"
-        );
-    }
-
-    #[test]
-    fn static_knowledge_replays_fixed_edges() {
-        let df = correlated_frame(30);
-        let json = r#"{"relationships": [{"feature1": "age", "feature2": "income"}]}"#;
-        let oracle = StaticKnowledge::from_json(json).unwrap();
-        let graph = build_feature_graph(&df, &oracle, 100).unwrap();
-        assert_eq!(graph.n_edges(), 1);
-        assert!(graph.has_edge(
-            graph.index_of("age").unwrap(),
-            graph.index_of("income").unwrap()
-        ));
     }
 
     #[test]

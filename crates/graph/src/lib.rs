@@ -9,18 +9,18 @@
 //! descriptions and 100 sampled rows, and parsing the returned JSON.
 //!
 //! An interactive LLM is not available in this reproduction, so the crate
-//! provides two interchangeable oracles behind the same interface
-//! ([`knowledge::RelationshipOracle`]):
+//! answers the same question with one statistical stand-in,
+//! [`knowledge::StatisticalOracle`]. It computes pairwise association
+//! strengths on the same 100-row sample the paper would send to the LLM
+//! (Pearson correlation for numeric pairs, Cramér's V for categorical
+//! pairs, the correlation ratio η for mixed pairs, plus a light name-token
+//! heuristic) and keeps the pairs that clear a threshold.
 //!
-//! * [`knowledge::StatisticalOracle`] — the default substitute. It computes
-//!   pairwise association strengths on the same 100-row sample the paper
-//!   would send to the LLM (Pearson correlation for numeric pairs, Cramér's V
-//!   for categorical pairs, the correlation ratio η for mixed pairs, plus a
-//!   light name-token heuristic) and keeps the pairs that clear a threshold.
-//! * [`knowledge::StaticKnowledge`] — replays a hand-written or LLM-produced
-//!   relationship JSON document in exactly the paper's format
-//!   (`{"relationships": [{"feature1": …, "feature2": …}, …]}`), so a real
-//!   ChatGPT-4 response can be dropped in unchanged.
+//! A real ChatGPT-4 answer, or a hand-written one, in the paper's format
+//! (`{"relationships": [{"feature1": …, "feature2": …}, …]}`) goes in as a
+//! graph instead of an oracle: [`RelationshipSet::from_json`] parses it,
+//! [`FeatureGraph::from_relationships`] builds the graph, and `dquag-core`
+//! trains on it when it is set as `DquagConfig::feature_graph_override`.
 //!
 //! Downstream, [`FeatureGraph`] exposes the dense adjacency structures the
 //! GNN layers need: a binary adjacency with self-loops (GIN), the

@@ -18,9 +18,8 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 /// delivered, and the engine's cumulative statistics.
 ///
 /// Serialised as JSON via the workspace serde; the `stats` block is the
-/// exact same shape [`StreamStats`] uses on the wire (`STATS` command,
-/// `GET /stats`), so checkpoints, monitoring responses and logs all read
-/// one format.
+/// exact same shape [`StreamStats`] uses on the wire (`GET /stats`), so
+/// checkpoints, monitoring responses and logs all read one format.
 ///
 /// Writes are atomic — the file is fully written to a `.tmp` sibling and
 /// renamed into place — so a crash mid-write leaves the previous checkpoint

@@ -20,6 +20,14 @@
 //! request carrying `Transfer-Encoding` is answered `501 Not Implemented`,
 //! since bodies are framed by `Content-Length` only. Each then closes.
 //!
+//! Two clocks bound how long a peer may hold a connection. Between
+//! requests, a connection with no bytes in either direction for the
+//! configured idle timeout is dropped. Once a request's first byte has
+//! arrived, further reads no longer restart that clock: the request must
+//! arrive whole, head and body, within the idle timeout of its first byte,
+//! or it is answered `408 Request Timeout` and closed, so a peer dripping
+//! one byte at a time cannot hold its slot forever.
+//!
 //! Closes are graceful: the reply is flushed, the write side is shut down
 //! (FIN), and the connection lingers briefly draining the peer's remaining
 //! bytes so a close never turns into a RST that destroys a reply in
@@ -195,6 +203,9 @@ pub(crate) struct Conn {
     state: State,
     created: Instant,
     last_activity: Instant,
+    /// When the first byte of the request being read arrived; `None`
+    /// between requests.
+    request_started: Option<Instant>,
     half_closed_at: Instant,
     /// Completed HTTP requests on this connection (keep-alive reuse).
     http_requests: usize,
@@ -230,6 +241,7 @@ impl Conn {
             state: State::RequestLine,
             created: now,
             last_activity: now,
+            request_started: None,
             half_closed_at: now,
             http_requests: 0,
             head_bytes: 0,
@@ -263,7 +275,7 @@ impl Conn {
     }
 
     /// Make all progress the socket currently allows: read, advance the
-    /// protocol, flush, and run the close/linger/idle bookkeeping.
+    /// protocol, then settle the deadlines, the reply and the close.
     pub(crate) fn drive(&mut self, shared: &ConnShared) {
         if self.dead {
             return;
@@ -278,6 +290,34 @@ impl Conn {
         } else {
             self.advance(shared);
         }
+        self.settle(shared);
+    }
+
+    /// The deadline sweep for a connection with no I/O readiness this
+    /// tick: the request deadline, idle timeout, refusal linger and close
+    /// linger still apply.
+    pub(crate) fn tick(&mut self, shared: &ConnShared) {
+        if !self.dead {
+            self.settle(shared);
+        }
+    }
+
+    /// Answer an overdue request, flush, and run the close/linger/idle
+    /// bookkeeping.
+    fn settle(&mut self, shared: &ConnShared) {
+        let timeout = shared.serving.idle_timeout;
+        if !self.reject
+            && !self.closing
+            && self.request_started.is_some_and(|t| t.elapsed() > timeout)
+        {
+            self.push_http(
+                "408 Request Timeout",
+                CONTENT_TYPE_JSON,
+                "{\"error\": \"request not received whole within the idle timeout of its first byte\"}",
+                false,
+            );
+            self.finish_http(false);
+        }
         self.flush();
         if self.eof && !self.half_closed {
             self.closing = true;
@@ -290,20 +330,6 @@ impl Conn {
             self.half_closed_at = Instant::now();
         }
         if self.half_closed && (self.eof || self.half_closed_at.elapsed() > CLOSE_LINGER) {
-            self.dead = true;
-        }
-        if self.expired(shared) {
-            self.dead = true;
-        }
-    }
-
-    /// The deadline sweep for a connection with no I/O readiness this
-    /// tick: idle timeout, refusal linger, and close linger still apply.
-    pub(crate) fn tick(&mut self, shared: &ConnShared) {
-        if self.dead {
-            return;
-        }
-        if self.half_closed && self.half_closed_at.elapsed() > CLOSE_LINGER {
             self.dead = true;
         }
         if self.expired(shared) {
@@ -344,6 +370,7 @@ impl Conn {
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&chunk[..n]);
                     self.last_activity = Instant::now();
+                    self.request_started.get_or_insert(self.last_activity);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -730,6 +757,8 @@ impl Conn {
     fn finish_http(&mut self, keep: bool) {
         self.http_requests += 1;
         self.head_bytes = 0;
+        // Bytes already buffered belong to the next, pipelined request.
+        self.request_started = (!self.inbuf.is_empty()).then(Instant::now);
         if keep {
             self.state = State::RequestLine;
         } else {

@@ -12,7 +12,9 @@
 //! `503 Service Unavailable`, the refusal is counted
 //! (`dquag_source_accept_rejects_total`) and recorded as an
 //! `accept_overflow` flight event, and the socket closes. Connections idle
-//! longer than [`ServingConfig::idle_timeout`] are closed.
+//! between requests longer than [`ServingConfig::idle_timeout`] are closed,
+//! and a request that has not arrived whole within that timeout of its
+//! first byte is answered `408` and closed.
 //!
 //! ## HTTP
 //!

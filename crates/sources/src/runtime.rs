@@ -286,7 +286,6 @@ fn supervise(mut source: Box<dyn Source>, sink: SourceSink, shared: &RuntimeShar
             Ok(PollOutcome::Idle) => {
                 sleep_unless(&shared.stop, shared.config.poll_interval);
             }
-            Ok(PollOutcome::Exhausted) => break,
             // Nothing left to deliver into; retire the source.
             Err(SourceError::EngineClosed) => break,
             Err(e) => {

@@ -79,8 +79,7 @@ impl From<std::io::Error> for SourceError {
 }
 
 /// What one [`Source::poll`] call accomplished; the supervisor uses this to
-/// decide between polling again immediately, backing off, or retiring the
-/// source.
+/// decide between polling again immediately and backing off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollOutcome {
     /// Work was done (batches delivered, connections accepted); poll again
@@ -88,9 +87,6 @@ pub enum PollOutcome {
     Progressed,
     /// Nothing to do right now; sleep one poll interval before the next call.
     Idle,
-    /// The source is permanently finished (a bounded replay completed); the
-    /// supervisor drains and retires it.
-    Exhausted,
 }
 
 /// A source's delivery handle: the one way batches enter the engine.
@@ -162,8 +158,7 @@ impl SourceSink {
         self.offset.load(Ordering::SeqCst)
     }
 
-    /// Live engine statistics (served by the `STATS` command and
-    /// `GET /stats`).
+    /// Live engine statistics (served by `GET /stats`).
     pub fn stats(&self) -> StreamStats {
         self.ingest.stats()
     }

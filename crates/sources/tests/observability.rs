@@ -382,7 +382,6 @@ fn start_drift_observed() -> (
         data: TelemetryDataConfig {
             enabled: true,
             top_k: 4,
-            ..TelemetryDataConfig::default()
         },
         ..TelemetryConfig::default()
     }

@@ -247,6 +247,61 @@ fn request_cap_and_idle_timeout_recycle_connections() {
         "closed by the idle timeout, not the test timeout"
     );
 
+    // Request deadline: a request must arrive whole within the idle
+    // timeout of its first byte, however steadily its bytes drip in. A
+    // dripped head, and a dripped body behind a complete head, each get
+    // the 408 and the close instead of holding the slot.
+    let post_head = "POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Type: text/csv\r\n\
+                     Content-Length: 4096\r\n\r\n";
+    for (what, whole, dripped) in [
+        (
+            "head",
+            "",
+            format!("GET /stats HTTP/1.1\r\nX-Drip: {}\r\n", "a".repeat(200)),
+        ),
+        ("body", post_head, "b".repeat(4096)),
+    ] {
+        let mut peer = connect(addr);
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        peer.write_all(whole.as_bytes()).expect("whole part");
+        let started = Instant::now();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let dripper = {
+            let mut writer = peer.try_clone().expect("clone");
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                for byte in dripped.bytes() {
+                    if stop.load(std::sync::atomic::Ordering::Relaxed)
+                        || writer.write_all(&[byte]).is_err()
+                    {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        let mut reply = Vec::new();
+        let read = peer.read_to_end(&mut reply);
+        let elapsed = started.elapsed();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        dripper.join().expect("dripper exits");
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(
+            read.is_ok(),
+            "dripped {what}: no close after {elapsed:?} ({read:?}), reply so far {reply:?}"
+        );
+        assert!(reply.starts_with("HTTP/1.1 408"), "dripped {what}: {reply}");
+        assert!(
+            reply.contains("Connection: close"),
+            "dripped {what}: {reply}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "dripped {what}: answered after {elapsed:?}"
+        );
+    }
+
     runtime.shutdown().expect("runtime drains");
     drop(verdicts);
     engine.shutdown();

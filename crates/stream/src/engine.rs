@@ -256,25 +256,9 @@ impl StreamEngineBuilder {
     /// (consumer side, emits outcomes in submission order).
     pub fn start(
         self,
-        mut validator: Box<dyn Validator>,
+        validator: Box<dyn Validator>,
     ) -> Result<(StreamEngine, IngestHandle, VerdictStream), ValidateError> {
         let config = self.config.validated().map_err(ValidateError::from)?;
-
-        // Observing validators (a drift node anywhere in the spec tree)
-        // report into the engine's bundle; replicas inherit the attachment
-        // through `replicate`.
-        if let Some(telemetry) = &self.telemetry {
-            validator.attach_telemetry(telemetry);
-        }
-        let primary: Arc<dyn Validator> = Arc::from(validator);
-        let mut validators: Vec<Arc<dyn Validator>> = vec![Arc::clone(&primary)];
-        for _ in 1..config.replicas {
-            validators.push(match primary.replicate() {
-                Some(replica) => Arc::from(replica),
-                None => Arc::clone(&primary),
-            });
-        }
-
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::with_capacity(config.queue_capacity),
@@ -297,6 +281,7 @@ impl StreamEngineBuilder {
             metrics: StreamMetrics::new(self.telemetry, self.restored),
             rebuild: self.rebuild,
         });
+        let validators = replica_set(&shared, validator);
         shared.metrics.event(FlightEventKind::EngineStarted {
             replicas: config.replicas,
         });
@@ -305,19 +290,7 @@ impl StreamEngineBuilder {
         // a handle to it so a quarantine-triggered rebuild can spawn the
         // replacement generation from inside the pool.
         let workers = Arc::new(Mutex::new(Vec::new()));
-        {
-            let mut handles = workers.lock().expect("worker list mutex poisoned");
-            for (index, validator) in validators.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let workers = Arc::clone(&workers);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("dquag-stream-{index}"))
-                        .spawn(move || worker_loop(&shared, &workers, &*validator, 0))
-                        .expect("spawning a stream worker thread succeeds"),
-                );
-            }
-        }
+        spawn_generation(&shared, &workers, validators, 0);
 
         Ok((
             StreamEngine {
@@ -329,6 +302,47 @@ impl StreamEngineBuilder {
             },
             VerdictStream { shared },
         ))
+    }
+}
+
+/// A generation's replica set, as [`StreamEngineBuilder::start`] describes
+/// it: `validator` first, then a copy per further replica. `validator` is
+/// attached to the engine's telemetry bundle, so observing validators (a
+/// drift node anywhere in the spec tree) report into it; replicas inherit
+/// the attachment through `replicate`. Takes no engine lock.
+fn replica_set(shared: &Shared, mut validator: Box<dyn Validator>) -> Vec<Arc<dyn Validator>> {
+    if let Some(telemetry) = &shared.metrics.telemetry {
+        validator.attach_telemetry(telemetry);
+    }
+    let primary: Arc<dyn Validator> = Arc::from(validator);
+    let mut validators: Vec<Arc<dyn Validator>> = vec![Arc::clone(&primary)];
+    for _ in 1..shared.replicas {
+        validators.push(match primary.replicate() {
+            Some(replica) => Arc::from(replica),
+            None => Arc::clone(&primary),
+        });
+    }
+    validators
+}
+
+/// Spawn one worker per replica, pinned to `generation`, and file their
+/// handles in the engine's worker list.
+fn spawn_generation(
+    shared: &Arc<Shared>,
+    workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    validators: Vec<Arc<dyn Validator>>,
+    generation: u64,
+) {
+    let mut handles = workers.lock().expect("worker list mutex poisoned");
+    for (index, validator) in validators.into_iter().enumerate() {
+        let shared = Arc::clone(shared);
+        let workers = Arc::clone(workers);
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("dquag-stream-g{generation}-{index}"))
+                .spawn(move || worker_loop(&shared, &workers, &*validator, generation))
+                .expect("spawning a stream worker thread succeeds"),
+        );
     }
 }
 
@@ -581,23 +595,11 @@ pub struct StreamEngine {
 fn swap_validator_impl(
     shared: &Arc<Shared>,
     workers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    mut validator: Box<dyn Validator>,
+    validator: Box<dyn Validator>,
     allow_when_closed: bool,
 ) -> Result<u64, EngineClosed> {
-    // The incoming validator inherits the engine's telemetry bundle, just
-    // like the one handed to `start`; replicas inherit through `replicate`.
-    if let Some(telemetry) = &shared.metrics.telemetry {
-        validator.attach_telemetry(telemetry);
-    }
-    // Build the replica set before touching any lock: replication is pure.
-    let primary: Arc<dyn Validator> = Arc::from(validator);
-    let mut validators: Vec<Arc<dyn Validator>> = vec![Arc::clone(&primary)];
-    for _ in 1..shared.replicas {
-        validators.push(match primary.replicate() {
-            Some(replica) => Arc::from(replica),
-            None => Arc::clone(&primary),
-        });
-    }
+    // Build the replica set before touching any lock.
+    let validators = replica_set(shared, validator);
 
     let generation = {
         let mut st = shared.lock();
@@ -615,17 +617,7 @@ fn swap_validator_impl(
     // notice the new generation and exit.
     shared.not_empty.notify_all();
 
-    let mut handles = workers.lock().expect("worker list mutex poisoned");
-    for (index, validator) in validators.into_iter().enumerate() {
-        let shared = Arc::clone(shared);
-        let workers = Arc::clone(workers);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("dquag-stream-g{generation}-{index}"))
-                .spawn(move || worker_loop(&shared, &workers, &*validator, generation))
-                .expect("spawning a stream worker thread succeeds"),
-        );
-    }
+    spawn_generation(shared, workers, validators, generation);
     Ok(generation)
 }
 

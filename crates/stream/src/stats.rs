@@ -15,9 +15,9 @@ use std::time::Duration;
 /// restored counts and uptime on top of its own series.
 ///
 /// Serde-serialisable: the same JSON shape is used by durable checkpoints
-/// (`dquag-sources`) and by wire responses (the network listener's `STATS`
-/// command and `GET /stats` endpoint), so operational tooling reads one
-/// format everywhere.
+/// (`dquag-sources`) and by wire responses (the network listener's
+/// `GET /stats` endpoint), so operational tooling reads one format
+/// everywhere.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamStats {
     /// Batches accepted into the queue so far

@@ -3,7 +3,6 @@
 
 use crate::Telemetry;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Observability settings: the metrics registry, per-stage span timing and
 /// the bounded flight recorder.
@@ -26,26 +25,20 @@ pub struct TelemetryConfig {
     pub data: TelemetryDataConfig,
 }
 
-/// Data-plane telemetry settings: per-column drift gauges under a bounded
-/// cardinality policy, plus the `GET /drift` scoreboard.
+/// Data-plane telemetry settings: per-column drift gauges for the `top_k`
+/// most drifted columns, plus the `GET /drift` scoreboard.
 ///
 /// Off by default — pipeline telemetry alone carries no per-column series.
-/// When enabled, the gauge family is bounded either by `top_k` (rank-based
-/// slots with hysteresis eviction) or, when `allowlist` is set, by the
-/// declared column list.
+/// When enabled, the gauge family holds at most `top_k` columns, ranked by
+/// drift ratio with hysteresis-guarded eviction, and is maintained on
+/// every validated batch. The scoreboard ranks every column, so a column
+/// outside the top K is still read at `GET /drift`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TelemetryDataConfig {
     /// Enable the data-plane layer (requires `telemetry.enabled`).
     pub enabled: bool,
-    /// Gauge slots when ranking by drift ratio (ignored under an
-    /// allowlist).
+    /// Gauge slots, ranked by drift ratio.
     pub top_k: usize,
-    /// When set, only these columns ever get gauge series.
-    pub allowlist: Option<Vec<String>>,
-    /// Minimum wall-clock spacing between gauge-maintenance passes; the
-    /// scoreboard and crossing events update every batch regardless.
-    /// `None` maintains gauges on every validated batch.
-    pub min_emit_interval: Option<Duration>,
 }
 
 impl Default for TelemetryDataConfig {
@@ -53,8 +46,6 @@ impl Default for TelemetryDataConfig {
         Self {
             enabled: false,
             top_k: 8,
-            allowlist: None,
-            min_emit_interval: None,
         }
     }
 }
@@ -64,14 +55,6 @@ impl TelemetryDataConfig {
     pub fn validated(self) -> Result<Self, String> {
         if self.top_k == 0 {
             return Err("telemetry.data.top_k must be at least 1".to_string());
-        }
-        if self.allowlist.as_deref() == Some(&[]) {
-            return Err(
-                "telemetry.data.allowlist must name at least one column when set".to_string(),
-            );
-        }
-        if self.min_emit_interval == Some(Duration::ZERO) {
-            return Err("telemetry.data.min_emit_interval must be nonzero when set".to_string());
         }
         Ok(self)
     }
@@ -141,37 +124,24 @@ mod tests {
         let c = TelemetryConfig::default();
         assert!(!c.data.enabled);
         assert_eq!(c.data.top_k, 8);
-        assert_eq!(c.data.allowlist, None);
-        assert_eq!(c.data.min_emit_interval, None);
         let bundle = c.build().expect("telemetry on by default");
         assert!(bundle.data().is_none());
 
-        let data_on = |data: TelemetryDataConfig| {
-            TelemetryConfig {
-                data,
-                ..TelemetryConfig::default()
-            }
-            .validated()
-            .expect("data values in range")
-        };
-        let telemetry = data_on(TelemetryDataConfig {
-            enabled: true,
-            top_k: 3,
-            min_emit_interval: Some(Duration::from_millis(500)),
-            ..TelemetryDataConfig::default()
-        });
+        let telemetry = TelemetryConfig {
+            data: TelemetryDataConfig {
+                enabled: true,
+                top_k: 3,
+            },
+            ..TelemetryConfig::default()
+        }
+        .validated()
+        .expect("data values in range");
         let bundle = telemetry.build().expect("bundle builds");
         assert!(bundle.data().is_some());
 
-        let telemetry = data_on(TelemetryDataConfig {
-            enabled: true,
-            allowlist: Some(vec!["age".to_string(), "fare".to_string()]),
-            ..TelemetryDataConfig::default()
-        });
-
         // The data block rides the config's serde round trip.
         let json = serde_json::to_string(&telemetry).unwrap();
-        assert!(json.contains("allowlist"), "{json}");
+        assert!(json.contains("\"top_k\":3"), "{json}");
         let back: TelemetryConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, telemetry);
     }

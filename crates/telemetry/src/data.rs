@@ -1,29 +1,27 @@
-//! Data-plane telemetry: per-column drift gauges under an explicit
-//! cardinality policy, and the ranked [`DriftScoreboard`] behind the
-//! listener's `GET /drift` endpoint.
+//! Data-plane telemetry: per-column drift gauges for the top-K drifting
+//! columns, and the ranked [`DriftScoreboard`] behind the listener's
+//! `GET /drift` endpoint.
 //!
 //! Pipeline metrics say *that* batches are dirty; this module says *which
 //! column* is drifting. The tension is cardinality: a 200-column table
-//! must not mint 600 Prometheus series. Two policies bound it:
-//!
-//! - **top-K with hysteresis** (default): at most `top_k` columns hold
-//!   gauge slots at a time, ranked by threshold ratio. A challenger takes
-//!   the weakest incumbent's slot only when its ratio exceeds the
-//!   incumbent's by the hysteresis factor, so two columns oscillating
-//!   around the same ratio don't churn series in and out of the scrape.
-//! - **allowlist**: only schema-declared columns ever get series,
-//!   regardless of rank.
+//! must not mint 600 Prometheus series. One policy bounds it, top-K with
+//! hysteresis: at most `top_k` columns hold gauge slots at a time, ranked
+//! by threshold ratio, and the family is maintained on every observed
+//! batch. A challenger takes the weakest incumbent's slot only when its
+//! ratio exceeds the incumbent's by the hysteresis factor, so two columns
+//! oscillating around the same ratio don't churn series in and out of the
+//! scrape.
 //!
 //! The in-memory scoreboard always tracks *every* column (bounded by the
-//! schema width, not the policy), so `GET /drift` ranks the full table
-//! even when the scrape shows only the top K.
+//! schema width, not by `top_k`), so `GET /drift` ranks the full table,
+//! and names any column an operator asks about, even when the scrape shows
+//! only the top K.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
-use crate::TelemetryDataConfig;
 
 /// Gauge family holding per-column drift statistics
 /// (`{column=…,stat="ks"|"psi"}`).
@@ -50,16 +48,6 @@ pub struct ColumnDriftSample {
     /// Max statistic-to-threshold ratio across the tests that ran;
     /// > 1.0 means the column drifted on this batch.
     pub ratio: f64,
-}
-
-/// How the gauge family bounds its cardinality.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CardinalityPolicy {
-    /// At most `k` columns hold gauge slots, ranked by threshold ratio
-    /// with hysteresis-guarded eviction.
-    TopK { k: usize },
-    /// Only these columns ever get gauge series.
-    Allowlist(Vec<String>),
 }
 
 /// A column whose drift ratio rose above 1.0 on this observation —
@@ -99,7 +87,7 @@ pub struct DriftScoreboard {
     pub batches: u64,
     /// Columns currently holding gauge slots.
     pub tracked: usize,
-    /// Columns evicted from gauge slots so far (top-K mode).
+    /// Columns evicted from gauge slots so far.
     pub evicted: u64,
     /// Every column seen, ranked by threshold ratio, highest first.
     pub columns: Vec<ScoreboardColumn>,
@@ -183,7 +171,6 @@ struct DataState {
     columns: BTreeMap<String, ColumnState>,
     batches: u64,
     evicted: u64,
-    last_maintenance: Option<Instant>,
 }
 
 /// The data-plane telemetry layer: owns the bounded gauge family and the
@@ -191,25 +178,18 @@ struct DataState {
 /// the `data` block is enabled; feed it via
 /// [`Telemetry::observe_column_drift`](crate::Telemetry::observe_column_drift).
 pub struct DataTelemetry {
-    policy: CardinalityPolicy,
-    min_emit_interval: Option<Duration>,
+    top_k: usize,
     tracked_gauge: Arc<Gauge>,
     evicted_counter: Arc<Counter>,
     state: Mutex<DataState>,
 }
 
 impl DataTelemetry {
-    /// Build the layer and register its two summary series.
-    pub(crate) fn new(registry: &MetricsRegistry, config: &TelemetryDataConfig) -> Self {
-        let policy = match &config.allowlist {
-            Some(columns) => CardinalityPolicy::Allowlist(columns.clone()),
-            None => CardinalityPolicy::TopK {
-                k: config.top_k.max(1),
-            },
-        };
+    /// Build the layer with `top_k` gauge slots (at least one) and register
+    /// its two summary series.
+    pub(crate) fn new(registry: &MetricsRegistry, top_k: usize) -> Self {
         Self {
-            policy,
-            min_emit_interval: config.min_emit_interval,
+            top_k: top_k.max(1),
             tracked_gauge: registry.gauge(
                 "dquag_column_drift_tracked",
                 "Columns currently holding per-column drift gauge slots",
@@ -222,20 +202,13 @@ impl DataTelemetry {
                 columns: BTreeMap::new(),
                 batches: 0,
                 evicted: 0,
-                last_maintenance: None,
             }),
         }
     }
 
-    /// The active cardinality policy.
-    pub fn policy(&self) -> &CardinalityPolicy {
-        &self.policy
-    }
-
     /// Fold one batch's per-column statistics in: update the scoreboard,
-    /// detect threshold crossings, and (subject to `min_emit_interval`)
-    /// maintain the gauge family. Returns the columns that crossed above
-    /// threshold on this observation.
+    /// detect threshold crossings, and maintain the gauge family. Returns
+    /// the columns that crossed above threshold on this observation.
     pub(crate) fn observe(
         &self,
         registry: &MetricsRegistry,
@@ -271,12 +244,6 @@ impl DataTelemetry {
             entry.last_seen = uptime;
         }
 
-        if let (Some(min), Some(last)) = (self.min_emit_interval, state.last_maintenance) {
-            if last.elapsed() < min {
-                return crossings;
-            }
-        }
-        state.last_maintenance = Some(Instant::now());
         self.maintain_gauges(registry, &mut state, samples);
         let tracked = state
             .columns
@@ -287,81 +254,61 @@ impl DataTelemetry {
         crossings
     }
 
-    /// Update tracked columns' gauges and apply the admission/eviction
-    /// policy for this batch's samples.
+    /// Update tracked columns' gauges and apply top-K admission and
+    /// eviction for this batch's samples.
     fn maintain_gauges(
         &self,
         registry: &MetricsRegistry,
         state: &mut DataState,
         samples: &[ColumnDriftSample],
     ) {
-        match &self.policy {
-            CardinalityPolicy::Allowlist(allowed) => {
-                for sample in samples {
-                    if !allowed.contains(&sample.column) {
-                        continue;
-                    }
-                    let entry = state
-                        .columns
-                        .get_mut(&sample.column)
-                        .expect("sample folded into scoreboard above");
-                    if entry.gauges.is_none() {
-                        entry.gauges = Some(register_gauges(registry, sample));
-                    }
+        // Incumbents first: refresh their values (column_drift reports
+        // every reference column each batch, so evictable incumbents never
+        // go stale).
+        for sample in samples {
+            if let Some(entry) = state.columns.get_mut(&sample.column) {
+                if entry.gauges.is_some() {
                     set_gauges(entry, sample);
                 }
             }
-            CardinalityPolicy::TopK { k } => {
-                // Incumbents first: refresh their values (column_drift
-                // reports every reference column each batch, so evictable
-                // incumbents never go stale).
-                for sample in samples {
-                    if let Some(entry) = state.columns.get_mut(&sample.column) {
-                        if entry.gauges.is_some() {
-                            set_gauges(entry, sample);
-                        }
-                    }
-                }
-                // Challengers strongest-first: fill free slots, then evict
-                // only past the hysteresis guard. Once the strongest
-                // remaining challenger can't beat the weakest incumbent,
-                // none can.
-                let mut challengers: Vec<&ColumnDriftSample> = samples
-                    .iter()
-                    .filter(|s| {
-                        state
-                            .columns
-                            .get(&s.column)
-                            .is_none_or(|c| c.gauges.is_none())
-                    })
-                    .collect();
-                challengers.sort_by(|a, b| {
-                    b.ratio
-                        .partial_cmp(&a.ratio)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                for sample in challengers {
-                    let tracked: Vec<(String, f64)> = state
-                        .columns
-                        .iter()
-                        .filter(|(_, c)| c.gauges.is_some())
-                        .map(|(name, c)| (name.clone(), c.ratio))
-                        .collect();
-                    if tracked.len() < *k {
-                        self.admit(registry, state, sample);
-                        continue;
-                    }
-                    let (weakest, weakest_ratio) = tracked
-                        .into_iter()
-                        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .expect("k >= 1 tracked columns");
-                    if sample.ratio > weakest_ratio * EVICTION_HYSTERESIS {
-                        self.evict(registry, state, &weakest);
-                        self.admit(registry, state, sample);
-                    } else {
-                        break;
-                    }
-                }
+        }
+        // Challengers strongest-first: fill free slots, then evict only past
+        // the hysteresis guard. Once the strongest remaining challenger
+        // can't beat the weakest incumbent, none can.
+        let mut challengers: Vec<&ColumnDriftSample> = samples
+            .iter()
+            .filter(|s| {
+                state
+                    .columns
+                    .get(&s.column)
+                    .is_none_or(|c| c.gauges.is_none())
+            })
+            .collect();
+        challengers.sort_by(|a, b| {
+            b.ratio
+                .partial_cmp(&a.ratio)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        for sample in challengers {
+            let tracked: Vec<(String, f64)> = state
+                .columns
+                .iter()
+                .filter(|(_, c)| c.gauges.is_some())
+                .map(|(name, c)| (name.clone(), c.ratio))
+                .collect();
+            if tracked.len() < self.top_k {
+                self.admit(registry, state, sample);
+                continue;
+            }
+            let (weakest, weakest_ratio) = tracked
+                .into_iter()
+                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("top_k >= 1 tracked columns");
+            if sample.ratio > weakest_ratio * EVICTION_HYSTERESIS {
+                self.evict(registry, state, &weakest);
+                self.admit(registry, state, sample);
+            } else {
+                break;
             }
         }
     }
@@ -427,7 +374,7 @@ impl std::fmt::Debug for DataTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let board = self.scoreboard();
         f.debug_struct("DataTelemetry")
-            .field("policy", &self.policy)
+            .field("top_k", &self.top_k)
             .field("columns", &board.columns.len())
             .field("tracked", &board.tracked)
             .field("evicted", &board.evicted)
@@ -504,13 +451,7 @@ mod tests {
     #[test]
     fn top_k_admits_by_rank_and_reports_crossings() {
         let registry = MetricsRegistry::new();
-        let data = DataTelemetry::new(
-            &registry,
-            &TelemetryDataConfig {
-                top_k: 2,
-                ..TelemetryDataConfig::default()
-            },
-        );
+        let data = DataTelemetry::new(&registry, 2);
         let crossings = observe(
             &data,
             &registry,
@@ -546,13 +487,7 @@ mod tests {
     #[test]
     fn hysteresis_blocks_marginal_evictions() {
         let registry = MetricsRegistry::new();
-        let data = DataTelemetry::new(
-            &registry,
-            &TelemetryDataConfig {
-                top_k: 1,
-                ..TelemetryDataConfig::default()
-            },
-        );
+        let data = DataTelemetry::new(&registry, 1);
         observe(&data, &registry, &[sample("a", 2.0)]);
         // 10% better is inside the hysteresis band: no churn.
         observe(&data, &registry, &[sample("a", 2.0), sample("b", 2.2)]);
@@ -569,34 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_only_exports_declared_columns() {
-        let registry = MetricsRegistry::new();
-        let data = DataTelemetry::new(
-            &registry,
-            &TelemetryDataConfig {
-                allowlist: Some(vec!["age".to_string(), "fare".to_string()]),
-                ..TelemetryDataConfig::default()
-            },
-        );
-        observe(
-            &data,
-            &registry,
-            &[
-                sample("age", 0.5),
-                sample("noise", 9.0),
-                sample("fare", 2.0),
-            ],
-        );
-        let series = ratio_series(&registry);
-        assert_eq!(series.len(), 2, "{series:?}");
-        assert!(!series.iter().any(|l| l.contains("noise")));
-        // The scoreboard still ranks the undeclared column first.
-        let board = data.scoreboard();
-        assert_eq!(board.top().unwrap().column, "noise");
-        assert!(!board.top().unwrap().tracked);
-    }
-
-    #[test]
     fn seeded_churn_never_exceeds_k_and_readmits_returners() {
         // 200-column table; each round a rotating window of 6 columns
         // drifts hard while everything else idles near zero. The gauge
@@ -604,13 +511,7 @@ mod tests {
         // quiet must win a slot back when it returns.
         let registry = MetricsRegistry::new();
         const K: usize = 5;
-        let data = DataTelemetry::new(
-            &registry,
-            &TelemetryDataConfig {
-                top_k: K,
-                ..TelemetryDataConfig::default()
-            },
-        );
+        let data = DataTelemetry::new(&registry, K);
         let columns: Vec<String> = (0..200).map(|i| format!("col_{i:03}")).collect();
         // Deterministic xorshift so the "random" idle ratios are seeded.
         let mut rng_state = 0x9e3779b97f4a7c15u64;
@@ -680,34 +581,9 @@ mod tests {
     }
 
     #[test]
-    fn min_emit_interval_throttles_gauges_but_not_the_scoreboard() {
-        let registry = MetricsRegistry::new();
-        let data = DataTelemetry::new(
-            &registry,
-            &TelemetryDataConfig {
-                top_k: 4,
-                min_emit_interval: Some(Duration::from_secs(3600)),
-                ..TelemetryDataConfig::default()
-            },
-        );
-        // First observation always maintains gauges.
-        observe(&data, &registry, &[sample("a", 2.0)]);
-        assert_eq!(ratio_series(&registry).len(), 1);
-        // Inside the window, gauges stay put but the scoreboard and
-        // crossings still move.
-        let crossings = observe(&data, &registry, &[sample("a", 3.0), sample("b", 5.0)]);
-        assert_eq!(crossings.len(), 1);
-        assert_eq!(crossings[0].column, "b");
-        assert_eq!(ratio_series(&registry).len(), 1, "no new series in window");
-        let board = data.scoreboard();
-        assert_eq!(board.top().unwrap().column, "b");
-        assert_eq!(board.batches, 2);
-    }
-
-    #[test]
     fn scoreboard_json_is_ranked_and_parseable() {
         let registry = MetricsRegistry::new();
-        let data = DataTelemetry::new(&registry, &TelemetryDataConfig::default());
+        let data = DataTelemetry::new(&registry, 8);
         observe(&data, &registry, &[sample("low", 0.4), sample("high", 2.5)]);
         let json = data.scoreboard().to_json_string();
         let value: serde::Value = serde_json::from_str(&json).expect("valid JSON");

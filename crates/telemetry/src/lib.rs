@@ -12,8 +12,14 @@
 //! - an always-on bounded [`FlightRecorder`] of lifecycle events (swaps,
 //!   refit outcomes, drops, checkpoint writes, replica quarantines,
 //!   deadline misses), dumpable on demand and automatically on error;
-//! - a periodic structured-log emitter ([`Telemetry::start_log_emitter`])
-//!   for environments without a scraper.
+//! - an opt-in data layer ([`TelemetryDataConfig`]): per-column drift
+//!   gauges for the top-K drifting columns and the ranked
+//!   [`DriftScoreboard`] behind `GET /drift`.
+//!
+//! Telemetry leaves the process one way: the Prometheus text of
+//! [`Telemetry::prometheus`] (the listener's `GET /metrics`), beside the
+//! `GET /drift` scoreboard. A deployment without a scraper prints
+//! `prometheus()` on its own timer; the bundle starts no thread.
 //!
 //! A deployment describes its bundle in one [`TelemetryConfig`] (the
 //! `telemetry` block of `DquagConfig`, which `dquag-core` re-exports) and
@@ -49,17 +55,15 @@
 
 mod config;
 mod data;
-mod logemit;
 mod metrics;
 mod recorder;
 mod stage;
 
 pub use config::{TelemetryConfig, TelemetryDataConfig};
 pub use data::{
-    CardinalityPolicy, ColumnDriftSample, DataTelemetry, DriftScoreboard, ScoreboardColumn,
-    COLUMN_DRIFT_METRIC, COLUMN_RATIO_METRIC,
+    ColumnDriftSample, DataTelemetry, DriftScoreboard, ScoreboardColumn, COLUMN_DRIFT_METRIC,
+    COLUMN_RATIO_METRIC,
 };
-pub use logemit::LogEmitter;
 pub use metrics::{Counter, Gauge, Histogram, Labels, MetricsRegistry};
 pub use recorder::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use stage::{Stage, StageSpan};
@@ -98,7 +102,7 @@ impl Telemetry {
         let data = config
             .data
             .enabled
-            .then(|| DataTelemetry::new(&registry, &config.data));
+            .then(|| DataTelemetry::new(&registry, config.data.top_k));
         Arc::new(Self {
             registry,
             recorder: FlightRecorder::new(config.flight_recorder_capacity, config.dump_on_error),
@@ -173,57 +177,6 @@ impl Telemetry {
     pub fn prometheus(&self) -> String {
         self.registry.render_prometheus()
     }
-
-    /// One structured JSON log line: uptime, flight-recorder depth, and a
-    /// snapshot of every series.
-    pub fn structured_line(&self) -> String {
-        let mut obj = std::collections::BTreeMap::new();
-        obj.insert(
-            "uptime_s".to_string(),
-            serde::Value::Number(self.uptime().as_secs_f64()),
-        );
-        obj.insert(
-            "flight_events".to_string(),
-            serde::Value::Number(self.recorder.len() as f64),
-        );
-        obj.insert("metrics".to_string(), self.registry.snapshot_json());
-        if let Some(data) = &self.data {
-            // Empty-safe: null until the first column has been observed.
-            let board = data.scoreboard();
-            match board.top() {
-                Some(top) => {
-                    obj.insert(
-                        "top_drift_column".to_string(),
-                        serde::Value::String(top.column.clone()),
-                    );
-                    obj.insert(
-                        "top_drift_ratio".to_string(),
-                        serde::Value::Number(top.ratio),
-                    );
-                }
-                None => {
-                    obj.insert("top_drift_column".to_string(), serde::Value::Null);
-                }
-            }
-        }
-        serde_json::to_string(&serde::Value::Object(obj)).expect("metrics snapshot serializes")
-    }
-
-    /// Spawn the periodic structured-log emitter, writing one JSON line
-    /// per `interval` to stderr. Stops when the handle is dropped.
-    pub fn start_log_emitter(self: &Arc<Self>, interval: Duration) -> LogEmitter {
-        self.start_log_emitter_with(interval, Box::new(|line| eprintln!("{line}")))
-    }
-
-    /// As [`start_log_emitter`](Self::start_log_emitter), with a custom
-    /// sink (used by tests).
-    pub fn start_log_emitter_with(
-        self: &Arc<Self>,
-        interval: Duration,
-        sink: Box<dyn Fn(&str) + Send>,
-    ) -> LogEmitter {
-        LogEmitter::spawn(Arc::clone(self), interval, sink)
-    }
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -296,7 +249,6 @@ mod tests {
             data: TelemetryDataConfig {
                 enabled: true,
                 top_k: 4,
-                ..TelemetryDataConfig::default()
             },
             ..TelemetryConfig::default()
         }
@@ -324,58 +276,6 @@ mod tests {
                 column: "age".into(),
                 ratio: 2.0
             }
-        );
-    }
-
-    #[test]
-    fn structured_line_reports_the_top_drifting_column_empty_safe() {
-        let telemetry = TelemetryConfig {
-            data: TelemetryDataConfig {
-                enabled: true,
-                ..TelemetryDataConfig::default()
-            },
-            ..TelemetryConfig::default()
-        }
-        .build()
-        .expect("enabled block builds a bundle");
-        // Empty-safe: before any observation the field is null.
-        let line = telemetry.structured_line();
-        let value: serde::Value = serde_json::from_str(&line).expect("valid JSON");
-        assert!(matches!(
-            value.as_object().unwrap()["top_drift_column"],
-            serde::Value::Null
-        ));
-
-        telemetry.observe_column_drift(&[drift_sample("fare", 1.8), drift_sample("age", 0.2)]);
-        let line = telemetry.structured_line();
-        let value: serde::Value = serde_json::from_str(&line).expect("valid JSON");
-        let obj = value.as_object().unwrap();
-        assert_eq!(obj["top_drift_column"].as_str(), Some("fare"));
-        assert_eq!(obj["top_drift_ratio"].as_f64(), Some(1.8));
-
-        // Without the data layer the fields are absent entirely.
-        let plain = Telemetry::new();
-        let line = plain.structured_line();
-        let value: serde::Value = serde_json::from_str(&line).expect("valid JSON");
-        assert!(!value.as_object().unwrap().contains_key("top_drift_column"));
-    }
-
-    #[test]
-    fn structured_line_round_trips_as_json() {
-        let telemetry = Telemetry::new();
-        telemetry
-            .registry()
-            .gauge("dquag_depth", "queue depth")
-            .set(3.0);
-        let line = telemetry.structured_line();
-        let value: serde::Value = serde_json::from_str(&line).expect("valid JSON");
-        let obj = value.as_object().expect("object");
-        assert!(obj["uptime_s"].as_f64().unwrap() >= 0.0);
-        assert_eq!(
-            obj["metrics"].as_object().unwrap()["dquag_depth"]
-                .as_f64()
-                .unwrap(),
-            3.0
         );
     }
 }

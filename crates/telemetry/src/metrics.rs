@@ -393,38 +393,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// A compact JSON snapshot of every series, for the structured-log
-    /// emitter: counters and gauges as numbers, histograms as
-    /// `{count, p50_s, p99_s}` objects.
-    pub fn snapshot_json(&self) -> serde::Value {
-        let families = self.families.lock().expect("metrics registry poisoned");
-        let mut map = BTreeMap::new();
-        for (name, family) in families.iter() {
-            for (label_key, handle) in &family.series {
-                let key = format!("{name}{label_key}");
-                let value = match handle {
-                    MetricHandle::Counter(c) => serde::Value::Number(c.get() as f64),
-                    MetricHandle::Gauge(g) => serde::Value::Number(g.get()),
-                    MetricHandle::Histogram(h) => {
-                        let mut inner = BTreeMap::new();
-                        inner.insert("count".to_string(), serde::Value::Number(h.count() as f64));
-                        inner.insert(
-                            "p50_s".to_string(),
-                            serde::Value::Number(h.percentile(0.50).as_secs_f64()),
-                        );
-                        inner.insert(
-                            "p99_s".to_string(),
-                            serde::Value::Number(h.percentile(0.99).as_secs_f64()),
-                        );
-                        serde::Value::Object(inner)
-                    }
-                };
-                map.insert(key, value);
-            }
-        }
-        serde::Value::Object(map)
-    }
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -629,20 +597,5 @@ mod tests {
                 "unparseable value in `{line}`"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_json_covers_every_series() {
-        let registry = MetricsRegistry::new();
-        registry.counter("dquag_a_total", "a").inc();
-        registry
-            .histogram("dquag_lat_seconds", "l")
-            .record(Duration::from_millis(5));
-        let snapshot = registry.snapshot_json();
-        let map = snapshot.as_object().expect("object snapshot");
-        assert_eq!(map.len(), 2);
-        assert!(map.contains_key("dquag_a_total"));
-        let hist = map["dquag_lat_seconds"].as_object().expect("histogram");
-        assert!(hist.contains_key("p99_s"));
     }
 }

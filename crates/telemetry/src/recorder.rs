@@ -60,8 +60,6 @@ pub enum FlightEventKind {
     ReplicaQuarantined { generation: u64, reason: String },
     /// A source-layer error (decode failure, I/O error).
     SourceError { source: String, message: String },
-    /// Free-form annotation from an operator or example.
-    Note { label: String, detail: String },
 }
 
 impl FlightEventKind {
@@ -81,7 +79,6 @@ impl FlightEventKind {
             FlightEventKind::CheckpointWrite { .. } => "checkpoint_write",
             FlightEventKind::ReplicaQuarantined { .. } => "replica_quarantined",
             FlightEventKind::SourceError { .. } => "source_error",
-            FlightEventKind::Note { .. } => "note",
         }
     }
 
@@ -143,9 +140,6 @@ impl std::fmt::Display for FlightEventKind {
             }
             FlightEventKind::SourceError { source, message } => {
                 write!(f, "source_error source={source} message={message:?}")
-            }
-            FlightEventKind::Note { label, detail } => {
-                write!(f, "note label={label} detail={detail:?}")
             }
         }
     }

@@ -115,7 +115,6 @@ fn main() {
             data: TelemetryDataConfig {
                 enabled: true,
                 top_k: 4,
-                ..TelemetryDataConfig::default()
             },
             ..TelemetryConfig::default()
         },
@@ -226,8 +225,4 @@ fn main() {
     for crossing in &crossings {
         println!("  {crossing}");
     }
-    println!(
-        "\none structured log line:\n{}",
-        telemetry.structured_line()
-    );
 }

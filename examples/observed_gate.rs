@@ -6,8 +6,7 @@
 //! `telemetry` block of [`DquagConfig`], hand one `Arc` to every subsystem,
 //! POST CSV batches at the listener, and let Prometheus (here: a loopback
 //! HTTP client) scrape the same port the data arrives on. At the end the
-//! flight recorder replays the run's lifecycle and one structured log line
-//! shows what the periodic emitter would ship to stderr.
+//! flight recorder replays the run's lifecycle.
 //!
 //! ```bash
 //! cargo run --release --example observed_gate
@@ -96,8 +95,6 @@ fn main() {
         .telemetry
         .build()
         .expect("telemetry enabled by default");
-    // A periodic structured-log line on stderr, for scraperless setups.
-    let _emitter = telemetry.start_log_emitter(Duration::from_millis(400));
 
     // The same Arc goes to all three layers: the engine counts batches and
     // queue depth and attaches the bundle to the validator, which times its
@@ -181,6 +178,5 @@ fn main() {
     runtime.shutdown().expect("runtime drains");
     let final_stats = engine.shutdown();
     println!("\n{}", telemetry.recorder().render());
-    println!("one structured log line:\n{}", telemetry.structured_line());
     assert_eq!(final_stats.emitted, N_BATCHES as u64, "nothing lost");
 }
